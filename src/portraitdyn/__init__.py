@@ -2,7 +2,7 @@
 
 from .portraits import (CriticalRelation, Portrait, PortraitError,
                         PortraitMorphism, PreperiodicType, automorphism_group,
-                        critically_generated_subportrait,
+                        canonical_form, critically_generated_subportrait,
                         enumerate_primitive_critical_portraits, frame, ge,
                         hom, is_complete_critical, is_critically_generated,
                         is_critically_primitive, is_subportrait, isomorphic,

@@ -84,6 +84,15 @@ def load_portrait(path: str) -> Portrait:
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise SchemaError("key 'weights' must be an object")
+    for v in data["vertices"]:
+        if not isinstance(v, str):
+            raise SchemaError(f"vertex id {v!r} must be a string")
+    for v in data["map"].values():
+        if not isinstance(v, str):
+            raise SchemaError(f"map value {v!r} must be a vertex id string")
+    for w in weights.values():
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise SchemaError(f"weight {w!r} must be an integer")
     return Portrait(data["vertices"], data["map"], weights)
 
 

@@ -359,7 +359,8 @@ def extract_portrait(f: RationalMap, points):
     portrait = Portrait(sorted(names.values()), phi, weights)
     assignment = {names[p]: p for p in points}
     model = verify_model(f, portrait, assignment)
-    assert isinstance(model, Model)
+    if not isinstance(model, Model):
+        raise MapError(f"extracted portrait fails verification: {model.problems}")
     return portrait, assignment
 
 

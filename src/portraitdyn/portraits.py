@@ -34,7 +34,8 @@ class CriticalRelation(NamedTuple):
 class Portrait:
     """Immutable weighted functional graph."""
 
-    __slots__ = ("vertices", "domain", "phi", "weights", "_hash")
+    __slots__ = ("vertices", "domain", "phi", "weights", "_hash",
+                 "_orbits", "_types", "_canon")
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
                  weights: Optional[Mapping[str, int]] = None):
@@ -59,7 +60,8 @@ class Portrait:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "weights",
                           {k: w for k, w in weights.items() if w > 1})
-        object.__setattr__(self, "_hash", None)
+        for slot in ("_hash", "_orbits", "_types", "_canon"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Portrait is immutable")
@@ -105,38 +107,59 @@ class Portrait:
 
     # -- orbits and periods ----------------------------------------------
 
+    def _orbit_table(self):
+        """Every vertex's orbit (a tuple) and preperiodic type, built in one pass."""
+        if self._orbits is None:
+            phi = self.phi
+            orbits = {v: (v,) for v in self.vertices if v not in phi}
+            types = dict.fromkeys(orbits)
+            for v in self.vertices:
+                path, pos, u = [], {}, v
+                while u not in orbits and u not in pos:
+                    pos[u] = len(path)
+                    path.append(u)
+                    u = phi[u]
+                if u in pos:  # the walk closed a new cycle
+                    cycle = path[pos[u]:]
+                    del path[pos[u]:]
+                    for k, c in enumerate(cycle):
+                        orbits[c] = tuple(cycle[k:] + cycle[:k])
+                        types[c] = PreperiodicType(0, len(cycle))
+                for w in reversed(path):
+                    nxt = phi[w]
+                    orbits[w] = (w,) + orbits[nxt]
+                    t = types[nxt]
+                    types[w] = None if t is None else PreperiodicType(t.preperiod + 1,
+                                                                       t.period)
+            object.__setattr__(self, "_orbits", orbits)
+            object.__setattr__(self, "_types", types)
+        return self._orbits, self._types
+
     def orbit(self, v: str) -> list:
         """Forward orbit: iterate phi until leaving the domain or closing a cycle."""
-        if v not in set(self.vertices):
-            raise PortraitError(f"{v!r} is not a vertex")
-        seen = {v}
-        path = [v]
-        while path[-1] in self.domain:
-            nxt = self.phi[path[-1]]
-            if nxt in seen:
-                break
-            seen.add(nxt)
-            path.append(nxt)
-        return path
+        try:
+            return list(self._orbit_table()[0][v])
+        except KeyError:
+            raise PortraitError(f"{v!r} is not a vertex") from None
 
     def preperiodic_type(self, v: str) -> Optional[PreperiodicType]:
         """(m, n) if v enters an n-cycle after m steps; None if the orbit escapes."""
-        path = self.orbit(v)
-        last = path[-1]
-        if last not in self.domain:
-            return None
-        target = self.phi[last]
-        m = path.index(target)
-        return PreperiodicType(m, len(path) - m)
+        try:
+            return self._orbit_table()[1][v]
+        except KeyError:
+            raise PortraitError(f"{v!r} is not a vertex") from None
 
     def step(self, v: str, m: int) -> Optional[str]:
         """phi^m(v), or None when some intermediate vertex has no out-arrow."""
-        path = self.orbit(v)
+        orbits, types = self._orbit_table()
+        if v not in orbits:
+            raise PortraitError(f"{v!r} is not a vertex")
+        path = orbits[v]
         if m < len(path):
             return path[m]
-        if path[-1] not in self.domain:
+        t = types[v]
+        if t is None:
             return None
-        t = self.preperiodic_type(v)
         return path[t.preperiod + (m - t.preperiod) % t.period]
 
     # -- components -------------------------------------------------------
@@ -285,21 +308,47 @@ def isomorphisms(p1: Portrait, p2: Portrait) -> list:
 
 
 def isomorphic(p1: Portrait, p2: Portrait) -> bool:
-    if _iso_signature(p1) != _iso_signature(p2):
-        return False
-    return bool(isomorphisms(p1, p2))
+    return canonical_form(p1) == canonical_form(p2)
 
 
-def _iso_signature(p: Portrait):
-    sig = []
-    indeg = {v: 0 for v in p.vertices}
-    for w in p.phi.values():
-        indeg[w] += 1
-    for v in sorted(p.vertices):
-        t = p.preperiodic_type(v)
-        sig.append((v in p.domain, p.weights.get(v, 1) if v in p.domain else 0,
-                    indeg[v], t if t else (-1, len(p.orbit(v)))))
-    return tuple(sorted(sig))
+def canonical_form(p: Portrait) -> tuple:
+    """A complete isomorphism invariant, computed once per portrait.
+
+    Every component of a portrait is a cycle of rooted in-trees, or one
+    in-tree whose root lies outside the domain.  Each in-tree vertex is
+    encoded as (weight, or 0 off the domain; sorted codes of its
+    preimages off the cycle), as in Aho-Hopcroft-Ullman tree
+    isomorphism.  A component is (period, least rotation of its cycle's
+    vertex codes), with period 0 and the root code for a tree; the form
+    is the sorted tuple of component codes.
+    """
+    if p._canon is None:
+        orbits, types = p._orbit_table()
+        on_cycle = {v for v, t in types.items() if t is not None and t.preperiod == 0}
+        children = {v: [] for v in p.vertices}
+        for v, w in p.phi.items():
+            if v not in on_cycle:
+                children[w].append(v)
+
+        def height(v):  # steps to the cycle or to the root
+            t = types[v]
+            return len(orbits[v]) - 1 if t is None else t.preperiod
+
+        code = {}
+        for v in sorted(p.vertices, key=height, reverse=True):
+            weight = p.weights.get(v, 1) if v in p.domain else 0
+            code[v] = (weight, tuple(sorted(code[u] for u in children[v])))
+        components = [(0, (code[v],)) for v in p.vertices if v not in p.domain]
+        seen = set()
+        for v in p.vertices:
+            if v in on_cycle and v not in seen:
+                cycle = orbits[v]
+                seen.update(cycle)
+                codes = [code[c] for c in cycle]
+                components.append((len(codes), min(
+                    tuple(codes[k:] + codes[:k]) for k in range(len(codes)))))
+        object.__setattr__(p, "_canon", tuple(sorted(components)))
+    return p._canon
 
 
 def automorphism_group(p: Portrait) -> list:
@@ -421,11 +470,15 @@ def frame(p: Portrait, d: int) -> Portrait:
 def enumerate_primitive_critical_portraits(d: int) -> list:
     """All isomorphism classes of critically primitive complete critical portraits.
 
-    Supported for d in {2, 3}; the class count grows quickly with d.
+    Builds every candidate: per weight multiset of t parts, each of the
+    (2t)^t ways to send the critical points to one another or to fresh
+    sinks.  The first candidate of each canonical form represents its
+    class, so classes come in candidate order.  Supported for d in
+    {2, 3}; the class count grows quickly with d.
     """
     if d not in (2, 3):
         raise PortraitError("supported degrees are 2 and 3")
-    found = []
+    classes = {}
     for weights in _weight_multisets(2 * d - 2):
         t = len(weights)
         crits = [f"c{i + 1}" for i in range(t)]
@@ -445,9 +498,8 @@ def enumerate_primitive_critical_portraits(d: int) -> list:
                             dict(zip(crits, weights)))
             if not (is_complete_critical(cand, d) and is_critically_primitive(cand)):
                 continue
-            if not any(isomorphic(cand, q) for q in found):
-                found.append(cand)
-    return found
+            classes.setdefault(canonical_form(cand), cand)
+    return list(classes.values())
 
 
 def _weight_multisets(total: int):
@@ -519,22 +571,6 @@ def relation_holds(p: Portrait, r: CriticalRelation) -> bool:
     return a is not None and a == b
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def shift_bound(p: Portrait) -> int:
     """Shift cap for the iteration closure of a relation system.
 
@@ -559,7 +595,8 @@ def relation_determined(relations: Iterable[CriticalRelation],
     The closure is the smallest equivalence on pairs (critical vertex,
     shift) containing each relation at every shift and closed under
     adding a common shift; it is computed by union-find on a bounded
-    shift range.
+    shift range, with the pair (critical vertex, shift) stored at index
+    crit_index * (cap + 1) + shift of a flat parent array.
     """
     crit = p.crit
     relations = list(relations)
@@ -577,12 +614,23 @@ def relation_determined(relations: Iterable[CriticalRelation],
     # so the union-find range gets headroom proportional to #V hops.
     span = max((max(rel.m, rel.n) for rel in relations), default=0)
     cap = bound + len(p.vertices) * (span + 1)
-    uf = _UnionFind()
+    width = cap + 1
+    base = {c: k * width for k, c in enumerate(sorted(crit))}
+    parent = list(range(len(base) * width))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for rel in relations:
-        top = max(rel.m, rel.n)
-        for c in range(cap - top + 1):
-            uf.union((rel.i, rel.m + c), (rel.j, rel.n + c))
-    return uf.find((r.i, r.m)) == uf.find((r.j, r.n))
+        a, b = base[rel.i] + rel.m, base[rel.j] + rel.n
+        for c in range(cap - max(rel.m, rel.n) + 1):
+            ra, rb = find(a + c), find(b + c)
+            if ra != rb:
+                parent[ra] = rb
+    return find(base[r.i] + r.m) == find(base[r.j] + r.n)
 
 
 def realized_relations(p: Portrait, max_shift: int) -> list:

@@ -77,6 +77,27 @@ def test_invalid_portrait_is_domain_error(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": ["a", "[2]"], "map": {"a": [2]}},     # list as a vertex id
+    {"vertices": ["a"], "map": {"a": [2]}},            # list naming no vertex
+    {"vertices": [1, 2], "map": {}},                   # number as a vertex id
+])
+def test_non_string_vertex_ids_rejected(capsys, tmp_path, doc):
+    bad = write(tmp_path, "bad.json", doc)
+    code, out = run_cli(capsys, "portrait", "validate", bad)
+    assert code == 2 and out == ""
+    assert "string" in run_cli.err
+
+
+@pytest.mark.parametrize("weight", [2.7, 2.0, "2", True])
+def test_non_integer_weight_rejected(capsys, tmp_path, weight):
+    bad = write(tmp_path, "bad.json", {
+        "vertices": ["a"], "map": {"a": "a"}, "weights": {"a": weight}})
+    code, out = run_cli(capsys, "portrait", "validate", bad)
+    assert code == 2 and out == ""
+    assert "integer" in run_cli.err
+
+
 def test_frame_of_complete_critical_portrait(capsys, tmp_path):
     p = write(tmp_path, "p.json", {
         "vertices": ["c", "t", "u"], "map": {"c": "t", "t": "u", "u": "u"},

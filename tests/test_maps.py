@@ -251,6 +251,14 @@ def test_extract_portrait_fixtures():
         extract_portrait(Z_SQUARED, [aff(0), aff(0)])
 
 
+def test_extract_portrait_raises_when_its_self_check_fails(monkeypatch):
+    from portraitdyn import maps
+    monkeypatch.setattr(maps, "verify_model",
+                        lambda f, portrait, assignment: ModelFailure(("forced",)))
+    with pytest.raises(MapError, match="forced"):
+        extract_portrait(Z_SQUARED, [aff(0)])
+
+
 def test_extract_then_verify_round_trip():
     rng = random.Random(17)
     for _ in range(10):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given
 from conftest import portrait_strategy, random_critically_generated
 from portraitdyn import (CriticalRelation, Portrait, PortraitError,
                          PortraitMorphism, PreperiodicType, automorphism_group,
-                         critically_generated_subportrait,
+                         canonical_form, critically_generated_subportrait,
                          enumerate_primitive_critical_portraits, frame, ge,
                          hom, is_complete_critical, is_critically_generated,
                          is_critically_primitive, is_subportrait, isomorphic,
                          portrait_statistics, realized_relations,
                          relation_determined, relation_holds, sp_relations)
-from portraitdyn.portraits import element_order, group_is_cyclic, shift_bound
+from portraitdyn.portraits import (element_order, group_is_cyclic, isomorphisms,
+                                   shift_bound)
 
 
 # -- validation ----------------------------------------------------------
@@ -66,6 +68,35 @@ def test_preperiodic_type_examples():
     p = Portrait(["a", "b"], {"a": "b", "b": "b"})
     assert p.preperiodic_type("a") == PreperiodicType(1, 1)
     assert p.preperiodic_type("b") == PreperiodicType(0, 1)
+
+
+def test_orbit_queries_reject_unknown_vertex():
+    p = Portrait(["a", "b"], {"a": "b"})
+    for query in (p.orbit, p.preperiodic_type, lambda v: p.step(v, 1)):
+        with pytest.raises(PortraitError):
+            query("z")
+
+
+def test_orbit_returns_a_fresh_list():
+    p = Portrait(["a", "b"], {"a": "b", "b": "a"})
+    p.orbit("a").append("z")
+    assert p.orbit("a") == ["a", "b"]
+
+
+@given(portrait_strategy())
+def test_orbit_table_matches_direct_walk(p):
+    for v in p.vertices:
+        path = [v]
+        while path[-1] in p.domain and p.phi[path[-1]] not in path:
+            path.append(p.phi[path[-1]])
+        assert p.orbit(v) == path
+        if path[-1] not in p.domain:
+            assert p.preperiodic_type(v) is None
+            assert p.step(v, len(path)) is None
+        else:
+            m = path.index(p.phi[path[-1]])
+            assert p.preperiodic_type(v) == PreperiodicType(m, len(path) - m)
+            assert p.step(v, len(path)) == path[m]
 
 
 # -- morphisms, automorphisms, ordering -----------------------------------
@@ -278,7 +309,7 @@ def test_enumerate_primitive_critical_degree_two():
 
 def test_enumerate_primitive_critical_degree_three_postconditions():
     classes = enumerate_primitive_critical_portraits(3)
-    assert classes
+    assert len(classes) == 124
     for q in classes:
         assert is_complete_critical(q, 3) and is_critically_primitive(q)
     three_fixed = Portrait("abc", {v: v for v in "abc"},
@@ -286,6 +317,73 @@ def test_enumerate_primitive_critical_degree_three_postconditions():
     assert any(isomorphic(three_fixed, q) for q in classes)
     with pytest.raises(PortraitError):
         enumerate_primitive_critical_portraits(4)
+
+
+# -- canonical forms against the backtracking oracle -----------------------
+
+def _relabel(p, rng):
+    names = [f"u{i}" for i in range(len(p.vertices))]
+    rng.shuffle(names)
+    new = dict(zip(p.vertices, names))
+    return Portrait(names, {new[v]: new[w] for v, w in p.phi.items()},
+                    {new[v]: w for v, w in p.weights.items()})
+
+
+def _perturb_weight(p, rng):
+    v = rng.choice(sorted(p.domain))
+    return Portrait(p.vertices, p.phi, {**p.weights, v: rng.randint(1, 3)})
+
+
+def _assert_canonical_matches_oracle(p, q):
+    assert (canonical_form(p) == canonical_form(q)) == bool(isomorphisms(p, q)), (p, q)
+
+
+def test_canonical_form_on_the_enumerated_classes_and_their_relabellings():
+    classes = (enumerate_primitive_critical_portraits(2)
+               + enumerate_primitive_critical_portraits(3))
+    assert len({canonical_form(q) for q in classes}) == 133
+    for p, q in itertools.combinations_with_replacement(classes, 2):
+        _assert_canonical_matches_oracle(p, q)
+    rng = random.Random(1812)
+    for p in classes:
+        q = _relabel(p, rng)
+        assert canonical_form(q) == canonical_form(p)
+        assert isomorphisms(p, q)
+
+
+def test_canonical_form_on_random_portraits_with_perturbed_weights():
+    rng = random.Random(9936)
+    outcomes = set()
+    for _ in range(150):
+        p = random_critically_generated(rng)
+        q = _relabel(p, rng)
+        if p.domain and rng.random() < 0.7:
+            q = _perturb_weight(q, rng)
+        _assert_canonical_matches_oracle(p, q)
+        outcomes.add(canonical_form(p) == canonical_form(q))
+    assert outcomes == {True, False}
+
+
+def test_canonical_form_keeps_cyclic_order_and_orientation():
+    four = {"a": "b", "b": "c", "c": "d", "d": "a"}
+    three = {"a": "b", "b": "c", "c": "a"}
+    pairs = [
+        (Portrait("abcd", four, {"a": 2, "b": 2}), Portrait("abcd", four, {"a": 2, "c": 2})),
+        (Portrait("abc", three, {"a": 3, "b": 2}), Portrait("abc", three, {"a": 3, "c": 2})),
+        (Portrait("abcdxy", {**four, "x": "a", "y": "b"}),
+         Portrait("abcdxy", {**four, "x": "a", "y": "c"})),
+    ]
+    for p, q in pairs:
+        _assert_canonical_matches_oracle(p, q)
+        assert not isomorphic(p, q)
+    rotated = Portrait("abcd", four, {"b": 2, "c": 2})
+    assert isomorphic(pairs[0][0], rotated)
+
+
+@given(portrait_strategy(5), portrait_strategy(5))
+def test_isomorphic_agrees_with_backtracking(p, q):
+    _assert_canonical_matches_oracle(p, q)
+    assert isomorphic(p, _relabel(p, random.Random(len(p.vertices))))
 
 
 # -- minimal relation systems ----------------------------------------------
@@ -351,3 +449,43 @@ def test_determination_completeness_brute_force():
         s = sp_relations(p)
         for r in realized_relations(p, 2 * len(p.vertices)):
             assert relation_determined(s, r, p), (p, s, r)
+
+
+def _reference_determined(relations, r, p):
+    """The iteration closure by a dict-keyed union-find on (vertex, shift) pairs."""
+    parent = {}
+
+    def find(x):
+        root = parent.setdefault(x, x)
+        if root != x:
+            parent[x] = root = find(root)
+        return root
+
+    if r.i == r.j and r.m == r.n:
+        return True
+    span = max((max(rel.m, rel.n) for rel in relations), default=0)
+    cap = shift_bound(p) + len(p.vertices) * (span + 1)
+    for rel in relations:
+        for c in range(cap - max(rel.m, rel.n) + 1):
+            a, b = find((rel.i, rel.m + c)), find((rel.j, rel.n + c))
+            if a != b:
+                parent[a] = b
+    return find((r.i, r.m)) == find((r.j, r.n))
+
+
+def test_relation_determined_matches_reference_with_a_relation_dropped():
+    rng = random.Random(4242)
+    verdicts = set()
+    tested = 0
+    while tested < 20:
+        p = random_critically_generated(rng, max_vertices=6)
+        s = sp_relations(p)
+        if not s:
+            continue
+        tested += 1
+        del s[rng.randrange(len(s))]
+        for r in realized_relations(p, shift_bound(p)):
+            got = relation_determined(s, r, p)
+            assert got == _reference_determined(s, r, p), (p, s, r)
+            verdicts.add(got)
+    assert verdicts == {True, False}
