@@ -57,8 +57,20 @@ def _check_keys(obj, allowed, required, what):
             raise SchemaError(f"missing key {key!r} in {what}")
 
 
+def _int(value, what) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, what) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _rational(text, what) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"{what} must be a rational string, got {text!r}")
@@ -77,8 +89,7 @@ def load_portrait(path: str) -> Portrait:
     data = _load_json(path)
     _check_keys(data, {"vertices", "map", "weights"}, {"vertices", "map"},
                 "portrait file")
-    if not isinstance(data["vertices"], list):
-        raise SchemaError("key 'vertices' must be a list")
+    _list(data["vertices"], "key 'vertices'")
     if not isinstance(data["map"], dict):
         raise SchemaError("key 'map' must be an object")
     weights = data.get("weights", {})
@@ -91,8 +102,7 @@ def load_portrait(path: str) -> Portrait:
         if not isinstance(v, str):
             raise SchemaError(f"map value {v!r} must be a vertex id string")
     for w in weights.values():
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise SchemaError(f"weight {w!r} must be an integer")
+        _int(w, "weight")
     return Portrait(data["vertices"], data["map"], weights)
 
 
@@ -111,8 +121,10 @@ def load_map(path: str) -> RationalMap:
     d = data["degree"]
     if not isinstance(d, int) or d < 2:
         raise SchemaError("key 'degree' must be an integer >= 2")
-    num = [_rational(c, "numerator coefficient") for c in data["numerator"]]
-    den = [_rational(c, "denominator coefficient") for c in data["denominator"]]
+    num = [_rational(c, "numerator coefficient")
+           for c in _list(data["numerator"], "key 'numerator'")]
+    den = [_rational(c, "denominator coefficient")
+           for c in _list(data["denominator"], "key 'denominator'")]
     if len(num) != d + 1 or len(den) != d + 1:
         raise SchemaError("coefficient lists must have length degree + 1")
     return RationalMap(num, den)
@@ -136,10 +148,7 @@ def _parse_point(entry) -> ProjectivePoint:
 
 
 def load_points(path: str) -> list:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise SchemaError("points file must be a JSON list")
-    return [_parse_point(e) for e in data]
+    return [_parse_point(e) for e in _list(_load_json(path), "points file")]
 
 
 def load_stability(path: str) -> StabilityInstance:
@@ -149,14 +158,20 @@ def load_stability(path: str) -> StabilityInstance:
                 "stability config")
     points = None
     if "points" in data:
-        points = tuple(_parse_point(e) for e in data["points"])
+        points = tuple(_parse_point(e) for e in _list(data["points"], "key 'points'"))
     incidences = []
-    for sub in data.get("incidences", []):
+    for sub in _list(data.get("incidences", []), "key 'incidences'"):
         _check_keys(sub, {"dim", "points"}, {"dim", "points"}, "incidence entry")
-        incidences.append(Subspace(sub["dim"], frozenset(sub["points"])))
-    flags = data.get("fixed_point_flags")
-    return StabilityInstance(N=data["N"], d=data["d"],
-                             weights=tuple(data["weights"]),
+        members = [_int(i, "incidence point index")
+                   for i in _list(sub["points"], "incidence 'points'")]
+        incidences.append(Subspace(_int(sub["dim"], "incidence 'dim'"),
+                                   frozenset(members)))
+    flags = _list(data.get("fixed_point_flags", []), "key 'fixed_point_flags'")
+    if any(flag is not None and not isinstance(flag, bool) for flag in flags):
+        raise SchemaError("fixed-point flags must be true, false or null")
+    return StabilityInstance(N=_int(data["N"], "key 'N'"), d=_int(data["d"], "key 'd'"),
+                             weights=tuple(_int(w, "weight") for w in
+                                           _list(data["weights"], "key 'weights'")),
                              points=points, incidences=tuple(incidences),
                              fixed_point_flags=tuple(flags) if flags else None)
 

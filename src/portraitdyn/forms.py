@@ -296,16 +296,37 @@ def _synth_div(coeffs, alpha):
     return out[:-1], out[-1]
 
 
-def ord_at(coeffs, alpha: Fraction) -> int:
-    """Multiplicity of alpha as a root of the polynomial (0 if not a root)."""
-    cur = [Fraction(c) for c in coeffs]
-    while cur and all(c == 0 for c in cur):
-        raise FormError("zero polynomial has infinite order")
+def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
+    """Order of the point (x : y) as a root of the form: the largest k
+    with (yX - xY)^k dividing f, over Q (prime = 0) or over F_p.
+
+    Over Q the coordinates must be coprime integers, so yX - xY is
+    primitive and, by Gauss's lemma, every quotient of an integer form
+    by it is integral: the division stays in the integers.
+    """
+    if prime:
+        f = [c % prime for c in f]
+        x, y = x % prime, y % prime
+        if y:
+            x, y = x * pow(y, -1, prime) % prime, 1
+    cur = list(f)
+    if not any(cur):
+        raise FormError("zero form has infinite order")
+    if y == 0:      # yX - xY is a unit times Y
+        return next(k for k, c in enumerate(cur) if c)
     mult = 0
     while len(cur) > 1:
-        quot, rem = _synth_div(cur, alpha)
-        if rem != 0:
-            break
+        quot, carry = [], 0
+        for c in cur[:-1]:
+            carry, rem = divmod(c + x * carry, y)
+            if rem:
+                return mult
+            if prime:
+                carry %= prime
+            quot.append(carry)
+        last = cur[-1] + x * carry
+        if (last % prime if prime else last) != 0:
+            return mult
         mult += 1
         cur = quot
     return mult

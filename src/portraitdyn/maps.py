@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 import sympy
 
@@ -22,11 +21,6 @@ DEGREE_CAP = 4096
 
 class MapError(ValueError):
     pass
-
-
-# Unimodular matrices whose first columns are three distinct directions,
-# so for any two points some candidate keeps both out of infinity.
-_CONJUGATIONS = ((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1), (1, 0, -1, 1))
 
 
 def _adj(m):
@@ -44,22 +38,12 @@ class RationalMap:
             raise MapError("numerator and denominator must have equal degree")
         if len(f0) < 3:
             raise MapError("degree must be at least 2")
-        coeffs = [Fraction(c) for c in f0] + [Fraction(c) for c in f1]
+        coeffs = tuple(f0) + tuple(f1)
         if all(c == 0 for c in coeffs):
             raise MapError("zero map")
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        lead = next(c for c in ints if c != 0)
-        if lead < 0:
-            g = -g
-        ints = [c // g for c in ints]
+        ints = forms.integerize(coeffs)
         n = len(f0)
-        nf0, nf1 = tuple(ints[:n]), tuple(ints[n:])
+        nf0, nf1 = ints[:n], ints[n:]
         if forms.is_zero(nf0) or forms.is_zero(nf1) or not forms.coprime(nf0, nf1):
             raise MapError("resultant vanishes: not a morphism of the stated degree")
         object.__setattr__(self, "f0", nf0)
@@ -132,13 +116,10 @@ class RationalMap:
         top = max(pairs)
         while top < k:
             g0, g1 = pairs[top]
-            h0 = forms.compose_pair(self.f0, g0, g1)
-            h1 = forms.compose_pair(self.f1, g0, g1)
-            c = gcd(forms.content(h0), forms.content(h1))
-            lead = next(x for x in h0 + h1 if x != 0)
-            if lead < 0:
-                c = -c
-            pairs[top + 1] = (tuple(x // c for x in h0), tuple(x // c for x in h1))
+            h = forms.primitive(forms.compose_pair(self.f0, g0, g1)
+                                + forms.compose_pair(self.f1, g0, g1))
+            half = len(h) // 2
+            pairs[top + 1] = (h[:half], h[half:])
             top += 1
         return pairs[k]
 
@@ -159,24 +140,18 @@ class RationalMap:
 
     # -- local multiplicity ------------------------------------------------
 
+    def fiber_form(self, p: ProjectivePoint):
+        """The form f1(P) f0 - f0(P) f1 of degree d.  It vanishes exactly
+        on the points with the same image as P, each to the order of its
+        local multiplicity."""
+        a = forms.evaluate(self.f0, p.x, p.y)
+        b = forms.evaluate(self.f1, p.x, p.y)
+        return forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
+
     def multiplicity(self, p: ProjectivePoint) -> int:
-        """Local multiplicity (ramification index) e_f(P), computed as
-        the order of vanishing of f - f(P) in an affine chart containing
-        both P and f(P)."""
-        for m in _CONJUGATIONS:
-            q = p.apply_matrix(*_adj(m))
-            if q.is_infinity:
-                continue
-            g = self.conjugate(m)
-            if g.evaluate(q).is_infinity:
-                continue
-            alpha = q.to_affine()
-            pa = forms.evaluate(g.f0, alpha, 1)
-            qa = forms.evaluate(g.f1, alpha, 1)
-            num = forms.sub(forms.scale(g.f0, Fraction(qa)),
-                            forms.scale(g.f1, Fraction(pa)))
-            return forms.ord_at(num, alpha)
-        raise MapError("no affine chart found")  # pragma: no cover
+        """Local multiplicity (ramification index) e_f(P), computed as the
+        order of P as a root of the fiber form; P and f(P) may be infinity."""
+        return forms.ord_at(self.fiber_form(p), p.x, p.y)
 
     def wronskian(self):
         """The critical form dX f0 * dY f1 - dY f0 * dX f1, primitive."""
@@ -267,7 +242,7 @@ class RationalMap:
         cycle = self.orbit(p, n - 1)
         if self.evaluate(cycle[-1]) != p:
             raise MapError("point is not n-periodic")
-        m = _matrix_avoiding(cycle)
+        m = chart_avoiding(set(cycle).__contains__, len(cycle))
         g = self.conjugate(m)
         lam = Fraction(1)
         da, db, dc, dd = _adj(m)
@@ -276,20 +251,22 @@ class RationalMap:
         return lam
 
 
-def _matrix_avoiding(points: Iterable[ProjectivePoint]):
-    """A unimodular matrix m with phi(inf) distinct from all given points,
-    so the inverse chart makes every point affine."""
-    pts = set(points)
+def chart_avoiding(bad, count: int):
+    """The first unimodular matrix m among the identity, the swap and
+    (c, 1, 1, 0), (-c, 1, 1, 0) for c = 1, 2, ... whose point
+    phi(inf) = (m[0] : m[2]) is not bad, so the inverse chart makes every
+    bad point affine.  `bad` is a predicate on points that holds for at
+    most `count` of them; the candidates send infinity to distinct points,
+    so count + 1 of them suffice."""
     candidates = [(1, 0, 0, 1), (0, 1, 1, 0)]
     c = 1
-    while len(candidates) < len(pts) + 3:
-        candidates.append((c, 1, 1, 0))
-        candidates.append((-c, 1, 1, 0))
+    while len(candidates) < count + 1:
+        candidates += [(c, 1, 1, 0), (-c, 1, 1, 0)]
         c += 1
-    for m in candidates:
-        if ProjectivePoint.of(m[0], m[2]) not in pts:
+    for m in candidates[:count + 1]:
+        if not bad(ProjectivePoint.of(m[0], m[2])):
             return m
-    raise MapError("no chart avoids the given points")  # pragma: no cover
+    raise MapError(f"no chart avoids the {count} given points")
 
 
 # -- portrait models ----------------------------------------------------

@@ -11,7 +11,7 @@ from math import comb, isqrt
 import sympy
 
 from . import forms
-from .maps import MapError, RationalMap
+from .maps import MapError, RationalMap, chart_avoiding
 from .portraits import Portrait, is_subportrait, portrait_statistics
 
 
@@ -155,44 +155,27 @@ class MultiplierData:
         return len(self.poly) - 1
 
 
-def _elim_candidates():
-    yield (1, 0, 0, 1)
-    yield (0, 1, 1, 0)
-    c = 1
-    while True:
-        yield (c, 1, 1, 0)
-        yield (-c, 1, 1, 0)
-        c += 1
-
-
 def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     """Monic polynomial whose roots (with multiplicity) are the multipliers
     of f^n at the points of formal period n, eliminated exactly through a
     resultant in a chart where no formal-period-n point is at infinity."""
     target = nu(f.degree, 1, n)
+    dyn = f.dynatomic(n)
+    m = chart_avoiding(lambda q: forms.evaluate(dyn, q.x, q.y) == 0, target)
+    g = f if m == (1, 0, 0, 1) else f.conjugate(m)
     x, lam = sympy.symbols("x lam")
-    tried = 0
-    for m in _elim_candidates():
-        tried += 1
-        if tried > target + 4:
-            raise MapError("no chart avoids the formal-period points")  # pragma: no cover
-        g = f.conjugate(m)
-        dyn = g.dynatomic(n)
-        if dyn[0] == 0:
-            continue
-        psi = sympy.Poly(list(dyn), x)
-        g0, g1 = g.iterate_pair(n)
-        a = sympy.Poly(list(g0), x)
-        b = sympy.Poly(list(g1), x)
-        wr = a.diff(x) * b - a * b.diff(x)
-        res = sympy.resultant((lam * b ** 2 - wr).as_expr(), psi.as_expr(), x)
-        poly = sympy.Poly(res, lam)
-        if poly.degree() != target:
-            continue  # pragma: no cover
-        monic = poly.monic()
-        coeffs = tuple(Fraction(c.p, c.q) for c in monic.all_coeffs())
-        sym = tuple((-1) ** k * coeffs[k] for k in range(1, len(coeffs)))
-        return MultiplierData(n, coeffs, sym)
+    psi = sympy.Poly(list(g.dynatomic(n)), x)
+    g0, g1 = g.iterate_pair(n)
+    a = sympy.Poly(list(g0), x)
+    b = sympy.Poly(list(g1), x)
+    wr = a.diff(x) * b - a * b.diff(x)
+    res = sympy.resultant((lam * b ** 2 - wr).as_expr(), psi.as_expr(), x)
+    poly = sympy.Poly(res, lam)
+    if poly.degree() != target:
+        raise MapError("multiplier elimination lost degree")  # pragma: no cover
+    coeffs = tuple(Fraction(c.p, c.q) for c in poly.monic().all_coeffs())
+    sym = tuple((-1) ** k * coeffs[k] for k in range(1, len(coeffs)))
+    return MultiplierData(n, coeffs, sym)
 
 
 def milnor_coordinates(f: RationalMap):
@@ -208,28 +191,20 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
     """Exact value of sum lambda^k / (1 - lambda) over the fixed points.
 
     Requires every fixed point to be simple (no multiplier equal to 1);
-    equals 1 for k = 0 and -d for k = 1.  Computed symmetrically via
-    traces of the companion matrix of the fixed-point multiplier
-    polynomial, so no splitting field is ever constructed.
+    equals 1 for k = 0 and -d for k = 1.  Computed symmetrically from the
+    monic fixed-point multiplier polynomial P as
+    sum 1 / (1 - lambda) = P'(1) / P(1), and
+    sum lambda / (1 - lambda) = P'(1) / P(1) - deg P,
+    so no splitting field is ever constructed.
     """
     if k not in (0, 1):
         raise ModuliError("only k in {0, 1} is meaningful on P^1")
     data = multiplier_polynomial(f, 1)
-    coeffs = data.poly
-    if sum(coeffs) == 0:
+    at_one = sum(data.poly)
+    if at_one == 0:
         raise MapError("a fixed-point multiplier equals 1 (non-simple fixed point)")
-    size = len(coeffs) - 1
-    comp = sympy.zeros(size)
-    for i in range(1, size):
-        comp[i, i - 1] = 1
-    for i in range(size):
-        comp[i, size - 1] = -sympy.Rational(coeffs[size - i].numerator,
-                                            coeffs[size - i].denominator)
-    mat = (sympy.eye(size) - comp).inv()
-    if k == 1:
-        mat = comp * mat
-    val = sympy.Rational(mat.trace())
-    return Fraction(val.p, val.q)
+    slope = sum(c * (data.degree - i) for i, c in enumerate(data.poly))
+    return Fraction(slope, at_one) - (data.degree if k == 1 else 0)
 
 
 # -- worked families used as exact regression fixtures --------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import sympy
 
 from . import forms
-from .maps import MapError, RationalMap, _CONJUGATIONS, _adj
+from .maps import MapError, RationalMap
 from .portraits import Portrait
 from .projective import ProjectivePoint
 
@@ -36,52 +36,18 @@ def reduce_point(p: ProjectivePoint, prime: int):
     return (1, 0)
 
 
-def _mod_form(f, prime):
-    return tuple(c % prime for c in f)
-
-
-def _poly_mod_ord(coeffs, alpha, prime):
-    """Multiplicity of alpha as a root mod p of the descending-coefficient poly."""
-    cur = [c % prime for c in coeffs]
-    mult = 0
-    while len(cur) > 1:
-        out = [cur[0]]
-        for c in cur[1:]:
-            out.append((c + alpha * out[-1]) % prime)
-        if out[-1] != 0:
-            break
-        mult += 1
-        cur = out[:-1]
-    return mult
-
-
 def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):
     """Derivative-certified multiplicity of the reduced map at the reduced point.
 
-    Returns the order of vanishing of f~ - f~(P~) at P~ when that order
-    is < p, and None when every formal derivative vanishes mod p (wild
+    Returns the order of P~ as a root of the reduced fiber form, which is
+    the order of vanishing of f~ - f~(P~) at P~, when that order is < p,
+    and None when every formal derivative vanishes mod p (wild
     ramification), in which case no finite multiplicity is certified.
     """
     if f.resultant % prime == 0:
         raise MapError(f"map does not reduce to a morphism mod {prime}")
-    for m in _CONJUGATIONS:
-        col = reduce_point(ProjectivePoint.of(m[0], m[2]), prime)
-        g = f.conjugate(m)
-        g0, g1 = _mod_form(g.f0, prime), _mod_form(g.f1, prime)
-        da, db, dc, dd = _adj(m)
-        qx = (da * p.x + db * p.y) % prime
-        qy = (dc * p.x + dd * p.y) % prime
-        if qy == 0:
-            continue
-        alpha = (qx * pow(qy, -1, prime)) % prime
-        pa = forms.evaluate(g0, alpha, 1) % prime
-        qa = forms.evaluate(g1, alpha, 1) % prime
-        if qa == 0:
-            continue
-        num = tuple((a * qa - b * pa) % prime for a, b in zip(g0, g1))
-        ord_ = _poly_mod_ord(num, alpha, prime)
-        return ord_ if ord_ < prime else None
-    raise MapError("no affine chart mod p")  # pragma: no cover
+    order = forms.ord_at(f.fiber_form(p), p.x, p.y, prime)
+    return order if order < prime else None
 
 
 def good_reduction(f: RationalMap, assignment, portrait: Portrait,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 YES = "certified-yes"
@@ -35,6 +36,10 @@ class Subspace:
         return f"dim-{self.dim} subspace containing points {sorted(self.members)}"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StabilityInstance:
     N: int
@@ -45,6 +50,8 @@ class StabilityInstance:
     fixed_point_flags: Optional[tuple] = None
 
     def __post_init__(self):
+        if not all(_is_int(v) for v in (self.N, self.d, *self.weights)):
+            raise StabilityError("N, d and the weights must be integers")
         if self.N < 1 or self.d < 2:
             raise StabilityError("need N >= 1 and d >= 2")
         if len(self.weights) < 1 or any(m < 0 for m in self.weights):
@@ -113,9 +120,7 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
     # C and D scale identically in the weights, so verdicts only depend
     # on the weight vector up to a positive factor; dividing by the gcd
     # also lets the named special cases match scaled instances.
-    g = 0
-    for w in inst.weights:
-        g = _int_gcd(g, w)
+    g = gcd(*inst.weights)
     if g > 1:
         inst = StabilityInstance(N=inst.N, d=inst.d,
                                  weights=tuple(w // g for w in inst.weights),
@@ -178,20 +183,12 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
         stab = YES
         witnesses["stable"] = "single point on the line relative to O(2,1)"
 
-    if (semi, stab) in ((NO, YES),):
-        raise StabilityError("inconsistent verdict")  # pragma: no cover
     if stab == YES and semi == NO:
         raise StabilityError("inconsistent verdict")  # pragma: no cover
     if stab == YES and semi != YES:
         semi = YES
         witnesses.setdefault("semistable", "implied by stability")
     return StabilityVerdict(semi, stab, witnesses)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _band_verdicts(inst, candidates, witnesses):

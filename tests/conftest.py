@@ -1,9 +1,11 @@
 import random
 
 import hypothesis
+import sympy
 from hypothesis import strategies as st
 
-from portraitdyn import MapError, Portrait, RationalMap, critically_generated_subportrait
+from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
+                         critically_generated_subportrait, forms)
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -17,6 +19,54 @@ def random_rational_map(rng: random.Random, degree: int) -> RationalMap:
             return RationalMap(coeffs[:degree + 1], coeffs[degree + 1:])
         except MapError:
             continue
+
+
+def multiplicity_probes(rng: random.Random, count: int):
+    """Seeded (map, points) pairs of degree 2 and 3.  Every other map has a
+    rational pole; the points are infinity, small integers, a random
+    rational, the rational critical points and the rational poles."""
+    out = []
+    for k in range(count):
+        d = 2 + k % 2
+        if k % 4 < 2:
+            f = random_rational_map(rng, d)
+        else:
+            while True:
+                pole = (rng.randint(-3, 3), rng.randint(1, 2))
+                rest = [rng.randint(-5, 5) for _ in range(d)]
+                den = forms.mul((pole[1], -pole[0]), tuple(rest))
+                try:
+                    f = RationalMap([rng.randint(-9, 9) for _ in range(d + 1)], den)
+                    break
+                except MapError:
+                    continue
+        points = {ProjectivePoint.infinity(),
+                  ProjectivePoint.of(rng.randint(-9, 9), rng.randint(1, 5))}
+        points.update(ProjectivePoint.affine(z) for z in range(-3, 4))
+        points.update(q for q, _ in f.critical_divisor()[1])
+        points.update(ProjectivePoint.of(x, y) for (x, y), _ in forms.form_rational_roots(f.f1))
+        out.append((f, sorted(points)))
+    return out
+
+
+def reference_multiplicity(f: RationalMap, p, prime: int = 0) -> int:
+    """Local multiplicity e_f(P) over Q, or of the reduced map at the reduced
+    point over F_p, by sympy alone: restrict f to the line P + tR through P
+    (R a point other than P), and take the order at t = 0 of the local
+    equation Q.y X - Q.x Y of the image point Q = f(P)."""
+    t = sympy.Symbol("t")
+    y_mod = p.y % prime if prime else p.y
+    rx, ry = (1, 0) if y_mod else (0, 1)
+    X, Y = p.x + t * rx, p.y + t * ry
+    d = f.degree
+    a = sympy.expand(sum(c * X ** (d - i) * Y ** i for i, c in enumerate(f.f0)))
+    b = sympy.expand(sum(c * X ** (d - i) * Y ** i for i, c in enumerate(f.f1)))
+    qx, qy = a.subs(t, 0), b.subs(t, 0)
+    local = sympy.Poly(sympy.expand(qy * a - qx * b), t,
+                       **({"modulus": prime} if prime else {}))
+    if local.is_zero:
+        raise ValueError("the map is constant along the line")
+    return min(m[0] for m in local.monoms())
 
 
 def random_critically_generated(rng: random.Random, max_vertices: int = 8) -> Portrait:

@@ -263,3 +263,49 @@ def test_deterministic_output(capsys, milnor_map):
     _, out1 = run_cli(capsys, "mod", "milnor", milnor_map)
     _, out2 = run_cli(capsys, "mod", "milnor", milnor_map)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("doc", [
+    {"degree": 2, "numerator": "101", "denominator": ["0", "0", "1"]},
+    {"degree": 2, "numerator": ["1", "0", "1"], "denominator": 1},
+    {"degree": 2, "numerator": [True, 0, 0], "denominator": ["0", "0", "1"]},
+])
+def test_map_file_needs_lists_of_rationals(capsys, tmp_path, doc):
+    bad = write(tmp_path, "m.json", doc)
+    code, out = run_cli(capsys, "dyn", "eval", bad, "--point", "2")
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith("error: ") and run_cli.err.count("\n") == 1
+
+
+STABILITY_OK = {"N": 1, "d": 2, "weights": [1, 1], "points": ["0"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"N": "1"},
+    {"d": True},
+    {"weights": [1.5, 1]},
+    {"weights": [True, 1]},
+    {"weights": "11"},
+    {"points": "0"},
+    {"points": [[True, 1]]},
+    {"points": None, "N": 2, "weights": [0, 1], "incidences": [{"dim": 0, "points": 3}]},
+    {"points": None, "N": 2, "weights": [0, 1], "incidences": [{"dim": "0", "points": [1]}]},
+    {"points": None, "N": 2, "weights": [0, 1], "incidences": [{"dim": 0, "points": ["1"]}]},
+    {"fixed_point_flags": "yes"},
+    {"fixed_point_flags": ["yes"]},
+])
+def test_stability_config_needs_typed_values(capsys, tmp_path, change):
+    doc = {k: v for k, v in {**STABILITY_OK, **change}.items() if v is not None}
+    bad = write(tmp_path, "c.json", doc)
+    code, out = run_cli(capsys, "git", "stability", bad)
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith("error: ") and run_cli.err.count("\n") == 1
+
+
+def test_stability_config_with_incidences(capsys, tmp_path):
+    config = write(tmp_path, "c.json", {
+        "N": 2, "d": 2, "weights": [0, 1, 1, 1, 1, 1],
+        "incidences": [{"dim": 1, "points": [1, 2, 3, 4]}]})
+    code, out = run_cli(capsys, "git", "stability", config)
+    assert code == 0
+    assert json.loads(out)["stable"] == "certified-no"

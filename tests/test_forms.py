@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -114,8 +115,38 @@ def test_rational_roots_zero_root_and_infinity():
 
 
 def test_ord_at():
-    # (x - 3)^2 (x + 1)
-    poly = [1, -5, 3, 9]
-    assert forms.ord_at(poly, Fraction(3)) == 2
-    assert forms.ord_at(poly, Fraction(-1)) == 1
-    assert forms.ord_at(poly, Fraction(0)) == 0
+    # (X - 3Y)^2 (X + Y)
+    form = (1, -5, 3, 9)
+    assert forms.ord_at(form, 3, 1) == 2
+    assert forms.ord_at(form, -1, 1) == 1
+    assert forms.ord_at(form, 0, 1) == 0
+    # (2X - Y)^2 X: the root 1/2 has order 2, the root 0 order 1
+    assert forms.ord_at((4, -4, 1, 0), 1, 2) == 2
+    assert forms.ord_at((4, -4, 1, 0), 0, 1) == 1
+    # (1 : 0) is a root of order k exactly when Y^k divides the form
+    assert forms.ord_at((0, 0, 1, 9), 1, 0) == 2
+    assert forms.ord_at((0, 0, 0, 5), 1, 0) == 3
+    assert forms.ord_at(form, 1, 0) == 0
+    # over F_p
+    assert forms.ord_at(form, 3, 1, 2) == 3     # both factors are X + Y mod 2
+    assert forms.ord_at(form, 1, 1, 2) == 3
+    assert forms.ord_at(form, 3, 1, 5) == 2
+    assert forms.ord_at(form, 8, 1, 5) == 2     # 8 = 3 mod 5
+    assert forms.ord_at(form, 1, 4, 5) == 1     # 1/4 = -1 mod 5
+    assert forms.ord_at(form, 1, 4) == 0
+    assert forms.ord_at((5, 10, 1), 1, 5, 5) == 2   # Y^2 mod 5, at 1/5 = infinity
+    assert forms.ord_at((5, 10, 1), 1, 0) == 0
+    with pytest.raises(forms.FormError):
+        forms.ord_at((5, 10, 15), 0, 1, 5)
+
+
+@given(st.integers(-6, 6), st.integers(1, 4), st.integers(0, 3), coeff_lists,
+       st.sampled_from((0, 2, 3, 5)))
+def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    rest = tuple(rest)
+    if forms.is_zero(rest) or (prime and all(c % prime == 0 for c in rest)):
+        return
+    form = forms.mul(forms.pow_((y, -x), k), rest)
+    assert forms.ord_at(form, x, y, prime) == k + forms.ord_at(rest, x, y, prime)

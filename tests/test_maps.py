@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import invertible_matrix_strategy, random_rational_map
+from conftest import (invertible_matrix_strategy, multiplicity_probes,
+                      random_rational_map, reference_multiplicity)
 from portraitdyn import (MapError, Model, ModelFailure, Portrait,
                          PreperiodicType, ProjectivePoint, RationalMap,
                          extract_portrait, hom, nu, pullback_model,
                          verify_model)
 from portraitdyn import forms
+from portraitdyn.maps import chart_avoiding
 
 Z_SQUARED = RationalMap([1, 0, 0], [0, 0, 1])
 Z2_MINUS_1 = RationalMap.polynomial([1, 0, -1])
@@ -102,6 +104,13 @@ def test_multiplicity_fixtures():
         assert power.multiplicity(ProjectivePoint.infinity()) == d
     assert RationalMap.polynomial([1, 1, 0, 0]).multiplicity(aff(0)) == 2
     assert Z_SQUARED.multiplicity(aff(1)) == 1
+    f = RationalMap.from_affine([1, 0, 1], [1, 0])      # z + 1/z
+    assert f.multiplicity(aff(0)) == 1                 # simple pole
+    assert f.multiplicity(ProjectivePoint.infinity()) == 1
+    assert f.multiplicity(aff(1)) == 2                 # critical, f(1) = 2
+    g = RationalMap.from_affine([1], [1, 0, 0])        # 1/z^2
+    assert g.multiplicity(aff(0)) == 2                 # double pole
+    assert g.multiplicity(ProjectivePoint.infinity()) == 2
 
 
 @given(invertible_matrix_strategy())
@@ -120,6 +129,52 @@ def test_multiplicity_riemann_hurwitz_cap():
         for z in (-2, -1, 0, 1, 2):
             e = f.multiplicity(aff(z))
             assert 1 <= e <= d
+
+
+def test_multiplicity_matches_sympy_reference():
+    seen = {"inf": 0, "image_inf": 0, "critical": 0}
+    for f, points in multiplicity_probes(random.Random(23), 24):
+        crit = {q for q, _ in f.critical_divisor()[1]}
+        for p in points:
+            assert f.multiplicity(p) == reference_multiplicity(f, p), (f, p)
+            seen["inf"] += p.is_infinity
+            seen["image_inf"] += f.evaluate(p).is_infinity
+            seen["critical"] += p in crit
+    assert all(seen.values()), seen
+
+
+# -- charts ---------------------------------------------------------------------
+
+def test_chart_avoiding_prefers_the_identity():
+    assert chart_avoiding(lambda q: False, 0) == (1, 0, 0, 1)
+    assert chart_avoiding({aff(0), aff(1)}.__contains__, 2) == (1, 0, 0, 1)
+
+
+def test_chart_avoiding_skips_bad_points():
+    inf = ProjectivePoint.infinity()
+    assert chart_avoiding({inf}.__contains__, 1) == (0, 1, 1, 0)
+    assert chart_avoiding({inf, aff(0), aff(1)}.__contains__, 3) == (-1, 1, 1, 0)
+
+
+def test_chart_avoiding_raises_after_count_plus_one_candidates():
+    asked = []
+
+    def bad(q):
+        asked.append(q)
+        return True
+
+    with pytest.raises(MapError):
+        chart_avoiding(bad, 4)
+    assert len(asked) == 5 and len(set(asked)) == 5
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(
+    lambda t: t != (0, 0)), max_size=6))
+def test_chart_avoiding_moves_every_bad_point_off_infinity(coords):
+    bad = {ProjectivePoint.of(x, y) for x, y in coords}
+    a, b, c, d = chart_avoiding(bad.__contains__, len(bad))
+    assert a * d - b * c in (1, -1)
+    assert not any(q.apply_matrix(d, -b, -c, a).is_infinity for q in bad)
 
 
 # -- critical divisor -----------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from conftest import random_rational_map
+from conftest import multiplicity_probes, random_rational_map, reference_multiplicity
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          extract_portrait, good_reduction, multiplicity_mod_p)
 
@@ -53,6 +53,43 @@ def test_multiplicity_mod_p_wild_is_none():
     cube = RationalMap.polynomial([1, 0, 0, 0])
     assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 3) is None
     assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 5) == 3
+    assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 2) is None   # 3 > p
+    # z^3 + 3z is unramified at 0 over Q but reduces to z^3 over F_3
+    g = RationalMap.polynomial([1, 0, 3, 0])
+    assert g.multiplicity(ProjectivePoint.affine(0)) == 1
+    assert multiplicity_mod_p(g, ProjectivePoint.affine(0), 3) is None
+    assert multiplicity_mod_p(g, ProjectivePoint.affine(0), 5) == 1
+    # z^2 - 1 at 1: unramified over Q and over F_3, wild over F_2
+    assert multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(1), 2) is None
+    assert multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(1), 3) == 1
+
+
+def test_multiplicity_mod_p_matches_sympy_reference():
+    seen = {"tame": 0, "wild": 0, "inf": 0}
+    for f, points in multiplicity_probes(random.Random(29), 24):
+        for prime in (2, 3, 5, 7):
+            if f.resultant % prime == 0:
+                continue
+            for p in points:
+                order = reference_multiplicity(f, p, prime)
+                want = order if order < prime else None
+                assert multiplicity_mod_p(f, p, prime) == want, (f, p, prime)
+                seen["wild"] += want is None
+                seen["tame"] += want is not None and want > 1
+                seen["inf"] += p.y % prime == 0
+    assert all(seen.values()), seen
+
+
+def test_multiplicity_mod_p_at_infinity():
+    f = RationalMap.from_affine([1], [1, 0, 0])      # 1/z^2: infinity -> 0
+    inf = ProjectivePoint.infinity()
+    assert multiplicity_mod_p(f, inf, 2) is None
+    assert multiplicity_mod_p(f, inf, 3) == 2
+    assert multiplicity_mod_p(f, ProjectivePoint.affine(0), 3) == 2   # 0 -> inf
+    # 1/5 reduces to infinity mod 5
+    g = RationalMap.polynomial([1, 0, 0, 1])
+    assert multiplicity_mod_p(g, ProjectivePoint.of(1, 5), 5) == 3
+    assert g.multiplicity(ProjectivePoint.of(1, 5)) == 1
 
 
 def test_points_collide_mod_small_prime():

@@ -179,3 +179,14 @@ def test_incidence_validation():
                           incidences=(Subspace(0, frozenset({4})),))
     with pytest.raises(StabilityError):
         StabilityInstance(N=0, d=2, weights=(1,))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"N": "1", "d": 2, "weights": (1, 1)},
+    {"N": 1, "d": 2.0, "weights": (1, 1)},
+    {"N": 1, "d": 2, "weights": (Fraction(3, 2), 1)},
+    {"N": 1, "d": 2, "weights": (True, 1)},
+])
+def test_non_integer_parameters_rejected(kwargs):
+    with pytest.raises(StabilityError, match="integers"):
+        StabilityInstance(**kwargs)
