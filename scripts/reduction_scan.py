@@ -8,9 +8,8 @@ Example:
 import argparse
 import json
 
-import sympy
-
 from portraitdyn.cli import load_map, load_points, load_portrait
+from portraitdyn.forms import is_prime
 from portraitdyn.reduction import good_reduction
 
 
@@ -28,7 +27,7 @@ def main():
     assignment = dict(zip(portrait.vertices, points))
 
     rows = []
-    for p in sympy.primerange(2, args.max_prime + 1):
+    for p in filter(is_prime, range(2, args.max_prime + 1)):
         rep = good_reduction(f, assignment, portrait, p)
         rows.append({"prime": p, "map_good": rep.map_good,
                      "bullet": rep.bullet, "circ": rep.circ, "star": rep.star})

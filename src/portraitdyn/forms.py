@@ -1,16 +1,19 @@
 """Exact arithmetic on binary forms (homogeneous polynomials in X, Y).
 
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
-ci the coefficient of X^(D-i) Y^i.  All arithmetic is exact; anything
-that has to leave the integers goes through fractions.Fraction.
+ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
+integers: determinants are fraction-free, division goes through the
+primitive part of the divisor, and root tests evaluate homogeneously.
+fractions.Fraction appears only at the API edge, for rational input and
+for results that are rational by nature (a rational root, a quotient
+with a denominator).  The integer helpers is_prime, divisors and mobius
+live here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-import sympy
+from math import gcd, isqrt, lcm
 
 Form = tuple  # tuple of int (or Fraction) coefficients, X^D first
 
@@ -113,13 +116,9 @@ def primitive(f: Form) -> Form:
 
 def integerize(f) -> Form:
     """Clear denominators of a rational-coefficient form; result is primitive."""
-    coeffs = [Fraction(c) for c in f]
-    if all(c == 0 for c in coeffs):
+    if is_zero(f):
         raise FormError("zero form")
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return primitive(tuple(int(c * den) for c in coeffs))
+    return primitive(_integral(f)[0])
 
 
 def compose_linear(f: Form, a, b, c, d) -> Form:
@@ -151,11 +150,32 @@ def compose_pair(f: Form, g0: Form, g1: Form) -> Form:
     return out
 
 
+def _integral(f):
+    """(F, den): the integer form F = den * f, den the least common
+    denominator of the coefficients of f, which may be anything
+    Fraction accepts."""
+    f = [c if type(c) is int else Fraction(c) for c in f]
+    den = 1
+    for c in f:
+        den = lcm(den, c.denominator)
+    return tuple(c.numerator * (den // c.denominator) for c in f), den
+
+
+def _ratio(num: int, den: int):
+    """num / den as an int when it divides, else as a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def exact_div(num: Form, den: Form) -> Form:
     """Exact quotient num/den of forms; raises FormError if not exact.
 
     Leading zero coefficients are powers of Y, which divide like any
     other factor; they are stripped before the univariate division.
+    The division is by the primitive part of the divisor, in integers:
+    by Gauss's lemma a quotient by a primitive form is integral whenever
+    it exists, so a step that leaves a remainder proves the division
+    inexact.  The content of the divisor is divided out at the end, and
+    a coefficient is a Fraction only where it does not divide.
     """
     if is_zero(den):
         raise FormError("division by zero form")
@@ -165,40 +185,51 @@ def exact_div(num: Form, den: Form) -> Form:
     lz_d = next(i for i, c in enumerate(den) if c != 0)
     if lz_n < lz_d:
         raise FormError("not divisible (Y-multiplicity)")
-    a = [Fraction(c) for c in num[lz_n:]]
-    b = [Fraction(c) for c in den[lz_d:]]
+    a, den_a = _integral(num[lz_n:])
+    b, den_b = _integral(den[lz_d:])
     if len(a) < len(b):
         raise FormError("not divisible (degree)")
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = a[:]
-    for i in range(len(q)):
-        q[i] = r[i] / b[0]
-        if q[i] != 0:
-            for j, bc in enumerate(b):
-                r[i + j] -= q[i] * bc
-    if any(c != 0 for c in r):
+    cont = content(b) if b[0] > 0 else -content(b)
+    b = [c // cont for c in b]
+    r = list(a)
+    q = []
+    for i in range(len(a) - len(b) + 1):
+        qi, rem = divmod(r[i], b[0])
+        if rem:
+            raise FormError("division not exact")
+        q.append(qi)
+        if qi:
+            for j in range(1, len(b)):
+                r[i + j] -= qi * b[j]
+    if any(r[len(q):]):
         raise FormError("division not exact")
-    return ((0,) * (lz_n - lz_d)) + tuple(q)
+    # num / den = (a / den_a) / (cont * b / den_b) = q * den_b / (den_a * cont)
+    return ((0,) * (lz_n - lz_d)) + tuple(_ratio(c * den_b, den_a * cont) for c in q)
 
 
-def _bareiss_det(m) -> Fraction:
-    """Fraction-free Bareiss determinant of a square matrix of exact numbers."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    prev = Fraction(1)
+def _bareiss_det(m) -> int:
+    """Fraction-free Bareiss (1968) determinant of a square integer matrix: every
+    division in the elimination is exact, so it stays in the integers."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        row_k = a[k]
+        pk = row_k[k]
         for i in range(k + 1, n):
+            row = a[i]
+            rik = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
+                row[j] = (row[j] * pk - rik * row_k[j]) // prev
+        prev = pk
     return sign * a[n - 1][n - 1]
 
 
@@ -207,45 +238,53 @@ def resultant(f: Form, g: Form):
 
     Rows of f coefficients come first, so Res(X^d, Y^d) = +1 and the
     sign matches the classical convention Res(f, g) = lc(f)^deg(g) prod g(roots of f).
+    Rational input is cleared to integer forms a f and b g first, using
+    Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g).  The result is an int
+    for int input, and an int or a Fraction for rational input.
     """
     df, dg = degree(f), degree(g)
-    if df == 0 and dg == 0:
-        return Fraction(1)
-    n = df + dg
+    F, a = _integral(f)
+    G, b = _integral(g)
     rows = []
     for i in range(dg):
-        rows.append([0] * i + list(f) + [0] * (dg - 1 - i))
+        rows.append([0] * i + list(F) + [0] * (dg - 1 - i))
     for i in range(df):
-        rows.append([0] * i + list(g) + [0] * (df - 1 - i))
+        rows.append([0] * i + list(G) + [0] * (df - 1 - i))
     det = _bareiss_det(rows)
-    return int(det) if det.denominator == 1 else det
+    return _ratio(det, a ** dg * b ** df)
 
 
 def coprime(f: Form, g: Form) -> bool:
-    """True iff the forms share no projective root over the algebraic closure."""
-    lz_f = next((i for i, c in enumerate(f) if c != 0), None)
-    lz_g = next((i for i, c in enumerate(g) if c != 0), None)
-    if lz_f is None or lz_g is None:
+    """True iff the forms share no projective root over the algebraic
+    closure: both are nonzero and their resultant does not vanish."""
+    if is_zero(f) or is_zero(g):
         return False
-    if lz_f > 0 and lz_g > 0:
-        return False
-    x = sympy.Symbol("x")
-    pf = sympy.Poly(list(f[lz_f:]), x)
-    pg = sympy.Poly(list(g[lz_g:]), x)
-    return sympy.gcd(pf, pg).total_degree() == 0
+    return resultant(f, g) != 0
 
 
-def _divisors(n: int):
-    return sympy.divisors(abs(n))
+# Rational root candidates are screened by their residue mod these primes.
+_SIEVE_PRIMES = (3, 5, 7)
+
+
+def _roots_mod(f, prime: int) -> set:
+    """Roots of the form f in P^1(F_p): residues r for (r : 1), p for (1 : 0)."""
+    out = {r for r in range(prime) if evaluate(f, r, 1) % prime == 0}
+    if f[0] % prime == 0:
+        out.add(prime)
+    return out
 
 
 def rational_roots(coeffs) -> list:
     """Rational roots with multiplicities of a univariate polynomial.
 
     `coeffs` are descending-power, exact (int or Fraction).  Returns a
-    list of (Fraction root, multiplicity), sorted by root.
+    list of (Fraction root, multiplicity), sorted by root.  A root p/q in
+    lowest terms of the primitive integer polynomial has p | tail and
+    q | lead; each candidate is screened mod a few small primes, then
+    tested by the homogeneous integer value sum c_i p^(D-i) q^i, and the
+    polynomial is deflated by qX - pY only at a root.
     """
-    work = [Fraction(c) for c in coeffs]
+    work = list(_integral(coeffs)[0])
     while work and work[0] == 0:
         work.pop(0)
     if not work:
@@ -258,42 +297,53 @@ def rational_roots(coeffs) -> list:
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(work) > 1:
-        den = 1
-        for c in work:
-            den = den * c.denominator // gcd(den, c.denominator)
-        iw = [int(c * den) for c in work]
-        g = 0
-        for c in iw:
-            g = gcd(g, abs(c))
-        iw = [c // g for c in iw]
-        lead, tail = iw[0], iw[-1]
-        candidates = set()
-        for p in _divisors(tail):
-            for q in _divisors(lead):
-                if gcd(p, q) == 1:
-                    candidates.add(Fraction(p, q))
-                    candidates.add(Fraction(-p, q))
-        cur = [Fraction(c) for c in iw]
-        for cand in sorted(candidates):
-            mult = 0
-            while len(cur) > 1:
-                quot, rem = _synth_div(cur, cand)
-                if rem != 0:
-                    break
-                mult += 1
-                cur = quot
-            if mult:
-                roots.append((cand, mult))
+        g = content(work)
+        cur = [c // g for c in work]
+        leads, tails = divisors(cur[0]), divisors(cur[-1])
+        # the screen costs sum(_SIEVE_PRIMES) evaluations, so it is built
+        # only when the candidates outnumber them
+        sieves = ([(ell, _roots_mod(cur, ell)) for ell in _SIEVE_PRIMES]
+                  if 2 * len(leads) * len(tails) > sum(_SIEVE_PRIMES) else [])
+        for q in leads:
+            # x / q reduces to x * q^-1 mod ell, or to infinity when ell | q
+            screens = [(rs, pow(q, -1, ell), ell) if q % ell else (rs, 0, ell)
+                       for ell, rs in sieves]
+            for p in tails:
+                if gcd(p, q) != 1:
+                    continue
+                for x in (p, -p):
+                    if not all((x * inv % ell if inv else ell) in rs
+                               for rs, inv, ell in screens):
+                        continue
+                    if evaluate(cur, x, q) != 0:
+                        continue
+                    mult = 0
+                    while len(cur) > 1 and (quot := _deflate(cur, x, q)) is not None:
+                        mult += 1
+                        cur = quot
+                    roots.append((Fraction(x, q), mult))
+            if len(cur) == 1:
+                break
     roots.sort(key=lambda t: t[0])
     return roots
 
 
-def _synth_div(coeffs, alpha):
-    """Synthetic division by (x - alpha); returns (quotient, remainder)."""
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + alpha * out[-1])
-    return out[:-1], out[-1]
+def _deflate(f, x: int, y: int, prime: int = 0):
+    """The quotient of f by yX - xY (y nonzero), or None when it does not
+    divide.  Over F_p (prime > 0) f is reduced and y is 1.  Over Q, x and
+    y are coprime, so yX - xY is primitive and a quotient is integral."""
+    quot, carry = [], 0
+    for c in f[:-1]:
+        carry, rem = divmod(c + x * carry, y)
+        if rem:
+            return None
+        if prime:
+            carry %= prime
+        quot.append(carry)
+    last = f[-1] + x * carry
+    if (last % prime if prime else last) != 0:
+        return None
+    return quot
 
 
 def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
@@ -315,18 +365,7 @@ def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
     if y == 0:      # yX - xY is a unit times Y
         return next(k for k, c in enumerate(cur) if c)
     mult = 0
-    while len(cur) > 1:
-        quot, carry = [], 0
-        for c in cur[:-1]:
-            carry, rem = divmod(c + x * carry, y)
-            if rem:
-                return mult
-            if prime:
-                carry %= prime
-            quot.append(carry)
-        last = cur[-1] + x * carry
-        if (last % prime if prime else last) != 0:
-            return mult
+    while len(cur) > 1 and (quot := _deflate(cur, x, y, prime)) is not None:
         mult += 1
         cur = quot
     return mult
@@ -348,3 +387,145 @@ def form_rational_roots(f: Form) -> list:
         for root, mult in rational_roots(f[lz:]):
             out.append(((root.numerator, root.denominator), mult))
     return out
+
+
+# -- integers ----------------------------------------------------------------
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to all the bases in _SMALL_PRIMES proves primality below
+# this bound (Sorenson and Webster, 2015).
+_MILLER_RABIN_PROOF = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Miller-Rabin round: n odd, n > base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters: n odd, not a square,
+    with no prime factor in _SMALL_PRIMES."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(v):
+        return (v if v % 2 == 0 else v + n) // 2
+
+    U, V, Qk = 0, 2, 1          # U_k, V_k, Q^k for k = 0, then by the bits of d
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = half((P * U + V) % n), half((D * U + P * V) % n)
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime.  Trial division by the primes up to
+    41 settles n < 43^2; Miller-Rabin to those 13 bases is a proof below
+    3.3 * 10^24; above that it is the Baillie-PSW test (Miller-Rabin to
+    base 2 and a strong Lucas test), which has no known counterexample."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n < _MILLER_RABIN_PROOF:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return (_strong_probable_prime(n, 2) and isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper factor of an odd composite n with no factor in _SMALL_PRIMES."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+    raise FormError(f"no factor of {n} found")  # pragma: no cover
+
+
+def _factor(n: int) -> dict:
+    """Prime factorization {p: e} of n >= 1: trial division by the small
+    primes, then Pollard's rho on what is left."""
+    out = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            rest += [d, m // d]
+    return out
+
+
+def divisors(n: int) -> list:
+    """Sorted positive divisors of the nonzero integer n."""
+    if n == 0:
+        raise FormError("0 has infinitely many divisors")
+    out = [1]
+    for p, e in _factor(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of the positive integer n."""
+    if n < 1:
+        raise FormError("the Moebius function needs n >= 1")
+    exponents = _factor(n).values()
+    if any(e > 1 for e in exponents):
+        return 0
+    return -1 if len(exponents) % 2 else 1

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from . import forms
 from .portraits import Portrait, PortraitError, PortraitMorphism, PreperiodicType
 from .projective import ProjectivePoint
@@ -44,11 +42,12 @@ class RationalMap:
         ints = forms.integerize(coeffs)
         n = len(f0)
         nf0, nf1 = ints[:n], ints[n:]
-        if forms.is_zero(nf0) or forms.is_zero(nf1) or not forms.coprime(nf0, nf1):
+        res = forms.resultant(nf0, nf1)
+        if res == 0:
             raise MapError("resultant vanishes: not a morphism of the stated degree")
         object.__setattr__(self, "f0", nf0)
         object.__setattr__(self, "f1", nf1)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", {"res": res})
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMap is immutable")
@@ -59,9 +58,8 @@ class RationalMap:
 
     @property
     def resultant(self):
-        """Sylvester resultant of the normalized coefficient pair (cached)."""
-        if "res" not in self._cache:
-            self._cache["res"] = forms.resultant(self.f0, self.f1)
+        """Sylvester resultant of the normalized coefficient pair, computed
+        once by the constructor."""
         return self._cache["res"]
 
     def __eq__(self, other):
@@ -183,8 +181,8 @@ class RationalMap:
         cache = self._cache.setdefault("dynatomic", {})
         if n not in cache:
             num, den = forms.ONE, forms.ONE
-            for k in sympy.divisors(n):
-                mu = int(sympy.mobius(n // k))
+            for k in forms.divisors(n):
+                mu = forms.mobius(n // k)
                 if mu == 0:
                     continue
                 gk = self.fixed_point_form(k)
@@ -243,7 +241,7 @@ class RationalMap:
         if self.evaluate(cycle[-1]) != p:
             raise MapError("point is not n-periodic")
         m = chart_avoiding(set(cycle).__contains__, len(cycle))
-        g = self.conjugate(m)
+        g = self if m == (1, 0, 0, 1) else self.conjugate(m)
         lam = Fraction(1)
         da, db, dc, dd = _adj(m)
         for q in cycle:

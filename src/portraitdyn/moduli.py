@@ -6,9 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
-
-import sympy
+from math import comb, gcd, isqrt
 
 from . import forms
 from .maps import MapError, RationalMap, chart_avoiding
@@ -26,8 +24,8 @@ def nu(d: int, N: int, n: int) -> int:
     if d < 2 or N < 1 or n < 1:
         raise ModuliError("need d >= 2, N >= 1, n >= 1")
     total = 0
-    for k in sympy.divisors(n):
-        mu = int(sympy.mobius(n // k))
+    for k in forms.divisors(n):
+        mu = forms.mobius(n // k)
         if mu:
             total += mu * sum(d ** (j * k) for j in range(N + 1))
     return total
@@ -155,27 +153,120 @@ class MultiplierData:
         return len(self.poly) - 1
 
 
+# Largest number nu of formal-period-n points for which multiplier_polynomial
+# computes; its work in the nu-dimensional algebra Q[x]/(psi) grows steeply
+# with nu.  On a 2-vCPU VM a random map takes about 1.5 s at nu = 42
+# (degree 7, n = 2) and 30 s at nu = 54 (degree 2, n = 6).  The tests, the
+# README and the benchmark stay at nu <= 6.
+MULTIPLIER_CAP = 48
+
+
 def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     """Monic polynomial whose roots (with multiplicity) are the multipliers
-    of f^n at the points of formal period n, eliminated exactly through a
-    resultant in a chart where no formal-period-n point is at infinity."""
+    of f^n at the points of formal period n.
+
+    In a chart g of f where no formal-period-n point is at infinity, the
+    dynatomic polynomial psi of g has full degree nu, and g^n = a / b is
+    affine at the roots of psi (g^n fixes them), so b is a unit mod psi.
+    The polynomial is the characteristic polynomial of multiplication by
+    h = (a'b - ab') / b^2 on Q[x]/(psi), that is prod (t - h(z)) over the
+    roots z of psi, so a root of multiplicity k contributes its
+    multiplier k times.  The inverse of b^2 comes from the extended
+    Euclidean algorithm and the characteristic polynomial from the traces
+    of the powers of h (Newton's identities).  Cached per map and period;
+    raises MapError when nu exceeds MULTIPLIER_CAP.
+    """
+    cache = f._cache.setdefault("multipliers", {})
+    if n in cache:
+        return cache[n]
     target = nu(f.degree, 1, n)
+    if target > MULTIPLIER_CAP:
+        raise MapError(f"multiplier polynomial degree {target} exceeds cap {MULTIPLIER_CAP}")
     dyn = f.dynatomic(n)
     m = chart_avoiding(lambda q: forms.evaluate(dyn, q.x, q.y) == 0, target)
     g = f if m == (1, 0, 0, 1) else f.conjugate(m)
-    x, lam = sympy.symbols("x lam")
-    psi = sympy.Poly(list(g.dynatomic(n)), x)
-    g0, g1 = g.iterate_pair(n)
-    a = sympy.Poly(list(g0), x)
-    b = sympy.Poly(list(g1), x)
-    wr = a.diff(x) * b - a * b.diff(x)
-    res = sympy.resultant((lam * b ** 2 - wr).as_expr(), psi.as_expr(), x)
-    poly = sympy.Poly(res, lam)
-    if poly.degree() != target:
-        raise MapError("multiplier elimination lost degree")  # pragma: no cover
-    coeffs = tuple(Fraction(c.p, c.q) for c in poly.monic().all_coeffs())
+    a, b = g.iterate_pair(n)
+    wr = forms.sub(forms.mul(forms.derivative_x(a), b), forms.mul(a, forms.derivative_x(b)))
+    # In y = c x, with c the leading coefficient of psi, the algebra is
+    # Z[y]/(mod) with mod monic, and h is the quotient of the integer
+    # polynomials c^(2D) wr(y / c) and c^(2D) b(y / c)^2, D = deg b.
+    psi = g.dynatomic(n)
+    c = psi[0]
+    mod = [x // c for x in _scale_roots(psi, c)]
+    u, t = _inverse(_rem(_scale_roots(forms.mul(b, b), c), mod), mod)
+    h = _rem(forms.mul(_rem(_scale_roots((0,) + wr, c), mod), u), mod)
+    coeffs = _charpoly(h, t, mod)
     sym = tuple((-1) ** k * coeffs[k] for k in range(1, len(coeffs)))
-    return MultiplierData(n, coeffs, sym)
+    cache[n] = MultiplierData(n, coeffs, sym)
+    return cache[n]
+
+
+def _scale_roots(p, c) -> list:
+    """c^m p(y / c) for the polynomial p of formal degree m (descending)."""
+    return [x * c ** i for i, x in enumerate(p)]
+
+
+def _rem(p, mod) -> list:
+    """p mod the monic integer polynomial mod: len(mod) - 1 integers, descending."""
+    deg = len(mod) - 1
+    r = [0] * (deg - len(p)) + list(p)
+    for i in range(len(r) - deg):
+        top = r[i]
+        if top:
+            for k in range(1, deg + 1):
+                r[i + k] -= top * mod[k]
+    return r[len(r) - deg:]
+
+
+def _inverse(p, mod):
+    """(u, t), t a positive integer, with u p = t mod the monic mod: the
+    extended Euclidean algorithm over Q, run on integer pseudo-remainders
+    with the joint content of each remainder and its cofactor divided out."""
+    deg = len(mod) - 1
+    r0, s0 = list(mod), [0] * deg
+    r1, s1 = list(p), [0] * (deg - 1) + [1]
+    while True:
+        while r1 and r1[0] == 0:
+            r1.pop(0)
+        if not r1:
+            raise MapError("multiplier chart: b is not a unit")  # pragma: no cover
+        if len(r1) == 1:
+            break
+        lc, steps = r1[0], len(r0) - len(r1) + 1
+        r, q = list(r0), []
+        for i in range(steps):      # lc^steps r0 = q r1 + r
+            top = r[i]
+            q = [x * lc for x in q] + [top]
+            r = [x * lc for x in r]
+            for k, x in enumerate(r1):
+                r[i + k] -= top * x
+        s = [lc ** steps * x - y for x, y in zip(s0, _rem(forms.mul(q, s1), mod))]
+        r = r[steps:]
+        g = gcd(*r, *s) or 1
+        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
+    t = r1[0]
+    return (s1, t) if t > 0 else ([-x for x in s1], -t)
+
+
+def _charpoly(h, t, mod) -> tuple:
+    """Monic characteristic polynomial (Fraction coefficients, descending)
+    of multiplication by h / t on Q[y]/(mod): the power sums of its roots
+    are the traces of the powers of h / t, and Newton's identities turn
+    them into the elementary symmetric functions."""
+    deg = len(mod) - 1
+    tau = [deg]         # tau[j] = trace of y^j, a power sum of the roots of mod
+    for j in range(1, deg):
+        tau.append(-(sum(mod[i] * tau[j - i] for i in range(1, j)) + j * mod[j]))
+    e = [Fraction(1)]
+    sums = []
+    power, den = [0] * (deg - 1) + [1], 1
+    for k in range(1, deg + 1):
+        power, den = _rem(forms.mul(power, h), mod), den * t
+        g = gcd(den, *power)
+        power, den = [x // g for x in power], den // g
+        sums.append(Fraction(sum(x * tau[deg - 1 - i] for i, x in enumerate(power)), den))
+        e.append(sum((-1) ** i * e[k - 1 - i] * sums[i] for i in range(k)) / k)
+    return tuple((-1) ** k * x for k, x in enumerate(e))
 
 
 def milnor_coordinates(f: RationalMap):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from . import forms
 from .maps import MapError, RationalMap
 from .portraits import Portrait
@@ -53,7 +51,7 @@ def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):
 def good_reduction(f: RationalMap, assignment, portrait: Portrait,
                    prime: int) -> ReductionReport:
     """Evaluate the good-reduction predicates for a marked map at a prime."""
-    if not sympy.isprime(prime):
+    if not forms.is_prime(prime):
         raise MapError(f"{prime} is not prime")
     missing = set(portrait.vertices) - set(assignment)
     if missing:

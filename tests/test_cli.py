@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,25 @@ def test_mod_multipliers_and_ueda(capsys, square_map):
     assert doc["poly"] == ["1", "-2", "0", "0"]
     code, out = run_cli(capsys, "mod", "ueda", square_map, "-k", "1")
     assert json.loads(out) == {"k": 1, "sum": "-2"}
+
+
+def test_mod_multipliers_over_the_cap(capsys, square_map):
+    code, out = run_cli(capsys, "mod", "multipliers", square_map, "-n", "6")
+    assert code == 1 and out == ""
+    assert run_cli.err == "error: multiplier polynomial degree 54 exceeds cap 48\n"
+
+
+def test_runtime_does_not_import_sympy(square_map):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, portraitdyn.cli as cli\n"
+            "assert 'sympy' not in sys.modules\n"
+            f"assert cli.main(['mod', 'multipliers', {square_map!r}, '-n', '2']) == 0\n"
+            "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_git_stability(capsys, tmp_path):

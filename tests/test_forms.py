@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -106,6 +106,94 @@ def test_rational_roots_against_sympy_factorization():
         "(x - 2)**2 * (3*x + 1) * (x**2 + 1)", sympy.Symbol("x")).all_coeffs()]
     roots = forms.rational_roots(coeffs)
     assert roots == [(Fraction(-1, 3), 1), (Fraction(2), 2)]
+
+
+def _sympy_rational_roots(coeffs):
+    """Rational roots with multiplicities from sympy's factorization over Q."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                               for c in map(Fraction, coeffs)], x))
+    out = []
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            root = -b / a
+            out.append((Fraction(int(root.p), int(root.q)), mult))
+    return sorted(out)
+
+
+fractions_ = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@given(st.lists(st.tuples(fractions_, st.integers(1, 3)), max_size=4),
+       st.lists(st.integers(-6, 6), max_size=4), fractions_.filter(bool))
+def test_rational_roots_match_sympy(roots, cofactor, lead):
+    # prod (x - r)^m times an integer cofactor times a rational leading
+    # coefficient: repeated roots, non-monic and Fraction input
+    poly = (lead,)
+    for r, m in roots:
+        for _ in range(m):
+            poly = forms.mul(poly, (1, -r))
+    if cofactor and cofactor[0]:
+        poly = forms.mul(poly, tuple(cofactor))
+    assert forms.rational_roots(poly) == _sympy_rational_roots(poly)
+    den = lcm(*(c.denominator for c in poly))
+    assert forms.rational_roots([int(-7 * den * c) for c in poly]) == forms.rational_roots(poly)
+
+
+def test_rational_roots_with_many_candidates():
+    # lead 720^2 and tail 7^2 11: over a thousand candidates, so the mod-p
+    # screen is built; the root -7/720 reduces to infinity mod 3 and mod 5
+    poly = forms.mul(forms.pow_((720, 7), 2), forms.mul((1, 0, 1), (1, 0, -2, 11)))
+    assert forms.rational_roots(poly) == _sympy_rational_roots(poly) == [(Fraction(-7, 720), 2)]
+
+
+@given(st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0),
+       st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0))
+def test_resultant_of_rational_forms_matches_sympy(a, b):
+    x = sympy.Symbol("x")
+    pa = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in a], x)
+    pb = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in b], x)
+    expected = sympy.resultant(pa, pb)
+    got = forms.resultant(tuple(a), tuple(b))
+    assert got == Fraction(int(expected.p), int(expected.q))
+    assert isinstance(got, int) == (expected.q == 1)
+
+
+@given(coeff_lists.filter(nonzero), coeff_lists.filter(nonzero), st.integers(1, 6))
+def test_exact_div_returns_the_exact_quotient(a, b, c):
+    # the divisor carries an extra content c, so the quotient is a / c
+    a, b = tuple(a), tuple(b)
+    q = forms.exact_div(forms.mul(a, b), forms.scale(b, c))
+    assert len(q) == len(a)
+    assert all(qi * c == ai for qi, ai in zip(q, a))
+
+
+def test_integer_helpers_match_sympy():
+    for n in range(1, 2001):
+        assert forms.divisors(n) == sympy.divisors(n)
+        assert forms.mobius(n) == sympy.mobius(n)
+        assert forms.is_prime(n) == sympy.isprime(n)
+    assert not forms.is_prime(0) and not forms.is_prime(-7)
+    assert forms.divisors(-12) == [1, 2, 3, 4, 6, 12]
+
+
+def test_is_prime_beyond_trial_division():
+    big = [
+        2047, 1373653, 25326001, 3215031751, 2152302898747,   # strong pseudoprimes
+        561, 41041, 825265, 321197185,                         # Carmichael numbers
+        # strong pseudoprimes to the first 9, 12 and 13 prime bases
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+        2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1,   # Mersenne primes
+        2 ** 83 - 1, 2 ** 97 - 1, 2 ** 101 - 1,   # composite Mersenne: strong to base 2
+        (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2, 2 ** 127 + 1,
+        10 ** 30 + 57, 10 ** 30 + 59,
+    ]
+    for n in big:
+        assert forms.is_prime(n) == sympy.isprime(n), n
+    for n in (2 ** 31 - 1, 600851475143, 2 ** 64 + 1, (10 ** 9 + 7) ** 2 * 97, 1001 * 2 ** 40):
+        assert forms.divisors(n) == sympy.divisors(n), n
+        assert forms.mobius(n) == sympy.mobius(n), n
 
 
 def test_rational_roots_zero_root_and_infinity():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import invertible_matrix_strategy, random_rational_map
+from conftest import (invertible_matrix_strategy, random_rational_map,
+                      reference_multiplier_polynomial)
 from portraitdyn import (MapError, ModuliError, Portrait, ProjectivePoint,
                          RationalMap, cubic_three_double_fixed_family,
                          dim_moduli_space, doubly_critical_three_cycle_surface,
@@ -13,7 +14,8 @@ from portraitdyn import (MapError, ModuliError, Portrait, ProjectivePoint,
                          milnor_coordinates, multiplier_polynomial, nu, nu_pre,
                          symmetric_surface_form, ueda_sum, unweighted_nonempty,
                          weighted_necessary_conditions)
-from portraitdyn import forms
+from portraitdyn import forms, moduli
+from portraitdyn.maps import chart_avoiding
 
 Z_SQUARED = RationalMap([1, 0, 0], [0, 0, 1])
 
@@ -190,6 +192,43 @@ def test_multiplier_polynomial_conjugation_invariant(m):
     f = RationalMap.polynomial([1, 0, -1])
     assert multiplier_polynomial(f.conjugate(m), 1).poly == \
         multiplier_polynomial(f, 1).poly
+
+
+def test_multiplier_polynomial_matches_sympy_reference():
+    rng = random.Random(31)
+    maps = [random_rational_map(rng, 2 + k % 2) for k in range(16)]
+    maps += [
+        RationalMap.polynomial([1, 0, -1]),               # 2-cycle {0, -1}, a double root
+        RationalMap.polynomial([1, 0, Fraction(-3, 4)]),  # -1/2: multiplier -1, period 1 and 2
+        RationalMap.polynomial([1, 0, Fraction(1, 4)]),   # parabolic double fixed point 1/2
+        RationalMap.polynomial([1, 0, 0, 2]),             # infinity fixed
+        RationalMap.from_affine([1], [1, 0, 0]),          # 1/z^2: 2-cycle {0, infinity}
+        RationalMap.from_affine([1, 0, 1], [1, 0]),       # z + 1/z: infinity fixed
+    ]
+    charts = set()
+    for f in maps:
+        for n in (1, 2):
+            dyn = f.dynatomic(n)
+            charts.add(chart_avoiding(lambda q: forms.evaluate(dyn, q.x, q.y) == 0,
+                                      nu(f.degree, 1, n)))
+            assert multiplier_polynomial(f, n).poly == reference_multiplier_polynomial(f, n)
+    assert (1, 0, 0, 1) in charts and len(charts) > 1
+
+
+def test_multiplier_polynomial_is_cached_per_map_and_period():
+    f = RationalMap.polynomial([1, 0, -2])
+    first = multiplier_polynomial(f, 2)
+    assert multiplier_polynomial(f, 2) is first
+    assert multiplier_polynomial(RationalMap.polynomial([1, 0, -2]), 2) == first
+
+
+def test_multiplier_polynomial_size_cap():
+    # nu(2, 1, 6) = 54 and nu(8, 1, 2) = 56 exceed the cap; nu(7, 1, 2) = 42 does not
+    assert nu(2, 1, 6) > moduli.MULTIPLIER_CAP >= nu(7, 1, 2)
+    with pytest.raises(MapError, match=f"cap {moduli.MULTIPLIER_CAP}"):
+        multiplier_polynomial(Z_SQUARED, 6)
+    with pytest.raises(MapError, match="cap"):
+        multiplier_polynomial(RationalMap.polynomial([1] + [0] * 8), 2)
 
 
 def test_milnor_fixtures():
