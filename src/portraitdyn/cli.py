@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .forms import FormError
 from .maps import MapError, Model, RationalMap, extract_portrait, verify_model
 from .moduli import (ModuliError, expected_dimension, milnor_coordinates,
                      multiplier_polynomial, nu, nu_pre, ueda_sum,
@@ -30,7 +31,8 @@ class SchemaError(ValueError):
     pass
 
 
-DOMAIN_ERRORS = (PortraitError, MapError, ModuliError, StabilityError, PointError)
+DOMAIN_ERRORS = (PortraitError, MapError, ModuliError, StabilityError, PointError,
+                 FormError)
 
 
 # -- parsing -------------------------------------------------------------

@@ -7,13 +7,13 @@ primitive part of the divisor, and root tests evaluate homogeneously.
 fractions.Fraction appears only at the API edge, for rational input and
 for results that are rational by nature (a rational root, a quotient
 with a denominator).  The integer helpers is_prime, divisors and mobius
-live here too.
+live here too, up to FACTOR_CAP.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 Form = tuple  # tuple of int (or Fraction) coefficients, X^D first
 
@@ -262,27 +262,16 @@ def coprime(f: Form, g: Form) -> bool:
     return resultant(f, g) != 0
 
 
-# Rational root candidates are screened by their residue mod these primes.
-_SIEVE_PRIMES = (3, 5, 7)
-
-
-def _roots_mod(f, prime: int) -> set:
-    """Roots of the form f in P^1(F_p): residues r for (r : 1), p for (1 : 0)."""
-    out = {r for r in range(prime) if evaluate(f, r, 1) % prime == 0}
-    if f[0] % prime == 0:
-        out.add(prime)
-    return out
-
-
 def rational_roots(coeffs) -> list:
     """Rational roots with multiplicities of a univariate polynomial.
 
     `coeffs` are descending-power, exact (int or Fraction).  Returns a
     list of (Fraction root, multiplicity), sorted by root.  A root p/q in
     lowest terms of the primitive integer polynomial has p | tail and
-    q | lead; each candidate is screened mod a few small primes, then
-    tested by the homogeneous integer value sum c_i p^(D-i) q^i, and the
-    polynomial is deflated by qX - pY only at a root.
+    q | lead; each candidate is tested by the homogeneous integer value
+    sum c_i p^(D-i) q^i, and the polynomial is deflated by qX - pY only at
+    a root.  Raises FormError when the leading or the constant coefficient
+    of the primitive polynomial exceeds FACTOR_CAP in absolute value.
     """
     work = list(_integral(coeffs)[0])
     while work and work[0] == 0:
@@ -300,21 +289,11 @@ def rational_roots(coeffs) -> list:
         g = content(work)
         cur = [c // g for c in work]
         leads, tails = divisors(cur[0]), divisors(cur[-1])
-        # the screen costs sum(_SIEVE_PRIMES) evaluations, so it is built
-        # only when the candidates outnumber them
-        sieves = ([(ell, _roots_mod(cur, ell)) for ell in _SIEVE_PRIMES]
-                  if 2 * len(leads) * len(tails) > sum(_SIEVE_PRIMES) else [])
         for q in leads:
-            # x / q reduces to x * q^-1 mod ell, or to infinity when ell | q
-            screens = [(rs, pow(q, -1, ell), ell) if q % ell else (rs, 0, ell)
-                       for ell, rs in sieves]
             for p in tails:
                 if gcd(p, q) != 1:
                     continue
                 for x in (p, -p):
-                    if not all((x * inv % ell if inv else ell) in rs
-                               for rs, inv, ell in screens):
-                        continue
                     if evaluate(cur, x, q) != 0:
                         continue
                     mult = 0
@@ -391,10 +370,19 @@ def form_rational_roots(f: Form) -> list:
 
 # -- integers ----------------------------------------------------------------
 
+# divisors, mobius and is_prime refuse integers above this cap.  Below it,
+# Miller-Rabin to the 13 bases in _SMALL_PRIMES is a proof of primality
+# (Sorenson and Webster, 2015), and Pollard's rho takes at most about 1.5 s
+# on a product of two primes near 10^12.  Trial division alone would not
+# do: the period-3 dynatomic forms of cubic maps with one-digit
+# coefficients have leading and constant coefficients up to about 2^43.
+FACTOR_CAP = 10 ** 24
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Miller-Rabin to all the bases in _SMALL_PRIMES proves primality below
-# this bound (Sorenson and Webster, 2015).
-_MILLER_RABIN_PROOF = 3317044064679887385961981
+
+
+def _check_cap(n: int) -> None:
+    if abs(n) > FACTOR_CAP:
+        raise FormError(f"cannot factor {n}: exceeds cap {FACTOR_CAP}")
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -412,69 +400,16 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a / n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters: n odd, not a square,
-    with no prime factor in _SMALL_PRIMES."""
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    P, Q = 1, (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-
-    def half(v):
-        return (v if v % 2 == 0 else v + n) // 2
-
-    U, V, Qk = 0, 2, 1          # U_k, V_k, Q^k for k = 0, then by the bits of d
-    for bit in bin(d)[2:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = half((P * U + V) % n), half((D * U + P * V) % n)
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
 def is_prime(n: int) -> bool:
-    """Whether the integer n is prime.  Trial division by the primes up to
-    41 settles n < 43^2; Miller-Rabin to those 13 bases is a proof below
-    3.3 * 10^24; above that it is the Baillie-PSW test (Miller-Rabin to
-    base 2 and a strong Lucas test), which has no known counterexample."""
+    """Whether the integer n, |n| <= FACTOR_CAP, is prime: trial division by
+    the primes up to 41, then Miller-Rabin to those 13 bases."""
+    _check_cap(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 43 * 43:
-        return True
-    if n < _MILLER_RABIN_PROOF:
-        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
-    return (_strong_probable_prime(n, 2) and isqrt(n) ** 2 != n
-            and _strong_lucas_probable_prime(n))
+    return n < 43 * 43 or all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
 
 
 def _pollard_rho(n: int) -> int:
@@ -493,8 +428,9 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor(n: int) -> dict:
-    """Prime factorization {p: e} of n >= 1: trial division by the small
-    primes, then Pollard's rho on what is left."""
+    """Prime factorization {p: e} of 1 <= n <= FACTOR_CAP: trial division by
+    the small primes, then Pollard's rho on what is left."""
+    _check_cap(n)
     out = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -512,7 +448,7 @@ def _factor(n: int) -> dict:
 
 
 def divisors(n: int) -> list:
-    """Sorted positive divisors of the nonzero integer n."""
+    """Sorted positive divisors of the nonzero integer n, |n| <= FACTOR_CAP."""
     if n == 0:
         raise FormError("0 has infinitely many divisors")
     out = [1]
@@ -522,7 +458,7 @@ def divisors(n: int) -> list:
 
 
 def mobius(n: int) -> int:
-    """The Moebius function of the positive integer n."""
+    """The Moebius function of the integer 1 <= n <= FACTOR_CAP."""
     if n < 1:
         raise FormError("the Moebius function needs n >= 1")
     exponents = _factor(n).values()

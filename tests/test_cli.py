@@ -249,6 +249,18 @@ def test_mod_multipliers_over_the_cap(capsys, square_map):
     assert run_cli.err == "error: multiplier polynomial degree 54 exceeds cap 48\n"
 
 
+def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
+    # (z^2 + c)/z has critical points z^2 = c; finding the rational ones
+    # factors c, which is over the cap
+    big = write(tmp_path, "big.json", {
+        "degree": 2, "numerator": ["1", "0", "1000000000000000000000007"],
+        "denominator": ["0", "1", "0"]})
+    code, out = run_cli(capsys, "dyn", "crit", big)
+    assert code == 1 and out == ""
+    assert run_cli.err == ("error: cannot factor 1000000000000000000000007: "
+                           "exceeds cap 1000000000000000000000000\n")
+
+
 def test_runtime_does_not_import_sympy(square_map):
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys, portraitdyn.cli as cli\n"

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from portraitdyn import forms
 
@@ -142,8 +143,8 @@ def test_rational_roots_match_sympy(roots, cofactor, lead):
 
 
 def test_rational_roots_with_many_candidates():
-    # lead 720^2 and tail 7^2 11: over a thousand candidates, so the mod-p
-    # screen is built; the root -7/720 reduces to infinity mod 3 and mod 5
+    # lead 720^2 and tail 7^2 11: over a thousand candidates, of which
+    # only the repeated root -7/720 survives
     poly = forms.mul(forms.pow_((720, 7), 2), forms.mul((1, 0, 1), (1, 0, -2, 11)))
     assert forms.rational_roots(poly) == _sympy_rational_roots(poly) == [(Fraction(-7, 720), 2)]
 
@@ -151,10 +152,13 @@ def test_rational_roots_with_many_candidates():
 @given(st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0),
        st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0))
 def test_resultant_of_rational_forms_matches_sympy(a, b):
+    # sympy.resultant returns Res(g, f) when deg f < deg g, which differs
+    # by (-1)^(deg f deg g); the Sylvester determinant has the convention
+    # of forms.resultant for every pair of degrees
     x = sympy.Symbol("x")
     pa = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in a], x)
     pb = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in b], x)
-    expected = sympy.resultant(pa, pb)
+    expected = sylvester(pa.as_expr(), pb.as_expr(), x).det()
     got = forms.resultant(tuple(a), tuple(b))
     assert got == Fraction(int(expected.p), int(expected.q))
     assert isinstance(got, int) == (expected.q == 1)
@@ -178,22 +182,27 @@ def test_integer_helpers_match_sympy():
     assert forms.divisors(-12) == [1, 2, 3, 4, 6, 12]
 
 
-def test_is_prime_beyond_trial_division():
-    big = [
+def test_integer_helpers_up_to_the_cap():
+    near_cap = [
         2047, 1373653, 25326001, 3215031751, 2152302898747,   # strong pseudoprimes
         561, 41041, 825265, 321197185,                         # Carmichael numbers
-        # strong pseudoprimes to the first 9, 12 and 13 prime bases
-        3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
-        2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1,   # Mersenne primes
-        2 ** 83 - 1, 2 ** 97 - 1, 2 ** 101 - 1,   # composite Mersenne: strong to base 2
-        (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2, 2 ** 127 + 1,
-        10 ** 30 + 57, 10 ** 30 + 59,
+        # strong pseudoprimes to the first 9 and 12 prime bases
+        3825123056546413051, 318665857834031151167461,
+        2 ** 61 - 1, 2 ** 79 - 1, 999999999989, 600851475143,
+        (10 ** 9 + 7) * (10 ** 9 + 9), (10 ** 9 + 7) ** 2 * 97, 1001 * 2 ** 40,
+        forms.FACTOR_CAP,
     ]
-    for n in big:
+    for n in near_cap:
+        assert n <= forms.FACTOR_CAP
         assert forms.is_prime(n) == sympy.isprime(n), n
-    for n in (2 ** 31 - 1, 600851475143, 2 ** 64 + 1, (10 ** 9 + 7) ** 2 * 97, 1001 * 2 ** 40):
         assert forms.divisors(n) == sympy.divisors(n), n
         assert forms.mobius(n) == sympy.mobius(n), n
+    for helper in (forms.is_prime, forms.divisors, forms.mobius):
+        with pytest.raises(forms.FormError, match="exceeds cap"):
+            helper(forms.FACTOR_CAP + 1)
+    assert forms.divisors(-forms.FACTOR_CAP)[-1] == forms.FACTOR_CAP
+    with pytest.raises(forms.FormError, match="exceeds cap"):
+        forms.rational_roots([1, 0, -(forms.FACTOR_CAP + 37)])
 
 
 def test_rational_roots_zero_root_and_infinity():
