@@ -53,6 +53,8 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     """Certified nonemptiness test for the moduli space of an unweighted
     portrait (an equivalence in characteristic zero): every vertex needs
     at most d^N preimages and at most nu(n) vertices of each exact period."""
+    if d < 2 or N < 1:
+        raise ModuliError("need d >= 2, N >= 1, n >= 1")
     if not p.is_unweighted:
         raise ModuliError("portrait must be unweighted")
     stats = portrait_statistics(p)

@@ -35,7 +35,7 @@ class Portrait:
     """Immutable weighted functional graph."""
 
     __slots__ = ("vertices", "domain", "phi", "weights", "_hash",
-                 "_orbits", "_types", "_canon")
+                 "_orbits", "_types", "_canon", "_closures")
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
                  weights: Optional[Mapping[str, int]] = None):
@@ -60,7 +60,7 @@ class Portrait:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "weights",
                           {k: w for k, w in weights.items() if w > 1})
-        for slot in ("_hash", "_orbits", "_types", "_canon"):
+        for slot in ("_hash", "_orbits", "_types", "_canon", "_closures"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -442,7 +442,16 @@ def critically_generated_subportrait(p: Portrait) -> Portrait:
 
 
 def is_critically_generated(p: Portrait) -> bool:
-    return critically_generated_subportrait(p) == p
+    """Whether the critical orbits cover every vertex.
+
+    Orbits are phi-closed, so this is the same as the critically
+    generated subportrait being p itself.
+    """
+    orbits = p._orbit_table()[0]
+    covered = set()
+    for c in p.crit:
+        covered.update(orbits[c])
+    return len(covered) == len(p.vertices)
 
 
 def is_complete_critical(p: Portrait, d: int) -> bool:
@@ -588,28 +597,28 @@ def shift_bound(p: Portrait) -> int:
     return max(maxtype + nv, 2 * nv)
 
 
-def relation_determined(relations: Iterable[CriticalRelation],
-                        r: CriticalRelation, p: Portrait) -> bool:
-    """Whether r follows from the given relations under the iteration closure.
+def _closure(relations: tuple, p: Portrait) -> tuple:
+    """The iteration closure of a relation system on p, built once per system.
 
     The closure is the smallest equivalence on pairs (critical vertex,
     shift) containing each relation at every shift and closed under
-    adding a common shift; it is computed by union-find on a bounded
+    adding a common shift.  It is computed by union-find on a bounded
     shift range, with the pair (critical vertex, shift) stored at index
-    crit_index * (cap + 1) + shift of a flat parent array.
+    base[vertex] + shift of a flat array, and cached on p as
+    (shift bound, base, root of every index), keyed by the system.
     """
+    if p._closures is None:
+        object.__setattr__(p, "_closures", {})
+    cached = p._closures.get(relations)
+    if cached is not None:
+        return cached
     crit = p.crit
-    relations = list(relations)
-    for rel in itertools.chain(relations, [r]):
+    for rel in relations:
         if rel.i not in crit or rel.j not in crit:
             raise PortraitError("relation references a non-critical vertex")
         if rel.m < 0 or rel.n < 0:
             raise PortraitError("relation shifts must be nonnegative")
     bound = shift_bound(p)
-    if r.m > bound or r.n > bound:
-        raise PortraitError(f"relation shift exceeds the closure bound {bound}")
-    if r.i == r.j and r.m == r.n:
-        return True
     # Chains may pass above the queried shifts before coming back down,
     # so the union-find range gets headroom proportional to #V hops.
     span = max((max(rel.m, rel.n) for rel in relations), default=0)
@@ -630,22 +639,45 @@ def relation_determined(relations: Iterable[CriticalRelation],
             ra, rb = find(a + c), find(b + c)
             if ra != rb:
                 parent[ra] = rb
-    return find(base[r.i] + r.m) == find(base[r.j] + r.n)
+    closure = (bound, base, [find(x) for x in range(len(parent))])
+    p._closures[relations] = closure
+    return closure
+
+
+def relation_determined(relations: Iterable[CriticalRelation],
+                        r: CriticalRelation, p: Portrait) -> bool:
+    """Whether r follows from the given relations under the iteration closure.
+
+    The closure of each system is built once per portrait (see
+    `_closure`); a query checks r and compares two roots.
+    """
+    bound, base, roots = _closure(tuple(relations), p)
+    if r.i not in base or r.j not in base:
+        raise PortraitError("relation references a non-critical vertex")
+    if r.m < 0 or r.n < 0:
+        raise PortraitError("relation shifts must be nonnegative")
+    if r.m > bound or r.n > bound:
+        raise PortraitError(f"relation shift exceeds the closure bound {bound}")
+    if r.i == r.j and r.m == r.n:
+        return True
+    return roots[base[r.i] + r.m] == roots[base[r.j] + r.n]
 
 
 def realized_relations(p: Portrait, max_shift: int) -> list:
     """Brute-force enumeration of all realized critical relations with shifts <= max_shift."""
-    out = []
     crits = sorted(p.crit)
-    for i, j in itertools.product(crits, repeat=2):
+    steps = {}
+    for c in crits:
+        steps[c] = path = []
         for m in range(max_shift + 1):
-            a = p.step(i, m)
-            if a is None:
+            v = p.step(c, m)
+            if v is None:
                 break
-            for n in range(max_shift + 1):
-                b = p.step(j, n)
-                if b is None:
-                    break
+            path.append(v)
+    out = []
+    for i, j in itertools.product(crits, repeat=2):
+        for m, a in enumerate(steps[i]):
+            for n, b in enumerate(steps[j]):
                 if a == b:
                     out.append(CriticalRelation(i, j, m, n))
     return out

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from portraitdyn.cli import main
 
@@ -344,3 +349,115 @@ def test_stability_config_with_incidences(capsys, tmp_path):
     code, out = run_cli(capsys, "git", "stability", config)
     assert code == 0
     assert json.loads(out)["stable"] == "certified-no"
+
+
+@pytest.mark.parametrize("degree,dim", [("2", "-1"), ("0", "-1"), ("2", "0"), ("1", "1")])
+@pytest.mark.parametrize("command", ["nonempty", "dim", "fibers"])
+def test_unweighted_moduli_need_valid_degree_and_dimension(capsys, tmp_path, command,
+                                                           degree, dim):
+    p = write(tmp_path, "p.json", {"vertices": ["a", "b"], "map": {"a": "a"}})
+    files = [p, write(tmp_path, "sub.json", {"vertices": ["a"], "map": {"a": "a"}})]
+    code, out = run_cli(capsys, "portrait", command, *files[:2 if command == "fibers" else 1],
+                        "--degree", degree, "--dim", dim)
+    assert code == 1 and out == ""
+    assert run_cli.err == "error: need d >= 2, N >= 1, n >= 1\n"
+
+
+# -- fuzzing the portrait commands ----------------------------------------
+
+_IDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                  st.floats(-3, 3, allow_nan=False), st.text(max_size=2),
+                  st.lists(st.integers(0, 2), max_size=2))
+_BREAKAGES = ["extra key", "no vertices", "no map", "vertices not a list",
+              "map not an object", "weights not an object", "not an object",
+              "junk vertex", "duplicate vertex", "unknown map key", "junk map value",
+              "junk weight", "weight off the domain"]
+
+
+@st.composite
+def portrait_documents(draw):
+    """Portrait files of at most six vertices, some broken in one or two ways."""
+    vertices = draw(st.lists(_IDS, unique=True, max_size=6))
+    if not vertices:
+        return draw(st.sampled_from([{"vertices": [], "map": {}}, {}, []]))
+    domain = draw(st.lists(st.sampled_from(vertices), unique=True))
+    phi = {v: draw(st.sampled_from(vertices)) for v in domain}
+    weights = {v: draw(st.integers(1, 4)) for v in domain if draw(st.booleans())}
+    doc = {"vertices": vertices, "map": phi, "weights": weights}
+    for breakage in draw(st.lists(st.sampled_from(_BREAKAGES), max_size=2)):
+        junk = draw(_JUNK)
+        if breakage == "extra key":
+            doc["wts"] = {}
+        elif breakage == "no vertices":
+            doc.pop("vertices", None)
+        elif breakage == "no map":
+            doc.pop("map", None)
+        elif breakage == "vertices not a list":
+            doc["vertices"] = vertices[0]
+        elif breakage == "map not an object":
+            doc["map"] = sorted(phi)
+        elif breakage == "weights not an object":
+            doc["weights"] = sorted(weights)
+        elif breakage == "junk vertex":
+            vertices.append(junk)
+        elif breakage == "duplicate vertex":
+            vertices.append(vertices[0])
+        elif breakage == "unknown map key":
+            phi["z"] = vertices[0]
+        elif breakage == "junk map value":
+            phi[vertices[0]] = junk
+        elif breakage == "junk weight":
+            weights[vertices[0]] = junk
+        elif breakage == "weight off the domain":
+            weights["z"] = 2
+        elif breakage == "not an object":
+            return [doc]
+    return doc
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_TWO_FIXED = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
+
+
+@settings(max_examples=100)
+@example("nonempty", [_TWO_FIXED, _TWO_FIXED], 0, -1)
+@example("dim", [_TWO_FIXED, _TWO_FIXED], 2, -1)
+@example("fibers", [_TWO_FIXED, {"vertices": ["a"], "map": {"a": "a"}}], 0, -2)
+@given(st.sampled_from(["validate", "aut", "stats", "nonempty", "dim", "conditions",
+                        "sp", "frame", "fibers"]),
+       st.lists(portrait_documents(), min_size=2, max_size=2),
+       st.integers(-1, 4), st.integers(-2, 3))
+def test_portrait_commands_on_random_files(command, docs, degree, dim):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for k, doc in enumerate(docs):
+            files.append(os.path.join(tmp, f"p{k}.json"))
+            with open(files[-1], "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        argv = ["portrait", command] + files[:2 if command == "fibers" else 1]
+        if command in ("nonempty", "dim", "conditions", "frame", "fibers"):
+            argv += ["--degree", str(degree)]
+        if command in ("nonempty", "dim", "fibers"):
+            argv += ["--dim", str(dim)]
+        code, out, err = _run_in_process(argv)
+        assert (code, out, err) == _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+        json.loads(out)
+        # a verdict for degree < 2 or dimension < 1 would be about no moduli space
+        assert "--degree" not in argv or degree >= 2
+        assert "--dim" not in argv or dim >= 1
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

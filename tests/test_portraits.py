@@ -489,3 +489,154 @@ def test_relation_determined_matches_reference_with_a_relation_dropped():
             assert got == _reference_determined(s, r, p), (p, s, r)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _classes_with_a_degree_three_sample():
+    rng = random.Random(5561)
+    return (enumerate_primitive_critical_portraits(2)
+            + rng.sample(enumerate_primitive_critical_portraits(3), 30))
+
+
+def test_relation_determined_matches_reference_on_the_enumerated_classes():
+    verdicts = set()
+    for p in _classes_with_a_degree_three_sample():
+        s = sp_relations(p)
+        realized = realized_relations(p, len(p.vertices))
+        for system in [s] + [s[:k] + s[k + 1:] for k in range(len(s))]:
+            for r in realized:
+                got = relation_determined(system, r, p)
+                assert got == _reference_determined(system, r, p), (p, system, r)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _two_systems_that_disagree():
+    """A class, two relation systems on it and a relation only the first implies."""
+    for p in enumerate_primitive_critical_portraits(3):
+        s = sp_relations(p)
+        for k in range(len(s)):
+            dropped = s[:k] + s[k + 1:]
+            for r in realized_relations(p, len(p.vertices)):
+                if not _reference_determined(dropped, r, p):
+                    return p, s, dropped, r
+    raise AssertionError("every dropped relation is implied by the others")
+
+
+def test_relation_determined_keeps_systems_apart_on_one_portrait():
+    p, s, dropped, r = _two_systems_that_disagree()
+    for _ in range(2):
+        assert relation_determined(s, r, p)
+        assert not relation_determined(dropped, r, p)
+    fresh = Portrait(p.vertices, p.phi, p.weights)
+    assert not relation_determined(dropped, r, fresh)
+    assert relation_determined(s, r, fresh)
+
+
+def test_relation_determined_sees_a_mutated_system():
+    p, s, dropped, r = _two_systems_that_disagree()
+    system = list(s)
+    assert relation_determined(system, r, p)
+    system[:] = dropped
+    assert not relation_determined(system, r, p)
+    system[:] = s
+    assert relation_determined(system, r, p)
+
+
+def test_relation_determined_rejects_an_invalid_system_on_every_call():
+    p = Portrait(["c", "q"], {"c": "q", "q": "q"}, {"c": 2})
+    good = CriticalRelation("c", "c", 2, 1)
+    for bad in ([good, CriticalRelation("c", "q", 1, 0)],
+                [good, CriticalRelation("c", "c", -1, 0)]):
+        for _ in range(3):
+            with pytest.raises(PortraitError):
+                relation_determined(bad, good, p)
+    assert relation_determined([good], good, p)
+
+
+def test_relation_determined_checks_the_query_after_a_cached_build():
+    p = Portrait(["c", "q"], {"c": "q", "q": "q"}, {"c": 2})
+    s = sp_relations(p)
+    bound = shift_bound(p)
+    assert relation_determined(s, CriticalRelation("c", "c", bound, 1), p)
+    for r in (CriticalRelation("c", "c", bound + 1, 1),
+              CriticalRelation("c", "c", 1, bound + 1),
+              CriticalRelation("c", "c", -1, 1),
+              CriticalRelation("q", "c", 1, 1)):
+        for _ in range(2):
+            with pytest.raises(PortraitError):
+                relation_determined(s, r, p)
+
+
+def test_relation_closure_is_built_once_per_portrait_and_system(monkeypatch):
+    from portraitdyn import portraits
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return shift_bound(p)
+
+    monkeypatch.setattr(portraits, "shift_bound", counted)
+    p, s, dropped, r = _two_systems_that_disagree()
+    realized = realized_relations(p, len(p.vertices))
+    for system in (s, dropped, s, dropped):
+        for q in realized:
+            relation_determined(system, q, p)
+    assert len(calls) == 2
+    relation_determined(s, r, Portrait(p.vertices, p.phi, p.weights))
+    assert len(calls) == 3
+
+
+# -- fast paths against their definitions -----------------------------------
+
+def _some_portraits(count):
+    rng = random.Random(1197)
+    out = []
+    for k in range(count):
+        if k % 2:
+            out.append(random_critically_generated(rng, max_vertices=7))
+        else:
+            verts = [f"v{i}" for i in range(rng.randint(0, 7))]
+            phi = {v: rng.choice(verts) for v in verts if rng.random() < 0.8}
+            out.append(Portrait(verts, phi, {v: rng.randint(1, 3) for v in phi
+                                             if rng.random() < 0.4}))
+    return out
+
+
+def test_is_critically_generated_is_the_subportrait_definition():
+    outcomes = set()
+    for p in _some_portraits(300):
+        got = is_critically_generated(p)
+        assert got == (critically_generated_subportrait(p) == p), p
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def _nested_loop_realized_relations(p, max_shift):
+    out = []
+    crits = sorted(p.crit)
+    for i, j in itertools.product(crits, repeat=2):
+        for m in range(max_shift + 1):
+            a = p.step(i, m)
+            if a is None:
+                break
+            for n in range(max_shift + 1):
+                b = p.step(j, n)
+                if b is None:
+                    break
+                if a == b:
+                    out.append(CriticalRelation(i, j, m, n))
+    return out
+
+
+def test_realized_relations_match_the_nested_loop():
+    classes = (enumerate_primitive_critical_portraits(2)
+               + enumerate_primitive_critical_portraits(3))
+    for p in classes:
+        for max_shift in (len(p.vertices), shift_bound(p)):
+            assert (realized_relations(p, max_shift)
+                    == _nested_loop_realized_relations(p, max_shift)), p
+    rng = random.Random(133)
+    for p in _some_portraits(200):
+        max_shift = rng.randint(-1, 12)
+        assert (realized_relations(p, max_shift)
+                == _nested_loop_realized_relations(p, max_shift)), (p, max_shift)
