@@ -4,6 +4,14 @@ Every command reads JSON files, writes a single JSON document to
 standard output, and exits 0 on success, 1 on a domain failure, and 2
 on a parse or usage error.  Output is deterministic: fixed key order,
 canonical lowest-terms rational strings, LF line endings.
+
+One table, `COMMANDS`, defines the interface: group -> command ->
+(argument specs, handler).  An argument spec is the argparse name and
+keywords plus the name of its loader (`load_portrait`, `load_map`,
+`load_points`, `load_stability` or `load_point`; None keeps the value
+argparse parsed).  `main` builds the subcommand parsers of the
+requested group only, runs the loaders in argument order and passes
+the loaded values to the handler, which only shapes the output.
 """
 
 from __future__ import annotations
@@ -42,9 +50,10 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past the digit limit, deep nesting
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -80,11 +89,6 @@ def _rational(text, what) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: cannot parse rational {text!r}") from exc
-
-
-def _rational_str(value) -> str:
-    q = Fraction(value)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def load_portrait(path: str) -> Portrait:
@@ -144,9 +148,19 @@ def _parse_point(entry) -> ProjectivePoint:
             return ProjectivePoint.infinity()
         return ProjectivePoint.affine(_rational(entry, "point"))
     if isinstance(entry, list) and len(entry) == 2:
-        return ProjectivePoint.of(_rational(entry[0], "point coordinate"),
-                                  _rational(entry[1], "point coordinate"))
+        x, y = (_rational(c, "point coordinate") for c in entry)
+        try:
+            return ProjectivePoint.of(x, y)
+        except PointError as exc:
+            raise SchemaError(f"point entry {entry!r}: {exc}") from exc
     raise SchemaError(f"cannot parse point entry {entry!r}")
+
+
+def load_point(text: str) -> ProjectivePoint:
+    try:
+        return ProjectivePoint.parse(text)
+    except PointError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def load_points(path: str) -> list:
@@ -181,17 +195,17 @@ def load_stability(path: str) -> StabilityInstance:
 # -- commands ------------------------------------------------------------
 
 
-def _cmd_portrait_validate(args):
-    return portrait_json(load_portrait(args.file))
+def _cmd_portrait_validate(p):
+    return portrait_json(p)
 
 
-def _cmd_portrait_aut(args):
-    auts = automorphism_group(load_portrait(args.file))
+def _cmd_portrait_aut(p):
+    auts = automorphism_group(p)
     return {"order": len(auts), "cyclic": group_is_cyclic(auts)}
 
 
-def _cmd_portrait_stats(args):
-    stats = portrait_statistics(load_portrait(args.file))
+def _cmd_portrait_stats(p):
+    stats = portrait_statistics(p)
     return {"D": stats.max_preimage_count,
             "C": {str(n): c for n, c in sorted(stats.exact_period_counts.items())},
             "zeta": stats.zeta,
@@ -199,243 +213,215 @@ def _cmd_portrait_stats(args):
             "crit": list(stats.crit_set)}
 
 
-def _cmd_portrait_nonempty(args):
-    ok = unweighted_nonempty(load_portrait(args.file), args.degree, args.dim)
+def _cmd_portrait_nonempty(p, degree, dim):
+    ok = unweighted_nonempty(p, degree, dim)
     return {"nonempty": ok,
             "verdict": "nonempty-certified" if ok else "empty-certified"}
 
 
-def _cmd_portrait_dim(args):
-    report = expected_dimension(load_portrait(args.file), args.degree, args.dim)
+def _cmd_portrait_dim(p, degree, dim):
+    report = expected_dimension(p, degree, dim)
     return {"dim_end": report.dim_end,
             "dim_moduli": report.dim_moduli,
             "verdict": report.nonempty_verdict,
             "caveats": list(report.caveats)}
 
 
-def _cmd_portrait_conditions(args):
-    rep = weighted_necessary_conditions(load_portrait(args.file), args.degree)
+def _cmd_portrait_conditions(p, degree):
+    rep = weighted_necessary_conditions(p, degree)
     return {"I": rep.preimage_weights,
             "II": rep.ramification,
             "III": {str(n): b for n, b in sorted(rep.period_counts.items())},
             "overall": rep.overall}
 
 
-def _cmd_portrait_sp(args):
-    rels = sp_relations(load_portrait(args.file))
+def _cmd_portrait_sp(p):
+    rels = sp_relations(p)
     return {"count": len(rels),
             "relations": [{"i": r.i, "j": r.j, "m": r.m, "n": r.n} for r in rels]}
 
 
-def _cmd_portrait_frame(args):
-    return portrait_json(frame(load_portrait(args.file), args.degree))
+def _cmd_portrait_frame(p, degree):
+    return portrait_json(frame(p, degree))
 
 
-def _cmd_portrait_fibers(args):
-    p = load_portrait(args.pfile)
-    p_prime = load_portrait(args.pprimefile)
-    return fiber_image_dims(p_prime, p, args.degree, args.dim)
+def _cmd_portrait_fibers(p, p_prime, degree, dim):
+    return fiber_image_dims(p_prime, p, degree, dim)
 
 
-def _cmd_dyn_eval(args):
-    f = load_map(args.map)
-    return {"point": str(f.evaluate(ProjectivePoint.parse(args.point)))}
+def _cmd_dyn_eval(f, point):
+    return {"point": str(f.evaluate(point))}
 
 
-def _cmd_dyn_multiplicity(args):
-    f = load_map(args.map)
-    return {"multiplicity": f.multiplicity(ProjectivePoint.parse(args.point))}
+def _cmd_dyn_multiplicity(f, point):
+    return {"multiplicity": f.multiplicity(point)}
 
 
-def _cmd_dyn_crit(args):
-    f = load_map(args.map)
+def _cmd_dyn_crit(f):
     w, roots = f.critical_divisor()
     return {"degree": len(w) - 1,
             "wronskian": [str(c) for c in w],
             "roots": [{"point": str(p), "multiplicity": m} for p, m in roots]}
 
 
-def _cmd_dyn_dynatomic(args):
-    f = load_map(args.map)
-    form = f.dynatomic(args.n)
-    return {"n": args.n, "degree": len(form) - 1,
+def _cmd_dyn_dynatomic(f, n):
+    form = f.dynatomic(n)
+    return {"n": n, "degree": len(form) - 1,
             "coefficients": [str(c) for c in form]}
 
 
-def _cmd_dyn_verify(args):
-    f = load_map(args.map)
-    points = load_points(args.points)
-    portrait = load_portrait(args.portrait)
+def _assignment(points, portrait) -> dict:
+    """The points file paired in order with the portrait's vertices."""
     if len(points) != len(portrait.vertices):
         raise SchemaError("points file length must match the vertex count")
-    assignment = dict(zip(portrait.vertices, points))
-    result = verify_model(f, portrait, assignment)
+    return dict(zip(portrait.vertices, points))
+
+
+def _cmd_dyn_verify(f, points, portrait):
+    result = verify_model(f, portrait, _assignment(points, portrait))
     if isinstance(result, Model):
         return {"ok": True}
     return {"ok": False, "problems": list(result.problems)}
 
 
-def _cmd_dyn_extract(args):
-    f = load_map(args.map)
-    portrait, assignment = extract_portrait(f, load_points(args.points))
+def _cmd_dyn_extract(f, points):
+    portrait, assignment = extract_portrait(f, points)
     return {"portrait": portrait_json(portrait),
             "assignment": {v: str(q) for v, q in sorted(assignment.items())}}
 
 
-def _cmd_dyn_reduce(args):
-    f = load_map(args.map)
-    if (args.points is None) != (args.portrait is None):
-        raise SchemaError("points and portrait must be given together")
-    if args.points is None:
-        rep = good_reduction(f, {}, Portrait([], {}), args.prime)
+def _cmd_dyn_reduce(f, prime, points, portrait):
+    if points is None:
+        rep = good_reduction(f, {}, Portrait([], {}), prime)
         return {"prime": rep.prime, "map_good": rep.map_good,
                 "bullet": None, "circ": None, "star": None}
-    points = load_points(args.points)
-    portrait = load_portrait(args.portrait)
-    if len(points) != len(portrait.vertices):
-        raise SchemaError("points file length must match the vertex count")
-    assignment = dict(zip(portrait.vertices, points))
-    rep = good_reduction(f, assignment, portrait, args.prime)
+    rep = good_reduction(f, _assignment(points, portrait), portrait, prime)
     return {"prime": rep.prime, "map_good": rep.map_good,
             "bullet": rep.bullet, "circ": rep.circ, "star": rep.star}
 
 
-def _cmd_mod_nu(args):
-    if args.m is None:
-        return {"nu": nu(args.degree, args.dim, args.n)}
-    return {"nu": nu_pre(args.degree, args.dim, args.m, args.n)}
+def _cmd_mod_nu(degree, dim, n, m):
+    return {"nu": nu(degree, dim, n) if m is None else nu_pre(degree, dim, m, n)}
 
 
-def _cmd_mod_multipliers(args):
-    data = multiplier_polynomial(load_map(args.map), args.n)
+def _cmd_mod_multipliers(f, n):
+    data = multiplier_polynomial(f, n)
     return {"n": data.period, "degree": data.degree,
-            "poly": [_rational_str(c) for c in data.poly],
-            "symmetric_functions": [_rational_str(c)
-                                    for c in data.symmetric_functions]}
+            "poly": [str(c) for c in data.poly],
+            "symmetric_functions": [str(c) for c in data.symmetric_functions]}
 
 
-def _cmd_mod_milnor(args):
-    s1, s2 = milnor_coordinates(load_map(args.map))
-    return {"s1": _rational_str(s1), "s2": _rational_str(s2)}
+def _cmd_mod_milnor(f):
+    s1, s2 = milnor_coordinates(f)
+    return {"s1": str(s1), "s2": str(s2)}
 
 
-def _cmd_mod_ueda(args):
-    return {"k": args.k, "sum": _rational_str(ueda_sum(load_map(args.map), args.k))}
+def _cmd_mod_ueda(f, k):
+    return {"k": k, "sum": str(ueda_sum(f, k))}
 
 
-def _cmd_git_stability(args):
-    v = verdict(load_stability(args.config))
+def _cmd_git_stability(instance):
+    v = verdict(instance)
     return {"semistable": v.semistable, "stable": v.stable,
             "witnesses": {k: v.witnesses[k] for k in sorted(v.witnesses)}}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# -- the command table ---------------------------------------------------
+
+
+def _arg(*flags, load=None, **options):
+    """Argparse flags and keywords, and the loader's name.  Loaders (and
+    every function a handler calls) are looked up when a command runs,
+    so rebinding one, as the benchmark's tracer does, takes effect."""
+    return flags, options, load
+
+
+_PORTRAIT = _arg("file", load="load_portrait")
+_MAP = _arg("map", load="load_map")
+_POINT = _arg("--point", required=True, load="load_point")
+_POINTS = _arg("points", load="load_points")
+_DEGREE = _arg("--degree", type=int, required=True)
+_DIM = _arg("--dim", type=int, required=True)
+_N = _arg("-n", type=int, required=True)
+
+COMMANDS = {
+    "portrait": {
+        "validate": ([_PORTRAIT], _cmd_portrait_validate),
+        "aut": ([_PORTRAIT], _cmd_portrait_aut),
+        "stats": ([_PORTRAIT], _cmd_portrait_stats),
+        "nonempty": ([_PORTRAIT, _DEGREE, _DIM], _cmd_portrait_nonempty),
+        "dim": ([_PORTRAIT, _DEGREE, _DIM], _cmd_portrait_dim),
+        "conditions": ([_PORTRAIT, _DEGREE], _cmd_portrait_conditions),
+        "sp": ([_PORTRAIT], _cmd_portrait_sp),
+        "frame": ([_PORTRAIT, _DEGREE], _cmd_portrait_frame),
+        "fibers": ([_arg("pfile", load="load_portrait"),
+                    _arg("pprimefile", load="load_portrait"), _DEGREE, _DIM],
+                   _cmd_portrait_fibers),
+    },
+    "dyn": {
+        "eval": ([_MAP, _POINT], _cmd_dyn_eval),
+        "multiplicity": ([_MAP, _POINT], _cmd_dyn_multiplicity),
+        "crit": ([_MAP], _cmd_dyn_crit),
+        "dynatomic": ([_MAP, _N], _cmd_dyn_dynatomic),
+        "verify": ([_MAP, _POINTS, _arg("portrait", load="load_portrait")],
+                   _cmd_dyn_verify),
+        "extract": ([_MAP, _POINTS], _cmd_dyn_extract),
+        "reduce": ([_MAP, _arg("--prime", type=int, required=True),
+                    _arg("points", nargs="?", load="load_points"),
+                    _arg("portrait", nargs="?", load="load_portrait")],
+                   _cmd_dyn_reduce),
+    },
+    "mod": {
+        "nu": ([_DEGREE, _DIM, _N, _arg("-m", type=int)], _cmd_mod_nu),
+        "multipliers": ([_MAP, _N], _cmd_mod_multipliers),
+        "milnor": ([_MAP], _cmd_mod_milnor),
+        "ueda": ([_MAP, _arg("-k", type=int, choices=(0, 1), required=True)],
+                 _cmd_mod_ueda),
+    },
+    "git": {
+        "stability": ([_arg("config", load="load_stability")], _cmd_git_stability),
+    },
+}
+
+
+def build_parser(group=None) -> argparse.ArgumentParser:
+    """The parser of every group, with the commands of `group` only."""
     parser = argparse.ArgumentParser(
         prog="portraitdyn",
         description="Exact tools for portraits and rational maps on the projective line.")
     top = parser.add_subparsers(dest="group", required=True)
-
-    portrait = top.add_parser("portrait").add_subparsers(dest="cmd", required=True)
-    sub = portrait.add_parser("validate")
-    sub.add_argument("file")
-    sub.set_defaults(run=_cmd_portrait_validate)
-    sub = portrait.add_parser("aut")
-    sub.add_argument("file")
-    sub.set_defaults(run=_cmd_portrait_aut)
-    sub = portrait.add_parser("stats")
-    sub.add_argument("file")
-    sub.set_defaults(run=_cmd_portrait_stats)
-    sub = portrait.add_parser("nonempty")
-    sub.add_argument("file")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--dim", type=int, required=True)
-    sub.set_defaults(run=_cmd_portrait_nonempty)
-    sub = portrait.add_parser("dim")
-    sub.add_argument("file")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--dim", type=int, required=True)
-    sub.set_defaults(run=_cmd_portrait_dim)
-    sub = portrait.add_parser("conditions")
-    sub.add_argument("file")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.set_defaults(run=_cmd_portrait_conditions)
-    sub = portrait.add_parser("sp")
-    sub.add_argument("file")
-    sub.set_defaults(run=_cmd_portrait_sp)
-    sub = portrait.add_parser("frame")
-    sub.add_argument("file")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.set_defaults(run=_cmd_portrait_frame)
-    sub = portrait.add_parser("fibers")
-    sub.add_argument("pfile")
-    sub.add_argument("pprimefile")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--dim", type=int, required=True)
-    sub.set_defaults(run=_cmd_portrait_fibers)
-
-    dyn = top.add_parser("dyn").add_subparsers(dest="cmd", required=True)
-    sub = dyn.add_parser("eval")
-    sub.add_argument("map")
-    sub.add_argument("--point", required=True)
-    sub.set_defaults(run=_cmd_dyn_eval)
-    sub = dyn.add_parser("multiplicity")
-    sub.add_argument("map")
-    sub.add_argument("--point", required=True)
-    sub.set_defaults(run=_cmd_dyn_multiplicity)
-    sub = dyn.add_parser("crit")
-    sub.add_argument("map")
-    sub.set_defaults(run=_cmd_dyn_crit)
-    sub = dyn.add_parser("dynatomic")
-    sub.add_argument("map")
-    sub.add_argument("-n", type=int, required=True)
-    sub.set_defaults(run=_cmd_dyn_dynatomic)
-    sub = dyn.add_parser("verify")
-    sub.add_argument("map")
-    sub.add_argument("points")
-    sub.add_argument("portrait")
-    sub.set_defaults(run=_cmd_dyn_verify)
-    sub = dyn.add_parser("extract")
-    sub.add_argument("map")
-    sub.add_argument("points")
-    sub.set_defaults(run=_cmd_dyn_extract)
-    sub = dyn.add_parser("reduce")
-    sub.add_argument("map")
-    sub.add_argument("--prime", type=int, required=True)
-    sub.add_argument("points", nargs="?")
-    sub.add_argument("portrait", nargs="?")
-    sub.set_defaults(run=_cmd_dyn_reduce)
-
-    mod = top.add_parser("mod").add_subparsers(dest="cmd", required=True)
-    sub = mod.add_parser("nu")
-    sub.add_argument("--degree", type=int, required=True)
-    sub.add_argument("--dim", type=int, required=True)
-    sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("-m", type=int, default=None)
-    sub.set_defaults(run=_cmd_mod_nu)
-    sub = mod.add_parser("multipliers")
-    sub.add_argument("map")
-    sub.add_argument("-n", type=int, required=True)
-    sub.set_defaults(run=_cmd_mod_multipliers)
-    sub = mod.add_parser("milnor")
-    sub.add_argument("map")
-    sub.set_defaults(run=_cmd_mod_milnor)
-    sub = mod.add_parser("ueda")
-    sub.add_argument("map")
-    sub.add_argument("-k", type=int, choices=(0, 1), required=True)
-    sub.set_defaults(run=_cmd_mod_ueda)
-
-    git = top.add_parser("git").add_subparsers(dest="cmd", required=True)
-    sub = git.add_parser("stability")
-    sub.add_argument("config")
-    sub.set_defaults(run=_cmd_git_stability)
+    for name, commands in COMMANDS.items():
+        sub = top.add_parser(name).add_subparsers(dest="cmd", required=True)
+        if name != group:
+            continue
+        for command, (specs, _) in commands.items():
+            cmd = sub.add_parser(command)
+            for flags, options, _ in specs:
+                cmd.add_argument(*flags, **options)
     return parser
 
 
+def _load(specs, args) -> list:
+    """The command's arguments through their loaders, in table order.  Optional
+    positionals come all or none, checked before the first of them loads."""
+    optional = [flags[0] for flags, options, _ in specs if options.get("nargs") == "?"]
+    values = []
+    for flags, _, loader in specs:
+        if flags[0] in optional and len({getattr(args, a) is None for a in optional}) > 1:
+            raise SchemaError(" and ".join(optional) + " must be given together")
+        value = getattr(args, flags[0].lstrip("-"))
+        if value is not None and loader is not None:
+            value = globals()[loader](value)
+        values.append(value)
+    return values
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+    specs, handler = COMMANDS[args.group][args.cmd]
     try:
-        result = args.run(args)
+        result = handler(*_load(specs, args))
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,23 +21,26 @@ def nu(d: int, N: int, n: int) -> int:
     """Number of points of formal period n (with multiplicity) for a
     generic degree-d endomorphism of P^N:
     sum over k | n of mu(n/k) * (1 + d^k + ... + d^(Nk))."""
+    return nu_pre(d, N, 0, n)
+
+
+def nu_pre(d: int, N: int, m: int, n: int) -> int:
+    """Count of preperiodic type (m, n): d^(N(m-1)) (d^N - 1) nu for m >= 1,
+    nu for m = 0.  Raises ModuliError above NU_CAP_BITS."""
+    if m < 0:
+        raise ModuliError("preperiod must be nonnegative")
     if d < 2 or N < 1 or n < 1:
         raise ModuliError("need d >= 2, N >= 1, n >= 1")
+    bits = N * (m + n) * d.bit_length()
+    if bits > NU_CAP_BITS:
+        raise ModuliError(f"nu size N (m + n) bit_length(d) = {bits} "
+                          f"exceeds cap {NU_CAP_BITS}")
     total = 0
     for k in forms.divisors(n):
         mu = forms.mobius(n // k)
         if mu:
             total += mu * sum(d ** (j * k) for j in range(N + 1))
-    return total
-
-
-def nu_pre(d: int, N: int, m: int, n: int) -> int:
-    """Count of preperiodic type (m, n): d^(N(m-1)) (d^N - 1) nu for m >= 1."""
-    if m < 0:
-        raise ModuliError("preperiod must be nonnegative")
-    if m == 0:
-        return nu(d, N, n)
-    return d ** (N * (m - 1)) * (d ** N - 1) * nu(d, N, n)
+    return total if m == 0 else d ** (N * (m - 1)) * (d ** N - 1) * total
 
 
 def dim_end(d: int, N: int) -> int:
@@ -153,6 +156,13 @@ class MultiplierData:
     @property
     def degree(self) -> int:
         return len(self.poly) - 1
+
+
+# Largest value of N (m + n) bit_length(d) for which nu and nu_pre count.
+# Both counts are below 4 d^(N (m + n)), so below 2^(NU_CAP_BITS + 2): at
+# most 3,613 decimal digits, within Python's default limit of 4,300 digits
+# on int-to-str conversion, so every answer can be printed.
+NU_CAP_BITS = 12000
 
 
 # Largest number nu of formal-period-n points for which multiplier_polynomial

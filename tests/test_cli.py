@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portraitdyn.cli import main
+from portraitdyn.cli import COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,12 @@ def test_dyn_reduce(capsys, tmp_path):
     assert doc == {"prime": 5, "map_good": True, "bullet": True,
                    "circ": True, "star": True}
 
+    # the pairing is checked before either file is read
+    code, out = run_cli(capsys, "dyn", "reduce", fmap, str(tmp_path / "missing.json"),
+                        "--prime", "5")
+    assert code == 2 and out == ""
+    assert run_cli.err == "error: points and portrait must be given together\n"
+
 
 def test_mod_multipliers_and_ueda(capsys, square_map):
     code, out = run_cli(capsys, "mod", "multipliers", square_map, "-n", "1")
@@ -426,6 +433,20 @@ def _run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _check_run(argv) -> int:
+    """Run a command twice; check the exit code, the output and the error line."""
+    code, out, err = _run_in_process(argv)
+    assert (code, out, err) == _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+        json.loads(out)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return code
+
+
 _TWO_FIXED = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
 
 
@@ -449,15 +470,223 @@ def test_portrait_commands_on_random_files(command, docs, degree, dim):
             argv += ["--degree", str(degree)]
         if command in ("nonempty", "dim", "fibers"):
             argv += ["--dim", str(dim)]
-        code, out, err = _run_in_process(argv)
-        assert (code, out, err) == _run_in_process(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
+        code = _check_run(argv)
     if code == 0:
-        assert err == "" and out.endswith("\n")
-        json.loads(out)
         # a verdict for degree < 2 or dimension < 1 would be about no moduli space
         assert "--degree" not in argv or degree >= 2
         assert "--dim" not in argv or dim >= 1
-    else:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- fuzzing the dyn, mod and git commands --------------------------------
+
+_DIRECTORY, _MISSING = "<directory>", "<missing>"
+_UNREADABLE = [_DIRECTORY, _MISSING, b'{"degree": 2, "numerator": ["\xff"]}', b"[" * 200000,
+               b"[" + b"9" * 5000 + b"]"]
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "5"]))
+_POINT_ENTRIES = st.one_of(st.sampled_from(["0", "-1", "2", "1/2", "inf"]),
+                           st.lists(st.integers(-2, 2).map(str), min_size=2, max_size=2))
+
+
+def _broken(draw, doc, breakages):
+    """One time in three, apply one or two breakages, each a function of the
+    document and some junk."""
+    if draw(st.integers(0, 2)) == 0:
+        for breakage in draw(st.lists(st.sampled_from(breakages), min_size=1, max_size=2)):
+            doc = breakage(doc, draw(_JUNK))
+    return doc
+
+
+def _set(key, value=None):
+    def breakage(doc, junk):
+        if isinstance(doc, dict):
+            doc[key] = junk if value is None else value
+        return doc
+    return breakage
+
+
+def _drop(key):
+    def breakage(doc, junk):
+        if isinstance(doc, dict):
+            doc.pop(key, None)
+        return doc
+    return breakage
+
+
+def _append_junk(key):
+    def breakage(doc, junk):
+        if isinstance(doc, dict) and isinstance(doc.get(key), list):
+            doc[key].append(junk)
+        return doc
+    return breakage
+
+
+def _wrap(doc, junk):
+    return [doc]
+
+
+@st.composite
+def map_documents(draw):
+    d = draw(st.integers(2, 3))
+    doc = {"degree": d,
+           "numerator": draw(st.lists(_COEFFICIENTS, min_size=d + 1, max_size=d + 1)),
+           "denominator": draw(st.lists(_COEFFICIENTS, min_size=d + 1, max_size=d + 1))}
+    return _broken(draw, doc, [_set("wts"), _drop("degree"), _drop("numerator"),
+                               _set("degree"), _set("degree", 5), _set("denominator"),
+                               _append_junk("numerator"), _wrap])
+
+
+@st.composite
+def points_documents(draw):
+    doc = {"points": draw(st.lists(_POINT_ENTRIES, max_size=4))}
+    doc = _broken(draw, doc, [_append_junk("points"), _set("points"), _wrap])
+    return doc["points"] if isinstance(doc, dict) and "points" in doc else doc
+
+
+@st.composite
+def stability_documents(draw):
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    doc = {"N": 1, "d": draw(st.integers(1, 3)), "weights": weights,
+           "points": draw(st.lists(_POINT_ENTRIES, min_size=len(weights) - 1,
+                                   max_size=len(weights) - 1))}
+    if draw(st.booleans()):
+        doc["fixed_point_flags"] = draw(st.lists(st.sampled_from([True, False, None]),
+                                                 max_size=2))
+    if draw(st.booleans()):
+        doc.update(N=2, incidences=[{"dim": draw(st.integers(-1, 2)), "points": draw(
+            st.lists(st.integers(0, len(weights)), max_size=3))}])
+        del doc["points"]
+    return _broken(draw, doc, [_set("N"), _set("d"), _set("weights"), _set("points"),
+                               _append_junk("weights"), _append_junk("points"),
+                               _set("fixed_point_flags"), _set("incidences"),
+                               _set("extra", 1), _drop("weights"), _wrap])
+
+
+@st.composite
+def _contents(draw, documents):
+    """File contents: mostly a JSON document, else a path that cannot be read as one."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_UNREADABLE))
+    return json.dumps(draw(documents)).encode()
+
+
+def _materialize(tmp, name, content) -> str:
+    path = os.path.join(tmp, name)
+    if content == _DIRECTORY:
+        os.mkdir(path)
+    elif content != _MISSING:
+        with open(path, "wb") as handle:
+            handle.write(content)
+    return path
+
+
+_OTHER_COMMANDS = [
+    ("dyn", "eval", "MAP", "--point", "POINT"),
+    ("dyn", "multiplicity", "MAP", "--point", "POINT"),
+    ("dyn", "crit", "MAP"),
+    ("dyn", "dynatomic", "MAP", "-n", "N"),
+    ("dyn", "verify", "MAP", "POINTS", "PORTRAIT"),
+    ("dyn", "extract", "MAP", "POINTS"),
+    ("dyn", "reduce", "MAP", "--prime", "PRIME"),
+    ("dyn", "reduce", "MAP", "POINTS", "--prime", "PRIME"),
+    ("dyn", "reduce", "MAP", "POINTS", "PORTRAIT", "--prime", "PRIME"),
+    ("mod", "nu", "--degree", "D", "--dim", "DIM", "-n", "N"),
+    ("mod", "nu", "--degree", "D", "--dim", "DIM", "-n", "N", "-m", "M"),
+    ("mod", "multipliers", "MAP", "-n", "N"),
+    ("mod", "milnor", "MAP"),
+    ("mod", "ueda", "MAP", "-k", "K"),
+    ("git", "stability", "CONFIG"),
+]
+_GOOD_MAP = json.dumps({"degree": 2, "numerator": ["1", "0", "-1"],
+                        "denominator": ["0", "0", "1"]}).encode()
+_GOOD_FILES = {"MAP": _GOOD_MAP, "POINTS": b'["0", "-1"]', "PORTRAIT": json.dumps(
+    {"vertices": ["p", "q"], "map": {"p": "q", "q": "p"}}).encode(),
+               "CONFIG": json.dumps(STABILITY_OK).encode()}
+_SMALL = {"D": 2, "DIM": 1, "N": 2, "M": 1, "K": 1, "PRIME": 3}
+_ZERO_POINT = json.dumps({**STABILITY_OK, "points": [["0", "0"]]}).encode()
+
+
+@settings(max_examples=100, deadline=None)
+# unreadable files: a directory, bytes that are not UTF-8, deep nesting, a huge integer
+@example(_OTHER_COMMANDS[2], {**_GOOD_FILES, "MAP": _DIRECTORY}, "0", _SMALL)
+@example(_OTHER_COMMANDS[2], {**_GOOD_FILES, "MAP": _UNREADABLE[2]}, "0", _SMALL)
+@example(_OTHER_COMMANDS[-1], {**_GOOD_FILES, "CONFIG": _UNREADABLE[3]}, "0", _SMALL)
+@example(_OTHER_COMMANDS[5], {**_GOOD_FILES, "POINTS": _UNREADABLE[4]}, "0", _SMALL)
+# counts too long to print, and nu_pre at d = 0, N = -1 (it divided by zero)
+@example(_OTHER_COMMANDS[9], _GOOD_FILES, "0", {**_SMALL, "N": 15000})
+@example(_OTHER_COMMANDS[10], _GOOD_FILES, "0", {**_SMALL, "N": 1, "M": 15000})
+@example(_OTHER_COMMANDS[10], _GOOD_FILES, "0", {**_SMALL, "D": 0, "DIM": -1})
+# malformed points (test_malformed_points_exit_two checks their exit code)
+@example(_OTHER_COMMANDS[0], _GOOD_FILES, "abc", _SMALL)
+@example(_OTHER_COMMANDS[1], _GOOD_FILES, "", _SMALL)
+@example(_OTHER_COMMANDS[5], {**_GOOD_FILES, "POINTS": b'[["0", "0"]]'}, "0", _SMALL)
+@example(_OTHER_COMMANDS[-1], {**_GOOD_FILES, "CONFIG": _ZERO_POINT}, "0", _SMALL)
+@given(st.sampled_from(_OTHER_COMMANDS),
+       st.fixed_dictionaries({"MAP": _contents(map_documents()),
+                              "POINTS": _contents(points_documents()),
+                              "PORTRAIT": _contents(portrait_documents()),
+                              "CONFIG": _contents(stability_documents())}),
+       st.one_of(st.sampled_from(["0", "2", "1/2", "inf", " inf ", "1/0", "abc", ""]),
+                 # argparse would read a text starting with "-" as an option
+                 st.text(max_size=3).filter(lambda s: not s.startswith("-"))),
+       st.fixed_dictionaries({"D": st.integers(-1, 4), "DIM": st.integers(-2, 3),
+                              "N": st.integers(-1, 3), "M": st.integers(-1, 3),
+                              "K": st.sampled_from([0, 1]),
+                              "PRIME": st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7])}))
+def test_dyn_mod_git_commands_on_random_files(template, contents, point, numbers):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: _materialize(tmp, key.lower(), content)
+                 for key, content in contents.items() if key in template}
+        values = {**paths, "POINT": point, **{k: str(v) for k, v in numbers.items()}}
+        _check_run([values.get(a, a) for a in template])
+
+
+@pytest.mark.parametrize("argv,points", [
+    (["dyn", "eval", "MAP", "--point", "abc"], None),
+    (["dyn", "multiplicity", "MAP", "--point", ""], None),
+    (["dyn", "eval", "MAP", "--point", "1/0"], None),
+    (["dyn", "extract", "MAP", "PTS"], ["0", ["0", "0"]]),
+    (["git", "stability", "PTS"], {**STABILITY_OK, "points": [["0", "0"]]}),
+])
+def test_malformed_points_exit_two(capsys, tmp_path, square_map, argv, points):
+    files = {"MAP": square_map, "PTS": points and write(tmp_path, "pts.json", points)}
+    code, out = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert run_cli.err.startswith("error: ") and run_cli.err.count("\n") == 1
+    assert "point" in run_cli.err
+
+
+def test_count_over_the_cap(capsys):
+    code, out = run_cli(capsys, "mod", "nu", "--degree", "2", "--dim", "1", "-n", "15000")
+    assert code == 1 and out == ""
+    assert run_cli.err == ("error: nu size N (m + n) bit_length(d) = 30000 "
+                           "exceeds cap 12000\n")
+
+
+# -- the command table ------------------------------------------------------
+
+def test_command_table_readme_and_benchmark_outputs_agree():
+    root = Path(__file__).resolve().parent.parent
+    table = sorted((g, c) for g, commands in COMMANDS.items() for c in commands)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command-line interface", 1)[1].split("```", 2)[1]
+    documented = sorted(tuple(line.split()[1:3]) for line in usage.splitlines()
+                        if line.startswith("portraitdyn "))
+    outputs = sorted(tuple(path.stem.split("_", 1))
+                     for path in (root / "perfbench" / "expected" / "cli").glob("*.out"))
+    assert len(table) == 21
+    assert documented == table
+    assert outputs == table
+
+
+def test_a_command_builds_only_its_groups_parsers(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built.append((self.dest, name))
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    assert run_cli(capsys, "mod", "nu", "--degree", "2", "--dim", "1", "-n", "3")[0] == 0
+    assert sorted(built) == sorted([("group", g) for g in COMMANDS]
+                                   + [("cmd", c) for c in COMMANDS["mod"]])

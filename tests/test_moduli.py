@@ -50,6 +50,22 @@ def test_nu_rejects_bad_input():
         nu(1, 1, 1)
     with pytest.raises(ModuliError):
         nu_pre(2, 1, -1, 1)
+    with pytest.raises(ModuliError):      # divided by zero before the check
+        nu_pre(0, -1, 2, 1)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (3, 1), (2, 3), (255, 1), (256, 2), (10 ** 30, 1)])
+def test_nu_size_cap(d, N):
+    """At the cap every count has fewer digits than Python prints; above it,
+    nu and nu_pre refuse before computing."""
+    e = moduli.NU_CAP_BITS // (N * d.bit_length())
+    for count in (nu(d, N, e), nu_pre(d, N, e - 1, 1), nu_pre(d, N, 1, e - 1)):
+        assert count.bit_length() <= moduli.NU_CAP_BITS + 2
+        assert len(str(count)) < 4300
+    for call in (lambda: nu(d, N, e + 1), lambda: nu_pre(d, N, e, 1),
+                 lambda: nu_pre(d, N, 10 ** 12, 1)):
+        with pytest.raises(ModuliError, match=f"cap {moduli.NU_CAP_BITS}"):
+            call()
 
 
 # -- realizability -------------------------------------------------------------
