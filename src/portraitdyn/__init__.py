@@ -1,27 +1,57 @@
-"""Exact tools for weighted portraits and rational maps on the projective line."""
+"""Exact tools for weighted portraits and rational maps on the projective line.
 
-from .portraits import (CriticalRelation, Portrait, PortraitError,
-                        PortraitMorphism, PreperiodicType, automorphism_group,
-                        canonical_form, critically_generated_subportrait,
-                        enumerate_primitive_critical_portraits, frame, ge,
-                        hom, is_complete_critical, is_critically_generated,
-                        is_critically_primitive, is_subportrait, isomorphic,
-                        portrait_statistics, realized_relations,
-                        relation_determined, relation_holds, sp_relations)
-from .projective import PointError, ProjectivePoint
-from .maps import (MapError, Model, ModelFailure, RationalMap,
-                   extract_portrait, pullback_model, verify_model)
-from .reduction import ReductionReport, good_reduction, multiplicity_mod_p
-from .moduli import (DimensionReport, ModuliError, MultiplierData,
-                     NecessaryConditions, cubic_three_double_fixed_family,
-                     dim_end, dim_moduli_space,
-                     doubly_critical_three_cycle_surface, expected_dimension,
-                     fiber_image_dims, milnor_coordinates,
-                     multiplier_polynomial, nu, nu_pre, symmetric_surface_form,
-                     ueda_sum, unweighted_nonempty,
-                     weighted_necessary_conditions)
-from .stability import (StabilityError, StabilityInstance, StabilityVerdict,
-                        Subspace, cd_values, subspace_candidates, verdict)
-from .search import portrait_cycles, rational_cycles, search_periodic_model
+The package namespace is lazy: `portraitdyn.X` imports the submodule that
+defines X on first use, so a program pays only for the modules it touches.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+
+class DomainError(ValueError):
+    """Base of the errors a computation raises for inputs outside its domain
+    (`PortraitError`, `MapError`, `ModuliError`, `StabilityError`,
+    `PointError`, `FormError`)."""
+
+
+# submodule -> the names it exports from the package
+_EXPORTS = {
+    "forms": (),
+    "portraits": ("CriticalRelation", "Portrait", "PortraitError", "PortraitMorphism",
+                  "PreperiodicType", "automorphism_group", "canonical_form",
+                  "critically_generated_subportrait",
+                  "enumerate_primitive_critical_portraits", "frame", "ge", "hom",
+                  "is_complete_critical", "is_critically_generated",
+                  "is_critically_primitive", "is_subportrait", "isomorphic",
+                  "portrait_statistics", "realized_relations", "relation_determined",
+                  "relation_holds", "sp_relations"),
+    "projective": ("PointError", "ProjectivePoint"),
+    "maps": ("MapError", "Model", "ModelFailure", "RationalMap", "extract_portrait",
+             "pullback_model", "verify_model"),
+    "reduction": ("ReductionReport", "good_reduction", "multiplicity_mod_p"),
+    "moduli": ("DimensionReport", "ModuliError", "MultiplierData", "NecessaryConditions",
+               "cubic_three_double_fixed_family", "dim_end", "dim_moduli_space",
+               "doubly_critical_three_cycle_surface", "expected_dimension",
+               "fiber_image_dims", "milnor_coordinates", "multiplier_polynomial", "nu",
+               "nu_pre", "symmetric_surface_form", "ueda_sum", "unweighted_nonempty",
+               "weighted_necessary_conditions"),
+    "stability": ("StabilityError", "StabilityInstance", "StabilityVerdict", "Subspace",
+                  "cd_values", "subspace_candidates", "verdict"),
+    "search": ("portrait_cycles", "rational_cycles", "search_periodic_model"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

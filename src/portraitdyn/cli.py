@@ -12,6 +12,9 @@ keywords plus the name of its loader (`load_portrait`, `load_map`,
 argparse parsed).  `main` builds the subcommand parsers of the
 requested group only, runs the loaders in argument order and passes
 the loaded values to the handler, which only shapes the output.
+
+Loaders and handlers import the modules they use when they run, so a
+command loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -21,26 +24,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .forms import FormError
-from .maps import MapError, Model, RationalMap, extract_portrait, verify_model
-from .moduli import (ModuliError, expected_dimension, milnor_coordinates,
-                     multiplier_polynomial, nu, nu_pre, ueda_sum,
-                     weighted_necessary_conditions, fiber_image_dims,
-                     unweighted_nonempty)
-from .portraits import (Portrait, PortraitError, automorphism_group,
-                        frame, group_is_cyclic, portrait_statistics,
-                        sp_relations)
-from .projective import PointError, ProjectivePoint
-from .reduction import good_reduction
-from .stability import (StabilityError, StabilityInstance, Subspace, verdict)
+from . import DomainError
 
 
 class SchemaError(ValueError):
     pass
-
-
-DOMAIN_ERRORS = (PortraitError, MapError, ModuliError, StabilityError, PointError,
-                 FormError)
 
 
 # -- parsing -------------------------------------------------------------
@@ -91,7 +79,9 @@ def _rational(text, what) -> Fraction:
         raise SchemaError(f"{what}: cannot parse rational {text!r}") from exc
 
 
-def load_portrait(path: str) -> Portrait:
+def load_portrait(path: str):
+    from .portraits import Portrait
+
     data = _load_json(path)
     _check_keys(data, {"vertices", "map", "weights"}, {"vertices", "map"},
                 "portrait file")
@@ -112,7 +102,7 @@ def load_portrait(path: str) -> Portrait:
     return Portrait(data["vertices"], data["map"], weights)
 
 
-def portrait_json(p: Portrait) -> dict:
+def portrait_json(p) -> dict:
     out = {"vertices": sorted(p.vertices),
            "map": {v: p.phi[v] for v in sorted(p.domain)}}
     if p.weights:
@@ -120,7 +110,9 @@ def portrait_json(p: Portrait) -> dict:
     return out
 
 
-def load_map(path: str) -> RationalMap:
+def load_map(path: str):
+    from .maps import RationalMap
+
     data = _load_json(path)
     _check_keys(data, {"degree", "numerator", "denominator"},
                 {"degree", "numerator", "denominator"}, "map file")
@@ -136,13 +128,26 @@ def load_map(path: str) -> RationalMap:
     return RationalMap(num, den)
 
 
-def map_json(f: RationalMap) -> dict:
+def _text(value) -> str:
+    """str(value) of an exact answer; one with an integer too long for
+    Python to print is a domain failure, not a traceback."""
+    try:
+        return str(value)
+    except ValueError:   # str of an int or Fraction raises only at the digit limit
+        raise DomainError("answer too long to print: it has an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+                          "converting an integer to a string") from None
+
+
+def map_json(f) -> dict:
     return {"degree": f.degree,
-            "numerator": [str(c) for c in f.f0],
-            "denominator": [str(c) for c in f.f1]}
+            "numerator": [_text(c) for c in f.f0],
+            "denominator": [_text(c) for c in f.f1]}
 
 
-def _parse_point(entry) -> ProjectivePoint:
+def _parse_point(entry):
+    from .projective import PointError, ProjectivePoint
+
     if isinstance(entry, str):
         if entry == "inf":
             return ProjectivePoint.infinity()
@@ -156,7 +161,9 @@ def _parse_point(entry) -> ProjectivePoint:
     raise SchemaError(f"cannot parse point entry {entry!r}")
 
 
-def load_point(text: str) -> ProjectivePoint:
+def load_point(text: str):
+    from .projective import PointError, ProjectivePoint
+
     try:
         return ProjectivePoint.parse(text)
     except PointError as exc:
@@ -167,7 +174,9 @@ def load_points(path: str) -> list:
     return [_parse_point(e) for e in _list(_load_json(path), "points file")]
 
 
-def load_stability(path: str) -> StabilityInstance:
+def load_stability(path: str):
+    from .stability import StabilityInstance, Subspace
+
     data = _load_json(path)
     _check_keys(data, {"N", "d", "weights", "points", "incidences",
                        "fixed_point_flags"}, {"N", "d", "weights"},
@@ -200,11 +209,15 @@ def _cmd_portrait_validate(p):
 
 
 def _cmd_portrait_aut(p):
+    from .portraits import automorphism_group, group_is_cyclic
+
     auts = automorphism_group(p)
     return {"order": len(auts), "cyclic": group_is_cyclic(auts)}
 
 
 def _cmd_portrait_stats(p):
+    from .portraits import portrait_statistics
+
     stats = portrait_statistics(p)
     return {"D": stats.max_preimage_count,
             "C": {str(n): c for n, c in sorted(stats.exact_period_counts.items())},
@@ -214,12 +227,16 @@ def _cmd_portrait_stats(p):
 
 
 def _cmd_portrait_nonempty(p, degree, dim):
+    from .moduli import unweighted_nonempty
+
     ok = unweighted_nonempty(p, degree, dim)
     return {"nonempty": ok,
             "verdict": "nonempty-certified" if ok else "empty-certified"}
 
 
 def _cmd_portrait_dim(p, degree, dim):
+    from .moduli import expected_dimension
+
     report = expected_dimension(p, degree, dim)
     return {"dim_end": report.dim_end,
             "dim_moduli": report.dim_moduli,
@@ -228,6 +245,8 @@ def _cmd_portrait_dim(p, degree, dim):
 
 
 def _cmd_portrait_conditions(p, degree):
+    from .moduli import weighted_necessary_conditions
+
     rep = weighted_necessary_conditions(p, degree)
     return {"I": rep.preimage_weights,
             "II": rep.ramification,
@@ -236,21 +255,27 @@ def _cmd_portrait_conditions(p, degree):
 
 
 def _cmd_portrait_sp(p):
+    from .portraits import sp_relations
+
     rels = sp_relations(p)
     return {"count": len(rels),
             "relations": [{"i": r.i, "j": r.j, "m": r.m, "n": r.n} for r in rels]}
 
 
 def _cmd_portrait_frame(p, degree):
+    from .portraits import frame
+
     return portrait_json(frame(p, degree))
 
 
 def _cmd_portrait_fibers(p, p_prime, degree, dim):
+    from .moduli import fiber_image_dims
+
     return fiber_image_dims(p_prime, p, degree, dim)
 
 
 def _cmd_dyn_eval(f, point):
-    return {"point": str(f.evaluate(point))}
+    return {"point": _text(f.evaluate(point))}
 
 
 def _cmd_dyn_multiplicity(f, point):
@@ -260,14 +285,14 @@ def _cmd_dyn_multiplicity(f, point):
 def _cmd_dyn_crit(f):
     w, roots = f.critical_divisor()
     return {"degree": len(w) - 1,
-            "wronskian": [str(c) for c in w],
-            "roots": [{"point": str(p), "multiplicity": m} for p, m in roots]}
+            "wronskian": [_text(c) for c in w],
+            "roots": [{"point": _text(p), "multiplicity": m} for p, m in roots]}
 
 
 def _cmd_dyn_dynatomic(f, n):
     form = f.dynatomic(n)
     return {"n": n, "degree": len(form) - 1,
-            "coefficients": [str(c) for c in form]}
+            "coefficients": [_text(c) for c in form]}
 
 
 def _assignment(points, portrait) -> dict:
@@ -278,6 +303,8 @@ def _assignment(points, portrait) -> dict:
 
 
 def _cmd_dyn_verify(f, points, portrait):
+    from .maps import Model, verify_model
+
     result = verify_model(f, portrait, _assignment(points, portrait))
     if isinstance(result, Model):
         return {"ok": True}
@@ -285,12 +312,17 @@ def _cmd_dyn_verify(f, points, portrait):
 
 
 def _cmd_dyn_extract(f, points):
+    from .maps import extract_portrait
+
     portrait, assignment = extract_portrait(f, points)
     return {"portrait": portrait_json(portrait),
-            "assignment": {v: str(q) for v, q in sorted(assignment.items())}}
+            "assignment": {v: _text(q) for v, q in sorted(assignment.items())}}
 
 
 def _cmd_dyn_reduce(f, prime, points, portrait):
+    from .portraits import Portrait
+    from .reduction import good_reduction
+
     if points is None:
         rep = good_reduction(f, {}, Portrait([], {}), prime)
         return {"prime": rep.prime, "map_good": rep.map_good,
@@ -301,26 +333,36 @@ def _cmd_dyn_reduce(f, prime, points, portrait):
 
 
 def _cmd_mod_nu(degree, dim, n, m):
+    from .moduli import nu, nu_pre
+
     return {"nu": nu(degree, dim, n) if m is None else nu_pre(degree, dim, m, n)}
 
 
 def _cmd_mod_multipliers(f, n):
+    from .moduli import multiplier_polynomial
+
     data = multiplier_polynomial(f, n)
     return {"n": data.period, "degree": data.degree,
-            "poly": [str(c) for c in data.poly],
-            "symmetric_functions": [str(c) for c in data.symmetric_functions]}
+            "poly": [_text(c) for c in data.poly],
+            "symmetric_functions": [_text(c) for c in data.symmetric_functions]}
 
 
 def _cmd_mod_milnor(f):
+    from .moduli import milnor_coordinates
+
     s1, s2 = milnor_coordinates(f)
-    return {"s1": str(s1), "s2": str(s2)}
+    return {"s1": _text(s1), "s2": _text(s2)}
 
 
 def _cmd_mod_ueda(f, k):
-    return {"k": k, "sum": str(ueda_sum(f, k))}
+    from .moduli import ueda_sum
+
+    return {"k": k, "sum": _text(ueda_sum(f, k))}
 
 
 def _cmd_git_stability(instance):
+    from .stability import verdict
+
     v = verdict(instance)
     return {"semistable": v.semistable, "stable": v.stable,
             "witnesses": {k: v.witnesses[k] for k in sorted(v.witnesses)}}
@@ -338,7 +380,8 @@ def _arg(*flags, load=None, **options):
 
 _PORTRAIT = _arg("file", load="load_portrait")
 _MAP = _arg("map", load="load_map")
-_POINT = _arg("--point", required=True, load="load_point")
+_POINT = _arg("--point", required=True, load="load_point",
+              help="a rational or inf; give a negative one as --point=-1/2")
 _POINTS = _arg("points", load="load_points")
 _DEGREE = _arg("--degree", type=int, required=True)
 _DIM = _arg("--dim", type=int, required=True)
@@ -425,7 +468,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(json.dumps(result, indent=2) + "\n")

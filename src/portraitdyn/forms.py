@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import DomainError
+
 Form = tuple  # tuple of int (or Fraction) coefficients, X^D first
 
 X: Form = (1, 0)
@@ -22,7 +24,7 @@ Y: Form = (0, 1)
 ONE: Form = (1,)
 
 
-class FormError(ValueError):
+class FormError(DomainError):
     pass
 
 

@@ -6,18 +6,17 @@ resultant, acting on the projective line by z = X/Y -> f0(X,Y)/f1(X,Y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import forms
+from . import DomainError, forms
 from .portraits import Portrait, PortraitError, PortraitMorphism, PreperiodicType
 from .projective import ProjectivePoint
 
 DEGREE_CAP = 4096
 
 
-class MapError(ValueError):
+class MapError(DomainError):
     pass
 
 
@@ -270,8 +269,7 @@ def chart_avoiding(bad, count: int):
 # -- portrait models ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A rational map together with a point assignment realizing a portrait."""
 
     map: RationalMap
@@ -282,8 +280,7 @@ class Model:
         return tuple(self.assignment[v] for v in sorted(self.assignment))
 
 
-@dataclass(frozen=True)
-class ModelFailure:
+class ModelFailure(NamedTuple):
     problems: tuple
 
     def __bool__(self):

@@ -4,16 +4,16 @@ spaces, and the fixed/periodic-point multiplier layer for maps on P^1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
+from typing import NamedTuple
 
-from . import forms
+from . import DomainError, forms
 from .maps import MapError, RationalMap, chart_avoiding
 from .portraits import Portrait, is_subportrait, portrait_statistics
 
 
-class ModuliError(ValueError):
+class ModuliError(DomainError):
     pass
 
 
@@ -67,8 +67,7 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
                for n in stats.exact_period_counts)
 
 
-@dataclass(frozen=True)
-class NecessaryConditions:
+class NecessaryConditions(NamedTuple):
     preimage_weights: bool       # (I)   max total weight over a fiber <= d
     ramification: bool           # (II)  sum (weight - 1) <= 2d - 2
     period_counts: dict          # (III) exact-period-n count <= nu(n)
@@ -92,8 +91,7 @@ def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
                                cond1 and cond2 and all(cond3.values()))
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     dim_end: object              # int or None when the space is empty
     dim_moduli: object
     nonempty_verdict: str        # empty-certified | nonempty-certified | necessary-conditions-hold
@@ -147,8 +145,7 @@ def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:
 # -- multipliers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplierData:
+class MultiplierData(NamedTuple):
     period: int
     poly: tuple                  # monic, Fraction coefficients, descending
     symmetric_functions: tuple   # elementary symmetric values of the roots
@@ -313,8 +310,7 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
 # -- worked families used as exact regression fixtures --------------------
 
 
-@dataclass(frozen=True)
-class CubicFixedFamily:
+class CubicFixedFamily(NamedTuple):
     map: RationalMap
     resultant: Fraction
     fourth_fixed_multiplier: Fraction
@@ -338,8 +334,7 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     return CubicFixedFamily(fmap, Fraction(res), mult)
 
 
-@dataclass(frozen=True)
-class SurfaceMembership:
+class SurfaceMembership(NamedTuple):
     on_surface: bool
     surface_value: Fraction
     symmetric_form_value: Fraction

@@ -9,11 +9,12 @@ combinatorial and exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional
 
+from . import DomainError
 
-class PortraitError(ValueError):
+
+class PortraitError(DomainError):
     pass
 
 
@@ -202,17 +203,19 @@ class Portrait:
                         {v: w for v, w in self.weights.items() if v in keep})
 
 
-@dataclass(frozen=True)
-class PortraitMorphism:
-    """Injective, domain- and weight-compatible vertex map between portraits."""
-
+class _Morphism(NamedTuple):
     source: Portrait
     target: Portrait
-    mapping: dict = field(hash=False)
+    mapping: dict
 
-    def __post_init__(self):
-        m = self.mapping
-        src, tgt = self.source, self.target
+
+class PortraitMorphism(_Morphism):
+    """Injective, domain- and weight-compatible vertex map between portraits."""
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, mapping):
+        m, src, tgt = mapping, source, target
         if set(m) != set(src.vertices):
             raise PortraitError("morphism must be defined on every vertex")
         if len(set(m.values())) != len(m):
@@ -226,6 +229,16 @@ class PortraitMorphism:
                 raise PortraitError("morphism must be equivariant")
             if tgt.weight(m[v]) < src.weight(v):
                 raise PortraitError("morphism must not decrease weights")
+        return tuple.__new__(cls, (source, target, mapping))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
+
+    def __hash__(self):
+        # the mapping dict takes part in equality but not in the hash
+        return hash((self.source, self.target))
 
     def __call__(self, v: str) -> str:
         return self.mapping[v]
@@ -405,8 +418,7 @@ def ge(p_prime: Portrait, p: Portrait) -> bool:
                                domain_exact=True))
 
 
-@dataclass(frozen=True)
-class PortraitStatistics:
+class PortraitStatistics(NamedTuple):
     max_preimage_count: int          # D_P
     exact_period_counts: dict        # n -> C_P(n), for 1 <= n <= #V
     zeta: int                        # #(V \ V0)

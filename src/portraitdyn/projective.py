@@ -2,30 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
+
+from . import DomainError
 
 
-class PointError(ValueError):
+class PointError(DomainError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ProjectivePoint:
-    """A point [x : y] of P^1(Q) with gcd(|x|,|y|) = 1 and y > 0, or (1, 0)."""
-
+class _Coordinates(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self):
-        if self.x == 0 and self.y == 0:
+
+class ProjectivePoint(_Coordinates):
+    """A point [x : y] of P^1(Q) with gcd(|x|,|y|) = 1 and y > 0, or (1, 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        if x == 0 and y == 0:
             raise PointError("(0, 0) is not a projective point")
-        g = gcd(abs(self.x), abs(self.y))
-        if g != 1:
+        if gcd(abs(x), abs(y)) != 1:
             raise PointError("coordinates are not primitive")
-        if self.y < 0 or (self.y == 0 and self.x != 1):
+        if y < 0 or (y == 0 and x != 1):
             raise PointError("coordinates are not sign-normalized")
+        return tuple.__new__(cls, (x, y))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @staticmethod
     def of(x, y) -> "ProjectivePoint":

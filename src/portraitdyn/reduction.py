@@ -9,7 +9,7 @@ for the reduced map over F_p (star).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import forms
 from .maps import MapError, RationalMap
@@ -17,8 +17,7 @@ from .portraits import Portrait
 from .projective import ProjectivePoint
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     prime: int
     map_good: bool
     bullet: bool

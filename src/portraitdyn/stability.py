@@ -10,22 +10,22 @@ so verdicts are three-valued: certified-yes, certified-no, indeterminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from . import DomainError
 
 YES = "certified-yes"
 NO = "certified-no"
 UNDECIDED = "indeterminate"
 
 
-class StabilityError(ValueError):
+class StabilityError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A proper linear subspace described by its dimension and the
     indices (1-based) of the marked points it contains."""
 
@@ -40,8 +40,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class StabilityInstance:
+class _Instance(NamedTuple):
     N: int
     d: int
     weights: tuple                      # (m0, m1, ..., mn)
@@ -49,7 +48,12 @@ class StabilityInstance:
     incidences: tuple = ()              # Subspace descriptors, general N
     fixed_point_flags: Optional[tuple] = None
 
-    def __post_init__(self):
+
+class StabilityInstance(_Instance):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(_is_int(v) for v in (self.N, self.d, *self.weights)):
             raise StabilityError("N, d and the weights must be integers")
         if self.N < 1 or self.d < 2:
@@ -64,6 +68,12 @@ class StabilityInstance:
                 raise StabilityError(f"subspace dimension {sub.dim} out of range")
             if any(not 1 <= i <= n for i in sub.members):
                 raise StabilityError("incidence refers to a missing point index")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def n_points(self) -> int:
@@ -78,11 +88,14 @@ class StabilityInstance:
         return sum(self.weights[1:])
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     semistable: str
     stable: str
-    witnesses: dict = field(hash=False)
+    witnesses: dict
+
+    def __hash__(self):
+        # the witnesses dict takes part in equality but not in the hash
+        return hash((self.semistable, self.stable))
 
 
 def cd_values(inst: StabilityInstance, subspace: Subspace, eps) -> tuple:

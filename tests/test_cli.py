@@ -195,6 +195,34 @@ def test_dyn_eval_and_multiplicity(capsys, square_map):
     assert code == 0 and json.loads(out) == {"multiplicity": 2}
 
 
+def test_negative_and_infinite_points_in_option_form(capsys, square_map):
+    # argparse reads "-1/2" after a separate --point as an option, so a
+    # negative point is given as --point=-1/2
+    code, out = run_cli(capsys, "dyn", "eval", square_map, "--point=-1/2")
+    assert code == 0 and json.loads(out) == {"point": "1/4"}
+    code, out = run_cli(capsys, "dyn", "multiplicity", square_map, "--point=inf")
+    assert code == 0 and json.loads(out) == {"multiplicity": 2}
+    code, out = run_cli(capsys, "dyn", "eval", square_map, "--point=inf")
+    assert code == 0 and json.loads(out) == {"point": "inf"}
+
+
+def test_answers_past_the_digit_limit_exit_one(capsys, tmp_path):
+    # 10^4000 z^2 is a valid map (4,001 digits); its value at a 201-digit
+    # point and its period-2 dynatomic coefficients are longer than the
+    # 4,300 digits Python converts to a string
+    huge = write(tmp_path, "huge.json", {
+        "degree": 2, "numerator": ["1" + "0" * 4000, "0", "0"],
+        "denominator": ["0", "0", "1"]})
+    limit = sys.get_int_max_str_digits()
+    for argv in (["dyn", "eval", huge, "--point", "1" + "0" * 200],
+                 ["dyn", "dynatomic", huge, "-n", "2"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert run_cli.err == (f"error: answer too long to print: it has an integer of "
+                               f"more than {limit} digits, Python's limit for "
+                               "converting an integer to a string\n")
+
+
 def test_dyn_crit(capsys, square_map):
     code, out = run_cli(capsys, "dyn", "crit", square_map)
     doc = json.loads(out)
@@ -273,17 +301,39 @@ def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
                            "exceeds cap 1000000000000000000000000\n")
 
 
-def test_runtime_does_not_import_sympy(square_map):
+@pytest.mark.parametrize("argv,modules", [
+    (None, {"cli"}),
+    (["portrait", "stats", "PORTRAIT"], {"cli", "portraits"}),
+    (["dyn", "eval", "MAP", "--point", "2"],
+     {"cli", "forms", "maps", "portraits", "projective"}),
+    (["mod", "multipliers", "MAP", "-n", "2"],
+     {"cli", "forms", "maps", "moduli", "portraits", "projective"}),
+    (["git", "stability", "CONFIG"], {"cli", "projective", "stability"}),
+], ids=["import", "portrait-stats", "dyn-eval", "mod-multipliers", "git-stability"])
+def test_command_imports_only_its_modules(tmp_path, square_map, argv, modules):
+    """A fresh `import portraitdyn.cli` loads no other package module, no
+    dataclasses and no sympy; a command then loads exactly its modules."""
+    files = {"MAP": square_map, "PORTRAIT": write(tmp_path, "p.json", _TWO_FIXED),
+             "CONFIG": write(tmp_path, "c.json", STABILITY_OK)}
+    argv = argv and [files.get(a, a) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys, portraitdyn.cli as cli\n"
-            "assert 'sympy' not in sys.modules\n"
-            f"assert cli.main(['mod', 'multipliers', {square_map!r}, '-n', '2']) == 0\n"
-            "assert 'sympy' not in sys.modules\n")
+    code = ("import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
+            "import portraitdyn.cli as cli\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+    loaded = json.loads(proc.stdout)
+    assert {m.split(".", 1)[1] for m in loaded if m.startswith("portraitdyn.")} == modules
+    assert "dataclasses" not in loaded
+    assert not any(m == "sympy" or m.startswith("sympy.") for m in loaded)
 
 
 def test_git_stability(capsys, tmp_path):
@@ -580,8 +630,8 @@ def _materialize(tmp, name, content) -> str:
 
 
 _OTHER_COMMANDS = [
-    ("dyn", "eval", "MAP", "--point", "POINT"),
-    ("dyn", "multiplicity", "MAP", "--point", "POINT"),
+    ("dyn", "eval", "MAP", "--point=POINT"),
+    ("dyn", "multiplicity", "MAP", "--point=POINT"),
     ("dyn", "crit", "MAP"),
     ("dyn", "dynatomic", "MAP", "-n", "N"),
     ("dyn", "verify", "MAP", "POINTS", "PORTRAIT"),
@@ -625,9 +675,9 @@ _ZERO_POINT = json.dumps({**STABILITY_OK, "points": [["0", "0"]]}).encode()
                               "POINTS": _contents(points_documents()),
                               "PORTRAIT": _contents(portrait_documents()),
                               "CONFIG": _contents(stability_documents())}),
-       st.one_of(st.sampled_from(["0", "2", "1/2", "inf", " inf ", "1/0", "abc", ""]),
-                 # argparse would read a text starting with "-" as an option
-                 st.text(max_size=3).filter(lambda s: not s.startswith("-"))),
+       st.one_of(st.sampled_from(["0", "2", "1/2", "-1/2", "inf", " inf ", "1/0", "abc",
+                                  ""]),
+                 st.text(max_size=3)),
        st.fixed_dictionaries({"D": st.integers(-1, 4), "DIM": st.integers(-2, 3),
                               "N": st.integers(-1, 3), "M": st.integers(-1, 3),
                               "K": st.sampled_from([0, 1]),
@@ -636,7 +686,8 @@ def test_dyn_mod_git_commands_on_random_files(template, contents, point, numbers
     with tempfile.TemporaryDirectory() as tmp:
         paths = {key: _materialize(tmp, key.lower(), content)
                  for key, content in contents.items() if key in template}
-        values = {**paths, "POINT": point, **{k: str(v) for k, v in numbers.items()}}
+        values = {**paths, "--point=POINT": f"--point={point}",
+                  **{k: str(v) for k, v in numbers.items()}}
         _check_run([values.get(a, a) for a in template])
 
 
