@@ -5,14 +5,17 @@ Example:
     python scripts/find_model.py portrait.json --degree 2 --bound 5
 
 The portrait file uses the same JSON schema as the CLI.  Prints the first
-model found in increasing coefficient height, or reports failure.
+model found in increasing coefficient height, or reports failure.  Like
+the CLI, a malformed input exits 2 and a domain error exits 1, each with
+one `error: ...` line on stderr.
 """
 
 import argparse
 import json
 import sys
 
-from portraitdyn.cli import load_portrait, map_json
+from portraitdyn import DomainError
+from portraitdyn.cli import SchemaError, load_portrait, map_json, report_error
 from portraitdyn.search import search_periodic_model
 
 
@@ -24,8 +27,10 @@ def main():
                         help="sup-norm bound on integer coefficients (default 5)")
     args = parser.parse_args()
 
-    portrait = load_portrait(args.portrait)
-    model = search_periodic_model(portrait, args.degree, args.bound)
+    try:
+        model = search_periodic_model(load_portrait(args.portrait), args.degree, args.bound)
+    except (SchemaError, DomainError) as exc:
+        return report_error(exc)
     if model is None:
         print(json.dumps({"found": False, "bound": args.bound}))
         return 1

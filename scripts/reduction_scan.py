@@ -3,14 +3,37 @@
 
 Example:
     python scripts/reduction_scan.py map.json points.json portrait.json --max-prime 50
+
+The files use the same JSON schemas as the CLI, and the points pair in
+order with the portrait's vertices.  Like the CLI, a malformed input
+exits 2 and a domain error exits 1, each with one `error: ...` line on
+stderr.
 """
 
 import argparse
 import json
+import sys
 
-from portraitdyn.cli import load_map, load_points, load_portrait
+from portraitdyn import DomainError
+from portraitdyn.cli import SchemaError, load_map, load_points, load_portrait, report_error
 from portraitdyn.forms import is_prime
 from portraitdyn.reduction import good_reduction
+
+
+def scan(args) -> list:
+    f = load_map(args.map)
+    points = load_points(args.points)
+    portrait = load_portrait(args.portrait)
+    if len(points) != len(portrait.vertices):
+        raise SchemaError("points file length must match the vertex count")
+    assignment = dict(zip(portrait.vertices, points))
+
+    rows = []
+    for p in filter(is_prime, range(2, args.max_prime + 1)):
+        rep = good_reduction(f, assignment, portrait, p)
+        rows.append({"prime": p, "map_good": rep.map_good,
+                     "bullet": rep.bullet, "circ": rep.circ, "star": rep.star})
+    return rows
 
 
 def main():
@@ -21,18 +44,13 @@ def main():
     parser.add_argument("--max-prime", type=int, default=50)
     args = parser.parse_args()
 
-    f = load_map(args.map)
-    points = load_points(args.points)
-    portrait = load_portrait(args.portrait)
-    assignment = dict(zip(portrait.vertices, points))
-
-    rows = []
-    for p in filter(is_prime, range(2, args.max_prime + 1)):
-        rep = good_reduction(f, assignment, portrait, p)
-        rows.append({"prime": p, "map_good": rep.map_good,
-                     "bullet": rep.bullet, "circ": rep.circ, "star": rep.star})
+    try:
+        rows = scan(args)
+    except (SchemaError, DomainError) as exc:
+        return report_error(exc)
     print(json.dumps(rows, indent=2))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

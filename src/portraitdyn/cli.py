@@ -459,18 +459,21 @@ def _load(specs, args) -> list:
     return values
 
 
+def report_error(exc: SchemaError | DomainError) -> int:
+    """Print the one-line message of a schema or domain error to stderr and
+    return its exit code: 2 for a SchemaError, 1 for a DomainError."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, SchemaError) else 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     specs, handler = COMMANDS[args.group][args.cmd]
     try:
         result = handler(*_load(specs, args))
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (SchemaError, DomainError) as exc:
+        return report_error(exc)
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return 0
 

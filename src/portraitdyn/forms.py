@@ -156,6 +156,8 @@ def _integral(f):
     """(F, den): the integer form F = den * f, den the least common
     denominator of the coefficients of f, which may be anything
     Fraction accepts."""
+    if all(type(c) is int for c in f):
+        return tuple(f), 1
     f = [c if type(c) is int else Fraction(c) for c in f]
     den = 1
     for c in f:

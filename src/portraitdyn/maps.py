@@ -178,18 +178,22 @@ class RationalMap:
         if self.degree ** n > DEGREE_CAP:
             raise MapError(f"degree {self.degree ** n} exceeds cap {DEGREE_CAP}")
         cache = self._cache.setdefault("dynatomic", {})
-        if n not in cache:
-            num, den = forms.ONE, forms.ONE
-            for k in forms.divisors(n):
-                mu = forms.mobius(n // k)
-                if mu == 0:
-                    continue
-                gk = self.fixed_point_form(k)
-                if mu == 1:
-                    num = forms.mul(num, gk)
-                else:
-                    den = forms.mul(den, gk)
-            cache[n] = forms.integerize(forms.exact_div(num, den))
+        if n in cache:
+            return cache[n]
+        if n == 1:      # the fixed-point form is already primitive
+            cache[n] = self.fixed_point_form(1)
+            return cache[n]
+        num, den = forms.ONE, forms.ONE
+        for k in forms.divisors(n):
+            mu = forms.mobius(n // k)
+            if mu == 0:
+                continue
+            gk = self.fixed_point_form(k)
+            if mu == 1:
+                num = forms.mul(num, gk)
+            else:
+                den = forms.mul(den, gk)
+        cache[n] = forms.integerize(forms.exact_div(num, den))
         return cache[n]
 
     def formal_period(self, p: ProjectivePoint, n: int) -> bool:

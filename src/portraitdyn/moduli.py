@@ -6,11 +6,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import DomainError, forms
-from .maps import MapError, RationalMap, chart_avoiding
 from .portraits import Portrait, is_subportrait, portrait_statistics
+
+# The counting functions need no maps; the multiplier, Milnor, Ueda and
+# cubic-family functions import `maps` when they run.
+if TYPE_CHECKING:
+    from .maps import RationalMap
 
 
 class ModuliError(DomainError):
@@ -185,6 +189,8 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     of the powers of h (Newton's identities).  Cached per map and period;
     raises MapError when nu exceeds MULTIPLIER_CAP.
     """
+    from .maps import MapError, chart_avoiding
+
     cache = f._cache.setdefault("multipliers", {})
     if n in cache:
         return cache[n]
@@ -237,8 +243,9 @@ def _inverse(p, mod):
     while True:
         while r1 and r1[0] == 0:
             r1.pop(0)
-        if not r1:
-            raise MapError("multiplier chart: b is not a unit")  # pragma: no cover
+        if not r1:  # pragma: no cover
+            from .maps import MapError
+            raise MapError("multiplier chart: b is not a unit")
         if len(r1) == 1:
             break
         lc, steps = r1[0], len(r0) - len(r1) + 1
@@ -281,6 +288,8 @@ def _charpoly(h, t, mod) -> tuple:
 def milnor_coordinates(f: RationalMap):
     """(s1, s2): the first two elementary symmetric functions of the three
     fixed-point multipliers of a degree-2 map."""
+    from .maps import MapError
+
     if f.degree != 2:
         raise MapError("Milnor coordinates are defined for degree 2 only")
     data = multiplier_polynomial(f, 1)
@@ -297,6 +306,8 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
     sum lambda / (1 - lambda) = P'(1) / P(1) - deg P,
     so no splitting field is ever constructed.
     """
+    from .maps import MapError
+
     if k not in (0, 1):
         raise ModuliError("only k in {0, 1} is meaningful on P^1")
     data = multiplier_polynomial(f, 1)
@@ -321,6 +332,8 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     0, 1, infinity each with multiplicity 2; returns the exact resultant
     of the parameterized coefficient pair and the multiplier at the
     fourth fixed point 2 + b/a."""
+    from .maps import RationalMap
+
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ModuliError("the family needs a != 0")

@@ -27,10 +27,64 @@ class ReductionReport(NamedTuple):
 
 def reduce_point(p: ProjectivePoint, prime: int):
     """Canonical representative of the point in P^1(F_p)."""
-    x, y = p.x % prime, p.y % prime
+    return _reduce(p.x, p.y, prime)
+
+
+def _reduce(x: int, y: int, prime: int):
+    x, y = x % prime, y % prime
     if y != 0:
         return ((x * pow(y, -1, prime)) % prime, 1)
     return (1, 0)
+
+
+def periods_mod_p(f: RationalMap, prime: int) -> set:
+    """The exact periods of the cycles of the reduced map on P^1(F_p)."""
+    if f.resultant % prime == 0:
+        raise MapError(f"map does not reduce to a morphism mod {prime}")
+    # point i is (i : 1) for i < p and (1 : 0) for i = p; image[i] is the
+    # index of its image under the reduced map
+    values = []
+    for x in range(prime):
+        u = v = 0
+        for a, b in zip(f.f0, f.f1):       # Horner at (x : 1)
+            u, v = u * x + a, v * x + b
+        values.append((u, v))
+    values.append((f.f0[0], f.f1[0]))
+    image = [x if y else prime for x, y in (_reduce(u, v, prime) for u, v in values)]
+    periods = set()
+    state = [0] * (prime + 1)     # 0 unseen, 1 on the current path, 2 done
+    for start in range(prime + 1):
+        path, i = [], start
+        while state[i] == 0:
+            state[i] = 1
+            path.append(i)
+            i = image[i]
+        if state[i] == 1:
+            periods.add(len(path) - path.index(i))
+        for j in path:
+            state[j] = 2
+    return periods
+
+
+def admits_period(f: RationalMap, n: int, prime: int) -> bool:
+    """Whether reduction mod a prime of good reduction allows a rational
+    point of exact period n.
+
+    Morton and Silverman (IMRN 1994, Thm 1.1): if P has exact period n,
+    the reduced point has exact period m and its multiplier has order r
+    in F_p^*, then n = m, n = m r or n = m r p^e.  Since r divides p - 1,
+    some period m of the reduced map must divide n with n/m = r p^e for
+    some r | p - 1 and e >= 0.  This needs no multipliers.
+    """
+    for m in periods_mod_p(f, prime):
+        if n % m:
+            continue
+        k = n // m
+        while k % prime == 0:
+            k //= prime
+        if (prime - 1) % k == 0:
+            return True
+    return False
 
 
 def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):

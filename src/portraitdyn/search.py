@@ -13,9 +13,12 @@ from math import gcd
 from typing import Optional
 
 from . import forms
-from .maps import Model, RationalMap, verify_model
+from .maps import DEGREE_CAP, MapError, Model, RationalMap, verify_model
 from .portraits import Portrait, PortraitError
 from .projective import ProjectivePoint
+from .reduction import admits_period
+
+_SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
 
 def portrait_cycles(p: Portrait) -> list:
@@ -58,12 +61,7 @@ def _coefficient_pairs(degree: int, bound: int):
     width = 2 * degree + 2
     for h in range(1, bound + 1):
         for tup in itertools.product(range(-h, h + 1), repeat=width):
-            if max(abs(c) for c in tup) != h:
-                continue
-            g = 0
-            for c in tup:
-                g = gcd(g, abs(c))
-            if g != 1:
+            if (h not in tup and -h not in tup) or gcd(*tup) != 1:
                 continue
             lead = next(c for c in tup if c != 0)
             if lead < 0:
@@ -77,11 +75,29 @@ def search_periodic_model(portrait: Portrait, degree: int,
 
     The portrait must be a disjoint union of cycles.  Returns None when
     no map with coefficients of sup-norm at most `coeff_bound` works.
+
+    Each candidate map first passes a reduction screen for every cycle
+    length n >= 3, at the primes 3, 5, 7, 11 and 13 that do not divide
+    its resultant: by Morton and Silverman (IMRN 1994, Thm 1.1), a
+    rational point of exact period n needs, at each such prime p, a
+    cycle of the reduced map on P^1(F_p) whose length m divides n with
+    n/m = r p^e, r | p - 1 (`reduction.admits_period`).  The screen only
+    drops maps without a rational n-cycle, so it never changes the
+    answer.  Then the rational cycles are found one length at a time,
+    shortest first, and the map is dropped at the first length with too
+    few of them.
     """
+    if degree < 2:
+        raise MapError("degree must be at least 2")
+    if coeff_bound < 0:
+        raise MapError("coefficient bound must be nonnegative")
     cycles = portrait_cycles(portrait)
     by_len = {}
     for cyc in cycles:
         by_len.setdefault(len(cyc), []).append(cyc)
+    longest = max(by_len, default=1)
+    if degree ** longest > DEGREE_CAP:      # no dynatomic form of that period
+        raise MapError(f"degree {degree ** longest} exceeds cap {DEGREE_CAP}")
     for f0, f1 in _coefficient_pairs(degree, coeff_bound):
         if forms.resultant(f0, f1) == 0:
             continue
@@ -92,9 +108,17 @@ def search_periodic_model(portrait: Portrait, degree: int,
     return None
 
 
+def _screened_out(f: RationalMap, n: int) -> bool:
+    """Whether reduction at some good prime in _SIEVE_PRIMES rules out a
+    rational point of exact period n (see `reduction.admits_period`)."""
+    return any(f.resultant % p and not admits_period(f, n, p) for p in _SIEVE_PRIMES)
+
+
 def _match_cycles(f, portrait, by_len):
+    if any(length >= 3 and _screened_out(f, length) for length in by_len):
+        return None
     available = {}
-    for length, wanted in by_len.items():
+    for length, wanted in sorted(by_len.items()):
         found = rational_cycles(f, length)
         if len(found) < len(wanted):
             return None

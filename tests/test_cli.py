@@ -306,10 +306,13 @@ def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
     (["portrait", "stats", "PORTRAIT"], {"cli", "portraits"}),
     (["dyn", "eval", "MAP", "--point", "2"],
      {"cli", "forms", "maps", "portraits", "projective"}),
+    (["mod", "nu", "--degree", "2", "--dim", "1", "-n", "3"],
+     {"cli", "forms", "moduli", "portraits"}),
     (["mod", "multipliers", "MAP", "-n", "2"],
      {"cli", "forms", "maps", "moduli", "portraits", "projective"}),
     (["git", "stability", "CONFIG"], {"cli", "projective", "stability"}),
-], ids=["import", "portrait-stats", "dyn-eval", "mod-multipliers", "git-stability"])
+], ids=["import", "portrait-stats", "dyn-eval", "mod-nu", "mod-multipliers",
+        "git-stability"])
 def test_command_imports_only_its_modules(tmp_path, square_map, argv, modules):
     """A fresh `import portraitdyn.cli` loads no other package module, no
     dataclasses and no sympy; a command then loads exactly its modules."""

@@ -26,7 +26,8 @@ EXPORTS = {
     "projective": ["PointError", "ProjectivePoint"],
     "maps": ["MapError", "Model", "ModelFailure", "RationalMap", "extract_portrait",
              "pullback_model", "verify_model"],
-    "reduction": ["ReductionReport", "good_reduction", "multiplicity_mod_p"],
+    "reduction": ["ReductionReport", "admits_period", "good_reduction", "multiplicity_mod_p",
+                  "periods_mod_p"],
     "moduli": ["DimensionReport", "ModuliError", "MultiplierData", "NecessaryConditions",
                "cubic_three_double_fixed_family", "dim_end", "dim_moduli_space",
                "doubly_critical_three_cycle_surface", "expected_dimension",
@@ -43,7 +44,7 @@ SUBMODULES = ["forms", "maps", "moduli", "portraits", "projective", "reduction",
 
 def test_all_lists_the_exported_names_and_submodules():
     names = [n for names in EXPORTS.values() for n in names]
-    assert len(names) == 62
+    assert len(names) == 64
     assert portraitdyn.__all__ == sorted(names + SUBMODULES)
     assert set(portraitdyn.__all__) <= set(dir(portraitdyn))
 

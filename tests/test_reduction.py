@@ -5,7 +5,9 @@ import sympy
 
 from conftest import multiplicity_probes, random_rational_map, reference_multiplicity
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
-                         extract_portrait, good_reduction, multiplicity_mod_p)
+                         admits_period, extract_portrait, good_reduction, multiplicity_mod_p,
+                         periods_mod_p)
+from portraitdyn.reduction import reduce_point
 
 Z2_MINUS_1 = RationalMap.polynomial([1, 0, -1])
 TWO_CYCLE = Portrait(["p", "q"], {"p": "q", "q": "p"}, {"p": 2})
@@ -132,3 +134,47 @@ def test_good_reduction_rejects_partial_assignment():
     portrait = Portrait(["a", "b"], {})
     with pytest.raises(MapError):
         good_reduction(Z2_MINUS_1, {"a": ProjectivePoint.affine(0)}, portrait, 5)
+
+
+def _periods_by_orbits(f, prime):
+    """Cycle lengths on P^1(F_p), iterating f over Q and reducing each image."""
+    points = [ProjectivePoint.of(x, 1) for x in range(prime)] + [ProjectivePoint.infinity()]
+    by_residue = {reduce_point(q, prime): q for q in points}
+
+    def step(q):
+        return by_residue[reduce_point(f.evaluate(q), prime)]
+
+    periods = set()
+    for q in points:
+        for _ in range(prime + 1):      # now on a cycle
+            q = step(q)
+        r, n = step(q), 1
+        while r != q:
+            r, n = step(r), n + 1
+        periods.add(n)
+    return periods
+
+
+def test_periods_mod_p_match_orbits():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(40):
+        f = random_rational_map(rng, rng.choice((2, 3)))
+        for prime in (2, 3, 5, 7, 11, 13):
+            if f.resultant % prime:
+                assert periods_mod_p(f, prime) == _periods_by_orbits(f, prime), (f, prime)
+                checked += 1
+    assert checked > 150
+    # z^2 - 1 mod 5: 0 <-> 4, 3 and infinity fixed, 1 -> 0, 2 -> 3
+    assert periods_mod_p(Z2_MINUS_1, 5) == {1, 2}
+
+
+def test_periods_mod_p_rejects_bad_prime():
+    with pytest.raises(MapError):
+        periods_mod_p(RationalMap([1, 0, 0], [0, 0, 3]), 3)
+
+
+def test_admits_period_at_one_prime():
+    # z^2 - 1 mod 5 has periods m = 1, 2; n passes when some m divides it and
+    # n/m with its factors 5 removed divides 4
+    assert [n for n in range(1, 9) if admits_period(Z2_MINUS_1, n, 5)] == [1, 2, 4, 5, 8]

@@ -4,16 +4,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args, hash_seed="0") -> bytes:
+def _script(name, *args, hash_seed="0", check=True):
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, check=True, timeout=120).stdout
+        env=env, capture_output=True, check=check, timeout=120)
+
+
+def _run_script(name, *args, hash_seed="0") -> bytes:
+    return _script(name, *args, hash_seed=hash_seed).stdout
 
 
 def test_enumeration_output_is_independent_of_the_hash_seed():
@@ -38,3 +44,39 @@ def test_reduction_scan_output(tmp_path):
     rows = [{"prime": p, "map_good": True, "bullet": True, "circ": True,
              "star": p != 2} for p in (2, 3, 5, 7)]
     assert out == (json.dumps(rows, indent=2) + "\n").encode()
+
+
+_MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}
+_POINTS = ["0", "inf"]
+_PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
+
+
+@pytest.mark.parametrize("script,files,extra,code,message", [
+    ("find_model.py", ["missing.json"], ["--degree", "2"], 2, "error: cannot open "),
+    ("find_model.py", [{"vertices": ["a"], "phi": {"a": "a"}}], ["--degree", "2"], 2,
+     "error: unknown key 'phi' in portrait file"),
+    ("find_model.py", [_PORTRAIT], ["--degree", "1"], 1,
+     "error: degree must be at least 2"),
+    ("find_model.py", [_PORTRAIT], ["--degree", "2", "--bound", "-1"], 1,
+     "error: coefficient bound must be nonnegative"),
+    ("reduction_scan.py", [_MAP, _POINTS, "missing.json"], [], 2, "error: cannot open "),
+    ("reduction_scan.py", [_MAP, _POINTS, {"vertices": ["a"], "phi": {"a": "a"}}], [], 2,
+     "error: unknown key 'phi' in portrait file"),
+    ("reduction_scan.py", [_MAP, ["0"], _PORTRAIT], [], 2,
+     "error: points file length must match the vertex count"),
+    ("reduction_scan.py", [{"degree": 2, "numerator": ["1", "0", "0"],
+                            "denominator": ["1", "0", "0"]}, _POINTS, _PORTRAIT], [], 1,
+     "error: resultant vanishes"),
+], ids=["find-missing", "find-phi", "find-degree", "find-bound", "scan-missing", "scan-phi",
+        "scan-points", "scan-resultant"])
+def test_scripts_report_bad_input_in_one_line(tmp_path, script, files, extra, code, message):
+    paths = []
+    for i, doc in enumerate(files):
+        path = tmp_path / (doc if isinstance(doc, str) else f"in{i}.json")
+        if not isinstance(doc, str):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    proc = _script(script, *paths, *extra, check=False)
+    err = proc.stderr.decode()
+    assert proc.returncode == code and proc.stdout == b""
+    assert err.startswith(message) and err.count("\n") == 1, err

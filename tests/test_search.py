@@ -1,7 +1,8 @@
 import pytest
 
-from portraitdyn import (Model, Portrait, PortraitError, RationalMap,
-                         rational_cycles, search_periodic_model, verify_model)
+from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
+                         portrait_cycles, rational_cycles, search, search_periodic_model,
+                         verify_model)
 from portraitdyn.projective import ProjectivePoint
 
 
@@ -37,3 +38,93 @@ def test_search_gives_up_within_bound():
 def test_search_requires_purely_periodic_portrait():
     with pytest.raises(PortraitError):
         search_periodic_model(Portrait(["a", "b"], {"a": "b"}), 2, 1)
+
+
+def _portrait(lens):
+    """Cycles of the given lengths, labelled v00, v01, ... in order."""
+    labels = [f"v{i:02d}" for i in range(sum(lens))]
+    phi, pos = {}, 0
+    for n in lens:
+        cyc = labels[pos:pos + n]
+        pos += n
+        phi.update((v, cyc[(k + 1) % n]) for k, v in enumerate(cyc))
+    return Portrait(labels, phi)
+
+
+@pytest.mark.parametrize("lens,degree,bound,message", [
+    ((1,), -1, 1, "degree must be at least 2"),
+    ((1,), 0, 1, "degree must be at least 2"),
+    ((1,), 1, 1, "degree must be at least 2"),
+    ((1,), 2, -1, "coefficient bound must be nonnegative"),
+    ((1, 13), 2, 1, "degree 8192 exceeds cap 4096"),
+])
+def test_search_rejects_bad_arguments_before_any_map(monkeypatch, lens, degree, bound,
+                                                     message):
+    def no_maps(*args):
+        raise AssertionError("a candidate map was built")
+
+    monkeypatch.setattr(search, "RationalMap", no_maps)
+    with pytest.raises(MapError, match=message):
+        search_periodic_model(_portrait(lens), degree, bound)
+
+
+# Maps with a rational n-cycle: z^2 - 29/16 has the 3-cycle
+# -1/4 -> -7/4 -> 5/4, the other two have rational 4-cycles.
+CYCLE_FIXTURES = [(((16, 0, -29), (0, 0, 16)), 3),
+                  (((0, 1, 1), (-2, 2, 1)), 4),
+                  (((1, 2, -2), (1, 1, 0)), 4)]
+
+
+@pytest.mark.parametrize("pair,n", CYCLE_FIXTURES)
+def test_reduction_screen_passes_maps_with_a_rational_cycle(pair, n):
+    f = RationalMap(*pair)
+    assert len(rational_cycles(f, n)) == 1
+    assert not search._screened_out(f, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reduction_screen_is_sound_at_height_one(n):
+    # every degree-2 map of height <= 1 that the screen drops has no
+    # rational n-cycle, and the screen does drop some
+    dropped = 0
+    for f0, f1 in search._coefficient_pairs(2, 1):
+        if forms.resultant(f0, f1) == 0:
+            continue
+        f = RationalMap(f0, f1)
+        if search._screened_out(f, n):
+            dropped += 1
+            assert rational_cycles(f, n) == [], f
+    assert dropped > 100
+
+
+SCREEN_GRID = [((3,), 2, 2), ((1, 3), 2, 2), ((4,), 2, 2), ((2, 3), 2, 1),
+               ((1, 1, 3), 2, 1), ((3, 3), 2, 1), ((4,), 3, 1), ((3,), 3, 1)]
+
+
+def test_reduction_screen_changes_no_answer(monkeypatch):
+    screened = [search_periodic_model(_portrait(lens), d, b) for lens, d, b in SCREEN_GRID]
+    assert sum(m is not None for m in screened) >= 4
+    monkeypatch.setattr(search, "_screened_out", lambda f, n: False)
+    unscreened = [search_periodic_model(_portrait(lens), d, b) for lens, d, b in SCREEN_GRID]
+    assert unscreened == screened
+
+
+@pytest.mark.parametrize("lens,degree,bound,found", [((1, 1, 1, 2), 2, 5, True),
+                                                     ((3, 2), 2, 1, False)])
+def test_label_order_changes_no_model(lens, degree, bound, found):
+    # listing the cycles in reverse order flips which length owns the smallest labels
+    p, q = _portrait(lens), _portrait(lens[::-1])
+    forward = search_periodic_model(p, degree, bound)
+    backward = search_periodic_model(q, degree, bound)
+    assert (forward is not None) == found
+    if not found:
+        assert backward is None
+        return
+    # relabel: the k-th cycle of each length to the k-th cycle of that length
+    sigma = {}
+    for n in set(lens):
+        for c, d in zip([c for c in portrait_cycles(p) if len(c) == n],
+                        [d for d in portrait_cycles(q) if len(d) == n]):
+            sigma.update(zip(c, d))
+    assert backward.map == forward.map
+    assert backward.assignment == {sigma[v]: pt for v, pt in forward.assignment.items()}
