@@ -5,9 +5,10 @@ Example:
     python scripts/find_model.py portrait.json --degree 2 --bound 5
 
 The portrait file uses the same JSON schema as the CLI.  Prints the first
-model found in increasing coefficient height, or reports failure.  Like
-the CLI, a malformed input exits 2 and a domain error exits 1, each with
-one `error: ...` line on stderr.
+model found in increasing coefficient height, or {"found": false,
+"bound": B} when none lies within the bound; both exit 0.  Like the CLI,
+a malformed input exits 2 and a domain error exits 1, each with one
+`error: ...` line on stderr.
 """
 
 import argparse
@@ -33,7 +34,7 @@ def main():
         return report_error(exc)
     if model is None:
         print(json.dumps({"found": False, "bound": args.bound}))
-        return 1
+        return 0
     print(json.dumps({
         "found": True,
         "map": map_json(model.map),

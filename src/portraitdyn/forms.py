@@ -123,20 +123,6 @@ def integerize(f) -> Form:
     return primitive(_integral(f)[0])
 
 
-def compose_linear(f: Form, a, b, c, d) -> Form:
-    """Substitute X -> aX + bY, Y -> cX + dY."""
-    u = (a, b)
-    v = (c, d)
-    deg = degree(f)
-    out = (0,) * (deg + 1)
-    for i, coef in enumerate(f):
-        if coef == 0:
-            continue
-        term = mul(pow_(u, deg - i), pow_(v, i))
-        out = add(out, scale(term, coef))
-    return out
-
-
 def compose_pair(f: Form, g0: Form, g1: Form) -> Form:
     """Substitute X -> g0, Y -> g1 where g0, g1 are forms of equal degree."""
     if len(g0) != len(g1):
@@ -256,14 +242,6 @@ def resultant(f: Form, g: Form):
         rows.append([0] * i + list(G) + [0] * (df - 1 - i))
     det = _bareiss_det(rows)
     return _ratio(det, a ** dg * b ** df)
-
-
-def coprime(f: Form, g: Form) -> bool:
-    """True iff the forms share no projective root over the algebraic
-    closure: both are nonzero and their resultant does not vanish."""
-    if is_zero(f) or is_zero(g):
-        return False
-    return resultant(f, g) != 0
 
 
 def rational_roots(coeffs) -> list:

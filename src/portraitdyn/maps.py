@@ -128,8 +128,8 @@ class RationalMap:
         a, b, c, d = m
         if a * d - b * c == 0:
             raise MapError("conjugating matrix is singular")
-        g0 = forms.compose_linear(self.f0, a, b, c, d)
-        g1 = forms.compose_linear(self.f1, a, b, c, d)
+        g0 = forms.compose_pair(self.f0, (a, b), (c, d))
+        g1 = forms.compose_pair(self.f1, (a, b), (c, d))
         da, db, dc, dd = _adj(m)
         h0 = forms.add(forms.scale(g0, da), forms.scale(g1, db))
         h1 = forms.add(forms.scale(g0, dc), forms.scale(g1, dd))

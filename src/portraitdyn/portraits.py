@@ -9,6 +9,7 @@ combinatorial and exact.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import DomainError
@@ -166,28 +167,21 @@ class Portrait:
     # -- components -------------------------------------------------------
 
     def components(self) -> list:
-        """Weakly connected components, each a sorted list of vertex ids."""
-        adj = {v: set() for v in self.vertices}
-        for k, v in self.phi.items():
-            adj[k].add(v)
-            adj[v].add(k)
-        seen = set()
-        comps = []
+        """Weakly connected components, each a sorted list of vertex ids.
+
+        Every orbit ends at a root outside the domain or runs around a
+        cycle, and each component holds exactly one root or one cycle, so
+        vertices are grouped by that end: the root, or the least vertex
+        of the cycle.  Grouping in sorted vertex order lists each
+        component sorted and the components by their smallest vertex.
+        """
+        orbits, types = self._orbit_table()
+        comps = {}
         for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            stack, comp = [v], []
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        comps.sort(key=lambda c: c[0])
-        return comps
+            t = types[v]
+            end = orbits[v][-1] if t is None else min(orbits[v][t.preperiod:])
+            comps.setdefault(end, []).append(v)
+        return list(comps.values())
 
     def component_has_cycle(self, comp: Iterable[str]) -> bool:
         return any(self.preperiodic_type(v) is not None for v in comp)
@@ -254,14 +248,15 @@ class PortraitMorphism(_Morphism):
         return all(k == v for k, v in self.mapping.items())
 
 
-def _morphism_maps(p1: Portrait, p2: Portrait, *, bijective: bool,
-                   weight_exact: bool, domain_exact: bool) -> list:
-    """Backtracking enumeration of all morphism vertex maps p1 -> p2."""
+def _morphism_maps(p1: Portrait, p2: Portrait) -> list:
+    """Backtracking enumeration of all morphism vertex maps p1 -> p2.
+
+    Vertices of p1 are assigned in sorted order, each trying the vertices
+    of p2 in sorted order, so the maps come in lexicographic order.
+    """
     v1 = sorted(p1.vertices)
     v2 = sorted(p2.vertices)
-    if len(v1) > len(v2) or (bijective and len(v1) != len(v2)):
-        return []
-    if bijective and domain_exact and len(p1.domain) != len(p2.domain):
+    if len(v1) > len(v2):
         return []
     preimages = {}
     for v, w in p1.phi.items():
@@ -276,14 +271,10 @@ def _morphism_maps(p1: Portrait, p2: Portrait, *, bijective: bool,
                 return False
             if p2.weight(w) < p1.weight(v):
                 return False
-            if weight_exact and p2.weight(w) != p1.weight(v):
-                return False
             nxt = p1.phi[v]
             img_nxt = w if nxt == v else assignment.get(nxt)
             if img_nxt is not None and img_nxt != p2.phi[w]:
                 return False
-        elif domain_exact and w in p2.domain:
-            return False
         for u in preimages.get(v, ()):
             if u != v and u in assignment and p2.phi[assignment[u]] != w:
                 return False
@@ -309,15 +300,23 @@ def _morphism_maps(p1: Portrait, p2: Portrait, *, bijective: bool,
 
 def hom(p1: Portrait, p2: Portrait) -> list:
     """All portrait morphisms p1 -> p2."""
-    maps = _morphism_maps(p1, p2, bijective=False, weight_exact=False,
-                          domain_exact=False)
-    return [PortraitMorphism(p1, p2, m) for m in maps]
+    return [PortraitMorphism(p1, p2, m) for m in _morphism_maps(p1, p2)]
+
+
+def _sizes(p: Portrait) -> tuple:
+    """(#V, #V0, sum of (w - 1) over V0)."""
+    return len(p.vertices), len(p.domain), sum(w - 1 for w in p.weights.values())
 
 
 def isomorphisms(p1: Portrait, p2: Portrait) -> list:
-    maps = _morphism_maps(p1, p2, bijective=True, weight_exact=True,
-                          domain_exact=True)
-    return [PortraitMorphism(p1, p2, m) for m in maps]
+    """All portrait isomorphisms p1 -> p2.
+
+    A morphism is injective, maps the domain into the domain and never
+    lowers a weight.  Between portraits of equal sizes (see `_sizes`) it
+    is therefore onto, maps V \\ V0 onto V \\ V0 and keeps every weight:
+    each morphism is an isomorphism.
+    """
+    return hom(p1, p2) if _sizes(p1) == _sizes(p2) else []
 
 
 def isomorphic(p1: Portrait, p2: Portrait) -> bool:
@@ -382,15 +381,8 @@ def element_order(m: PortraitMorphism) -> int:
             seen.add(u)
             u = m.mapping[u]
             length += 1
-        g = _gcd(order, length)
-        order = order * length // g
+        order = math.lcm(order, length)
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def group_is_cyclic(auts: list) -> bool:
@@ -413,9 +405,13 @@ def is_subportrait(q: Portrait, p: Portrait) -> bool:
 
 
 def ge(p_prime: Portrait, p: Portrait) -> bool:
-    """Partial order: p_prime >= p iff a vertex-bijective morphism p -> p_prime exists."""
-    return bool(_morphism_maps(p, p_prime, bijective=True, weight_exact=False,
-                               domain_exact=True))
+    """Partial order: p_prime >= p iff a vertex-bijective morphism p -> p_prime exists.
+
+    With equal vertex and domain counts, every morphism p -> p_prime is
+    bijective and maps V \\ V0 onto V \\ V0; only weights may rise.
+    """
+    return (_sizes(p_prime)[:2] == _sizes(p)[:2]
+            and bool(_morphism_maps(p, p_prime)))
 
 
 class PortraitStatistics(NamedTuple):
@@ -545,44 +541,34 @@ def sp_relations(p: Portrait) -> list:
     """The canonical minimal system of critical relations of a portrait.
 
     Components are ordered by smallest vertex id, critical points within
-    a component lexicographically.  Produces exactly T - zeta tuples,
-    where T = #Crit and zeta = number of cycle-free components.
+    a component lexicographically.  Each critical point walks its orbit
+    and relates the first vertex that lies on an earlier critical orbit
+    of its component, at that orbit's first index.  Failing that, its
+    orbit closes its own cycle at step preperiod + period; the first
+    critical point of a cycle-free component does neither.  Produces
+    exactly T - zeta tuples, where T = #Crit and zeta = number of
+    cycle-free components.
     """
     if not is_critically_generated(p):
         raise PortraitError("portrait is not critically generated")
+    orbits, types = p._orbit_table()
     relations = []
     for comp in p.components():
-        crits = sorted(v for v in comp if v in p.crit)
-        if not crits:
-            raise PortraitError("component without a critical point")
-        has_cycle = p.component_has_cycle(comp)
-        orbits = {c: p.orbit(c) for c in crits}
-        first_index = {c: {v: i for i, v in enumerate(orbits[c])} for c in crits}
-        for idx, ci in enumerate(crits):
-            if idx == 0 and not has_cycle:
-                continue
-            t = p.preperiodic_type(ci)
-            limit = (t.preperiod + t.period) if t else (len(orbits[ci]) - 1)
-            chosen = None
-            for m in range(limit + 1):
-                target = p.step(ci, m)
-                best = None
-                for jdx in range(idx + 1):
-                    cj = crits[jdx]
-                    occ = first_index[cj].get(target)
-                    if occ is None:
-                        continue
-                    if cj == ci and not occ < m:
-                        continue
-                    best = (jdx, occ)
+        earlier = {}  # vertex -> (critical point, index) where it first occurs
+        for c in (v for v in comp if v in p.weights):
+            orbit = orbits[c]
+            for m, v in enumerate(orbit):
+                if v in earlier:
+                    j, n = earlier[v]
+                    relations.append(CriticalRelation(c, j, m, n))
                     break
-                if best is not None:
-                    chosen = CriticalRelation(ci, crits[best[0]], m, best[1])
-                    break
-            if chosen is None:
-                raise PortraitError(
-                    f"no critical relation found for {ci!r}")  # unreachable
-            relations.append(chosen)
+            else:
+                t = types[c]
+                if t is not None:
+                    relations.append(CriticalRelation(c, c, t.preperiod + t.period,
+                                                      t.preperiod))
+            for n, v in enumerate(orbit):
+                earlier.setdefault(v, (c, n))
     return relations
 
 

@@ -135,10 +135,7 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
     # also lets the named special cases match scaled instances.
     g = gcd(*inst.weights)
     if g > 1:
-        inst = StabilityInstance(N=inst.N, d=inst.d,
-                                 weights=tuple(w // g for w in inst.weights),
-                                 points=inst.points, incidences=inst.incidences,
-                                 fixed_point_flags=inst.fixed_point_flags)
+        inst = inst._replace(weights=tuple(w // g for w in inst.weights))
 
     if inst.points is not None:
         candidates = subspace_candidates(inst.points, inst.N)

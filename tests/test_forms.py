@@ -65,9 +65,9 @@ def test_derivatives():
     assert forms.derivative_y(f) == (0, 4, 0)
 
 
-def test_compose_linear_matches_substitution():
+def test_compose_pair_matches_substitution():
     f = (1, -1, 2)  # X^2 - XY + 2Y^2
-    g = forms.compose_linear(f, 1, 1, 0, 1)  # X -> X+Y, Y -> Y
+    g = forms.compose_pair(f, (1, 1), (0, 1))  # X -> X+Y, Y -> Y
     x, y = sympy.symbols("x y")
     expr = (x + y) ** 2 - (x + y) * y + 2 * y**2
     for px, py in [(1, 0), (0, 1), (2, 3), (-1, 5)]:
@@ -93,12 +93,6 @@ def test_resultant_fixtures():
     assert forms.resultant((1, 0, 0), (0, 0, 1)) == 1      # X^2, Y^2
     assert forms.resultant((1, 0, -1), (0, 1, 0)) == -1    # (X-Y)(X+Y), XY
     assert forms.resultant((1, -1), (1, 1)) == 2
-
-
-def test_coprime():
-    assert forms.coprime((1, 0, 0), (0, 0, 1))
-    assert not forms.coprime((1, 1, 0), (0, 1, 1))   # share root [-1, 1]
-    assert not forms.coprime((0, 1, 0), (0, 0, 1))   # share Y
 
 
 def test_rational_roots_against_sympy_factorization():

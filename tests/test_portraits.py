@@ -386,6 +386,79 @@ def test_isomorphic_agrees_with_backtracking(p, q):
     assert isomorphic(p, _relabel(p, random.Random(len(p.vertices))))
 
 
+# -- morphism search against brute force ------------------------------------
+
+def _is_morphism(p1, p2, m):
+    return all(m[v] in p2.domain and m[p1.phi[v]] == p2.phi[m[v]]
+               and p2.weight(m[v]) >= p1.weight(v) for v in p1.domain)
+
+
+def _brute_force_hom(p1, p2):
+    """Every injective vertex map, in lexicographic order, kept when it is
+    a morphism."""
+    v1 = sorted(p1.vertices)
+    maps = (dict(zip(v1, image))
+            for image in itertools.permutations(sorted(p2.vertices), len(v1)))
+    return [m for m in maps if _is_morphism(p1, p2, m)]
+
+
+def _keeps_domain(p1, p2, m):
+    return (len(p1.vertices) == len(p2.vertices)
+            and all((v in p1.domain) == (m[v] in p2.domain) for v in m))
+
+
+def _brute_force_isomorphisms(p1, p2):
+    return [m for m in _brute_force_hom(p1, p2) if _keeps_domain(p1, p2, m)
+            and all(p2.weight(m[v]) == p1.weight(v) for v in p1.domain)]
+
+
+def _brute_force_ge(p_prime, p):
+    return any(_keeps_domain(p, p_prime, m) for m in _brute_force_hom(p, p_prime))
+
+
+def _perturb_domain(p, rng):
+    """Give one vertex outside the domain an out-arrow, if there is one."""
+    free = sorted(set(p.vertices) - p.domain)
+    if not free:
+        return p
+    return Portrait(p.vertices, {**p.phi, rng.choice(free): rng.choice(p.vertices)},
+                    p.weights)
+
+
+def _morphism_pairs(count):
+    rng = random.Random(1812_09936)
+    pairs = []
+    for k in range(count):
+        n = rng.randint(1, 6)
+        verts = [f"v{i}" for i in range(n)]
+        phi = {v: rng.choice(verts) for v in verts if rng.random() < 0.8}
+        p = Portrait(verts, phi, {v: rng.randint(1, 3) for v in phi if rng.random() < 0.4})
+        q = _relabel(p, rng)
+        if k % 4 == 1 and q.domain:
+            q = _perturb_weight(q, rng)
+        elif k % 4 == 2:
+            q = _perturb_domain(q, rng)
+        elif k % 4 == 3:
+            q = _relabel(random_critically_generated(rng, max_vertices=6), rng)
+        pairs += [(p, q), (q, p)]
+    return pairs
+
+
+def test_morphism_search_matches_brute_force():
+    outcomes = set()
+    for p, q in _morphism_pairs(150):
+        homs = [m.mapping for m in hom(p, q)]
+        isos = [m.mapping for m in isomorphisms(p, q)]
+        assert homs == _brute_force_hom(p, q), (p, q)
+        assert isos == _brute_force_isomorphisms(p, q), (p, q)
+        assert ge(q, p) == _brute_force_ge(q, p), (p, q)
+        outcomes.add((bool(homs), ge(q, p), bool(isos)))
+    # every case occurs: no morphism; morphisms but p and q of different
+    # shape; q a weight refinement of p; q isomorphic to p
+    assert outcomes == {(False, False, False), (True, False, False),
+                        (True, True, False), (True, True, True)}
+
+
 # -- minimal relation systems ----------------------------------------------
 
 def test_sp_relations_single_critical_tail_to_fixed():
@@ -419,6 +492,73 @@ def test_sp_relation_count_on_random_portraits():
         assert len(rels) == len(p.crit) - p.zeta
         for r in rels:
             assert relation_holds(p, r)
+
+
+def _reference_components(p):
+    """Weakly connected components by depth-first search over the
+    undirected arrows."""
+    adj = {v: set() for v in p.vertices}
+    for k, v in p.phi.items():
+        adj[k].add(v)
+        adj[v].add(k)
+    seen = set()
+    comps = []
+    for v in sorted(p.vertices):
+        if v in seen:
+            continue
+        stack, comp = [v], []
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _reference_sp_relations(p):
+    """The minimal relation system by stepping each critical point one
+    shift at a time and scanning the critical orbits for the image."""
+    relations = []
+    for comp in _reference_components(p):
+        crits = sorted(v for v in comp if v in p.crit)
+        assert crits, "component without a critical point"
+        has_cycle = any(p.preperiodic_type(v) is not None for v in comp)
+        first_index = {c: {v: i for i, v in enumerate(p.orbit(c))} for c in crits}
+        for idx, ci in enumerate(crits):
+            if idx == 0 and not has_cycle:
+                continue
+            t = p.preperiodic_type(ci)
+            limit = t.preperiod + t.period if t else len(p.orbit(ci)) - 1
+            chosen = None
+            for m in range(limit + 1):
+                target = p.step(ci, m)
+                for cj in crits[:idx + 1]:
+                    occ = first_index[cj].get(target)
+                    if occ is not None and (cj != ci or occ < m):
+                        chosen = CriticalRelation(ci, cj, m, occ)
+                        break
+                if chosen is not None:
+                    break
+            assert chosen is not None, (p, ci)
+            relations.append(chosen)
+    return relations
+
+
+def test_components_and_sp_relations_match_the_references():
+    classes = (enumerate_primitive_critical_portraits(2)
+               + enumerate_primitive_critical_portraits(3))
+    rng = random.Random(1812)
+    generated = [random_critically_generated(rng) for _ in range(300)]
+    for p in classes + generated:
+        assert p.components() == _reference_components(p), p
+        assert sp_relations(p) == _reference_sp_relations(p), p
+    for p in _some_portraits(300):
+        assert p.components() == _reference_components(p), p
 
 
 def test_relation_determined_reflexive_cases():

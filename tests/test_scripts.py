@@ -46,6 +46,16 @@ def test_reduction_scan_output(tmp_path):
     assert out == (json.dumps(rows, indent=2) + "\n").encode()
 
 
+def test_find_model_without_a_model_is_an_answer(tmp_path):
+    # a degree-2 map has only three fixed points
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"vertices": list("abcd"),
+                                "map": {v: v for v in "abcd"}}), encoding="utf-8")
+    proc = _script("find_model.py", str(path), "--degree", "2", "--bound", "1", check=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == b'{"found": false, "bound": 1}\n'
+
+
 _MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}
 _POINTS = ["0", "inf"]
 _PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}

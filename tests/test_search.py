@@ -69,10 +69,13 @@ def test_search_rejects_bad_arguments_before_any_map(monkeypatch, lens, degree, 
 
 
 # Maps with a rational n-cycle: z^2 - 29/16 has the 3-cycle
-# -1/4 -> -7/4 -> 5/4, the other two have rational 4-cycles.
+# -1/4 -> -7/4 -> 5/4, the other three have rational 4-cycles.  The last
+# has the 4-cycle 0 -> 1 -> 3 -> 4 and resultant 21560; mod 3 the cycle
+# collapses to a 2-cycle, so only n/m = r with r = 2 lets it pass there.
 CYCLE_FIXTURES = [(((16, 0, -29), (0, 0, 16)), 3),
                   (((0, 1, 1), (-2, 2, 1)), 4),
-                  (((1, 2, -2), (1, 1, 0)), 4)]
+                  (((1, 2, -2), (1, 1, 0)), 4),
+                  (((1, -15, 44), (10, -44, 44)), 4)]
 
 
 @pytest.mark.parametrize("pair,n", CYCLE_FIXTURES)
