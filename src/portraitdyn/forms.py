@@ -98,6 +98,14 @@ def derivative_y(f: Form) -> Form:
     return tuple(i * f[i] for i in range(1, d + 1))
 
 
+def jacobian(f: Form, g: Form) -> Form:
+    """The Jacobian determinant dX f * dY g - dY f * dX g of two forms of
+    degree D.  By Euler's identity Y J = D (dX f * g - f * dX g), so at
+    Y = 1 it is D times the numerator of the derivative of f / g."""
+    return sub(mul(derivative_x(f), derivative_y(g)),
+               mul(derivative_y(f), derivative_x(g)))
+
+
 def content(f: Form) -> int:
     g = 0
     for c in f:

@@ -178,18 +178,19 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     """Monic polynomial whose roots (with multiplicity) are the multipliers
     of f^n at the points of formal period n.
 
-    In a chart g of f where no formal-period-n point is at infinity, the
-    dynatomic polynomial psi of g has full degree nu, and g^n = a / b is
-    affine at the roots of psi (g^n fixes them), so b is a unit mod psi.
-    The polynomial is the characteristic polynomial of multiplication by
-    h = (a'b - ab') / b^2 on Q[x]/(psi), that is prod (t - h(z)) over the
-    roots z of psi, so a root of multiplicity k contributes its
-    multiplier k times.  The inverse of b^2 comes from the extended
-    Euclidean algorithm and the characteristic polynomial from the traces
-    of the powers of h (Newton's identities).  Cached per map and period;
-    raises MapError when nu exceeds MULTIPLIER_CAP.
+    No chart is needed.  Let k be the order of infinity as a root of the
+    dynatomic form psi.  f^n = a / b fixes the roots of the affine part
+    psi(x, 1) and is affine there, so b is a unit mod psi(x, 1).  Those
+    roots give the characteristic polynomial of multiplication by
+    h = Y^2 J / (D b^2) on Q[x]/(psi(x, 1)), J the Jacobian form of (a, b)
+    and D = deg b: prod (t - h(z)) over the roots z, with multiplicity, or
+    1 when nu = k.  The inverse of b^2 comes from the extended Euclidean
+    algorithm and the characteristic polynomial from the traces of the
+    powers of h (Newton's identities).  When k > 0, f^n fixes infinity with
+    multiplier b[1] / a[0], a factor (t - b[1] / a[0])^k.  Cached per map
+    and period; raises MapError when nu exceeds MULTIPLIER_CAP.
     """
-    from .maps import MapError, chart_avoiding
+    from .maps import MapError
 
     cache = f._cache.setdefault("multipliers", {})
     if n in cache:
@@ -197,21 +198,22 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     target = nu(f.degree, 1, n)
     if target > MULTIPLIER_CAP:
         raise MapError(f"multiplier polynomial degree {target} exceeds cap {MULTIPLIER_CAP}")
-    dyn = f.dynatomic(n)
-    m = chart_avoiding(lambda q: forms.evaluate(dyn, q.x, q.y) == 0, target)
-    g = f if m == (1, 0, 0, 1) else f.conjugate(m)
-    a, b = g.iterate_pair(n)
-    wr = forms.sub(forms.mul(forms.derivative_x(a), b), forms.mul(a, forms.derivative_x(b)))
-    # In y = c x, with c the leading coefficient of psi, the algebra is
-    # Z[y]/(mod) with mod monic, and h is the quotient of the integer
-    # polynomials c^(2D) wr(y / c) and c^(2D) b(y / c)^2, D = deg b.
-    psi = g.dynatomic(n)
-    c = psi[0]
-    mod = [x // c for x in _scale_roots(psi, c)]
-    u, t = _inverse(_rem(_scale_roots(forms.mul(b, b), c), mod), mod)
-    h = _rem(forms.mul(_rem(_scale_roots((0,) + wr, c), mod), u), mod)
-    coeffs = _charpoly(h, t, mod)
-    sym = tuple((-1) ** k * coeffs[k] for k in range(1, len(coeffs)))
+    psi = f.dynatomic(n)
+    k = next(i for i, x in enumerate(psi) if x)
+    a, b = f.iterate_pair(n)
+    coeffs = (Fraction(1),)
+    if len(psi) - k > 1:
+        # In y = c x, with c the leading coefficient of psi(x, 1), the
+        # algebra is Z[y]/(mod) with mod monic, and D h is the quotient of
+        # the integer polynomials c^(2D) (Y^2 J)(y / c) and c^(2D) b(y / c)^2.
+        c = psi[k]
+        mod = [x // c for x in _scale_roots(psi[k:], c)]
+        u, t = _inverse(_rem(_scale_roots(forms.mul(b, b), c), mod), mod)
+        h = _rem(forms.mul(_rem(_scale_roots((0, 0) + forms.jacobian(a, b), c), mod), u), mod)
+        coeffs = _charpoly(h, (len(b) - 1) * t, mod)
+    for _ in range(k):
+        coeffs = forms.sub(coeffs + (0,), (0,) + forms.scale(coeffs, Fraction(b[1], a[0])))
+    sym = tuple((-1) ** i * coeffs[i] for i in range(1, len(coeffs)))
     cache[n] = MultiplierData(n, coeffs, sym)
     return cache[n]
 
@@ -333,6 +335,7 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     of the parameterized coefficient pair and the multiplier at the
     fourth fixed point 2 + b/a."""
     from .maps import RationalMap
+    from .projective import ProjectivePoint
 
     a, b = Fraction(a), Fraction(b)
     if a == 0:
@@ -343,7 +346,7 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     if res == 0:
         raise ModuliError("degenerate parameters: resultant vanishes")
     fmap = RationalMap(f0, f1)
-    mult = fmap.affine_derivative(2 + b / a)
+    mult = fmap.cycle_multiplier(ProjectivePoint.affine(2 + b / a), 1)
     return CubicFixedFamily(fmap, Fraction(res), mult)
 
 

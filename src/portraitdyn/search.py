@@ -39,20 +39,16 @@ def portrait_cycles(p: Portrait) -> list:
 
 def rational_cycles(f: RationalMap, period: int) -> list:
     """All cycles of exact period `period` consisting of rational points."""
-    pts = []
-    for (x, y), _ in forms.form_rational_roots(f.dynatomic(period)):
-        q = ProjectivePoint.of(x, y)
-        t = f.period_of_point(q, period + 1)
-        if t is not None and t.preperiod == 0 and t.period == period:
-            pts.append(q)
     cycles = []
     used = set()
-    for q in pts:
+    for (x, y), _ in forms.form_rational_roots(f.dynatomic(period)):
+        q = ProjectivePoint.of(x, y)
         if q in used:
             continue
-        orb = f.orbit(q, period - 1)
-        used.update(orb)
-        cycles.append(tuple(orb))
+        orb = f.orbit(q, period)
+        if orb[-1] == q and len(set(orb)) == period:
+            used.update(orb)
+            cycles.append(tuple(orb[:-1]))
     return cycles
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          critically_generated_subportrait, forms, nu)
-from portraitdyn.maps import chart_avoiding
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -73,22 +73,23 @@ def reference_multiplicity(f: RationalMap, p, prime: int = 0) -> int:
 
 def reference_multiplier_polynomial(f: RationalMap, n: int) -> tuple:
     """Monic multiplier polynomial of the formal-period-n points by sympy
-    elimination: in a chart g of f where none of them is at infinity,
-    the resultant in x of lam b^2 - (a'b - ab') and the dynatomic
-    polynomial psi of g, where g^n = a / b."""
+    elimination in an affine chart: conjugate f by (c, 1, 1, 0), which
+    sends infinity to c, for the first c = 0, 1, 2, ... with psi(c, 1)
+    nonzero, so no formal-period-n point of the conjugate g is at
+    infinity; then take the resultant in x of lam b^2 - (a'b - ab') and
+    the dynatomic polynomial psi of g, where g^n = a / b."""
     x, lam = sympy.symbols("x lam")
-    target = nu(f.degree, 1, n)
     dyn = f.dynatomic(n)
-    m = chart_avoiding(lambda q: forms.evaluate(dyn, q.x, q.y) == 0, target)
-    g = f.conjugate(m)
+    c = next(x for x in itertools.count() if forms.evaluate(dyn, x, 1) != 0)
+    g = f.conjugate((c, 1, 1, 0))
     psi = sympy.Poly(list(g.dynatomic(n)), x)
     g0, g1 = g.iterate_pair(n)
     a = sympy.Poly(list(g0), x)
     b = sympy.Poly(list(g1), x)
     wr = a.diff(x) * b - a * b.diff(x)
     res = sympy.Poly(sympy.resultant((lam * b ** 2 - wr).as_expr(), psi.as_expr(), x), lam)
-    assert res.degree() == target
-    return tuple(Fraction(c.p, c.q) for c in res.monic().all_coeffs())
+    assert res.degree() == nu(f.degree, 1, n)
+    return tuple(Fraction(k.p, k.q) for k in res.monic().all_coeffs())
 
 
 def random_critically_generated(rng: random.Random, max_vertices: int = 8) -> Portrait:

@@ -283,6 +283,42 @@ def test_mod_multipliers_and_ueda(capsys, square_map):
     assert json.loads(out) == {"k": 1, "sum": "-2"}
 
 
+def _lines(*items) -> str:
+    return "\n".join(items) + "\n"
+
+
+@pytest.mark.parametrize("doc,argv,expected", [
+    # z + 1/z: the dynatomic form is Y^3, all three fixed points at infinity
+    ({"degree": 2, "numerator": ["1", "0", "1"], "denominator": ["0", "1", "0"]},
+     ["multipliers", "-n", "1"],
+     _lines('{', '  "n": 1,', '  "degree": 3,', '  "poly": [', '    "1",', '    "-3",',
+            '    "3",', '    "-1"', '  ],', '  "symmetric_functions": [', '    "3",',
+            '    "3",', '    "1"', '  ]', '}')),
+    # 1/z^2: the superattracting 2-cycle {0, infinity}
+    ({"degree": 2, "numerator": ["0", "0", "1"], "denominator": ["1", "0", "0"]},
+     ["multipliers", "-n", "2"],
+     _lines('{', '  "n": 2,', '  "degree": 2,', '  "poly": [', '    "1",', '    "0",',
+            '    "0"', '  ],', '  "symmetric_functions": [', '    "0",', '    "0"', '  ]',
+            '}')),
+    # (z^3 + 2z + 1) / (3z^2 + 1) fixes infinity with multiplier 3
+    ({"degree": 3, "numerator": ["1", "0", "2", "1"], "denominator": ["0", "3", "0", "1"]},
+     ["ueda", "-k", "1"],
+     _lines('{', '  "k": 1,', '  "sum": "-3"', '}')),
+])
+def test_mod_output_through_infinity_is_byte_exact(capsys, tmp_path, doc, argv, expected):
+    path = write(tmp_path, "map.json", doc)
+    code, out = run_cli(capsys, "mod", argv[0], path, *argv[1:])
+    assert code == 0 and out == expected
+
+
+def test_map_over_the_degree_cap_exits_one(capsys, tmp_path):
+    big = write(tmp_path, "big.json", {
+        "degree": 80, "numerator": ["1"] * 81, "denominator": ["2"] + ["1"] * 80})
+    code, out = run_cli(capsys, "dyn", "eval", big, "--point", "0")
+    assert code == 1 and out == ""
+    assert run_cli.err == "error: degree 80 exceeds cap 64\n"
+
+
 def test_mod_multipliers_over_the_cap(capsys, square_map):
     code, out = run_cli(capsys, "mod", "multipliers", square_map, "-n", "6")
     assert code == 1 and out == ""

@@ -12,7 +12,8 @@ from portraitdyn import (MapError, Model, ModelFailure, Portrait,
                          extract_portrait, hom, nu, pullback_model,
                          verify_model)
 from portraitdyn import forms
-from portraitdyn.maps import chart_avoiding
+from portraitdyn.maps import MAP_DEGREE_CAP
+from portraitdyn.search import rational_cycles
 
 Z_SQUARED = RationalMap([1, 0, 0], [0, 0, 1])
 Z2_MINUS_1 = RationalMap.polynomial([1, 0, -1])
@@ -31,6 +32,16 @@ def test_rejects_degenerate_maps():
         RationalMap([1, 0], [0, 1])             # degree 1
     with pytest.raises(MapError):
         RationalMap([0, 0, 0], [0, 0, 1])
+
+
+def test_degree_cap():
+    f = RationalMap.polynomial([1] + [0] * MAP_DEGREE_CAP)
+    assert f.degree == MAP_DEGREE_CAP
+    big = [1] * (MAP_DEGREE_CAP + 2)
+    with pytest.raises(MapError, match=f"degree {MAP_DEGREE_CAP + 1} exceeds cap"):
+        RationalMap(big, big[::-1])
+    with pytest.raises(MapError, match=f"degree 128 exceeds cap {MAP_DEGREE_CAP}"):
+        Z_SQUARED.iterate(7)
 
 
 def test_normalization_clears_content_and_denominators():
@@ -143,40 +154,6 @@ def test_multiplicity_matches_sympy_reference():
     assert all(seen.values()), seen
 
 
-# -- charts ---------------------------------------------------------------------
-
-def test_chart_avoiding_prefers_the_identity():
-    assert chart_avoiding(lambda q: False, 0) == (1, 0, 0, 1)
-    assert chart_avoiding({aff(0), aff(1)}.__contains__, 2) == (1, 0, 0, 1)
-
-
-def test_chart_avoiding_skips_bad_points():
-    inf = ProjectivePoint.infinity()
-    assert chart_avoiding({inf}.__contains__, 1) == (0, 1, 1, 0)
-    assert chart_avoiding({inf, aff(0), aff(1)}.__contains__, 3) == (-1, 1, 1, 0)
-
-
-def test_chart_avoiding_raises_after_count_plus_one_candidates():
-    asked = []
-
-    def bad(q):
-        asked.append(q)
-        return True
-
-    with pytest.raises(MapError):
-        chart_avoiding(bad, 4)
-    assert len(asked) == 5 and len(set(asked)) == 5
-
-
-@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(
-    lambda t: t != (0, 0)), max_size=6))
-def test_chart_avoiding_moves_every_bad_point_off_infinity(coords):
-    bad = {ProjectivePoint.of(x, y) for x, y in coords}
-    a, b, c, d = chart_avoiding(bad.__contains__, len(bad))
-    assert a * d - b * c in (1, -1)
-    assert not any(q.apply_matrix(d, -b, -c, a).is_infinity for q in bad)
-
-
 # -- critical divisor -----------------------------------------------------------
 
 def test_critical_divisor_power_maps():
@@ -264,6 +241,61 @@ def test_cycle_multiplier_chain_rule():
     assert lam == 0
     assert Z_SQUARED.cycle_multiplier(aff(1), 1) == 2
     assert Z_SQUARED.cycle_multiplier(ProjectivePoint.infinity(), 1) == 0
+
+
+def test_cycle_multiplier_needs_a_positive_period():
+    for n in (0, -2):
+        with pytest.raises(MapError, match="period must be positive"):
+            RationalMap.polynomial([1, 0, 0]).cycle_multiplier(aff(1), n)
+    with pytest.raises(MapError, match="not n-periodic"):
+        Z_SQUARED.cycle_multiplier(aff(2), 1)
+    # f^n(p) = p is all it needs: a fixed point at n = 2 gives its multiplier squared
+    assert Z_SQUARED.cycle_multiplier(aff(1), 2) == 4
+
+
+def chart_cycle_multiplier(f, p, n):
+    """The multiplier by the chain rule in an affine chart: conjugate f by
+    the first of the identity, the swap and (c, 1, 1, 0), (-c, 1, 1, 0),
+    c = 1, 2, ..., that sends infinity off the cycle, and multiply the
+    affine derivatives of the conjugate along the moved cycle."""
+    cycle = f.orbit(p, n - 1)
+    assert f.evaluate(cycle[-1]) == p
+    charts = [(1, 0, 0, 1), (0, 1, 1, 0)]
+    charts += [(s * c, 1, 1, 0) for c in range(1, n + 1) for s in (1, -1)]
+    a, b, c, d = next(m for m in charts if ProjectivePoint.of(m[0], m[2]) not in cycle)
+    g = f.conjugate((a, b, c, d))
+    lam = Fraction(1)
+    for q in cycle:
+        lam *= g.affine_derivative(q.apply_matrix(d, -b, -c, a).to_affine())
+    return lam
+
+
+def test_cycle_multiplier_matches_the_chart_chain_rule():
+    rng = random.Random(41)
+    maps = [Z_SQUARED, Z2_MINUS_1, RationalMap.from_affine([1], [1, 0, 0]),
+            RationalMap.from_affine([1, 0, 1], [1, 0])]
+    while len(maps) < 64:
+        d = 2 + len(maps) % 2
+        c = [rng.randint(-9, 9) for _ in range(2 * d + 2)]
+        if len(maps) % 3 == 0:
+            c[d + 1] = 0            # infinity fixed
+        elif len(maps) % 3 == 1:
+            c[0] = c[-1] = 0        # infinity -> 0 -> infinity
+        try:
+            maps.append(RationalMap(c[:d + 1], c[d + 1:]))
+        except MapError:
+            continue
+    seen = {"inf": 0, "superattracting": 0, "n>1": 0}
+    for f in maps:
+        for n in (1, 2, 3):
+            for cycle in rational_cycles(f, n):
+                for q in cycle:
+                    lam = f.cycle_multiplier(q, n)
+                    assert lam == chart_cycle_multiplier(f, q, n), (f, q, n)
+                    seen["inf"] += q.is_infinity
+                    seen["superattracting"] += lam == 0
+                    seen["n>1"] += n > 1
+    assert all(seen.values()), seen
 
 
 # -- models ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
@@ -18,6 +20,15 @@ def test_rational_cycles_two_cycle():
     cycles = rational_cycles(f, 2)
     assert len(cycles) == 1
     assert set(map(str, cycles[0])) == {"0", "-1"}
+
+
+def test_rational_cycles_skip_roots_of_smaller_exact_period():
+    # -1/2 is a fixed point of z^2 - 3/4 with multiplier -1, so it is a
+    # root of the period-2 dynatomic form without being a 2-cycle
+    f = RationalMap.from_affine([Fraction(1), 0, Fraction(-3, 4)], [1])
+    assert f.formal_period(ProjectivePoint.affine(Fraction(-1, 2)), 2)
+    assert rational_cycles(f, 2) == []
+    assert sorted(str(c[0]) for c in rational_cycles(f, 1)) == ["-1/2", "3/2", "inf"]
 
 
 def test_search_finds_three_fixed_points_and_two_cycle():
