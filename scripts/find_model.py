@@ -6,7 +6,10 @@ Example:
 
 The portrait file uses the same JSON schema as the CLI.  Prints the first
 model found in increasing coefficient height, or {"found": false,
-"bound": B} when none lies within the bound; both exit 0.  Like the CLI,
+"bound": B} when none lies within the bound; both exit 0.  The
+assignment is the first portrait morphism into the map's rational
+cycles in lexicographic order: vertices in sorted order, points in
+sorted order of their printed form.  Like the CLI,
 a malformed input exits 2 and a domain error exits 1, each with one
 `error: ...` line on stderr.
 """

@@ -15,7 +15,8 @@ import json
 import sys
 
 from portraitdyn import DomainError
-from portraitdyn.cli import SchemaError, load_map, load_points, load_portrait, report_error
+from portraitdyn.cli import (SchemaError, assign_points, load_map, load_points, load_portrait,
+                             report_error)
 from portraitdyn.forms import is_prime
 from portraitdyn.reduction import good_reduction
 
@@ -24,9 +25,7 @@ def scan(args) -> list:
     f = load_map(args.map)
     points = load_points(args.points)
     portrait = load_portrait(args.portrait)
-    if len(points) != len(portrait.vertices):
-        raise SchemaError("points file length must match the vertex count")
-    assignment = dict(zip(portrait.vertices, points))
+    assignment = assign_points(points, portrait)
 
     rows = []
     for p in filter(is_prime, range(2, args.max_prime + 1)):

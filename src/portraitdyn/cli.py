@@ -295,7 +295,7 @@ def _cmd_dyn_dynatomic(f, n):
             "coefficients": [_text(c) for c in form]}
 
 
-def _assignment(points, portrait) -> dict:
+def assign_points(points, portrait) -> dict:
     """The points file paired in order with the portrait's vertices."""
     if len(points) != len(portrait.vertices):
         raise SchemaError("points file length must match the vertex count")
@@ -305,7 +305,7 @@ def _assignment(points, portrait) -> dict:
 def _cmd_dyn_verify(f, points, portrait):
     from .maps import Model, verify_model
 
-    result = verify_model(f, portrait, _assignment(points, portrait))
+    result = verify_model(f, portrait, assign_points(points, portrait))
     if isinstance(result, Model):
         return {"ok": True}
     return {"ok": False, "problems": list(result.problems)}
@@ -327,7 +327,7 @@ def _cmd_dyn_reduce(f, prime, points, portrait):
         rep = good_reduction(f, {}, Portrait([], {}), prime)
         return {"prime": rep.prime, "map_good": rep.map_good,
                 "bullet": None, "circ": None, "star": None}
-    rep = good_reduction(f, _assignment(points, portrait), portrait, prime)
+    rep = good_reduction(f, assign_points(points, portrait), portrait, prime)
     return {"prime": rep.prime, "map_good": rep.map_good,
             "bullet": rep.bullet, "circ": rep.circ, "star": rep.star}
 

@@ -123,6 +123,8 @@ class RationalMap:
         return pairs[k]
 
     def iterate(self, k: int) -> "RationalMap":
+        if self.degree ** k > MAP_DEGREE_CAP:   # refuse before composing
+            raise MapError(f"degree {self.degree ** k} exceeds cap {MAP_DEGREE_CAP}")
         return RationalMap(*self.iterate_pair(k))
 
     def conjugate(self, m) -> "RationalMap":
@@ -311,13 +313,12 @@ def extract_portrait(f: RationalMap, points):
     if len(set(points)) != len(points):
         raise MapError("points must be pairwise distinct")
     names = {p: str(p) for p in points}
-    by_point = {p: names[p] for p in points}
     phi = {}
     weights = {}
     for p in points:
         img = f.evaluate(p)
-        if img in by_point:
-            phi[names[p]] = by_point[img]
+        if img in names:
+            phi[names[p]] = names[img]
             weights[names[p]] = f.multiplicity(p)
     portrait = Portrait(sorted(names.values()), phi, weights)
     assignment = {names[p]: p for p in points}

@@ -41,15 +41,11 @@ class ProjectivePoint(_Coordinates):
     def of(x, y) -> "ProjectivePoint":
         """Normalize arbitrary exact homogeneous coordinates."""
         fx, fy = Fraction(x), Fraction(y)
-        if fx == 0 and fy == 0:
-            raise PointError("(0, 0) is not a projective point")
-        den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-        ix, iy = int(fx * den), int(fy * den)
-        g = gcd(abs(ix), abs(iy))
-        ix, iy = ix // g, iy // g
-        if iy < 0 or (iy == 0 and ix < 0):
-            ix, iy = -ix, -iy
-        return ProjectivePoint(ix, iy)
+        if fy == 0:
+            if fx == 0:
+                raise PointError("(0, 0) is not a projective point")
+            return ProjectivePoint.infinity()
+        return ProjectivePoint.affine(fx / fy)
 
     @staticmethod
     def affine(z) -> "ProjectivePoint":

@@ -1,20 +1,21 @@
 """Bounded-height search for explicit models of purely periodic portraits.
 
 Enumerates integer coefficient pairs in increasing sup-norm height and
-tests whether the map carries enough rational cycles to realize the
-requested portrait.  Desk-scale by design: the search space grows like
+tests whether the portrait maps into the one the map induces on its
+rational cycles.  Desk-scale by design: the search space grows like
 (2h+1)^(2d+2), so it is meant for small degrees and small bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import gcd
 from typing import Optional
 
 from . import forms
-from .maps import DEGREE_CAP, MapError, Model, RationalMap, verify_model
-from .portraits import Portrait, PortraitError
+from .maps import DEGREE_CAP, MapError, Model, RationalMap, extract_portrait, pullback_model
+from .portraits import Portrait, PortraitError, hom
 from .projective import ProjectivePoint
 from .reduction import admits_period
 
@@ -69,8 +70,9 @@ def search_periodic_model(portrait: Portrait, degree: int,
                           coeff_bound: int) -> Optional[Model]:
     """First map (in height order) with a verified model of the portrait.
 
-    The portrait must be a disjoint union of cycles.  Returns None when
-    no map with coefficients of sup-norm at most `coeff_bound` works.
+    The portrait must be a disjoint union of cycles; a weight w on a
+    vertex asks for a point of multiplicity at least w.  Returns None
+    when no map with coefficients of sup-norm at most `coeff_bound` works.
 
     Each candidate map first passes a reduction screen for every cycle
     length n >= 3, at the primes 3, 5, 7, 11 and 13 that do not divide
@@ -81,16 +83,19 @@ def search_periodic_model(portrait: Portrait, degree: int,
     drops maps without a rational n-cycle, so it never changes the
     answer.  Then the rational cycles are found one length at a time,
     shortest first, and the map is dropped at the first length with too
-    few of them.
+    few of them.  A map that keeps enough cycles has a model exactly
+    when `hom` finds a morphism from the portrait into the portrait the
+    map induces on the points of those cycles (`extract_portrait`).
+
+    The assignment is the first such morphism in lexicographic order:
+    the portrait's vertices in sorted order, the points in sorted order
+    of their `str` form (the order of `hom`).
     """
     if degree < 2:
         raise MapError("degree must be at least 2")
     if coeff_bound < 0:
         raise MapError("coefficient bound must be nonnegative")
-    cycles = portrait_cycles(portrait)
-    by_len = {}
-    for cyc in cycles:
-        by_len.setdefault(len(cyc), []).append(cyc)
+    by_len = Counter(len(cyc) for cyc in portrait_cycles(portrait))
     longest = max(by_len, default=1)
     if degree ** longest > DEGREE_CAP:      # no dynatomic form of that period
         raise MapError(f"degree {degree ** longest} exceeds cap {DEGREE_CAP}")
@@ -113,33 +118,16 @@ def _screened_out(f: RationalMap, n: int) -> bool:
 def _match_cycles(f, portrait, by_len):
     if any(length >= 3 and _screened_out(f, length) for length in by_len):
         return None
-    available = {}
+    points = []
     for length, wanted in sorted(by_len.items()):
         found = rational_cycles(f, length)
-        if len(found) < len(wanted):
+        if len(found) < wanted:
             return None
-        available[length] = found
-    slots = []
-    for length, wanted in sorted(by_len.items()):
-        for cyc in wanted:
-            slots.append((length, cyc))
-    return _assign(f, portrait, slots, available, {}, set())
-
-
-def _assign(f, portrait, slots, available, acc, used):
-    if not slots:
-        model = verify_model(f, portrait, acc)
-        return model if isinstance(model, Model) else None
-    (length, cyc), rest = slots[0], slots[1:]
-    for candidate in available[length]:
-        if candidate[0] in used:
-            continue
-        for shift in range(length):
-            trial = dict(acc)
-            for i, v in enumerate(cyc):
-                trial[v] = candidate[(shift + i) % length]
-            result = _assign(f, portrait, rest, available,
-                             trial, used | set(candidate))
-            if result is not None:
-                return result
-    return None
+        points += [q for cyc in found for q in cyc]
+    # a model is a portrait morphism into the portrait f induces on its
+    # rational cycles: injective, equivariant and never lowering a weight
+    target, assignment = extract_portrait(f, points)
+    morphisms = hom(portrait, target)
+    if not morphisms:
+        return None
+    return pullback_model(morphisms[0], Model(f, target, assignment))

@@ -44,6 +44,16 @@ def test_degree_cap():
         Z_SQUARED.iterate(7)
 
 
+def test_iterate_refuses_before_composing(monkeypatch):
+    def no_compose(self, k):
+        raise AssertionError("the iterate was composed")
+
+    monkeypatch.setattr(RationalMap, "iterate_pair", no_compose)
+    f = RationalMap.from_affine([3, -2, 5], [1, 4, -7])
+    with pytest.raises(MapError, match=f"degree 1024 exceeds cap {MAP_DEGREE_CAP}"):
+        f.iterate(10)
+
+
 def test_normalization_clears_content_and_denominators():
     f = RationalMap([Fraction(1, 2), 0, 0], [0, 0, Fraction(3, 2)])
     assert f.f0 == (1, 0, 0) and f.f1 == (0, 0, 3)

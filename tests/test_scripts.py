@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from portraitdyn.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -54,6 +56,29 @@ def test_find_model_without_a_model_is_an_answer(tmp_path):
     proc = _script("find_model.py", str(path), "--degree", "2", "--bound", "1", check=False)
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == b'{"found": false, "bound": 1}\n'
+
+
+def test_find_model_output_is_a_verified_model(tmp_path, capsys):
+    # the acceptance portrait: three fixed points and a 2-cycle
+    portrait = {"vertices": list("abcde"),
+                "map": {"a": "a", "b": "b", "c": "c", "d": "e", "e": "d"}}
+    path = tmp_path / "portrait.json"
+    path.write_text(json.dumps(portrait), encoding="utf-8")
+    out = _run_script("find_model.py", str(path), "--degree", "2", "--bound", "5")
+    assert _run_script("find_model.py", str(path), "--degree", "2", "--bound", "5",
+                       hash_seed="1") == out
+    doc = json.loads(out)
+    assert doc["found"] is True
+    assert doc["map"] == {"degree": 2, "numerator": ["1", "-1", "-2"],
+                          "denominator": ["-2", "-2", "2"]}
+    assert doc["assignment"] == {"a": "-1/2", "b": "-2", "c": "1", "d": "-1", "e": "0"}
+    files = {"map.json": doc["map"],
+             "points.json": [doc["assignment"][v] for v in portrait["vertices"]],
+             "portrait.json": portrait}
+    for name, body in files.items():
+        (tmp_path / name).write_text(json.dumps(body), encoding="utf-8")
+    assert main(["dyn", "verify", *(str(tmp_path / name) for name in files)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True}
 
 
 _MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}

@@ -51,15 +51,16 @@ def test_search_requires_purely_periodic_portrait():
         search_periodic_model(Portrait(["a", "b"], {"a": "b"}), 2, 1)
 
 
-def _portrait(lens):
-    """Cycles of the given lengths, labelled v00, v01, ... in order."""
+def _portrait(lens, weights=()):
+    """Cycles of the given lengths, labelled v00, v01, ... in order; the
+    (index, weight) pairs of `weights` weight the labels at those indices."""
     labels = [f"v{i:02d}" for i in range(sum(lens))]
     phi, pos = {}, 0
     for n in lens:
         cyc = labels[pos:pos + n]
         pos += n
         phi.update((v, cyc[(k + 1) % n]) for k, v in enumerate(cyc))
-    return Portrait(labels, phi)
+    return Portrait(labels, phi, {labels[i]: w for i, w in weights})
 
 
 @pytest.mark.parametrize("lens,degree,bound,message", [
@@ -142,3 +143,52 @@ def test_label_order_changes_no_model(lens, degree, bound, found):
             sigma.update(zip(c, d))
     assert backward.map == forward.map
     assert backward.assignment == {sigma[v]: pt for v, pt in forward.assignment.items()}
+
+
+# (lens, weights, degree, bound, first map or None); a weight w asks for
+# a point of multiplicity at least w.  The unweighted rows show that the
+# weights change the first map.
+WEIGHTED_QUERIES = [
+    ((1,), (), 2, 1, ((0, 0, 1), (-1, -1, -1))),                  # 1/(-z^2 - z - 1)
+    ((1,), ((0, 2),), 2, 1, ((0, 1, 0), (1, -1, 1))),             # z/(z^2 - z + 1)
+    ((1, 1), ((0, 2), (1, 2)), 2, 1, ((1, 0, 0), (0, 0, -1))),     # -z^2
+    ((1, 1, 1), ((2, 2),), 2, 2, ((1, -1, -1), (0, 0, -1))),
+    ((2,), ((0, 2),), 2, 2, ((0, 0, 1), (-1, -1, 0))),
+    ((2,), ((0, 2), (1, 2)), 2, 2, ((0, 0, 1), (-1, 0, 0))),      # -1/z^2
+    ((1, 2), ((1, 2),), 2, 2, ((0, 0, 1), (-1, 0, 0))),
+    ((3,), ((0, 2),), 2, 2, ((0, 0, 1), (-1, 0, 1))),
+    ((1, 1), (), 3, 1, ((0, 0, 0, 1), (1, -1, 0, 1))),            # 1/(z^3 - z^2 + 1)
+    ((1, 1), ((0, 3),), 3, 1, ((1, -1, -1, 0), (0, 0, 0, -1))),
+    ((1, 1), ((0, 2), (1, 2)), 3, 1, ((0, 1, 0, 0), (1, 0, -1, -1))),
+    ((2,), ((0, 3),), 3, 1, ((0, 0, 0, 1), (-1, -1, -1, 0))),
+    ((1,), ((0, 3),), 2, 1, None),      # multiplicity is at most the degree
+]
+
+
+@pytest.mark.parametrize("lens,weights,degree,bound,pair", WEIGHTED_QUERIES)
+def test_search_weighted_cycles(lens, weights, degree, bound, pair):
+    portrait = _portrait(lens, weights)
+    model = search_periodic_model(portrait, degree, bound)
+    if pair is None:
+        assert model is None
+        return
+    assert (model.map.f0, model.map.f1) == pair
+    assert isinstance(verify_model(model.map, portrait, model.assignment), Model)
+    for v in portrait.domain:
+        assert model.map.multiplicity(model.assignment[v]) >= portrait.weight(v)
+
+
+def test_empty_portrait_has_a_model_without_points():
+    model = search_periodic_model(Portrait([], {}), 2, 1)
+    assert isinstance(model, Model) and model.assignment == {}
+    assert model.map == RationalMap((0, 0, 1), (-1, -1, -1))
+
+
+def test_assignment_is_the_first_morphism_in_sorted_order():
+    # the acceptance portrait: fixed points v00, v01, v02 and the 2-cycle
+    # v03 <-> v04; the map has fixed points -2, -1/2, 1 and the 2-cycle
+    # -1 <-> 0, taken in sorted order of their str form
+    model = search_periodic_model(_portrait((1, 1, 1, 2)), 2, 5)
+    assert (model.map.f0, model.map.f1) == ((1, -1, -2), (-2, -2, 2))
+    assert {v: str(q) for v, q in model.assignment.items()} == {
+        "v00": "-1/2", "v01": "-2", "v02": "1", "v03": "-1", "v04": "0"}
