@@ -37,21 +37,24 @@ def _reduce(x: int, y: int, prime: int):
     return (1, 0)
 
 
-def periods_mod_p(f: RationalMap, prime: int) -> set:
-    """The exact periods of the cycles of the reduced map on P^1(F_p)."""
+def _reduced_cycles(f: RationalMap, prime: int) -> list:
+    """The cycles of the reduced map on P^1(F_p), each a list of pairs
+    ((x, y), (u, v)) in orbit order: a point, (x : 1) with 0 <= x < p or
+    (1 : 0), and the values of f0 and f1 at it mod p."""
     if f.resultant % prime == 0:
         raise MapError(f"map does not reduce to a morphism mod {prime}")
     # point i is (i : 1) for i < p and (1 : 0) for i = p; image[i] is the
     # index of its image under the reduced map
+    points = [(x, 1) for x in range(prime)] + [(1, 0)]
     values = []
     for x in range(prime):
         u = v = 0
         for a, b in zip(f.f0, f.f1):       # Horner at (x : 1)
             u, v = u * x + a, v * x + b
-        values.append((u, v))
-    values.append((f.f0[0], f.f1[0]))
-    image = [x if y else prime for x, y in (_reduce(u, v, prime) for u, v in values)]
-    periods = set()
+        values.append((u % prime, v % prime))
+    values.append((f.f0[0] % prime, f.f1[0] % prime))
+    image = [u * pow(v, -1, prime) % prime if v else prime for u, v in values]
+    cycles = []
     state = [0] * (prime + 1)     # 0 unseen, 1 on the current path, 2 done
     for start in range(prime + 1):
         path, i = [], start
@@ -60,10 +63,30 @@ def periods_mod_p(f: RationalMap, prime: int) -> set:
             path.append(i)
             i = image[i]
         if state[i] == 1:
-            periods.add(len(path) - path.index(i))
+            cycles.append([(points[j], values[j]) for j in path[path.index(i):]])
         for j in path:
             state[j] = 2
-    return periods
+    return cycles
+
+
+def periods_mod_p(f: RationalMap, prime: int) -> set:
+    """The exact periods of the cycles of the reduced map on P^1(F_p)."""
+    return {len(cycle) for cycle in _reduced_cycles(f, prime)}
+
+
+def _multiplier_mod_p(f: RationalMap, cycle, prime: int) -> int:
+    """Multiplier of a cycle of `_reduced_cycles`: the product of
+    (J/d)(Q) / c^2 mod p over its points Q, where f(Q) = c Q' with Q' the
+    next point (as in `RationalMap.cycle_multiplier`), J the Jacobian
+    form of (f0, f1).  J/d is integral, since the monomials X^a Y^b and
+    X^c Y^e contribute (ae - bc) = d (a - c) times a monomial, so p may
+    divide d."""
+    jac = [c // f.degree for c in forms.jacobian(f.f0, f.f1)]
+    lam = 1
+    for (x, y), (u, v) in cycle:
+        c = v or u        # f(Q) = (u : v) is c (u/v : 1), or c (1 : 0) when v = 0
+        lam = lam * forms.evaluate(jac, x, y) * pow(c, -2, prime) % prime
+    return lam
 
 
 def admits_period(f: RationalMap, n: int, prime: int) -> bool:
@@ -72,19 +95,36 @@ def admits_period(f: RationalMap, n: int, prime: int) -> bool:
 
     Morton and Silverman (IMRN 1994, Thm 1.1): if P has exact period n,
     the reduced point has exact period m and its multiplier has order r
-    in F_p^*, then n = m, n = m r or n = m r p^e.  Since r divides p - 1,
-    some period m of the reduced map must divide n with n/m = r p^e for
-    some r | p - 1 and e >= 0.  This needs no multipliers.
+    in F_p^* (r infinite when the multiplier is 0), then n = m, n = m r or
+    n = m r p^e.  So some cycle of the reduced map must have a length m
+    dividing n with n = m, or with a nonzero multiplier of order r and
+    n/m = r p^e for some e >= 0.
     """
-    for m in periods_mod_p(f, prime):
+    for cycle in _reduced_cycles(f, prime):
+        m = len(cycle)
         if n % m:
             continue
         k = n // m
+        if k == 1:
+            return True
         while k % prime == 0:
             k //= prime
-        if (prime - 1) % k == 0:
+        if (prime - 1) % k:           # r divides p - 1
+            continue
+        if _order(_multiplier_mod_p(f, cycle, prime), prime) == k:
             return True
     return False
+
+
+def _order(lam: int, prime: int):
+    """Multiplicative order of lam mod p; None when no power below p is 1,
+    as for lam = 0."""
+    t = lam
+    for r in range(1, prime):
+        if t == 1:
+            return r
+        t = t * lam % prime
+    return None
 
 
 def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):

@@ -79,11 +79,12 @@ def search_periodic_model(portrait: Portrait, degree: int,
     its resultant: by Morton and Silverman (IMRN 1994, Thm 1.1), a
     rational point of exact period n needs, at each such prime p, a
     cycle of the reduced map on P^1(F_p) whose length m divides n with
-    n/m = r p^e, r | p - 1 (`reduction.admits_period`).  The screen only
-    drops maps without a rational n-cycle, so it never changes the
-    answer.  Then the rational cycles are found one length at a time,
-    shortest first, and the map is dropped at the first length with too
-    few of them.  A map that keeps enough cycles has a model exactly
+    n = m, or with n/m = r p^e, e >= 0, for the order r in F_p^* of a
+    nonzero multiplier of that cycle (`reduction.admits_period`).  The
+    screen only drops maps without a rational n-cycle, so it never
+    changes the answer.  Then the rational cycles are found one length
+    at a time, shortest first, and the map is dropped at the first
+    length with too few of them.  A map that keeps enough cycles has a model exactly
     when `hom` finds a morphism from the portrait into the portrait the
     map induces on the points of those cycles (`extract_portrait`).
 

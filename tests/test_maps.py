@@ -348,12 +348,21 @@ def test_extract_portrait_fixtures():
         extract_portrait(Z_SQUARED, [aff(0), aff(0)])
 
 
-def test_extract_portrait_raises_when_its_self_check_fails(monkeypatch):
-    from portraitdyn import maps
-    monkeypatch.setattr(maps, "verify_model",
-                        lambda f, portrait, assignment: ModelFailure(("forced",)))
-    with pytest.raises(MapError, match="forced"):
-        extract_portrait(Z_SQUARED, [aff(0)])
+def test_extract_portrait_output_passes_verify_model():
+    # the points include infinity, the rational critical points and poles,
+    # and their images, so each of them is in the portrait's domain
+    probes = multiplicity_probes(random.Random(31), 24)
+    probes += [(g, [ProjectivePoint.infinity(), aff(0), aff(1), aff(-1)])
+               for g in (Z_SQUARED, RationalMap.from_affine([1], [1, 0, 0]),
+                         RationalMap.polynomial([1, 0, -3, 0]))]   # z^3 - 3z: e = 2 at 1, -1
+    seen = {"inf": 0, "ramified": 0}
+    for f, points in probes:
+        points = sorted(set(points) | {f.evaluate(q) for q in points})
+        portrait, assignment = extract_portrait(f, points)
+        assert isinstance(verify_model(f, portrait, assignment), Model), f
+        seen["inf"] += "inf" in portrait.domain
+        seen["ramified"] += len(portrait.weights)
+    assert all(seen.values()), seen
 
 
 def test_extract_then_verify_round_trip():

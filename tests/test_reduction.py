@@ -5,9 +5,10 @@ import sympy
 
 from conftest import multiplicity_probes, random_rational_map, reference_multiplicity
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
-                         admits_period, extract_portrait, good_reduction, multiplicity_mod_p,
-                         periods_mod_p)
+                         admits_period, extract_portrait, good_reduction,
+                         multiplicity_mod_p, periods_mod_p, reduction)
 from portraitdyn.reduction import reduce_point
+from portraitdyn.search import rational_cycles
 
 Z2_MINUS_1 = RationalMap.polynomial([1, 0, -1])
 TWO_CYCLE = Portrait(["p", "q"], {"p": "q", "q": "p"}, {"p": 2})
@@ -175,6 +176,69 @@ def test_periods_mod_p_rejects_bad_prime():
 
 
 def test_admits_period_at_one_prime():
-    # z^2 - 1 mod 5 has periods m = 1, 2; n passes when some m divides it and
-    # n/m with its factors 5 removed divides 4
-    assert [n for n in range(1, 9) if admits_period(Z2_MINUS_1, n, 5)] == [1, 2, 4, 5, 8]
+    # z^2 - 1 mod 5: the cycles are {0, 4} with multiplier 0 * (-2) = 0, the
+    # fixed point 3 with multiplier 6 = 1 (order r = 1) and infinity with
+    # multiplier 0.  So n passes when n = 1 or 2, or n = 1 * 1 * 5^e: 4 and 8
+    # are not admitted, 5 still is.
+    assert [n for n in range(1, 9) if admits_period(Z2_MINUS_1, n, 5)] == [1, 2, 5]
+
+
+@pytest.mark.parametrize("coeffs,prime,admitted", [
+    # z^2 - z mod 5: the fixed point 0 has multiplier -1 (r = 2), the fixed
+    # point 2 has multiplier 3 (r = 4), infinity has 0; 1 -> 0, 3 -> 1 and
+    # 4 -> 2, so there is no 2-cycle and r alone admits n = 2, 4 and 2 * 5
+    ([1, -1, 0], 5, [1, 2, 4, 10]),
+    # z^3 - z mod 3: every point of F_3 goes to the fixed point 0, and
+    # infinity is fixed with multiplier 0.  J = (3X^2 - Y^2) 3Y^2 vanishes
+    # mod 3, but J/3 = 3X^2 Y^2 - Y^4 gives the multiplier -1 at 0 (r = 2),
+    # so n = 2 and 2 * 3 are admitted
+    ([1, 0, -1, 0], 3, [1, 2, 6]),
+    # z^3 + z mod 3: the fixed point 0 and the 2-cycle {1, 2} both have
+    # multiplier 1 (r = 1), so n = 3^e and 2 * 3^e are admitted
+    ([1, 0, 1, 0], 3, [1, 2, 3, 6, 9]),
+])
+def test_cycle_multiplier_order_decides_admission(coeffs, prime, admitted):
+    f = RationalMap.polynomial(coeffs)
+    assert [n for n in range(1, 13) if admits_period(f, n, prime)] == admitted
+
+
+def test_multiplier_mod_p_matches_cycle_multiplier():
+    # every rational 1-, 2- and 3-cycle of seeded maps, at each good prime
+    # p <= 23 where the cycle keeps its period and p does not divide the
+    # denominator of its multiplier
+    rng = random.Random(43)
+    maps = [Z2_MINUS_1, RationalMap.from_affine([1], [1, 0, 0]),
+            RationalMap.polynomial([16, 0, -29]), RationalMap.polynomial([1, 0, -1, 0]),
+            RationalMap((1, -15, 44), (10, -44, 44))]
+    while len(maps) < 80:
+        d = 2 + len(maps) % 2
+        c = [rng.randint(-9, 9) for _ in range(2 * d + 2)]
+        if len(maps) % 3 == 0:
+            c[d + 1] = 0            # infinity fixed
+        elif len(maps) % 3 == 1:
+            c[0] = c[-1] = 0        # infinity -> 0 -> infinity
+        try:
+            maps.append(RationalMap(c[:d + 1], c[d + 1:]))
+        except MapError:
+            continue
+    seen = {"inf": 0, "n>1": 0, "zero": 0, "p|d": 0}
+    for f in maps:
+        for n in (1, 2, 3):
+            for cycle in rational_cycles(f, n):
+                lam = f.cycle_multiplier(cycle[0], n)
+                for prime in sympy.primerange(2, 24):
+                    if f.resultant % prime == 0 or lam.denominator % prime == 0:
+                        continue
+                    start = reduce_point(cycle[0], prime)
+                    reduced = next(c for c in reduction._reduced_cycles(f, prime)
+                                   if start in [q for q, _ in c])
+                    if len(reduced) != n:
+                        continue
+                    want = lam.numerator * pow(lam.denominator, -1, prime) % prime
+                    assert reduction._multiplier_mod_p(f, reduced, prime) == want, (
+                        f, cycle, prime)
+                    seen["inf"] += any(q.is_infinity for q in cycle)
+                    seen["n>1"] += n > 1
+                    seen["zero"] += want == 0
+                    seen["p|d"] += f.degree % prime == 0
+    assert all(seen.values()), seen

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
-                         portrait_cycles, rational_cycles, search, search_periodic_model,
-                         verify_model)
+                         portrait_cycles, rational_cycles, reduction, search,
+                         search_periodic_model, verify_model)
 from portraitdyn.projective import ProjectivePoint
 
 
@@ -82,8 +82,10 @@ def test_search_rejects_bad_arguments_before_any_map(monkeypatch, lens, degree, 
 
 # Maps with a rational n-cycle: z^2 - 29/16 has the 3-cycle
 # -1/4 -> -7/4 -> 5/4, the other three have rational 4-cycles.  The last
-# has the 4-cycle 0 -> 1 -> 3 -> 4 and resultant 21560; mod 3 the cycle
-# collapses to a 2-cycle, so only n/m = r with r = 2 lets it pass there.
+# has the 4-cycle 0 -> 1 -> 3 -> 4 and resultant 21560.  Mod 3 it is
+# (z^2 + 2)/(z^2 + z + 2), whose only cycle is the 2-cycle 0 <-> 1 (2 -> 0,
+# infinity -> 1), with multiplier f'(0) f'(1) = 1 * (-1) = -1 of order
+# r = 2; the map passes there only because n/m = 2 = r.
 CYCLE_FIXTURES = [(((16, 0, -29), (0, 0, 16)), 3),
                   (((0, 1, 1), (-2, 2, 1)), 4),
                   (((1, 2, -2), (1, 1, 0)), 4),
@@ -97,19 +99,62 @@ def test_reduction_screen_passes_maps_with_a_rational_cycle(pair, n):
     assert not search._screened_out(f, n)
 
 
+def test_collapsed_four_cycle_passes_by_its_multiplier_order():
+    f = RationalMap(*CYCLE_FIXTURES[3][0])
+    [cycle] = reduction._reduced_cycles(f, 3)
+    assert [q for q, _ in cycle] == [(0, 1), (1, 1)]
+    assert reduction._multiplier_mod_p(f, cycle, 3) == 3 - 1
+    assert reduction.admits_period(f, 4, 3) and not reduction.admits_period(f, 8, 3)
+
+
+def _maps_of_height_one(degree):
+    return [RationalMap(f0, f1) for f0, f1 in search._coefficient_pairs(degree, 1)
+            if forms.resultant(f0, f1) != 0]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduction_screen_is_sound_at_height_one(n):
     # every degree-2 map of height <= 1 that the screen drops has no
     # rational n-cycle, and the screen does drop some
     dropped = 0
-    for f0, f1 in search._coefficient_pairs(2, 1):
-        if forms.resultant(f0, f1) == 0:
-            continue
-        f = RationalMap(f0, f1)
+    for f in _maps_of_height_one(2):
         if search._screened_out(f, n):
             dropped += 1
             assert rational_cycles(f, n) == [], f
     assert dropped > 100
+
+
+# The degree-3 maps of height <= 1 with a rational 4-cycle: rational_cycles
+# finds one on these 10 of the 2,248 maps and on no other (about 8 s, too
+# slow to repeat here).
+CUBIC_FOUR_CYCLES = [((0, 0, 1, -1), (1, 1, 0, 1)), ((0, 0, 1, 1), (-1, 1, 0, 1)),
+                     ((1, -1, 1, -1), (1, 0, 0, 1)), ((1, 0, 0, -1), (1, 0, 0, 1)),
+                     ((1, 0, 0, -1), (1, 1, 1, 1)), ((1, 0, 0, 1), (-1, 0, 0, 1)),
+                     ((1, 0, 0, 1), (-1, 1, -1, 1)), ((1, 0, 1, -1), (1, 1, 0, 0)),
+                     ((1, 0, 1, 1), (-1, 1, 0, 0)), ((1, 1, 1, 1), (-1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reduction_screen_is_sound_for_cubics_at_height_one(n):
+    # every degree-3 map of height <= 1 with a rational n-cycle passes the
+    # screen at every good prime of _SIEVE_PRIMES
+    if n == 4:
+        cycled = [RationalMap(*pair) for pair in CUBIC_FOUR_CYCLES]
+        assert all(rational_cycles(f, n) for f in cycled)
+        assert not any(search._screened_out(f, n) for f in cycled)
+        return
+    maps = _maps_of_height_one(3)
+    assert len(maps) == 2248
+    dropped = [f for f in maps if search._screened_out(f, n)]
+    assert len(dropped) > 1000
+    assert [f for f in dropped if rational_cycles(f, n)] == []
+
+
+def test_reduction_screen_keeps_few_maps_for_a_four_cycle():
+    # the multiplier-free consequence "r divides p - 1" kept 80 of these 240
+    maps = _maps_of_height_one(2)
+    assert len(maps) == 240
+    assert sum(not search._screened_out(f, 4) for f in maps) <= 4
 
 
 SCREEN_GRID = [((3,), 2, 2), ((1, 3), 2, 2), ((4,), 2, 2), ((2, 3), 2, 1),
