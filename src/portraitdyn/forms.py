@@ -2,12 +2,13 @@
 
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
 ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
-integers: determinants are fraction-free, division goes through the
-primitive part of the divisor, and root tests evaluate homogeneously.
-fractions.Fraction appears only at the API edge, for rational input and
-for results that are rational by nature (a rational root, a quotient
-with a denominator).  The integer helpers is_prime, divisors and mobius
-live here too, up to FACTOR_CAP.
+integers: the resultant of two degree-d forms is a fraction-free d x d
+Bezout determinant, division goes through the primitive part of the
+divisor, and evaluation, which every root test runs, is homogeneous
+Horner.  fractions.Fraction appears only at the API edge, for rational
+input and for results that are rational by nature (a rational root, a
+quotient with a denominator).  The integer helpers is_prime, divisors
+and mobius live here too, up to FACTOR_CAP.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from . import DomainError
 
 Form = tuple  # tuple of int (or Fraction) coefficients, X^D first
 
-X: Form = (1, 0)
-Y: Form = (0, 1)
 ONE: Form = (1,)
 
 
@@ -70,16 +69,11 @@ def pow_(f: Form, k: int) -> Form:
 
 
 def evaluate(f: Form, x, y):
-    """Evaluate the form at the pair (x, y)."""
-    d = degree(f)
+    """Evaluate the form at the pair (x, y), by homogeneous Horner."""
     acc = 0
     ypow = 1
-    xpows = [1] * (d + 1)
-    for i in range(1, d + 1):
-        xpows[i] = xpows[i - 1] * x
-    for i, c in enumerate(f):
-        if c != 0:
-            acc += c * xpows[d - i] * ypow
+    for c in f:
+        acc = acc * x + c * ypow
         ypow *= y
     return acc
 
@@ -115,9 +109,9 @@ def content(f: Form) -> int:
 
 def primitive(f: Form) -> Form:
     """Divide out the content and make the leading nonzero coefficient positive."""
-    if is_zero(f):
-        raise FormError("zero form has no primitive part")
     c = content(f)
+    if c == 0:
+        raise FormError("zero form has no primitive part")
     lead = next(a for a in f if a != 0)
     if lead < 0:
         c = -c
@@ -126,9 +120,10 @@ def primitive(f: Form) -> Form:
 
 def integerize(f) -> Form:
     """Clear denominators of a rational-coefficient form; result is primitive."""
-    if is_zero(f):
-        raise FormError("zero form")
-    return primitive(_integral(f)[0])
+    try:
+        return primitive(_integral(f)[0])
+    except FormError:
+        raise FormError("zero form") from None
 
 
 def compose_pair(f: Form, g0: Form, g1: Form) -> Form:
@@ -232,24 +227,59 @@ def _bareiss_det(m) -> int:
 
 
 def resultant(f: Form, g: Form):
-    """Sylvester resultant of two forms, padded to their stated degrees.
+    """Resultant of two forms at their stated degrees.
 
-    Rows of f coefficients come first, so Res(X^d, Y^d) = +1 and the
-    sign matches the classical convention Res(f, g) = lc(f)^deg(g) prod g(roots of f).
-    Rational input is cleared to integer forms a f and b g first, using
-    Res(a f, b g) = a^deg(g) b^deg(f) Res(f, g).  The result is an int
-    for int input, and an int or a Fraction for rational input.
+    The sign is the classical convention Res(f, g) = lc(f)^deg(g) prod
+    g(roots of f), which is the Sylvester determinant with the rows of f
+    first, so Res(X^d, Y^d) = +1.  Rational input is cleared to integer
+    forms a f and b g first, using Res(a f, b g) = a^deg(g) b^deg(f)
+    Res(f, g).  The result is an int for int input, and an int or a
+    Fraction for rational input.  A form needs at least one coefficient.
     """
-    df, dg = degree(f), degree(g)
+    if not f or not g:
+        raise FormError("a form needs at least one coefficient")
     F, a = _integral(f)
     G, b = _integral(g)
+    return _ratio(_int_resultant(F, G), a ** degree(g) * b ** degree(f))
+
+
+def _int_resultant(f: Form, g: Form) -> int:
+    """Res(f, g) of integer forms of degrees m and n.  A constant a gives
+    a^n; m > n swaps, Res(f, g) = (-1)^(mn) Res(g, f); m < n pads f to
+    degree n, Res(f, g) = Res(f (X - cY)^(n-m), g) / g(c, 1)^(n-m) at the
+    first integer c >= 0 with g(c, 1) != 0 (one of 0..n, unless g is
+    zero), and the division is exact."""
+    m, n = len(f) - 1, len(g) - 1
+    if m > n:
+        return (-1) ** (m * n) * _int_resultant(g, f)
+    if m == 0:
+        return f[0] ** n
+    if m < n:
+        c = next((c for c in range(n + 1) if evaluate(g, c, 1)), None)
+        if c is None:
+            return 0
+        for _ in range(n - m):
+            f = mul(f, (1, -c))
+        return _bezout_resultant(f, g) // evaluate(g, c, 1) ** (n - m)
+    return _bezout_resultant(f, g)
+
+
+def _bezout_resultant(f: Form, g: Form) -> int:
+    """Res(f, g) of integer forms of one degree d >= 1 as a d x d
+    determinant (Bezout, Cayley).  With u, v the ascending coefficients of
+    f(x, 1) and g(x, 1), B[i][j] = sum_k (u[j+k+1] v[i-k] - u[i-k] v[j+k+1])
+    over 0 <= k <= min(i, d-1-j), and Res = (-1)^(d(d-1)/2) det B.  The rows
+    are built by B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
+    d = len(f) - 1
+    u, v = f[::-1], g[::-1]
     rows = []
-    for i in range(dg):
-        rows.append([0] * i + list(F) + [0] * (dg - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + list(G) + [0] * (df - 1 - i))
-    det = _bareiss_det(rows)
-    return _ratio(det, a ** dg * b ** df)
+    above = [0] * (d + 1)       # B[i-1][j], and 0 past the last column
+    for i in range(d):
+        ui, vi = u[i], v[i]
+        row = [u[j + 1] * vi - ui * v[j + 1] + above[j + 1] for j in range(d)]
+        rows.append(row)
+        above = row + [0]
+    return (-1) ** (d * (d - 1) // 2) * _bareiss_det(rows)
 
 
 def rational_roots(coeffs) -> list:

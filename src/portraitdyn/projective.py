@@ -39,13 +39,18 @@ class ProjectivePoint(_Coordinates):
 
     @staticmethod
     def of(x, y) -> "ProjectivePoint":
-        """Normalize arbitrary exact homogeneous coordinates."""
-        fx, fy = Fraction(x), Fraction(y)
-        if fy == 0:
-            if fx == 0:
-                raise PointError("(0, 0) is not a projective point")
-            return ProjectivePoint.infinity()
-        return ProjectivePoint.affine(fx / fy)
+        """Normalize arbitrary exact homogeneous coordinates.  Anything but
+        a pair of ints is first cleared to one through Fraction."""
+        if type(x) is not int or type(y) is not int:
+            fx, fy = Fraction(x), Fraction(y)
+            x, y = fx.numerator * fy.denominator, fy.numerator * fx.denominator
+        g = gcd(x, y)
+        if g == 0:
+            raise PointError("(0, 0) is not a projective point")
+        if y < 0 or (y == 0 and x < 0):
+            g = -g
+        # primitive and sign-normalized by construction: skip __new__'s checks
+        return tuple.__new__(ProjectivePoint, (x // g, y // g))
 
     @staticmethod
     def affine(z) -> "ProjectivePoint":

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -93,6 +94,117 @@ def test_resultant_fixtures():
     assert forms.resultant((1, 0, 0), (0, 0, 1)) == 1      # X^2, Y^2
     assert forms.resultant((1, 0, -1), (0, 1, 0)) == -1    # (X-Y)(X+Y), XY
     assert forms.resultant((1, -1), (1, 1)) == 2
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over Fraction."""
+    a = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            ratio = a[i][k] / a[k][k]
+            for j in range(k, len(a)):
+                a[i][j] -= ratio * a[k][j]
+    return det
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) at the stated degrees: the Sylvester determinant with the
+    deg(g) rows of f first.  Unlike sympy's sylvester, it keeps the rows
+    of a vanishing leading coefficient."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)]
+    return _fraction_det(rows)
+
+
+def _resultant_cases():
+    """Seeded pairs of forms of degrees 0-8: leading and trailing zeros,
+    zero forms against constants, forms g with g(0, 1) = g(1, 1) = 0,
+    Fraction coefficients, one pair of degree 24."""
+    rng = random.Random(2024)
+
+    def coeffs(deg, rational=False):
+        f = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        if rational:
+            f = [Fraction(c, rng.randint(1, 6)) for c in f]
+        return f
+
+    cases = []
+    for _ in range(300):
+        m, n = rng.randint(0, 8), rng.randint(0, 8)
+        f, g = coeffs(m, rng.random() < 0.25), coeffs(n, rng.random() < 0.25)
+        for h in (f, g):
+            zeros = rng.randint(0, 2)
+            if rng.random() < 0.3:      # leading zeros
+                h[:zeros] = [0] * len(h[:zeros])
+            if rng.random() < 0.3:      # trailing zeros
+                h[len(h) - zeros:] = [0] * len(h[len(h) - zeros:])
+        cases.append((tuple(f), tuple(g)))
+    for n in range(0, 9):
+        a = rng.choice([-3, -1, 2, Fraction(1, 2)])
+        cases += [((a,), (0,) * (n + 1)), ((0,) * (n + 1), (a,)), ((0,), (0,) * (n + 1))]
+    for _ in range(60):
+        # g = X (X - Y) h: g(0, 1) = g(1, 1) = 0, so the padding needs c >= 2
+        n = rng.randint(2, 8)
+        g = forms.mul(forms.mul((1, 0), (1, -1)), tuple(coeffs(n - 2)))
+        f = tuple(coeffs(rng.randint(0, n - 1), rng.random() < 0.3))
+        cases += [(f, g), (g, f)]
+    cases.append((tuple(coeffs(24)), tuple(coeffs(24))))
+    return cases
+
+
+def test_resultant_matches_sylvester_at_stated_degrees():
+    cases = _resultant_cases()
+    assert any(len(f) == 25 for f, _ in cases)
+    assert any(f[0] == 0 and f[-1] == 0 for f, _ in cases)
+    assert any(any(type(c) is Fraction for c in f + g) for f, g in cases)
+    assert any(len(f) < len(g) and any(g) and forms.evaluate(g, 0, 1) == forms.evaluate(g, 1, 1) == 0
+               for f, g in cases)
+    for f, g in cases:
+        expected = sylvester_resultant(f, g)
+        got = forms.resultant(f, g)
+        assert got == expected, (f, g)
+        assert isinstance(got, int) == (expected.denominator == 1), (f, g)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_resultant_sign_convention(d):
+    xd, yd = (1,) + (0,) * d, (0,) * d + (1,)
+    assert forms.resultant(xd, yd) == 1
+    assert forms.resultant(yd, xd) == (-1) ** (d * d)
+
+
+@pytest.mark.parametrize("f,g", [((), ()), ((), (1, 2)), ((1, 2), ()), ((), (0,))])
+def test_resultant_refuses_a_form_without_coefficients(f, g):
+    with pytest.raises(forms.FormError, match="at least one coefficient"):
+        forms.resultant(f, g)
+
+
+points = st.one_of(st.integers(-30, 30), st.fractions(-20, 20, max_denominator=9))
+
+
+@given(st.lists(points, max_size=7), points, points)
+def test_evaluate_is_the_sum_of_its_terms(f, x, y):
+    d = len(f) - 1
+    for px, py in [(x, y), (0, y), (x, 0), (0, 0)]:
+        assert forms.evaluate(tuple(f), px, py) == sum(
+            c * px ** (d - i) * py ** i for i, c in enumerate(f))
+
+
+def test_evaluate_degree_zero_and_zero_coordinates():
+    assert forms.evaluate((7,), Fraction(1, 3), 0) == 7
+    assert forms.evaluate((7,), 0, 0) == 7
+    assert forms.evaluate((2, 0, 5), 0, 3) == 45
+    assert forms.evaluate((2, 0, 5), Fraction(-1, 2), 0) == Fraction(1, 2)
+    assert forms.evaluate((), 3, 4) == 0
 
 
 def test_rational_roots_against_sympy_factorization():

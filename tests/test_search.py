@@ -112,6 +112,23 @@ def _maps_of_height_one(degree):
             if forms.resultant(f0, f1) != 0]
 
 
+@pytest.mark.parametrize("lens", [(4,), (3, 2), (1, 1, 1, 1)])
+def test_exhausting_search_builds_one_map_per_nonzero_resultant(monkeypatch, lens):
+    # every candidate of nonzero resultant is built once, in order, and
+    # no other: the benchmark's traced coverage check counts the same
+    built = []
+
+    def counting(f0, f1):
+        built.append((f0, f1))
+        return RationalMap(f0, f1)
+
+    monkeypatch.setattr(search, "RationalMap", counting)
+    assert search_periodic_model(_portrait(lens), 2, 1) is None
+    assert built == [(f0, f1) for f0, f1 in search._coefficient_pairs(2, 1)
+                     if forms.resultant(f0, f1) != 0]
+    assert len(built) == 240
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduction_screen_is_sound_at_height_one(n):
     # every degree-2 map of height <= 1 that the screen drops has no
