@@ -101,10 +101,7 @@ def jacobian(f: Form, g: Form) -> Form:
 
 
 def content(f: Form) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
-    return g
+    return gcd(*f)
 
 
 def primitive(f: Form) -> Form:
@@ -115,6 +112,8 @@ def primitive(f: Form) -> Form:
     lead = next(a for a in f if a != 0)
     if lead < 0:
         c = -c
+    elif c == 1:
+        return tuple(f)
     return tuple(a // c for a in f)
 
 
@@ -240,7 +239,10 @@ def resultant(f: Form, g: Form):
         raise FormError("a form needs at least one coefficient")
     F, a = _integral(f)
     G, b = _integral(g)
-    return _ratio(_int_resultant(F, G), a ** degree(g) * b ** degree(f))
+    res = _int_resultant(F, G)
+    if a == b == 1:
+        return res
+    return _ratio(res, a ** degree(g) * b ** degree(f))
 
 
 def _int_resultant(f: Form, g: Form) -> int:

@@ -168,9 +168,9 @@ NU_CAP_BITS = 12000
 
 # Largest number nu of formal-period-n points for which multiplier_polynomial
 # computes; its work in the nu-dimensional algebra Q[x]/(psi) grows steeply
-# with nu.  On a 2-vCPU VM a random map takes about 1.5 s at nu = 42
-# (degree 7, n = 2) and 30 s at nu = 54 (degree 2, n = 6).  The tests, the
-# README and the benchmark stay at nu <= 6.
+# with nu.  On a 2-vCPU VM a random map takes 0.4-0.9 s at nu = 42
+# (degree 7, n = 2) and 17-24 s at nu = 54 (degree 2, n = 6).  The tests,
+# the README and the benchmark stay at nu <= 6.
 MULTIPLIER_CAP = 48
 
 

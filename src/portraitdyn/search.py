@@ -14,7 +14,8 @@ from math import gcd
 from typing import Optional
 
 from . import forms
-from .maps import DEGREE_CAP, MapError, Model, RationalMap, extract_portrait, pullback_model
+from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, extract_portrait,
+                   pullback_model)
 from .portraits import Portrait, PortraitError, hom
 from .projective import ProjectivePoint
 from .reduction import admits_period
@@ -54,16 +55,28 @@ def rational_cycles(f: RationalMap, period: int) -> list:
 
 
 def _coefficient_pairs(degree: int, bound: int):
-    """Primitive, sign-normalized coefficient pairs in increasing height."""
+    """Primitive, sign-normalized coefficient pairs in increasing height.
+
+    A pair is the tuple f0 + f1 of 2 degree + 2 coefficients.  Those of
+    height h come in lexicographic order, restricted to the tuples whose
+    first nonzero entry is positive and lies in f0 (a pair with f0 = 0
+    has resultant 0).  In that order the k leading zeros of f0 count
+    down from degree to 0, the first nonzero entry a runs up from 1 to h
+    and the rest runs over the product, so only those tuples are built.
+    """
     width = 2 * degree + 2
     for h in range(1, bound + 1):
-        for tup in itertools.product(range(-h, h + 1), repeat=width):
-            if (h not in tup and -h not in tup) or gcd(*tup) != 1:
-                continue
-            lead = next(c for c in tup if c != 0)
-            if lead < 0:
-                continue
-            yield tup[:degree + 1], tup[degree + 1:]
+        coeffs = range(-h, h + 1)
+        for k in range(degree, -1, -1):
+            zeros = (0,) * k
+            for a in range(1, h + 1):
+                for rest in itertools.product(coeffs, repeat=width - k - 1):
+                    if a != h and h not in rest and -h not in rest:
+                        continue            # height below h
+                    if a != 1 and gcd(a, *rest) != 1:
+                        continue
+                    tup = zeros + (a,) + rest
+                    yield tup[:degree + 1], tup[degree + 1:]
 
 
 def search_periodic_model(portrait: Portrait, degree: int,
@@ -73,6 +86,10 @@ def search_periodic_model(portrait: Portrait, degree: int,
     The portrait must be a disjoint union of cycles; a weight w on a
     vertex asks for a point of multiplicity at least w.  Returns None
     when no map with coefficients of sup-norm at most `coeff_bound` works.
+    The candidates are the pairs of `_coefficient_pairs`: by height, then
+    in the lexicographic order of the coefficient tuple f0 + f1, one pair
+    per map up to sign.  Each pair with a nonzero resultant is built as
+    a map once.
 
     Each candidate map first passes a reduction screen for every cycle
     length n >= 3, at the primes 3, 5, 7, 11 and 13 that do not divide
@@ -84,9 +101,13 @@ def search_periodic_model(portrait: Portrait, degree: int,
     screen only drops maps without a rational n-cycle, so it never
     changes the answer.  Then the rational cycles are found one length
     at a time, shortest first, and the map is dropped at the first
-    length with too few of them.  A map that keeps enough cycles has a model exactly
-    when `hom` finds a morphism from the portrait into the portrait the
-    map induces on the points of those cycles (`extract_portrait`).
+    length with too few of them.  The fixed points of a map are the
+    roots of its fixed-point form `dynatomic(1)`, which many candidates
+    share, so each call keeps them per form and finds the roots of a
+    form once; nothing is kept from one call to the next.  A map that
+    keeps enough cycles has a model exactly when `hom` finds a morphism
+    from the portrait into the portrait the map induces on the points of
+    those cycles (`extract_portrait`).
 
     The assignment is the first such morphism in lexicographic order:
     the portrait's vertices in sorted order, the points in sorted order
@@ -94,17 +115,22 @@ def search_periodic_model(portrait: Portrait, degree: int,
     """
     if degree < 2:
         raise MapError("degree must be at least 2")
+    if degree > MAP_DEGREE_CAP:     # the constructor would refuse every candidate
+        raise MapError(f"degree {degree} exceeds cap {MAP_DEGREE_CAP}")
     if coeff_bound < 0:
         raise MapError("coefficient bound must be nonnegative")
     by_len = Counter(len(cyc) for cyc in portrait_cycles(portrait))
     longest = max(by_len, default=1)
     if degree ** longest > DEGREE_CAP:      # no dynatomic form of that period
         raise MapError(f"degree {degree ** longest} exceeds cap {DEGREE_CAP}")
+    screened = [n for n in by_len if n >= 3]
+    wanted = sorted(by_len.items())
+    fixed = {}      # fixed-point form -> its rational fixed points, for this call only
     for f0, f1 in _coefficient_pairs(degree, coeff_bound):
         if forms.resultant(f0, f1) == 0:
             continue
         f = RationalMap(f0, f1)
-        model = _match_cycles(f, portrait, by_len)
+        model = _match_cycles(f, portrait, screened, wanted, fixed)
         if model is not None:
             return model
     return None
@@ -116,13 +142,20 @@ def _screened_out(f: RationalMap, n: int) -> bool:
     return any(f.resultant % p and not admits_period(f, n, p) for p in _SIEVE_PRIMES)
 
 
-def _match_cycles(f, portrait, by_len):
-    if any(length >= 3 and _screened_out(f, length) for length in by_len):
+def _match_cycles(f, portrait, screened, wanted, fixed):
+    if any(_screened_out(f, n) for n in screened):
         return None
     points = []
-    for length, wanted in sorted(by_len.items()):
-        found = rational_cycles(f, length)
-        if len(found) < wanted:
+    for length, count in wanted:
+        if length == 1:
+            # the fixed points of f are the roots of its fixed-point form
+            form = f.dynatomic(1)
+            found = fixed.get(form)
+            if found is None:
+                found = fixed[form] = rational_cycles(f, 1)
+        else:
+            found = rational_cycles(f, length)
+        if len(found) < count:
             return None
         points += [q for cyc in found for q in cyc]
     # a model is a portrait morphism into the portrait f induces on its

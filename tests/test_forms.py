@@ -59,6 +59,56 @@ def test_primitive_normalization():
         forms.primitive((0, 0))
 
 
+def _loop_content(f):
+    """The content as a running gcd of absolute values."""
+    g = 0
+    for c in f:
+        g = gcd(g, abs(c))
+    return g
+
+
+def _loop_primitive(f):
+    """Divide by the content, signed so the leading nonzero coefficient is positive."""
+    c = _loop_content(f)
+    lead = next(a for a in f if a != 0)
+    return tuple(a // (c if lead > 0 else -c) for a in f)
+
+
+# small entries make zero and unit contents common; big ones pass 2^64
+form_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.lists(form_entries, min_size=1, max_size=6), st.integers(1, 10 ** 20))
+def test_content_and_primitive_match_the_running_gcd(f, k):
+    for form in (tuple(f), tuple(k * c for c in f)):
+        assert forms.content(form) == _loop_content(form)
+        if nonzero(form):
+            assert forms.primitive(form) == _loop_primitive(form)
+            assert forms.primitive(list(form)) == _loop_primitive(form)
+
+
+def test_content_and_primitive_of_one_coefficient_forms():
+    assert [forms.content((c,)) for c in (0, 1, -1, -12)] == [0, 1, 1, 12]
+    assert [forms.primitive((c,)) for c in (1, -1, -12, 10 ** 40)] == [(1,)] * 4
+    for zero in ((0,), (0, 0, 0)):
+        with pytest.raises(forms.FormError, match="^zero form has no primitive part$"):
+            forms.primitive(zero)
+
+
+def test_resultant_divides_out_denominators_only_for_rational_input(monkeypatch):
+    calls, ratio = [], forms._ratio
+
+    def spy(num, den):
+        calls.append((num, den))
+        return ratio(num, den)
+
+    monkeypatch.setattr(forms, "_ratio", spy)
+    got = forms.resultant((1, -1), (1, 1))
+    assert got == 2 and type(got) is int and calls == []
+    got = forms.resultant((Fraction(1, 2), 0), (0, 1))    # X / 2 and Y: Res = 1/2
+    assert got == Fraction(1, 2) and calls == [(1, 2)]
+
+
 def test_derivatives():
     # F = X^3 + 2 X Y^2
     f = (1, 0, 2, 0)

@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
                          portrait_cycles, rational_cycles, reduction, search,
                          search_periodic_model, verify_model)
+from portraitdyn.maps import MAP_DEGREE_CAP
 from portraitdyn.projective import ProjectivePoint
 
 
@@ -78,6 +81,60 @@ def test_search_rejects_bad_arguments_before_any_map(monkeypatch, lens, degree, 
     monkeypatch.setattr(search, "RationalMap", no_maps)
     with pytest.raises(MapError, match=message):
         search_periodic_model(_portrait(lens), degree, bound)
+
+
+def test_search_refuses_a_degree_the_constructor_refuses_before_enumerating(monkeypatch):
+    # the degree-65 candidates of height 1 are 3^132 tuples
+    degree = MAP_DEGREE_CAP + 1
+    with pytest.raises(MapError) as built:
+        RationalMap((1,) + (0,) * degree, (0,) * degree + (1,))
+
+    def no_pairs(*args):
+        raise AssertionError("the candidates were enumerated")
+
+    monkeypatch.setattr(search, "_coefficient_pairs", no_pairs)
+    with pytest.raises(MapError) as searched:
+        search_periodic_model(_portrait((1,)), degree, 1)
+    assert str(searched.value) == str(built.value) == "degree 65 exceeds cap 64"
+
+
+def _product_and_filter(degree, bound):
+    """The candidate order by definition: at each height h, the tuples
+    f0 + f1 of height h with coprime entries whose first nonzero entry is
+    positive, in the lexicographic order of the full product."""
+    width = 2 * degree + 2
+    for h in range(1, bound + 1):
+        for tup in itertools.product(range(-h, h + 1), repeat=width):
+            if (h not in tup and -h not in tup) or gcd(*tup) != 1:
+                continue
+            lead = next(c for c in tup if c != 0)
+            if lead < 0:
+                continue
+            yield tup[:degree + 1], tup[degree + 1:]
+
+
+@pytest.mark.parametrize("degree,bound", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_coefficient_pairs_are_the_product_order_without_a_zero_numerator(degree, bound):
+    every = list(_product_and_filter(degree, bound))
+    assert list(search._coefficient_pairs(degree, bound)) == [p for p in every if any(p[0])]
+    # the pairs left out, with f0 = 0, would never be built
+    assert all(forms.resultant(f0, f1) == 0 for f0, f1 in every if not any(f0))
+
+
+# The first degree-5 models of height 1; the product order finds them too.
+DEGREE_FIVE_MODELS = [
+    ((1,), ((0, 0, 0, 0, 0, 1), (-1, -1, -1, -1, 0, -1)), ("-1",)),
+    ((1, 1), ((0, 0, 0, 0, 0, 1), (-1, -1, 1, 0, 1, 1)), ("-1", "1")),
+    ((2,), ((0, 0, 0, 0, 0, 1), (-1, -1, -1, -1, -1, 0)), ("0", "inf")),
+    ((1, 1, 1), ((0, 0, 0, 0, 1, 0), (-1, -1, 0, 1, 1, 1)), ("-1", "0", "1")),
+]
+
+
+@pytest.mark.parametrize("lens,pair,points", DEGREE_FIVE_MODELS)
+def test_first_models_of_degree_five(lens, pair, points):
+    model = search_periodic_model(_portrait(lens), 5, 1)
+    assert (model.map.f0, model.map.f1) == pair
+    assert tuple(str(q) for q in model.points()) == points
 
 
 # Maps with a rational n-cycle: z^2 - 29/16 has the 3-cycle
@@ -254,3 +311,97 @@ def test_assignment_is_the_first_morphism_in_sorted_order():
     assert (model.map.f0, model.map.f1) == ((1, -1, -2), (-2, -2, 2))
     assert {v: str(q) for v, q in model.assignment.items()} == {
         "v00": "-1/2", "v01": "-2", "v02": "1", "v03": "-1", "v04": "0"}
+
+
+def test_maps_with_one_fixed_point_form_have_the_same_fixed_points():
+    # the search shares rational_cycles(f, 1) among the maps of one call
+    # with the same dynatomic(1): the fixed points are its roots
+    found = {}
+    for degree, bound in ((2, 2), (3, 1)):
+        for f0, f1 in search._coefficient_pairs(degree, bound):
+            if forms.resultant(f0, f1) != 0:
+                f = RationalMap(f0, f1)
+                found.setdefault(f.dynatomic(1), []).append(rational_cycles(f, 1))
+    assert sum(len(cycles) for cycles in found.values()) > 2 * len(found)
+    for form, cycles in found.items():
+        assert all(c == cycles[0] for c in cycles), form
+
+
+def _reversed_labels(p):
+    """The portrait with label i of n renamed to label n - 1 - i, so its
+    vertices sort in the opposite order."""
+    n = len(p.vertices)
+    new = {v: f"v{n - 1 - int(v[1:]):02d}" for v in p.vertices}
+    return Portrait([new[v] for v in p.vertices], {new[v]: new[w] for v, w in p.phi.items()},
+                    {new[v]: w for v, w in p.weights.items()})
+
+
+# (lens, weights, degree, bound) -> None, or the first map with the
+# points of its model in sorted vertex order, for the labels of
+# _portrait and for the reversed labels
+PINNED_ANSWERS = {
+    ((1, 1, 1, 2), (), 2, 5):
+        (((1, -1, -2), (-2, -2, 2)), ("-1/2", "-2", "1", "-1", "0"),
+         ("-1", "0", "-1/2", "-2", "1")),
+    ((3,), (), 2, 2):
+        (((0, 0, 1), (-1, 0, 1)), ("0", "1", "inf"), ("0", "inf", "1")),
+    ((1, 3), (), 2, 2):
+        (((0, 2, 0), (2, -1, -2)), ("0", "-1/2", "1", "-2"), ("-1/2", "-2", "1", "0")),
+    ((4,), (), 2, 2):
+        (((0, 1, -1), (-2, -2, 1)), ("-1", "-2", "1", "0"), ("-1", "0", "1", "-2")),
+    ((2, 3), (), 2, 1): None,
+    ((1, 1, 3), (), 2, 1): None,
+    ((3, 3), (), 2, 1): None,
+    ((4,), (), 3, 1):
+        (((0, 0, 1, -1), (1, 1, 0, 1)), ("-1", "-2", "1", "0"), ("-1", "0", "1", "-2")),
+    ((3,), (), 3, 1):
+        (((0, 0, 0, 1), (-1, -1, -1, -1)), ("-1", "inf", "0"), ("-1", "0", "inf")),
+    ((1,), (), 2, 1):
+        (((0, 0, 1), (-1, -1, -1)), ("-1",), ("-1",)),
+    ((1,), ((0, 2),), 2, 1):
+        (((0, 1, 0), (1, -1, 1)), ("1",), ("1",)),
+    ((1, 1), ((0, 2), (1, 2)), 2, 1):
+        (((1, 0, 0), (0, 0, -1)), ("0", "inf"), ("0", "inf")),
+    ((1, 1, 1), ((2, 2),), 2, 2):
+        (((1, -1, -1), (0, 0, -1)), ("-1", "1", "inf"), ("inf", "-1", "1")),
+    ((2,), ((0, 2),), 2, 2):
+        (((0, 0, 1), (-1, -1, 0)), ("inf", "0"), ("0", "inf")),
+    ((2,), ((0, 2), (1, 2)), 2, 2):
+        (((0, 0, 1), (-1, 0, 0)), ("0", "inf"), ("0", "inf")),
+    ((1, 2), ((1, 2),), 2, 2):
+        (((0, 0, 1), (-1, 0, 0)), ("-1", "0", "inf"), ("0", "inf", "-1")),
+    ((3,), ((0, 2),), 2, 2):
+        (((0, 0, 1), (-1, 0, 1)), ("0", "1", "inf"), ("1", "0", "inf")),
+    ((1, 1), (), 3, 1):
+        (((0, 0, 0, 1), (1, -1, 0, 1)), ("-1", "1"), ("-1", "1")),
+    ((1, 1), ((0, 3),), 3, 1):
+        (((1, -1, -1, 0), (0, 0, 0, -1)), ("inf", "0"), ("0", "inf")),
+    ((1, 1), ((0, 2), (1, 2)), 3, 1):
+        (((0, 1, 0, 0), (1, 0, -1, -1)), ("-1", "0"), ("-1", "0")),
+    ((2,), ((0, 3),), 3, 1):
+        (((0, 0, 0, 1), (-1, -1, -1, 0)), ("inf", "0"), ("0", "inf")),
+    ((1,), ((0, 3),), 2, 1): None,
+}
+
+
+def test_pinned_answers_cover_the_acceptance_portrait_and_both_grids():
+    assert set(PINNED_ANSWERS) == ({((1, 1, 1, 2), (), 2, 5)}
+                                   | {(lens, (), d, b) for lens, d, b in SCREEN_GRID}
+                                   | {q[:4] for q in WEIGHTED_QUERIES})
+    for *query, pair in WEIGHTED_QUERIES:
+        assert (PINNED_ANSWERS[tuple(query)] or [None])[0] == pair
+
+
+@pytest.mark.parametrize("query", list(PINNED_ANSWERS))
+def test_pinned_answers_in_both_label_orders(query):
+    lens, weights, degree, bound = query
+    portrait = _portrait(lens, weights)
+    models = [search_periodic_model(p, degree, bound)
+              for p in (portrait, _reversed_labels(portrait))]
+    if PINNED_ANSWERS[query] is None:
+        assert models == [None, None]
+        return
+    pair, *points = PINNED_ANSWERS[query]
+    for model, want in zip(models, points):
+        assert (model.map.f0, model.map.f1) == pair
+        assert tuple(str(q) for q in model.points()) == want
