@@ -3,22 +3,24 @@
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
 ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
 integers: the resultant of two degree-d forms is a fraction-free d x d
-Bezout determinant, division goes through the primitive part of the
-divisor, and evaluation, which every root test runs, is homogeneous
-Horner.  fractions.Fraction appears only at the API edge, for rational
-input and for results that are rational by nature (a rational root, a
-quotient with a denominator).  The integer helpers is_prime, divisors
-and mobius live here too, up to FACTOR_CAP.
-"""
+Bezout determinant, exact division stays in Z[X, Y], and evaluation,
+which every root test runs, is homogeneous Horner.  The algorithmic
+routines (resultant, exact_div, rational_roots, ord_at) take integer
+forms only; integerize is the one place that clears denominators, and
+callers with rational coefficients go through it first.  add, sub, mul,
+scale, evaluate and jacobian stay generic and also run on Fractions.
+The integer helpers is_prime, divisors and mobius live here too, up to
+FACTOR_CAP."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 from . import DomainError
 
-Form = tuple  # tuple of int (or Fraction) coefficients, X^D first
+Form = tuple  # tuple of int coefficients, X^D first
 
 ONE: Form = (1,)
 
@@ -118,9 +120,15 @@ def primitive(f: Form) -> Form:
 
 
 def integerize(f) -> Form:
-    """Clear denominators of a rational-coefficient form; result is primitive."""
+    """The primitive integer form proportional to f, whose coefficients
+    may be anything Fraction accepts: the one place in forms that clears
+    denominators."""
+    if not all(type(c) is int for c in f):
+        f = [Fraction(c) for c in f]
+        den = lcm(*(c.denominator for c in f))
+        f = [c.numerator * (den // c.denominator) for c in f]
     try:
-        return primitive(_integral(f)[0])
+        return primitive(f)
     except FormError:
         raise FormError("zero form") from None
 
@@ -140,34 +148,15 @@ def compose_pair(f: Form, g0: Form, g1: Form) -> Form:
     return out
 
 
-def _integral(f):
-    """(F, den): the integer form F = den * f, den the least common
-    denominator of the coefficients of f, which may be anything
-    Fraction accepts."""
-    if all(type(c) is int for c in f):
-        return tuple(f), 1
-    f = [c if type(c) is int else Fraction(c) for c in f]
-    den = 1
-    for c in f:
-        den = lcm(den, c.denominator)
-    return tuple(c.numerator * (den // c.denominator) for c in f), den
-
-
-def _ratio(num: int, den: int):
-    """num / den as an int when it divides, else as a Fraction."""
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
 def exact_div(num: Form, den: Form) -> Form:
-    """Exact quotient num/den of forms; raises FormError if not exact.
+    """The quotient num / den of integer forms in Z[X, Y]; raises
+    FormError when there is none.
 
     Leading zero coefficients are powers of Y, which divide like any
-    other factor; they are stripped before the univariate division.
-    The division is by the primitive part of the divisor, in integers:
-    by Gauss's lemma a quotient by a primitive form is integral whenever
-    it exists, so a step that leaves a remainder proves the division
-    inexact.  The content of the divisor is divided out at the end, and
-    a coefficient is a Fraction only where it does not divide.
+    other factor; they are stripped before the univariate division.  A
+    step whose leading coefficient does not divide, or a nonzero
+    remainder, proves that no integral quotient exists.  By Gauss's lemma
+    that is also the rational answer when den is primitive.
     """
     if is_zero(den):
         raise FormError("division by zero form")
@@ -177,15 +166,12 @@ def exact_div(num: Form, den: Form) -> Form:
     lz_d = next(i for i, c in enumerate(den) if c != 0)
     if lz_n < lz_d:
         raise FormError("not divisible (Y-multiplicity)")
-    a, den_a = _integral(num[lz_n:])
-    b, den_b = _integral(den[lz_d:])
-    if len(a) < len(b):
+    b = den[lz_d:]
+    r = list(num[lz_n:])
+    if len(r) < len(b):
         raise FormError("not divisible (degree)")
-    cont = content(b) if b[0] > 0 else -content(b)
-    b = [c // cont for c in b]
-    r = list(a)
     q = []
-    for i in range(len(a) - len(b) + 1):
+    for i in range(len(r) - len(b) + 1):
         qi, rem = divmod(r[i], b[0])
         if rem:
             raise FormError("division not exact")
@@ -195,8 +181,7 @@ def exact_div(num: Form, den: Form) -> Form:
                 r[i + j] -= qi * b[j]
     if any(r[len(q):]):
         raise FormError("division not exact")
-    # num / den = (a / den_a) / (cont * b / den_b) = q * den_b / (den_a * cont)
-    return ((0,) * (lz_n - lz_d)) + tuple(_ratio(c * den_b, den_a * cont) for c in q)
+    return ((0,) * (lz_n - lz_d)) + tuple(q)
 
 
 def _bareiss_det(m) -> int:
@@ -225,44 +210,20 @@ def _bareiss_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def resultant(f: Form, g: Form):
-    """Resultant of two forms at their stated degrees.
+def resultant(f: Form, g: Form) -> int:
+    """Resultant of two integer forms of one degree d >= 1.
 
-    The sign is the classical convention Res(f, g) = lc(f)^deg(g) prod
+    The sign is the classical convention Res(f, g) = lc(f)^d prod
     g(roots of f), which is the Sylvester determinant with the rows of f
-    first, so Res(X^d, Y^d) = +1.  Rational input is cleared to integer
-    forms a f and b g first, using Res(a f, b g) = a^deg(g) b^deg(f)
-    Res(f, g).  The result is an int for int input, and an int or a
-    Fraction for rational input.  A form needs at least one coefficient.
+    first, so Res(X^d, Y^d) = +1.  Raises FormError for forms of unequal
+    or zero degree and for a coefficient that is not an int: the
+    fraction-free elimination would floor a Fraction silently.  Rational
+    forms go through integerize first, and Res(a f, b g) = (ab)^d Res(f, g).
     """
-    if not f or not g:
-        raise FormError("a form needs at least one coefficient")
-    F, a = _integral(f)
-    G, b = _integral(g)
-    res = _int_resultant(F, G)
-    if a == b == 1:
-        return res
-    return _ratio(res, a ** degree(g) * b ** degree(f))
-
-
-def _int_resultant(f: Form, g: Form) -> int:
-    """Res(f, g) of integer forms of degrees m and n.  A constant a gives
-    a^n; m > n swaps, Res(f, g) = (-1)^(mn) Res(g, f); m < n pads f to
-    degree n, Res(f, g) = Res(f (X - cY)^(n-m), g) / g(c, 1)^(n-m) at the
-    first integer c >= 0 with g(c, 1) != 0 (one of 0..n, unless g is
-    zero), and the division is exact."""
-    m, n = len(f) - 1, len(g) - 1
-    if m > n:
-        return (-1) ** (m * n) * _int_resultant(g, f)
-    if m == 0:
-        return f[0] ** n
-    if m < n:
-        c = next((c for c in range(n + 1) if evaluate(g, c, 1)), None)
-        if c is None:
-            return 0
-        for _ in range(n - m):
-            f = mul(f, (1, -c))
-        return _bezout_resultant(f, g) // evaluate(g, c, 1) ** (n - m)
+    if len(f) != len(g) or len(f) < 2:
+        raise FormError("resultant needs two forms of one degree d >= 1")
+    if not all(type(c) is int for c in (*f, *g)):
+        raise FormError("resultant needs integer coefficients")
     return _bezout_resultant(f, g)
 
 
@@ -284,29 +245,30 @@ def _bezout_resultant(f: Form, g: Form) -> int:
     return (-1) ** (d * (d - 1) // 2) * _bareiss_det(rows)
 
 
-def rational_roots(coeffs) -> list:
-    """Rational roots with multiplicities of a univariate polynomial.
+def rational_roots(f: Form) -> list:
+    """Projective rational roots of an integer form, with multiplicities.
 
-    `coeffs` are descending-power, exact (int or Fraction).  Returns a
-    list of (Fraction root, multiplicity), sorted by root.  A root p/q in
-    lowest terms of the primitive integer polynomial has p | tail and
-    q | lead; each candidate is tested by the homogeneous integer value
-    sum c_i p^(D-i) q^i, and the polynomial is deflated by qX - pY only at
-    a root.  Raises FormError when the leading or the constant coefficient
-    of the primitive polynomial exceeds FACTOR_CAP in absolute value.
+    Returns a list of ((x, y), multiplicity) with (x, y) coprime integers
+    and y >= 0: first the root at infinity (1, 0), the power of Y that
+    divides f, then the affine roots x/y in increasing order.  An affine
+    root x/y of the primitive part has x | tail and y | lead; each
+    candidate is tested by homogeneous Horner at (x, y), and the form is
+    deflated by yX - xY only at a root.  Raises FormError when the leading
+    or the constant coefficient of the primitive part, Y and X factors
+    removed, exceeds FACTOR_CAP in absolute value.
     """
-    work = list(_integral(coeffs)[0])
-    while work and work[0] == 0:
-        work.pop(0)
-    if not work:
-        raise FormError("zero polynomial")
+    lz = next((i for i, c in enumerate(f) if c != 0), None)
+    if lz is None:
+        raise FormError("zero form has no root divisor")
+    infinity = [((1, 0), lz)] if lz else []
+    work = list(f[lz:])
     roots = []
     zero_mult = 0
     while work[-1] == 0:
         zero_mult += 1
         work.pop()
     if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+        roots.append(((0, 1), zero_mult))
     if len(work) > 1:
         g = content(work)
         cur = [c // g for c in work]
@@ -322,11 +284,11 @@ def rational_roots(coeffs) -> list:
                     while len(cur) > 1 and (quot := _deflate(cur, x, q)) is not None:
                         mult += 1
                         cur = quot
-                    roots.append((Fraction(x, q), mult))
+                    roots.append(((x, q), mult))
             if len(cur) == 1:
                 break
-    roots.sort(key=lambda t: t[0])
-    return roots
+    roots.sort(key=cmp_to_key(lambda r, s: r[0][0] * s[0][1] - s[0][0] * r[0][1]))
+    return infinity + roots
 
 
 def _deflate(f, x: int, y: int, prime: int = 0):
@@ -370,24 +332,6 @@ def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
         mult += 1
         cur = quot
     return mult
-
-
-def form_rational_roots(f: Form) -> list:
-    """Projective rational roots of a form with multiplicities.
-
-    Returns a list of ((x, y), multiplicity) with (x, y) normalized
-    primitive-integer coordinates; (1, 0) is the root at infinity.
-    """
-    lz = next((i for i, c in enumerate(f) if c != 0), None)
-    if lz is None:
-        raise FormError("zero form has no root divisor")
-    out = []
-    if lz > 0:
-        out.append(((1, 0), lz))
-    if len(f) - lz > 1:
-        for root, mult in rational_roots(f[lz:]):
-            out.append(((root.numerator, root.denominator), mult))
-    return out
 
 
 # -- integers ----------------------------------------------------------------

@@ -26,6 +26,16 @@ class MapError(DomainError):
     pass
 
 
+def check_power(d: int, k: int, cap: int, what: str = "degree") -> None:
+    """Raise MapError when d^k exceeds cap, for d >= 2 and cap <= DEGREE_CAP.
+    Then 2^k > cap once k > DEGREE_CAP.bit_length(), so a larger exponent is
+    refused before its power is computed, and named as d^k."""
+    if k > DEGREE_CAP.bit_length():
+        raise MapError(f"{what} {d}^{k} exceeds cap {cap}")
+    if d ** k > cap:
+        raise MapError(f"{what} {d ** k} exceeds cap {cap}")
+
+
 class RationalMap:
     """Normalized primitive-integer model of a degree-d endomorphism of P^1."""
 
@@ -110,8 +120,7 @@ class RationalMap:
         """Primitive coefficient pair of the k-th iterate (k >= 1)."""
         if k < 1:
             raise MapError("iterate exponent must be positive")
-        if self.degree ** k > DEGREE_CAP:
-            raise MapError(f"iterate degree {self.degree ** k} exceeds cap {DEGREE_CAP}")
+        check_power(self.degree, k, DEGREE_CAP, "iterate degree")
         pairs = self._cache.setdefault("iterates", {1: (self.f0, self.f1)})
         top = max(pairs)
         while top < k:
@@ -124,8 +133,7 @@ class RationalMap:
         return pairs[k]
 
     def iterate(self, k: int) -> "RationalMap":
-        if self.degree ** k > MAP_DEGREE_CAP:   # refuse before composing
-            raise MapError(f"degree {self.degree ** k} exceeds cap {MAP_DEGREE_CAP}")
+        check_power(self.degree, k, MAP_DEGREE_CAP)     # refuse before composing
         return RationalMap(*self.iterate_pair(k))
 
     def conjugate(self, m) -> "RationalMap":
@@ -163,7 +171,7 @@ class RationalMap:
         """(wronskian form of degree 2d-2, rational roots with multiplicities)."""
         w = self.wronskian()
         roots = [(ProjectivePoint.of(x, y), m)
-                 for (x, y), m in forms.form_rational_roots(w)]
+                 for (x, y), m in forms.rational_roots(w)]
         return w, roots
 
     # -- periodic points ----------------------------------------------------
@@ -177,8 +185,7 @@ class RationalMap:
         """The degree-nu homogeneous dynatomic form of period n (primitive)."""
         if n < 1:
             raise MapError("period must be positive")
-        if self.degree ** n > DEGREE_CAP:
-            raise MapError(f"degree {self.degree ** n} exceeds cap {DEGREE_CAP}")
+        check_power(self.degree, n, DEGREE_CAP)
         cache = self._cache.setdefault("dynatomic", {})
         if n in cache:
             return cache[n]
@@ -195,7 +202,7 @@ class RationalMap:
                 num = forms.mul(num, gk)
             else:
                 den = forms.mul(den, gk)
-        cache[n] = forms.integerize(forms.exact_div(num, den))
+        cache[n] = forms.primitive(forms.exact_div(num, den))
         return cache[n]
 
     def formal_period(self, p: ProjectivePoint, n: int) -> bool:

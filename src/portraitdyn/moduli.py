@@ -5,7 +5,7 @@ spaces, and the fixed/periodic-point multiplier layer for maps on P^1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DomainError, forms
@@ -333,21 +333,25 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     """The cubic family (a z^3 + b z^2) / ((3a+2b) z - (2a+b)) fixing
     0, 1, infinity each with multiplicity 2; returns the exact resultant
     of the parameterized coefficient pair and the multiplier at the
-    fourth fixed point 2 + b/a."""
+    fourth fixed point 2 + b/a.  The forms are built from the integers
+    den a and den b, den the least common denominator; each cubic form
+    scales by den, so the resultant at a, b is theirs divided by den^6."""
     from .maps import RationalMap
     from .projective import ProjectivePoint
 
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise ModuliError("the family needs a != 0")
+    den = lcm(a.denominator, b.denominator)
+    a, b = int(a * den), int(b * den)
     f0 = (a, b, 0, 0)
     f1 = (0, 0, 3 * a + 2 * b, -(2 * a + b))
     res = forms.resultant(f0, f1)
     if res == 0:
         raise ModuliError("degenerate parameters: resultant vanishes")
     fmap = RationalMap(f0, f1)
-    mult = fmap.cycle_multiplier(ProjectivePoint.affine(2 + b / a), 1)
-    return CubicFixedFamily(fmap, Fraction(res), mult)
+    mult = fmap.cycle_multiplier(ProjectivePoint.affine(2 + Fraction(b, a)), 1)
+    return CubicFixedFamily(fmap, Fraction(res, den ** 6), mult)
 
 
 class SurfaceMembership(NamedTuple):

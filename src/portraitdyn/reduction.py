@@ -27,11 +27,7 @@ class ReductionReport(NamedTuple):
 
 def reduce_point(p: ProjectivePoint, prime: int):
     """Canonical representative of the point in P^1(F_p)."""
-    return _reduce(p.x, p.y, prime)
-
-
-def _reduce(x: int, y: int, prime: int):
-    x, y = x % prime, y % prime
+    x, y = p.x % prime, p.y % prime
     if y != 0:
         return ((x * pow(y, -1, prime)) % prime, 1)
     return (1, 0)

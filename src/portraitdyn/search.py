@@ -14,8 +14,8 @@ from math import gcd
 from typing import Optional
 
 from . import forms
-from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, extract_portrait,
-                   pullback_model)
+from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
+                   extract_portrait, pullback_model)
 from .portraits import Portrait, PortraitError, hom
 from .projective import ProjectivePoint
 from .reduction import admits_period
@@ -43,7 +43,7 @@ def rational_cycles(f: RationalMap, period: int) -> list:
     """All cycles of exact period `period` consisting of rational points."""
     cycles = []
     used = set()
-    for (x, y), _ in forms.form_rational_roots(f.dynatomic(period)):
+    for (x, y), _ in forms.rational_roots(f.dynatomic(period)):
         q = ProjectivePoint.of(x, y)
         if q in used:
             continue
@@ -121,8 +121,7 @@ def search_periodic_model(portrait: Portrait, degree: int,
         raise MapError("coefficient bound must be nonnegative")
     by_len = Counter(len(cyc) for cyc in portrait_cycles(portrait))
     longest = max(by_len, default=1)
-    if degree ** longest > DEGREE_CAP:      # no dynatomic form of that period
-        raise MapError(f"degree {degree ** longest} exceeds cap {DEGREE_CAP}")
+    check_power(degree, longest, DEGREE_CAP)     # no dynatomic form of that period
     screened = [n for n in by_len if n >= 3]
     wanted = sorted(by_len.items())
     fixed = {}      # fixed-point form -> its rational fixed points, for this call only

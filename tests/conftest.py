@@ -46,7 +46,7 @@ def multiplicity_probes(rng: random.Random, count: int):
                   ProjectivePoint.of(rng.randint(-9, 9), rng.randint(1, 5))}
         points.update(ProjectivePoint.affine(z) for z in range(-3, 4))
         points.update(q for q, _ in f.critical_divisor()[1])
-        points.update(ProjectivePoint.of(x, y) for (x, y), _ in forms.form_rational_roots(f.f1))
+        points.update(ProjectivePoint.of(x, y) for (x, y), _ in forms.rational_roots(f.f1))
         out.append((f, sorted(points)))
     return out
 

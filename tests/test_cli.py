@@ -319,6 +319,28 @@ def test_map_over_the_degree_cap_exits_one(capsys, tmp_path):
     assert run_cli.err == "error: degree 80 exceeds cap 64\n"
 
 
+@pytest.mark.parametrize("n,message", [
+    ("13", "degree 8192 exceeds cap 4096"),
+    ("14", "degree 2^14 exceeds cap 4096"),
+    ("13000", "degree 2^13000 exceeds cap 4096"),
+    ("1000000", "degree 2^1000000 exceeds cap 4096"),
+])
+def test_dynatomic_over_the_cap_exits_one(capsys, square_map, n, message):
+    # the exponent is refused before 2^n is computed or printed
+    code, out = run_cli(capsys, "dyn", "dynatomic", square_map, "-n", n)
+    assert code == 1 and out == ""
+    assert run_cli.err == f"error: {message}\n"
+
+
+def test_aut_over_the_morphism_cap_exits_one(capsys, tmp_path, monkeypatch):
+    from portraitdyn import portraits
+    monkeypatch.setattr(portraits, "MORPHISM_CAP", 1000)
+    portrait = write(tmp_path, "p.json", {"vertices": list("abcdefg"), "map": {}})
+    code, out = run_cli(capsys, "portrait", "aut", portrait)
+    assert code == 1 and out == ""
+    assert run_cli.err == "error: more than 1000 morphisms\n"
+
+
 def test_mod_multipliers_over_the_cap(capsys, square_map):
     code, out = run_cli(capsys, "mod", "multipliers", square_map, "-n", "6")
     assert code == 1 and out == ""

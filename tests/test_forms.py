@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 import sympy
@@ -37,8 +37,7 @@ def test_mul_is_multiplicative_on_evaluation(a, b):
 def test_exact_div_inverts_mul(a, b):
     a, b = tuple(a), tuple(b)
     prod = forms.mul(a, b)
-    q = forms.exact_div(prod, b)
-    assert forms.integerize(q) == forms.primitive(a)
+    assert forms.exact_div(prod, b) == a
 
 
 def test_exact_div_rejects_inexact():
@@ -95,20 +94,6 @@ def test_content_and_primitive_of_one_coefficient_forms():
             forms.primitive(zero)
 
 
-def test_resultant_divides_out_denominators_only_for_rational_input(monkeypatch):
-    calls, ratio = [], forms._ratio
-
-    def spy(num, den):
-        calls.append((num, den))
-        return ratio(num, den)
-
-    monkeypatch.setattr(forms, "_ratio", spy)
-    got = forms.resultant((1, -1), (1, 1))
-    assert got == 2 and type(got) is int and calls == []
-    got = forms.resultant((Fraction(1, 2), 0), (0, 1))    # X / 2 and Y: Res = 1/2
-    assert got == Fraction(1, 2) and calls == [(1, 2)]
-
-
 def test_derivatives():
     # F = X^3 + 2 X Y^2
     f = (1, 0, 2, 0)
@@ -130,6 +115,10 @@ def test_resultant_matches_sympy(a, b):
     n = max(len(a), len(b))
     a = tuple([0] * (n - len(a)) + list(a))
     b = tuple([0] * (n - len(b)) + list(b))
+    if n == 1:      # forms of degree 0 have no resultant here
+        with pytest.raises(forms.FormError, match="one degree d >= 1"):
+            forms.resultant(a, b)
+        return
     x, y = sympy.symbols("x y")
     pa = sum(c * x ** (n - 1 - i) * y**i for i, c in enumerate(a))
     pb = sum(c * x ** (n - 1 - i) * y**i for i, c in enumerate(b))
@@ -176,21 +165,18 @@ def sylvester_resultant(f, g):
 
 
 def _resultant_cases():
-    """Seeded pairs of forms of degrees 0-8: leading and trailing zeros,
-    zero forms against constants, forms g with g(0, 1) = g(1, 1) = 0,
-    Fraction coefficients, one pair of degree 24."""
+    """Seeded pairs of integer forms of one degree 1-8: leading and
+    trailing zeros, zero forms against nonzero ones, common roots, one
+    pair of degree 24."""
     rng = random.Random(2024)
 
-    def coeffs(deg, rational=False):
-        f = [rng.randint(-9, 9) for _ in range(deg + 1)]
-        if rational:
-            f = [Fraction(c, rng.randint(1, 6)) for c in f]
-        return f
+    def coeffs(deg):
+        return [rng.randint(-9, 9) for _ in range(deg + 1)]
 
     cases = []
     for _ in range(300):
-        m, n = rng.randint(0, 8), rng.randint(0, 8)
-        f, g = coeffs(m, rng.random() < 0.25), coeffs(n, rng.random() < 0.25)
+        d = rng.randint(1, 8)
+        f, g = coeffs(d), coeffs(d)
         for h in (f, g):
             zeros = rng.randint(0, 2)
             if rng.random() < 0.3:      # leading zeros
@@ -198,14 +184,14 @@ def _resultant_cases():
             if rng.random() < 0.3:      # trailing zeros
                 h[len(h) - zeros:] = [0] * len(h[len(h) - zeros:])
         cases.append((tuple(f), tuple(g)))
-    for n in range(0, 9):
-        a = rng.choice([-3, -1, 2, Fraction(1, 2)])
-        cases += [((a,), (0,) * (n + 1)), ((0,) * (n + 1), (a,)), ((0,), (0,) * (n + 1))]
+    for d in range(1, 9):
+        f = tuple(coeffs(d))
+        cases += [(f, (0,) * (d + 1)), ((0,) * (d + 1), f), ((0,) * (d + 1),) * 2]
     for _ in range(60):
-        # g = X (X - Y) h: g(0, 1) = g(1, 1) = 0, so the padding needs c >= 2
-        n = rng.randint(2, 8)
-        g = forms.mul(forms.mul((1, 0), (1, -1)), tuple(coeffs(n - 2)))
-        f = tuple(coeffs(rng.randint(0, n - 1), rng.random() < 0.3))
+        # a common factor X - Y: the resultant vanishes
+        d = rng.randint(1, 8)
+        f = forms.mul((1, -1), tuple(coeffs(d - 1)))
+        g = forms.mul((1, -1), tuple(coeffs(d - 1)))
         cases += [(f, g), (g, f)]
     cases.append((tuple(coeffs(24)), tuple(coeffs(24))))
     return cases
@@ -215,17 +201,15 @@ def test_resultant_matches_sylvester_at_stated_degrees():
     cases = _resultant_cases()
     assert any(len(f) == 25 for f, _ in cases)
     assert any(f[0] == 0 and f[-1] == 0 for f, _ in cases)
-    assert any(any(type(c) is Fraction for c in f + g) for f, g in cases)
-    assert any(len(f) < len(g) and any(g) and forms.evaluate(g, 0, 1) == forms.evaluate(g, 1, 1) == 0
-               for f, g in cases)
+    assert any(any(f) and any(g) and sylvester_resultant(f, g) == 0 for f, g in cases)
     for f, g in cases:
         expected = sylvester_resultant(f, g)
         got = forms.resultant(f, g)
         assert got == expected, (f, g)
-        assert isinstance(got, int) == (expected.denominator == 1), (f, g)
+        assert type(got) is int, (f, g)
 
 
-@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_resultant_sign_convention(d):
     xd, yd = (1,) + (0,) * d, (0,) * d + (1,)
     assert forms.resultant(xd, yd) == 1
@@ -234,8 +218,31 @@ def test_resultant_sign_convention(d):
 
 @pytest.mark.parametrize("f,g", [((), ()), ((), (1, 2)), ((1, 2), ()), ((), (0,))])
 def test_resultant_refuses_a_form_without_coefficients(f, g):
-    with pytest.raises(forms.FormError, match="at least one coefficient"):
+    with pytest.raises(forms.FormError, match="one degree d >= 1"):
         forms.resultant(f, g)
+
+
+@pytest.mark.parametrize("f,g,message", [
+    ((Fraction(1, 2), 0), (0, 1), "integer coefficients"),
+    ((1, 0), (0, Fraction(2)), "integer coefficients"),
+    ((1, 0, 1), (1, 2.0, 0), "integer coefficients"),
+    ((1, 0, 0), (0, 1), "one degree d >= 1"),
+    ((1,), (0, 1), "one degree d >= 1"),
+    ((2,), (3,), "one degree d >= 1"),
+])
+def test_resultant_refuses_all_but_integer_forms_of_one_positive_degree(f, g, message):
+    with pytest.raises(forms.FormError, match=message):
+        forms.resultant(f, g)
+
+
+def test_integer_routines_return_only_ints():
+    f, g = (3, -1, 0, 4), (0, 2, -5, 1)
+    assert type(forms.resultant(f, g)) is int
+    q = forms.exact_div(forms.mul(f, g), g)
+    assert q == f and all(type(c) is int for c in q)
+    roots = forms.rational_roots(forms.mul((0, 2, 1), (3, -1, 0)))     # Y (2X + Y) X (3X - Y)
+    assert roots == [((1, 0), 1), ((-1, 2), 1), ((0, 1), 1), ((1, 3), 1)]
+    assert all(type(c) is int for (x, y), m in roots for c in (x, y, m))
 
 
 points = st.one_of(st.integers(-30, 30), st.fractions(-20, 20, max_denominator=9))
@@ -258,75 +265,91 @@ def test_evaluate_degree_zero_and_zero_coordinates():
 
 
 def test_rational_roots_against_sympy_factorization():
-    # (x - 2)^2 (x + 1/3) (x^2 + 1) up to content
-    coeffs = [Fraction(c) for c in sympy.Poly(
-        "(x - 2)**2 * (3*x + 1) * (x**2 + 1)", sympy.Symbol("x")).all_coeffs()]
-    roots = forms.rational_roots(coeffs)
-    assert roots == [(Fraction(-1, 3), 1), (Fraction(2), 2)]
+    # (x - 2)^2 (3x + 1) (x^2 + 1), homogenized
+    form = tuple(int(c) for c in sympy.Poly(
+        "(x - 2)**2 * (3*x + 1) * (x**2 + 1)", sympy.Symbol("x")).all_coeffs())
+    roots = forms.rational_roots(form)
+    assert roots == [((-1, 3), 1), ((2, 1), 2)]
 
 
-def _sympy_rational_roots(coeffs):
-    """Rational roots with multiplicities from sympy's factorization over Q."""
+def _sympy_rational_roots(form):
+    """Projective rational roots with multiplicities from sympy's
+    factorization over Q: (1, 0) with the power of Y dividing the form,
+    then the roots x/y of the affine part in increasing order."""
     x = sympy.Symbol("x")
-    _, factors = sympy.factor_list(sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                                               for c in map(Fraction, coeffs)], x))
+    lz = next(i for i, c in enumerate(form) if c)
+    _, factors = sympy.factor_list(sympy.Poly(form[lz:], x))
     out = []
     for factor, mult in factors:
         if factor.degree() == 1:
             a, b = factor.all_coeffs()
             root = -b / a
             out.append((Fraction(int(root.p), int(root.q)), mult))
-    return sorted(out)
+    affine = [((r.numerator, r.denominator), m) for r, m in sorted(out)]
+    return ([((1, 0), lz)] if lz else []) + affine
 
 
 fractions_ = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 
 
 @given(st.lists(st.tuples(fractions_, st.integers(1, 3)), max_size=4),
-       st.lists(st.integers(-6, 6), max_size=4), fractions_.filter(bool))
-def test_rational_roots_match_sympy(roots, cofactor, lead):
-    # prod (x - r)^m times an integer cofactor times a rational leading
-    # coefficient: repeated roots, non-monic and Fraction input
-    poly = (lead,)
+       st.lists(st.integers(-6, 6), max_size=4), st.integers(-9, 9).filter(bool),
+       st.integers(0, 3))
+def test_rational_roots_match_sympy(roots, cofactor, lead, y_power):
+    # lead times prod (qX - pY)^m for the roots p/q, which include 0,
+    # times an integer cofactor and a power of Y: repeated roots, non-monic
+    # forms and roots at infinity
+    form = (lead,) + (0,) * y_power
     for r, m in roots:
-        for _ in range(m):
-            poly = forms.mul(poly, (1, -r))
+        form = forms.mul(form, forms.pow_((r.denominator, -r.numerator), m))
     if cofactor and cofactor[0]:
-        poly = forms.mul(poly, tuple(cofactor))
-    assert forms.rational_roots(poly) == _sympy_rational_roots(poly)
-    den = lcm(*(c.denominator for c in poly))
-    assert forms.rational_roots([int(-7 * den * c) for c in poly]) == forms.rational_roots(poly)
+        form = forms.mul(form, tuple(cofactor))
+    assert forms.rational_roots(form) == _sympy_rational_roots(form)
+    assert forms.rational_roots(forms.scale(form, -7)) == forms.rational_roots(form)
 
 
 def test_rational_roots_with_many_candidates():
     # lead 720^2 and tail 7^2 11: over a thousand candidates, of which
     # only the repeated root -7/720 survives
     poly = forms.mul(forms.pow_((720, 7), 2), forms.mul((1, 0, 1), (1, 0, -2, 11)))
-    assert forms.rational_roots(poly) == _sympy_rational_roots(poly) == [(Fraction(-7, 720), 2)]
+    assert forms.rational_roots(poly) == _sympy_rational_roots(poly) == [((-7, 720), 2)]
 
 
-@given(st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0),
-       st.lists(fractions_, min_size=1, max_size=5).filter(lambda f: f[0] != 0))
-def test_resultant_of_rational_forms_matches_sympy(a, b):
-    # sympy.resultant returns Res(g, f) when deg f < deg g, which differs
-    # by (-1)^(deg f deg g); the Sylvester determinant has the convention
-    # of forms.resultant for every pair of degrees
+rational_forms = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(*[st.lists(fractions_, min_size=d + 1, max_size=d + 1)
+                          .filter(lambda f: f[0] != 0)] * 2))
+
+
+@given(rational_forms)
+def test_resultant_of_rational_forms_matches_sympy(pair):
+    # rational forms f, g of one degree d are cleared by integerize to
+    # F = s f and G = t g, so Res(F, G) = (st)^d Res(f, g); the Sylvester
+    # determinant has the convention of forms.resultant
+    a, b = pair
+    d = len(a) - 1
     x = sympy.Symbol("x")
     pa = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in a], x)
     pb = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in b], x)
     expected = sylvester(pa.as_expr(), pb.as_expr(), x).det()
-    got = forms.resultant(tuple(a), tuple(b))
-    assert got == Fraction(int(expected.p), int(expected.q))
-    assert isinstance(got, int) == (expected.q == 1)
+    fa, fb = forms.integerize(a), forms.integerize(b)
+    s, t = Fraction(fa[0]) / a[0], Fraction(fb[0]) / b[0]
+    got = forms.resultant(fa, fb)
+    assert type(got) is int
+    assert got == (s * t) ** d * Fraction(int(expected.p), int(expected.q))
 
 
 @given(coeff_lists.filter(nonzero), coeff_lists.filter(nonzero), st.integers(1, 6))
 def test_exact_div_returns_the_exact_quotient(a, b, c):
-    # the divisor carries an extra content c, so the quotient is a / c
+    # the divisor carries an extra content c, so the quotient is a / c,
+    # which is in Z[X, Y] exactly when c divides every coefficient of a
     a, b = tuple(a), tuple(b)
+    if any(ai % c for ai in a):
+        with pytest.raises(forms.FormError, match="not exact"):
+            forms.exact_div(forms.mul(a, b), forms.scale(b, c))
+        return
     q = forms.exact_div(forms.mul(a, b), forms.scale(b, c))
     assert len(q) == len(a)
-    assert all(qi * c == ai for qi, ai in zip(q, a))
+    assert all(type(qi) is int and qi * c == ai for qi, ai in zip(q, a))
 
 
 def test_integer_helpers_match_sympy():
@@ -362,9 +385,8 @@ def test_integer_helpers_up_to_the_cap():
 
 
 def test_rational_roots_zero_root_and_infinity():
-    #  X^2 Y (X - Y): roots 0 (from X^2... as univariate) etc.
-    roots = forms.form_rational_roots((0, 1, -1, 0))  # X^2 Y - X Y^2 = XY(X-Y)
-    assert ((1, 0), 1) in roots and ((0, 1), 1) in roots and ((1, 1), 1) in roots
+    roots = forms.rational_roots((0, 1, -1, 0))  # X^2 Y - X Y^2 = XY(X-Y)
+    assert roots == [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]
 
 
 def test_ord_at():

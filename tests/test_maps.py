@@ -42,6 +42,12 @@ def test_degree_cap():
         RationalMap(big, big[::-1])
     with pytest.raises(MapError, match=f"degree 128 exceeds cap {MAP_DEGREE_CAP}"):
         Z_SQUARED.iterate(7)
+    with pytest.raises(MapError, match=f"^degree 2\\^100000000 exceeds cap {MAP_DEGREE_CAP}$"):
+        Z_SQUARED.iterate(10 ** 8)
+    with pytest.raises(MapError, match="^iterate degree 2\\^100000000 exceeds cap 4096$"):
+        Z_SQUARED.iterate_pair(10 ** 8)
+    with pytest.raises(MapError, match="^degree 2\\^100000000 exceeds cap 4096$"):
+        Z_SQUARED.dynatomic(10 ** 8)
 
 
 def test_iterate_refuses_before_composing(monkeypatch):
@@ -406,7 +412,7 @@ def test_dynatomic_at_parabolic_parameter():
     f = RationalMap.from_affine([Fraction(4), 0, Fraction(-3)], [4])
     dyn = f.dynatomic(2)
     assert forms.degree(dyn) == 2
-    assert forms.form_rational_roots(dyn) == [((-1, 2), 2)]
+    assert forms.rational_roots(dyn) == [((-1, 2), 2)]
 
 
 def test_extract_portrait_with_infinity():

@@ -165,6 +165,20 @@ def test_subportrait():
     assert not is_subportrait(weighted, Portrait(["a"], {"a": "a"}, {"a": 2}))
 
 
+def test_morphism_lists_stop_at_the_cap(monkeypatch):
+    from portraitdyn import portraits
+    monkeypatch.setattr(portraits, "MORPHISM_CAP", 100)
+    five = Portrait("abcde", {})                # 5! = 120 automorphisms
+    with pytest.raises(PortraitError, match="^more than 100 morphisms$"):
+        automorphism_group(five)
+    with pytest.raises(PortraitError, match="^more than 100 morphisms$"):
+        hom(five, Portrait("abcdef", {}))
+    assert len(automorphism_group(Portrait("abcd", {}))) == 24
+    assert ge(five, five)       # needs one morphism, not the list
+    monkeypatch.setattr(portraits, "MORPHISM_CAP", 120)
+    assert len(automorphism_group(five)) == 120
+
+
 def test_ge_weight_monotone():
     w1 = Portrait(["a"], {"a": "a"})
     w2 = Portrait(["a"], {"a": "a"}, {"a": 2})
