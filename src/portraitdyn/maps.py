@@ -111,11 +111,6 @@ class RationalMap:
     def __call__(self, p: ProjectivePoint) -> ProjectivePoint:
         return self.evaluate(p)
 
-    def affine_value(self, z) -> Optional[Fraction]:
-        """f(z) for affine rational z; None when the image is infinity."""
-        img = self.evaluate(ProjectivePoint.affine(z))
-        return None if img.is_infinity else img.to_affine()
-
     def iterate_pair(self, k: int):
         """Primitive coefficient pair of the k-th iterate (k >= 1)."""
         if k < 1:

@@ -51,8 +51,10 @@ class Portrait:
                 raise PortraitError(f"phi key {k!r} is not a vertex")
             if v not in vset:
                 raise PortraitError(f"phi value {v!r} is not a vertex")
-        weights = {str(k): int(v) for k, v in (weights or {}).items()}
+        weights = {str(k): w for k, w in (weights or {}).items()}
         for k, w in weights.items():
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise PortraitError(f"weight {w!r} on vertex {k!r} is not an integer")
             if k not in phi:
                 raise PortraitError(f"weight on vertex {k!r} outside the domain")
             if w < 1:
@@ -243,9 +245,6 @@ class PortraitMorphism(_Morphism):
             raise PortraitError("composition mismatch")
         return PortraitMorphism(other.source, self.target,
                                 {v: self.mapping[w] for v, w in other.mapping.items()})
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
 
 
 # hom and everything built on it (isomorphisms, automorphism_group) refuse
@@ -501,9 +500,12 @@ def enumerate_primitive_critical_portraits(d: int) -> list:
 
     Builds every candidate: per weight multiset of t parts, each of the
     (2t)^t ways to send the critical points to one another or to fresh
-    sinks.  The first candidate of each canonical form represents its
-    class, so classes come in candidate order.  Supported for d in
-    {2, 3}; the class count grows quickly with d.
+    sinks.  Every candidate is complete and critically primitive by
+    construction: the weights have sum of (w - 1) equal to 2d - 2, every
+    domain vertex is critical, and every sink is a critical image.  The
+    first candidate of each canonical form represents its class, so
+    classes come in candidate order.  Supported for d in {2, 3}; the
+    class count grows quickly with d.
     """
     if d not in (2, 3):
         raise PortraitError("supported degrees are 2 and 3")
@@ -525,8 +527,6 @@ def enumerate_primitive_critical_portraits(d: int) -> list:
                     phi[crits[i]] = sink_name[tgt]
             cand = Portrait(crits + sinks, phi,
                             dict(zip(crits, weights)))
-            if not (is_complete_critical(cand, d) and is_critically_primitive(cand)):
-                continue
             classes.setdefault(canonical_form(cand), cand)
     return list(classes.values())
 
@@ -668,8 +668,6 @@ def relation_determined(relations: Iterable[CriticalRelation],
         raise PortraitError("relation shifts must be nonnegative")
     if r.m > bound or r.n > bound:
         raise PortraitError(f"relation shift exceeds the closure bound {bound}")
-    if r.i == r.j and r.m == r.n:
-        return True
     return roots[base[r.i] + r.m] == roots[base[r.j] + r.n]
 
 

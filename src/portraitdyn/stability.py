@@ -6,6 +6,11 @@ linear subspace L is compared against the threshold
 D_eps(L) = (m_sigma (dim L + 1) + m0 (d - 1) codim L) / (N + 1) + eps.
 The eps = 0 inequalities are sufficient and the eps = m0 ones necessary,
 so verdicts are three-valued: certified-yes, certified-no, indeterminate.
+These two bands decide every verdict; the named results on the line
+(the global weight criterion, unit weights at distinct points, O(2, 1)
+in degree 2, the classical criterion for O(0, 1, ..., 1)) are
+corollaries of them.  Only the degree-2 case with one marked point of
+unit weight, where C = D_0, is settled by the fixed-point flag.
 """
 
 from __future__ import annotations
@@ -122,17 +127,18 @@ def subspace_candidates(points, N: int = 1) -> list:
 
 
 def verdict(inst: StabilityInstance) -> StabilityVerdict:
-    """Three-valued (semi)stability verdict.
+    """Three-valued (semi)stability verdict from the two bands.
 
-    The sufficient eps = 0 band certifies yes, the failure of the
-    necessary eps = m0 band certifies no, and named special cases
-    (the global weight criterion, the classical point criterion for
-    m = (0,1,...,1), and the refined degree-2 single-point results)
-    settle configurations the bands leave open.
+    The sufficient eps = 0 band certifies yes and the failure of the
+    necessary eps = m0 band certifies no.  For m = (0, 1, ..., 1) the
+    bands coincide, and the stable witness names the classical point
+    criterion.  Degree 2 with one marked point of unit weight has
+    C = D_0, so the bands leave stability open; the fixed-point flag
+    decides it.
     """
-    # C and D scale identically in the weights, so verdicts only depend
+    # C and D scale identically in the weights, so the bands only depend
     # on the weight vector up to a positive factor; dividing by the gcd
-    # also lets the named special cases match scaled instances.
+    # lets the classical witness and the flag case match scaled instances.
     g = gcd(*inst.weights)
     if g > 1:
         inst = inst._replace(weights=tuple(w // g for w in inst.weights))
@@ -144,60 +150,27 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
 
     witnesses = {}
     semi, stab = _band_verdicts(inst, candidates, witnesses)
-
     m = inst.weights
-    n = inst.n_points
-    distinct = (inst.points is not None
-                and len(set(inst.points)) == len(inst.points))
 
-    # Global criterion: m0 (d - 1) against the total marked weight.
-    if inst.m0 * (inst.d - 1) >= inst.m_sigma and semi != YES:
-        semi = YES
-        witnesses["semistable"] = "global weight criterion m0(d-1) >= m_sigma"
-    if inst.m0 * (inst.d - 1) > inst.m_sigma and stab != YES:
-        stab = YES
-        witnesses["stable"] = "global weight criterion m0(d-1) > m_sigma"
-
-    # Classical point criterion for m = (0, 1, ..., 1): an equivalence.
-    if n >= 1 and m[0] == 0 and all(w == 1 for w in m[1:]):
-        ok = all(len(sub.members) * (inst.N + 1) < n * (sub.dim + 1)
-                 for sub in candidates)
-        stab = YES if ok else NO
+    if len(m) > 1 and m[0] == 0 and all(w == 1 for w in m[1:]):
         witnesses["stable"] = ("point-configuration criterion for O(0,1,...,1): "
-                               + ("all subspace counts strict" if ok
+                               + ("all subspace counts strict" if stab == YES
                                   else "a subspace holds too many points"))
 
-    # Refined results on the line for m = (1, 1, ..., 1) with distinct points.
-    if (inst.N == 1 and n >= 1 and distinct and all(w == 1 for w in m)):
-        if semi != YES:
-            semi = YES
-            witnesses["semistable"] = "distinct points on the line with unit weights"
-        if (inst.d, n) != (2, 1):
-            if stab != YES:
-                stab = YES
-                witnesses["stable"] = "unit weights, (d, n) != (2, 1)"
+    if inst.N == 1 and inst.d == 2 and tuple(m) == (1, 1) and inst.points is not None:
+        flag = (inst.fixed_point_flags or (None,))[0]
+        if flag is None:
+            witnesses["stable"] = ("degree-2 single-point case needs the "
+                                   "fixed-point flag to decide")
+        elif flag:
+            stab = NO
+            witnesses["stable"] = "degree-2 single marked fixed point"
         else:
-            flag = (inst.fixed_point_flags or (None,))[0]
-            if flag is None:
-                witnesses["stable"] = ("degree-2 single-point case needs the "
-                                       "fixed-point flag to decide")
-            elif flag:
-                stab = NO
-                witnesses["stable"] = "degree-2 single marked fixed point"
-            else:
-                stab = YES
-                witnesses["stable"] = "degree-2 single marked non-fixed point"
-
-    # Refined degree-2 single-point result for m = (2, 1).
-    if inst.N == 1 and inst.d == 2 and tuple(m) == (2, 1) and stab != YES:
-        stab = YES
-        witnesses["stable"] = "single point on the line relative to O(2,1)"
+            stab = YES
+            witnesses["stable"] = "degree-2 single marked non-fixed point"
 
     if stab == YES and semi == NO:
         raise StabilityError("inconsistent verdict")  # pragma: no cover
-    if stab == YES and semi != YES:
-        semi = YES
-        witnesses.setdefault("semistable", "implied by stability")
     return StabilityVerdict(semi, stab, witnesses)
 
 

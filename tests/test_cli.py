@@ -481,6 +481,58 @@ def test_unweighted_moduli_need_valid_degree_and_dimension(capsys, tmp_path, com
     assert run_cli.err == "error: need d >= 2, N >= 1, n >= 1\n"
 
 
+_SQUARE = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}
+_WEIGHTED_FIXED = {"vertices": ["a"], "map": {"a": "a"}, "weights": {"a": 2}}
+_THREE_PREIMAGES = {"vertices": ["x", "a", "b", "c"], "map": {"a": "x", "b": "x", "c": "x"}}
+_DEGREE_DIM = ["--degree", "2", "--dim", "1"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["portrait", "validate", {"vertices": ["a"], "map": ["a"]}],
+     2, "key 'map' must be an object"),
+    (["dyn", "crit", {"degree": 1, "numerator": ["1", "0"], "denominator": ["0", "1"]}],
+     2, "key 'degree' must be an integer >= 2"),
+    (["dyn", "extract", _SQUARE, [["1", "2", "3"]]],
+     2, "cannot parse point entry ['1', '2', '3']"),
+    (["dyn", "dynatomic", _SQUARE, "-n", "0"], 1, "period must be positive"),
+    (["dyn", "crit", {"degree": 2, "numerator": ["0"] * 3, "denominator": ["0"] * 3}],
+     1, "zero map"),
+    (["git", "stability", {"N": 2, "d": 2, "weights": [1, 1], "points": ["0"]}],
+     1, "explicit candidate enumeration is implemented for N = 1"),
+    (["portrait", "fibers", _WEIGHTED_FIXED, {"vertices": ["a"], "map": {"a": "a"}},
+      *_DEGREE_DIM], 1, "both portraits must be unweighted"),
+    (["portrait", "fibers", _THREE_PREIMAGES, {"vertices": ["x"], "map": {}}, *_DEGREE_DIM],
+     1, "the ambient portrait moduli space is empty"),
+    (["portrait", "frame", _WEIGHTED_FIXED, "--degree", "1"], 1, "degree must be at least 2"),
+], ids=["map-list", "degree-1", "point-triple", "period-0", "zero-map", "points-in-P2",
+        "fibers-weighted", "fibers-empty-ambient", "frame-degree-1"])
+def test_refusals_print_one_line(capsys, tmp_path, argv, code, message):
+    argv = [a if isinstance(a, str) else write(tmp_path, f"arg{i}.json", a)
+            for i, a in enumerate(argv)]
+    assert run_cli(capsys, *argv) == (code, "")
+    assert run_cli.err == f"error: {message}\n"
+
+
+def test_verify_lists_the_problems_of_a_wrong_point(capsys, tmp_path):
+    argv = [write(tmp_path, "map.json", _SQUARE), write(tmp_path, "pts.json", ["2", "0"]),
+            write(tmp_path, "p.json", {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}})]
+    code, out = run_cli(capsys, "dyn", "verify", *argv)
+    assert code == 0
+    assert json.loads(out) == {"ok": False, "problems": ["f('a') = 4 but phi sends it to 2"]}
+
+
+@pytest.mark.parametrize("command,doc,expected", [
+    ("dim", {"vertices": ["a", "b", "c"], "map": {v: v for v in "abc"},
+             "weights": {v: 2 for v in "abc"}},
+     {"dim_end": None, "dim_moduli": None, "verdict": "empty-certified", "caveats": []}),
+    ("nonempty", _THREE_PREIMAGES, {"nonempty": False, "verdict": "empty-certified"}),
+])
+def test_degree_two_portraits_certified_empty(capsys, tmp_path, command, doc, expected):
+    code, out = run_cli(capsys, "portrait", command, write(tmp_path, "p.json", doc),
+                        *_DEGREE_DIM)
+    assert code == 0 and json.loads(out) == expected
+
+
 # -- fuzzing the portrait commands ----------------------------------------
 
 _IDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])

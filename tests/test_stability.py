@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -160,6 +161,75 @@ def test_weight_scaling_through_special_cases():
     assert v2.stable == YES
     v3 = verdict(StabilityInstance(N=1, d=2, weights=(4, 2), points=(aff(0),)))
     assert v3.stable == YES
+
+
+def _sweep_instance(rng):
+    """A random instance whose weights are often one of the named patterns,
+    scaled by a random factor: on the line with points (and a flag for one
+    point), or in P^1..P^4 with random incidences."""
+    N = rng.randint(1, 4)
+    d = rng.randint(2, 5)
+    n = rng.randint(0, 5)
+    pattern = rng.choice(("random", "unit", "classical", "o21", "heavy"))
+    if pattern == "unit":
+        weights = (1,) * (n + 1)
+    elif pattern == "classical":
+        weights = (0,) + (1,) * n
+    elif pattern == "o21":
+        N, d, n, weights = 1, 2, 1, (2, 1)
+    elif pattern == "heavy":
+        weights = (rng.randint(1, 4),) + tuple(rng.randint(0, 2) for _ in range(n))
+    else:
+        weights = tuple(rng.randint(0, 3) for _ in range(n + 1))
+    weights = tuple(rng.randint(1, 3) * w for w in weights)
+    if N == 1 and rng.random() < 0.7:
+        points = tuple(rng.choice((aff(rng.randint(-2, 2)), ProjectivePoint.infinity()))
+                       for _ in range(n))
+        flags = (rng.choice((True, False, None)),) if n == 1 else None
+        return StabilityInstance(N=N, d=d, weights=weights, points=points,
+                                 fixed_point_flags=flags)
+    incidences = tuple(
+        Subspace(rng.randint(0, N - 1),
+                 frozenset(i for i in range(1, n + 1) if rng.random() < 0.5))
+        for _ in range(rng.randint(0, 4)))
+    return StabilityInstance(N=N, d=d, weights=weights, incidences=incidences)
+
+
+def test_named_results_follow_from_the_bands():
+    # the global weight criterion, unit weights at distinct points, O(2,1)
+    # in degree 2 and the classical criterion for O(0,1,...,1), each up to
+    # a scale factor, as properties of the band verdict
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(3000):
+        inst = _sweep_instance(rng)
+        v = verdict(inst)
+        N, d, n, m = inst.N, inst.d, inst.n_points, inst.weights
+        g = gcd(*m) or 1
+        unit = tuple(w // g for w in m)
+        if inst.m0 * (d - 1) >= inst.m_sigma:
+            seen.add("global" if N == 1 else "global, N > 1")
+            assert v.semistable == YES
+            if inst.m0 * (d - 1) > inst.m_sigma:
+                assert v.stable == YES
+        if (inst.points is not None and n >= 1 and len(set(inst.points)) == n
+                and unit == (1,) * (n + 1)):
+            seen.add("unit")
+            assert v.semistable == YES
+            if (d, n) != (2, 1):
+                assert v.stable == YES
+        if N == 1 and d == 2 and unit == (2, 1):
+            seen.add("o21")
+            assert v.stable == YES
+        if n >= 1 and unit == (0,) + (1,) * n:
+            seen.add("classical")
+            candidates = (subspace_candidates(inst.points) if inst.points is not None
+                          else inst.incidences)
+            direct = all(len(sub.members) * (N + 1) < n * (sub.dim + 1)
+                         for sub in candidates)
+            assert v.stable == (YES if direct else NO)
+        assert not (v.stable == YES and v.semistable == NO)
+    assert seen == {"global", "global, N > 1", "unit", "o21", "classical"}
 
 
 def test_incidence_mode_certified_no():
