@@ -198,7 +198,8 @@ def load_stability(path: str):
                              weights=tuple(_int(w, "weight") for w in
                                            _list(data["weights"], "key 'weights'")),
                              points=points, incidences=tuple(incidences),
-                             fixed_point_flags=tuple(flags) if flags else None)
+                             fixed_point_flags=(tuple(flags) if "fixed_point_flags"
+                                                in data else None))
 
 
 # -- commands ------------------------------------------------------------

@@ -9,8 +9,8 @@ routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only; integerize is the one place that clears denominators, and
 callers with rational coefficients go through it first.  add, sub, mul,
 scale, evaluate and jacobian stay generic and also run on Fractions.
-The integer helpers is_prime, divisors and mobius live here too, up to
-FACTOR_CAP."""
+The integer helpers is_prime, divisors and mobius_pairs live here too,
+up to FACTOR_CAP."""
 
 from __future__ import annotations
 
@@ -336,11 +336,11 @@ def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
 
 # -- integers ----------------------------------------------------------------
 
-# divisors, mobius and is_prime refuse integers above this cap.  Below it,
-# Miller-Rabin to the 13 bases in _SMALL_PRIMES is a proof of primality
-# (Sorenson and Webster, 2015), and Pollard's rho takes at most about 1.5 s
-# on a product of two primes near 10^12.  Trial division alone would not
-# do: the period-3 dynatomic forms of cubic maps with one-digit
+# divisors, mobius_pairs and is_prime refuse integers above this cap.
+# Below it, Miller-Rabin to the 13 bases in _SMALL_PRIMES is a proof of
+# primality (Sorenson and Webster, 2015), and Pollard's rho takes at most
+# about 1.5 s on a product of two primes near 10^12.  Trial division alone
+# would not do: the period-3 dynatomic forms of cubic maps with one-digit
 # coefficients have leading and constant coefficients up to about 2^43.
 FACTOR_CAP = 10 ** 24
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -423,11 +423,13 @@ def divisors(n: int) -> list:
     return sorted(out)
 
 
-def mobius(n: int) -> int:
-    """The Moebius function of the integer 1 <= n <= FACTOR_CAP."""
+def mobius_pairs(n: int) -> list:
+    """The pairs (k, mu(n/k)) with mu(n/k) != 0, in increasing k, for the
+    integer 1 <= n <= FACTOR_CAP: n/k runs over the squarefree divisors
+    of n, with sign (-1)^(number of primes)."""
     if n < 1:
         raise FormError("the Moebius function needs n >= 1")
-    exponents = _factor(n).values()
-    if any(e > 1 for e in exponents):
-        return 0
-    return -1 if len(exponents) % 2 else 1
+    out = [(n, 1)]
+    for p in _factor(n):
+        out += [(k // p, -mu) for k, mu in out]
+    return sorted(out)

@@ -188,10 +188,7 @@ class RationalMap:
             cache[n] = self.fixed_point_form(1)
             return cache[n]
         num, den = forms.ONE, forms.ONE
-        for k in forms.divisors(n):
-            mu = forms.mobius(n // k)
-            if mu == 0:
-                continue
+        for k, mu in forms.mobius_pairs(n):
             gk = self.fixed_point_form(k)
             if mu == 1:
                 num = forms.mul(num, gk)

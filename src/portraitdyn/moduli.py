@@ -39,11 +39,8 @@ def nu_pre(d: int, N: int, m: int, n: int) -> int:
     if bits > NU_CAP_BITS:
         raise ModuliError(f"nu size N (m + n) bit_length(d) = {bits} "
                           f"exceeds cap {NU_CAP_BITS}")
-    total = 0
-    for k in forms.divisors(n):
-        mu = forms.mobius(n // k)
-        if mu:
-            total += mu * sum(d ** (j * k) for j in range(N + 1))
+    total = sum(mu * sum(d ** (j * k) for j in range(N + 1))
+                for k, mu in forms.mobius_pairs(n))
     return total if m == 0 else d ** (N * (m - 1)) * (d ** N - 1) * total
 
 
@@ -59,7 +56,8 @@ def dim_moduli_space(d: int, N: int) -> int:
 def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     """Certified nonemptiness test for the moduli space of an unweighted
     portrait (an equivalence in characteristic zero): every vertex needs
-    at most d^N preimages and at most nu(n) vertices of each exact period."""
+    at most d^N preimages and at most nu(n) vertices of each exact period
+    n (only periods the portrait has are compared: 0 never exceeds nu)."""
     if d < 2 or N < 1:
         raise ModuliError("need d >= 2, N >= 1, n >= 1")
     if not p.is_unweighted:
@@ -67,8 +65,8 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     stats = portrait_statistics(p)
     if stats.max_preimage_count > d ** N:
         return False
-    return all(stats.exact_period_counts[n] <= nu(d, N, n)
-               for n in stats.exact_period_counts)
+    return all(not c or c <= nu(d, N, n)
+               for n, c in stats.exact_period_counts.items())
 
 
 class NecessaryConditions(NamedTuple):
@@ -89,8 +87,9 @@ def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
     cond1 = max(fiber.values(), default=0) <= d
     cond2 = sum(p.weight(v) - 1 for v in p.domain) <= 2 * d - 2
     stats = portrait_statistics(p)
-    cond3 = {n: stats.exact_period_counts[n] <= nu(d, 1, n)
-             for n in stats.exact_period_counts}
+    # a period with no vertex cannot exceed nu, so only the others compute it
+    cond3 = {n: not c or c <= nu(d, 1, n)
+             for n, c in stats.exact_period_counts.items()}
     return NecessaryConditions(cond1, cond2, cond3,
                                cond1 and cond2 and all(cond3.values()))
 

@@ -50,8 +50,8 @@ class _Instance(NamedTuple):
     d: int
     weights: tuple                      # (m0, m1, ..., mn)
     points: Optional[tuple] = None      # explicit ProjectivePoints, N = 1
-    incidences: tuple = ()              # Subspace descriptors, general N
-    fixed_point_flags: Optional[tuple] = None
+    incidences: tuple = ()              # Subspace descriptors, without points
+    fixed_point_flags: Optional[tuple] = None   # one per point, with points only
 
 
 class StabilityInstance(_Instance):
@@ -73,6 +73,13 @@ class StabilityInstance(_Instance):
                 raise StabilityError(f"subspace dimension {sub.dim} out of range")
             if any(not 1 <= i <= n for i in sub.members):
                 raise StabilityError("incidence refers to a missing point index")
+        if self.points is not None and self.N != 1:
+            raise StabilityError("explicit candidate enumeration is implemented for N = 1")
+        if self.points is not None and self.incidences:
+            raise StabilityError("give points or incidences, not both")
+        flags = self.fixed_point_flags
+        if flags is not None and (self.points is None or len(flags) != n):
+            raise StabilityError("fixed-point flags need points, one flag per point")
         return self
 
     @classmethod
@@ -114,11 +121,9 @@ def cd_values(inst: StabilityInstance, subspace: Subspace, eps) -> tuple:
     return Fraction(c), d_val
 
 
-def subspace_candidates(points, N: int = 1) -> list:
+def subspace_candidates(points) -> list:
     """For the projective line, the candidate subspaces are the single
     points; one candidate per distinct marked value."""
-    if N != 1:
-        raise StabilityError("explicit candidate enumeration is implemented for N = 1")
     groups = {}
     for idx, p in enumerate(points, start=1):
         groups.setdefault(p, []).append(idx)
@@ -144,7 +149,7 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
         inst = inst._replace(weights=tuple(w // g for w in inst.weights))
 
     if inst.points is not None:
-        candidates = subspace_candidates(inst.points, inst.N)
+        candidates = subspace_candidates(inst.points)
     else:
         candidates = list(inst.incidences)
 
@@ -157,7 +162,7 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
                                + ("all subspace counts strict" if stab == YES
                                   else "a subspace holds too many points"))
 
-    if inst.N == 1 and inst.d == 2 and tuple(m) == (1, 1) and inst.points is not None:
+    if inst.d == 2 and tuple(m) == (1, 1) and inst.points is not None:
         flag = (inst.fixed_point_flags or (None,))[0]
         if flag is None:
             witnesses["stable"] = ("degree-2 single-point case needs the "

@@ -504,8 +504,23 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
     (["portrait", "fibers", _THREE_PREIMAGES, {"vertices": ["x"], "map": {}}, *_DEGREE_DIM],
      1, "the ambient portrait moduli space is empty"),
     (["portrait", "frame", _WEIGHTED_FIXED, "--degree", "1"], 1, "degree must be at least 2"),
+    (["git", "stability", {"N": 1, "d": 2, "weights": [0, 1, 1, 1], "points": ["0", "1", "2"],
+                           "incidences": [{"dim": 0, "points": [1, 2, 3]}]}],
+     1, "give points or incidences, not both"),
+    (["git", "stability", {"N": 1, "d": 3, "weights": [1, 1, 1], "points": ["0", "1"],
+                           "fixed_point_flags": [True, False, None, True]}],
+     1, "fixed-point flags need points, one flag per point"),
+    (["git", "stability", {"N": 1, "d": 2, "weights": [1, 1], "points": ["0"],
+                           "fixed_point_flags": []}],
+     1, "fixed-point flags need points, one flag per point"),
+    (["git", "stability", {"N": 2, "d": 2, "weights": [0, 1, 1],
+                           "incidences": [{"dim": 0, "points": [1]}],
+                           "fixed_point_flags": [True, None]}],
+     1, "fixed-point flags need points, one flag per point"),
 ], ids=["map-list", "degree-1", "point-triple", "period-0", "zero-map", "points-in-P2",
-        "fibers-weighted", "fibers-empty-ambient", "frame-degree-1"])
+        "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
+        "points-and-incidences", "four-flags-two-points", "no-flag-one-point",
+        "flags-without-points"])
 def test_refusals_print_one_line(capsys, tmp_path, argv, code, message):
     argv = [a if isinstance(a, str) else write(tmp_path, f"arg{i}.json", a)
             for i, a in enumerate(argv)]
@@ -817,6 +832,24 @@ def test_malformed_points_exit_two(capsys, tmp_path, square_map, argv, points):
     assert code == 2 and out == ""
     assert run_cli.err.startswith("error: ") and run_cli.err.count("\n") == 1
     assert "point" in run_cli.err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["conditions"], {"I": True, "II": True, "overall": True}),
+    (["dim", "--dim", "1"], {"verdict": "nonempty-certified"}),
+    (["nonempty", "--dim", "1"], {"nonempty": True, "verdict": "nonempty-certified"}),
+])
+def test_period_counts_compare_only_the_periods_present(capsys, tmp_path, argv, expected):
+    # one fixed point and 200 vertices outside the domain at degree 2^64:
+    # nu(185) is over the nu cap, but only period 1 has a vertex
+    vertices = ["a"] + [f"x{i}" for i in range(200)]
+    p = write(tmp_path, "p.json", {"vertices": vertices, "map": {"a": "a"}})
+    code, out = run_cli(capsys, "portrait", argv[0], p, "--degree", str(2 ** 64), *argv[1:])
+    assert code == 0 and run_cli.err == ""
+    doc = json.loads(out)
+    assert {k: doc[k] for k in expected} == expected
+    if "III" in doc:
+        assert doc["III"] == {str(n): True for n in range(1, 202)}
 
 
 def test_count_over_the_cap(capsys):

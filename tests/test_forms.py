@@ -352,13 +352,21 @@ def test_exact_div_returns_the_exact_quotient(a, b, c):
     assert all(type(qi) is int and qi * c == ai for qi, ai in zip(q, a))
 
 
+def _sympy_mobius_pairs(n):
+    return [(k, int(sympy.mobius(n // k))) for k in sympy.divisors(n)
+            if sympy.mobius(n // k) != 0]
+
+
 def test_integer_helpers_match_sympy():
     for n in range(1, 2001):
         assert forms.divisors(n) == sympy.divisors(n)
-        assert forms.mobius(n) == sympy.mobius(n)
         assert forms.is_prime(n) == sympy.isprime(n)
+        if n <= 200:
+            assert forms.mobius_pairs(n) == _sympy_mobius_pairs(n)
     assert not forms.is_prime(0) and not forms.is_prime(-7)
     assert forms.divisors(-12) == [1, 2, 3, 4, 6, 12]
+    with pytest.raises(forms.FormError, match="needs n >= 1"):
+        forms.mobius_pairs(0)
 
 
 def test_integer_helpers_up_to_the_cap():
@@ -375,8 +383,8 @@ def test_integer_helpers_up_to_the_cap():
         assert n <= forms.FACTOR_CAP
         assert forms.is_prime(n) == sympy.isprime(n), n
         assert forms.divisors(n) == sympy.divisors(n), n
-        assert forms.mobius(n) == sympy.mobius(n), n
-    for helper in (forms.is_prime, forms.divisors, forms.mobius):
+        assert forms.mobius_pairs(n) == _sympy_mobius_pairs(n), n
+    for helper in (forms.is_prime, forms.divisors, forms.mobius_pairs):
         with pytest.raises(forms.FormError, match="exceeds cap"):
             helper(forms.FACTOR_CAP + 1)
     assert forms.divisors(-forms.FACTOR_CAP)[-1] == forms.FACTOR_CAP

@@ -195,6 +195,18 @@ def test_projective_point_validation(x, y, message):
      "subspace dimension 1 out of range"),
     ({"N": 2, "d": 2, "weights": (1, 1), "incidences": (Subspace(0, frozenset({2})),)},
      "incidence refers to a missing point index"),
+    ({"N": 2, "d": 2, "weights": (1, 1), "points": (ProjectivePoint(0, 1),)},
+     "explicit candidate enumeration is implemented for N = 1"),
+    ({"N": 1, "d": 2, "weights": (0, 1, 1, 1),
+      "points": (ProjectivePoint(0, 1), ProjectivePoint(1, 1), ProjectivePoint(2, 1)),
+      "incidences": (Subspace(0, frozenset({1, 2, 3})),)},
+     "give points or incidences, not both"),
+    ({"N": 1, "d": 3, "weights": (1, 1, 1),
+      "points": (ProjectivePoint(0, 1), ProjectivePoint(1, 1)),
+      "fixed_point_flags": (True, False, None, True)},
+     "fixed-point flags need points, one flag per point"),
+    ({"N": 1, "d": 2, "weights": (1, 1), "fixed_point_flags": (True,)},
+     "fixed-point flags need points, one flag per point"),
 ])
 def test_stability_instance_validation(kwargs, message):
     with pytest.raises(StabilityError) as exc:
