@@ -199,6 +199,24 @@ class Portrait:
                         {v: w for v, w in self.weights.items() if v in keep})
 
 
+def _broken_rule(p1: Portrait, p2: Portrait, m: Mapping[str, str],
+                 v: str) -> Optional[str]:
+    """The first morphism rule that the vertex map m breaks at v, or None:
+    a domain vertex goes into the domain, commutes with phi (kept while m
+    leaves phi(v) unmapped) and keeps at least its weight."""
+    if v not in p1.domain:
+        return None
+    w = m[v]
+    if w not in p2.domain:
+        return "morphism must preserve the domain"
+    image = m.get(p1.phi[v])
+    if image is not None and image != p2.phi[w]:
+        return "morphism must be equivariant"
+    if p2.weights.get(w, 1) < p1.weights.get(v, 1):
+        return "morphism must not decrease weights"
+    return None
+
+
 class _Morphism(NamedTuple):
     source: Portrait
     target: Portrait
@@ -219,12 +237,9 @@ class PortraitMorphism(_Morphism):
         if not set(m.values()) <= set(tgt.vertices):
             raise PortraitError("morphism image outside target")
         for v in src.domain:
-            if m[v] not in tgt.domain:
-                raise PortraitError("morphism must preserve the domain")
-            if m[src.phi[v]] != tgt.phi[m[v]]:
-                raise PortraitError("morphism must be equivariant")
-            if tgt.weight(m[v]) < src.weight(v):
-                raise PortraitError("morphism must not decrease weights")
+            broken = _broken_rule(src, tgt, m, v)
+            if broken:
+                raise PortraitError(broken)
         return tuple.__new__(cls, (source, target, mapping))
 
     @classmethod
@@ -254,37 +269,25 @@ class PortraitMorphism(_Morphism):
 MORPHISM_CAP = 100_000
 
 
-def _morphism_maps(p1: Portrait, p2: Portrait):
+def morphism_maps(p1: Portrait, p2: Portrait):
     """Backtracking enumeration of the morphism vertex maps p1 -> p2,
     generated one at a time, so a caller that needs only one stops early.
 
     Vertices of p1 are assigned in sorted order, each trying the vertices
-    of p2 in sorted order, so the maps come in lexicographic order.
+    of p2 in sorted order, so the maps come in lexicographic order.  A
+    new pair v -> w stays when `_broken_rule` holds at v and at each
+    already-mapped preimage of v, the vertices whose rule it completes.
     """
     v1 = sorted(p1.vertices)
     v2 = sorted(p2.vertices)
     if len(v1) > len(v2):
         return
-    preimages = {}
-    for v, w in p1.phi.items():
-        preimages.setdefault(w, []).append(v)
+    checks = {v: [v] for v in v1}       # v, then its preimages mapped before it
+    for u, v in p1.phi.items():
+        if u < v:
+            checks[v].append(u)
     assignment = {}
     used = set()
-
-    def ok(v, w):
-        if v in p1.domain:
-            if w not in p2.domain:
-                return False
-            if p2.weight(w) < p1.weight(v):
-                return False
-            nxt = p1.phi[v]
-            img_nxt = w if nxt == v else assignment.get(nxt)
-            if img_nxt is not None and img_nxt != p2.phi[w]:
-                return False
-        for u in preimages.get(v, ()):
-            if u != v and u in assignment and p2.phi[assignment[u]] != w:
-                return False
-        return True
 
     def rec(idx):
         if idx == len(v1):
@@ -292,13 +295,17 @@ def _morphism_maps(p1: Portrait, p2: Portrait):
             return
         v = v1[idx]
         for w in v2:
-            if w in used or not ok(v, w):
+            if w in used:
                 continue
             assignment[v] = w
-            used.add(w)
-            yield from rec(idx + 1)
+            for u in checks[v]:
+                if _broken_rule(p1, p2, assignment, u):
+                    break
+            else:
+                used.add(w)
+                yield from rec(idx + 1)
+                used.discard(w)
             del assignment[v]
-            used.discard(w)
 
     yield from rec(0)
 
@@ -307,7 +314,7 @@ def hom(p1: Portrait, p2: Portrait) -> list:
     """All portrait morphisms p1 -> p2; raises PortraitError when there
     are more than MORPHISM_CAP of them."""
     out = []
-    for m in _morphism_maps(p1, p2):
+    for m in morphism_maps(p1, p2):
         if len(out) == MORPHISM_CAP:
             raise PortraitError(f"more than {MORPHISM_CAP} morphisms")
         out.append(PortraitMorphism(p1, p2, m))
@@ -322,12 +329,14 @@ def _sizes(p: Portrait) -> tuple:
 def isomorphisms(p1: Portrait, p2: Portrait) -> list:
     """All portrait isomorphisms p1 -> p2.
 
-    A morphism is injective, maps the domain into the domain and never
-    lowers a weight.  Between portraits of equal sizes (see `_sizes`) it
-    is therefore onto, maps V \\ V0 onto V \\ V0 and keeps every weight:
-    each morphism is an isomorphism.
+    The canonical form is a complete isomorphism invariant, so unequal
+    forms answer [] without a search.  Equal forms have equal vertex
+    counts, domain counts and weight totals.  A morphism is injective, maps
+    the domain into the domain and never lowers a weight, so between
+    such portraits it is onto, maps V \\ V0 onto V \\ V0 and keeps
+    every weight: each morphism is an isomorphism.
     """
-    return hom(p1, p2) if _sizes(p1) == _sizes(p2) else []
+    return hom(p1, p2) if canonical_form(p1) == canonical_form(p2) else []
 
 
 def isomorphic(p1: Portrait, p2: Portrait) -> bool:
@@ -402,17 +411,11 @@ def group_is_cyclic(auts: list) -> bool:
 
 
 def is_subportrait(q: Portrait, p: Portrait) -> bool:
-    """True iff q is a subportrait of p (shared vertex ids, restricted phi, weights <=)."""
-    if not set(q.vertices) <= set(p.vertices):
-        return False
-    if not q.domain <= p.domain:
-        return False
-    for v in q.domain:
-        if q.phi[v] != p.phi[v]:
-            return False
-        if q.weight(v) > p.weight(v):
-            return False
-    return True
+    """True iff q is a subportrait of p: the identity on q's vertex ids
+    is a morphism q -> p (restricted phi, weights <=)."""
+    identity = {v: v for v in q.vertices}
+    return (set(q.vertices) <= set(p.vertices)
+            and not any(_broken_rule(q, p, identity, v) for v in q.domain))
 
 
 def ge(p_prime: Portrait, p: Portrait) -> bool:
@@ -422,7 +425,7 @@ def ge(p_prime: Portrait, p: Portrait) -> bool:
     bijective and maps V \\ V0 onto V \\ V0; only weights may rise.
     """
     return (_sizes(p_prime)[:2] == _sizes(p)[:2]
-            and next(_morphism_maps(p, p_prime), None) is not None)
+            and next(morphism_maps(p, p_prime), None) is not None)
 
 
 class PortraitStatistics(NamedTuple):

@@ -16,7 +16,7 @@ from typing import Optional
 from . import forms
 from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
                    extract_portrait, pullback_model)
-from .portraits import Portrait, PortraitError, hom
+from .portraits import Portrait, PortraitError, PortraitMorphism, morphism_maps
 from .projective import ProjectivePoint
 from .reduction import admits_period
 
@@ -24,19 +24,11 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
 
 def portrait_cycles(p: Portrait) -> list:
-    """The cycles of a purely periodic portrait, as vertex tuples."""
-    cycles = []
-    seen = set()
-    for v in sorted(p.vertices):
-        t = p.preperiodic_type(v)
-        if t is None or t.preperiod != 0:
-            raise PortraitError("portrait is not a disjoint union of cycles")
-        if v in seen:
-            continue
-        orb = p.orbit(v)
-        seen.update(orb)
-        cycles.append(tuple(orb))
-    return cycles
+    """The cycles of a purely periodic portrait, as vertex tuples, each
+    from its least vertex and listed by it: one per component."""
+    if any(t is None or t.preperiod for t in map(p.preperiodic_type, p.vertices)):
+        raise PortraitError("portrait is not a disjoint union of cycles")
+    return [tuple(p.orbit(comp[0])) for comp in p.components()]
 
 
 def rational_cycles(f: RationalMap, period: int) -> list:
@@ -105,13 +97,13 @@ def search_periodic_model(portrait: Portrait, degree: int,
     roots of its fixed-point form `dynatomic(1)`, which many candidates
     share, so each call keeps them per form and finds the roots of a
     form once; nothing is kept from one call to the next.  A map that
-    keeps enough cycles has a model exactly when `hom` finds a morphism
-    from the portrait into the portrait the map induces on the points of
-    those cycles (`extract_portrait`).
+    keeps enough cycles has a model exactly when `morphism_maps` finds a
+    morphism from the portrait into the portrait the map induces on the
+    points of those cycles (`extract_portrait`).
 
     The assignment is the first such morphism in lexicographic order:
     the portrait's vertices in sorted order, the points in sorted order
-    of their `str` form (the order of `hom`).
+    of their `str` form (the order of `morphism_maps`).
     """
     if degree < 2:
         raise MapError("degree must be at least 2")
@@ -160,7 +152,8 @@ def _match_cycles(f, portrait, screened, wanted, fixed):
     # a model is a portrait morphism into the portrait f induces on its
     # rational cycles: injective, equivariant and never lowering a weight
     target, assignment = extract_portrait(f, points)
-    morphisms = hom(portrait, target)
-    if not morphisms:
+    first = next(morphism_maps(portrait, target), None)
+    if first is None:
         return None
-    return pullback_model(morphisms[0], Model(f, target, assignment))
+    return pullback_model(PortraitMorphism(portrait, target, first),
+                          Model(f, target, assignment))

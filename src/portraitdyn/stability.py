@@ -191,7 +191,7 @@ def _band_verdicts(inst, candidates, witnesses):
             st0 = False
         if c > dm:
             ssm = False
-            witnesses["semistable"] = f"C > D_m0 at {sub.label()}"
+            witnesses.setdefault("semistable", f"C > D_m0 at {sub.label()}")
         if c >= dm:
             stm = False
             witnesses.setdefault("stable", f"C >= D_m0 at {sub.label()}")

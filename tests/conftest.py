@@ -1,8 +1,11 @@
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import hypothesis
+import pytest
 import sympy
 from hypothesis import strategies as st
 
@@ -11,6 +14,26 @@ from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Fail the enclosed block with TimeoutError once `seconds` have
+    passed, so a search that runs away fails instead of hanging the
+    suite; skips where the platform has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("the time guard needs signal.SIGALRM")
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_rational_map(rng: random.Random, degree: int) -> RationalMap:

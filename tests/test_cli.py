@@ -469,6 +469,20 @@ def test_stability_config_with_incidences(capsys, tmp_path):
     assert json.loads(out)["stable"] == "certified-no"
 
 
+def test_stability_witnesses_name_the_first_violated_subspace(capsys, tmp_path):
+    # both subspaces have C > D_m0; each witness names the first candidate
+    config = write(tmp_path, "c.json", {
+        "N": 2, "d": 2, "weights": [1, 2, 2, 2, 2],
+        "incidences": [{"dim": 1, "points": [1, 2, 3, 4]}, {"dim": 0, "points": [2, 3, 4]}]})
+    code, out = run_cli(capsys, "git", "stability", config)
+    assert code == 0
+    assert json.loads(out) == {
+        "semistable": "certified-no", "stable": "certified-no",
+        "witnesses": {
+            "semistable": "C > D_m0 at dim-1 subspace containing points [1, 2, 3, 4]",
+            "stable": "C >= D_m0 at dim-1 subspace containing points [1, 2, 3, 4]"}}
+
+
 @pytest.mark.parametrize("degree,dim", [("2", "-1"), ("0", "-1"), ("2", "0"), ("1", "1")])
 @pytest.mark.parametrize("command", ["nonempty", "dim", "fibers"])
 def test_unweighted_moduli_need_valid_degree_and_dimension(capsys, tmp_path, command,
@@ -492,6 +506,8 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
      2, "key 'map' must be an object"),
     (["dyn", "crit", {"degree": 1, "numerator": ["1", "0"], "denominator": ["0", "1"]}],
      2, "key 'degree' must be an integer >= 2"),
+    (["dyn", "crit", {"degree": 2, "numerator": ["1", "0"], "denominator": ["0", "0", "1"]}],
+     2, "coefficient lists must have length degree + 1"),
     (["dyn", "extract", _SQUARE, [["1", "2", "3"]]],
      2, "cannot parse point entry ['1', '2', '3']"),
     (["dyn", "dynatomic", _SQUARE, "-n", "0"], 1, "period must be positive"),
@@ -517,8 +533,8 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
                            "incidences": [{"dim": 0, "points": [1]}],
                            "fixed_point_flags": [True, None]}],
      1, "fixed-point flags need points, one flag per point"),
-], ids=["map-list", "degree-1", "point-triple", "period-0", "zero-map", "points-in-P2",
-        "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
+], ids=["map-list", "degree-1", "short-coefficients", "point-triple", "period-0",
+        "zero-map", "points-in-P2", "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
         "points-and-incidences", "four-flags-two-points", "no-flag-one-point",
         "flags-without-points"])
 def test_refusals_print_one_line(capsys, tmp_path, argv, code, message):

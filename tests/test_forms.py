@@ -433,3 +433,22 @@ def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):
         return
     form = forms.mul(forms.pow_((y, -x), k), rest)
     assert forms.ord_at(form, x, y, prime) == k + forms.ord_at(rest, x, y, prime)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: forms.add((1, 2), (1, 2, 3)), "cannot add forms of different degrees"),
+    (lambda: forms.sub((1, 2), (1, 2, 3)), "cannot subtract forms of different degrees"),
+    (lambda: forms.compose_pair((1, 0, 0), (1, 0), (0, 1, 0)),
+     "substituted forms must have equal degree"),
+    (lambda: forms.exact_div((1, 1), (0, 0)), "division by zero form"),
+    (lambda: forms.exact_div((0, 0), (1, 1)), "zero numerator"),
+    (lambda: forms.exact_div((1, 0, 0), (0, 1, 1)), "not divisible (Y-multiplicity)"),
+    (lambda: forms.exact_div((0, 0, 1), (0, 1, 1)), "not divisible (degree)"),
+    (lambda: forms.rational_roots((0, 0, 0)), "zero form has no root divisor"),
+    (lambda: forms.divisors(0), "0 has infinitely many divisors"),
+], ids=["add", "sub", "compose-pair", "div-by-zero", "zero-numerator",
+        "y-multiplicity", "degree", "roots-of-zero", "divisors-of-zero"])
+def test_form_refusals(call, message):
+    with pytest.raises(forms.FormError) as exc:
+        call()
+    assert str(exc.value) == message

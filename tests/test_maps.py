@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (invertible_matrix_strategy, multiplicity_probes,
                       random_rational_map, reference_multiplicity)
-from portraitdyn import (MapError, Model, ModelFailure, Portrait,
+from portraitdyn import (DomainError, MapError, Model, ModelFailure, Portrait,
                          PreperiodicType, ProjectivePoint, RationalMap,
                          extract_portrait, hom, nu, pullback_model,
                          verify_model)
@@ -423,3 +423,26 @@ def test_extract_portrait_with_infinity():
     assert portrait.phi["1"] == "2"
     assert "2" not in portrait.domain   # f(2) = 5/2 is unmarked
     assert isinstance(verify_model(f, portrait, assignment), Model)
+
+
+_MILNOR = RationalMap([1, 2, 0], [0, 1, 1])        # (z^2 + 2z) / (z + 1)
+_FIXED = Portrait(["a"], {"a": "a"})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: RationalMap([1, 0, 0], [0, 1]), "numerator and denominator must have equal degree"),
+    (lambda: Z_SQUARED.iterate_pair(0), "iterate exponent must be positive"),
+    (lambda: Z_SQUARED.conjugate((1, 2, 2, 4)), "conjugating matrix is singular"),
+    (lambda: Z_SQUARED.period_of_point(aff(2), 0), "max_steps must be positive"),
+    (lambda: _MILNOR.affine_derivative(-1), "derivative chart: image at infinity"),
+    (lambda: verify_model(Z_SQUARED, Portrait(["a", "b"], {"a": "a"}), {"b": aff(0)}),
+     "assignment missing vertices ['a']"),
+    (lambda: pullback_model(hom(_FIXED, _FIXED)[0],
+                            Model(Z_SQUARED, Portrait(["b"], {"b": "b"}), {"b": aff(0)})),
+     "morphism target does not match the model portrait"),
+], ids=["unequal-lengths", "iterate-0", "singular-matrix", "max-steps-0",
+        "image-at-infinity", "missing-vertices", "pullback-mismatch"])
+def test_map_refusals(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import portrait_strategy, random_critically_generated
+from conftest import portrait_strategy, random_critically_generated, within
 from portraitdyn import (CriticalRelation, Portrait, PortraitError,
                          PortraitMorphism, PreperiodicType, automorphism_group,
                          canonical_form, critically_generated_subportrait,
@@ -169,6 +169,48 @@ def test_subportrait():
     weighted = Portrait(["a"], {"a": "a"}, {"a": 3})
     assert is_subportrait(Portrait(["a"], {"a": "a"}, {"a": 2}), weighted)
     assert not is_subportrait(weighted, Portrait(["a"], {"a": "a"}, {"a": 2}))
+
+
+def test_subportrait_needs_the_same_arrows():
+    big = Portrait(["a", "b"], {"a": "a"})
+    assert not is_subportrait(Portrait(["a", "b"], {"b": "a"}), big)    # b unmapped in big
+    assert not is_subportrait(Portrait(["a", "b"], {"a": "b"}), big)    # a -> a in big
+
+
+_AB = Portrait(["a", "b"], {"a": "b"})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _AB.weight("b"), "vertex 'b' has no weight (not in domain)"),
+    (lambda: _AB.restrict(["a"]), "restriction is not phi-closed"),
+    (lambda: PortraitMorphism(_AB, _AB, {"a": "a", "b": "b"}).compose(
+        PortraitMorphism(Portrait(["x"], {}), Portrait(["a"], {}), {"x": "a"})),
+     "composition mismatch"),
+], ids=["weight-off-the-domain", "restrict-not-closed", "compose-mismatch"])
+def test_portrait_refusals(call, message):
+    with pytest.raises(PortraitError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def _tail_family(k):
+    """Fixed points f<i>, i < k, each with a tail e<i>_0 -> ... -> e<i>_{i-1}
+    -> f<i> of length i; the tail vertices sort before the fixed points."""
+    phi = {}
+    for i in range(k):
+        path = [f"e{i}_{j}" for j in range(i)] + [f"f{i}"]
+        phi.update(zip(path, path[1:]))
+        phi[f"f{i}"] = f"f{i}"
+    return Portrait(sorted(phi), phi)
+
+
+def test_isomorphisms_of_portraits_with_different_forms_need_no_search():
+    p = _tail_family(9)
+    twin = Portrait(p.vertices, {**p.phi, "e8_0": "e7_1"})
+    assert not isomorphic(p, twin)
+    with within(1):
+        assert isomorphisms(p, twin) == []
+        assert isomorphisms(twin, p) == []
 
 
 def test_morphism_lists_stop_at_the_cap(monkeypatch):

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from conftest import within
 from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
                          portrait_cycles, rational_cycles, reduction, search,
                          search_periodic_model, verify_model)
@@ -311,6 +312,20 @@ def test_assignment_is_the_first_morphism_in_sorted_order():
     assert (model.map.f0, model.map.f1) == ((1, -1, -2), (-2, -2, 2))
     assert {v: str(q) for v, q in model.assignment.items()} == {
         "v00": "-1/2", "v01": "-2", "v02": "1", "v03": "-1", "v04": "0"}
+
+
+def test_model_match_takes_the_first_morphism_only():
+    # f = z + z(z - 1)...(z - 7) fixes 0, ..., 7 and infinity; eight fixed
+    # vertices have 9! morphisms into them, more than MORPHISM_CAP
+    poly = (1,)
+    for r in range(8):
+        poly = forms.mul(poly, (1, -r))
+    f = RationalMap.polynomial(forms.add(poly, (0,) * 7 + (1, 0)))
+    p = Portrait([f"v{i}" for i in range(8)], {f"v{i}": f"v{i}" for i in range(8)})
+    with within(1):
+        model = search._match_cycles(f, p, [], [(1, 8)], {})
+    assert {v: str(q) for v, q in model.assignment.items()} == {
+        f"v{i}": str(i) for i in range(8)}
 
 
 def test_maps_with_one_fixed_point_form_have_the_same_fixed_points():
