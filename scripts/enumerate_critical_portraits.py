@@ -5,24 +5,15 @@ Example:
     python scripts/enumerate_critical_portraits.py --degree 2
 """
 
-import argparse
-import json
-
-from portraitdyn.cli import portrait_json
+from portraitdyn.cli import arg, portrait_json, script
 from portraitdyn.portraits import enumerate_primitive_critical_portraits
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degree", type=int, default=2, choices=(2, 3))
-    args = parser.parse_args()
-    classes = enumerate_primitive_critical_portraits(args.degree)
-    print(json.dumps({
-        "degree": args.degree,
-        "count": len(classes),
-        "classes": [portrait_json(p) for p in classes],
-    }, indent=2))
+def classes(degree):
+    found = enumerate_primitive_critical_portraits(degree)
+    return {"degree": degree, "count": len(found),
+            "classes": [portrait_json(p) for p in found]}
 
 
 if __name__ == "__main__":
-    main()
+    script(__doc__, [arg("--degree", type=int, default=2, choices=(2, 3))], classes)

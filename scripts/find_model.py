@@ -14,37 +14,21 @@ a malformed input exits 2 and a domain error exits 1, each with one
 `error: ...` line on stderr.
 """
 
-import argparse
-import json
-import sys
-
-from portraitdyn import DomainError
-from portraitdyn.cli import SchemaError, load_portrait, map_json, report_error
+from portraitdyn.cli import arg, map_json, script
 from portraitdyn.search import search_periodic_model
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("portrait")
-    parser.add_argument("--degree", type=int, required=True)
-    parser.add_argument("--bound", type=int, default=5,
-                        help="sup-norm bound on integer coefficients (default 5)")
-    args = parser.parse_args()
-
-    try:
-        model = search_periodic_model(load_portrait(args.portrait), args.degree, args.bound)
-    except (SchemaError, DomainError) as exc:
-        return report_error(exc)
-    if model is None:
-        print(json.dumps({"found": False, "bound": args.bound}))
-        return 0
-    print(json.dumps({
-        "found": True,
-        "map": map_json(model.map),
-        "assignment": {v: str(p) for v, p in sorted(model.assignment.items())},
-    }, indent=2))
-    return 0
+def model(portrait, degree, bound):
+    found = search_periodic_model(portrait, degree, bound)
+    if found is None:
+        return {"found": False, "bound": bound}
+    return {"found": True, "map": map_json(found.map),
+            "assignment": {v: str(p) for v, p in sorted(found.assignment.items())}}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    script(__doc__, [arg("portrait", load="load_portrait"),
+                     arg("--degree", type=int, required=True),
+                     arg("--bound", type=int, default=5,
+                         help="sup-norm bound on integer coefficients (default 5)")],
+           model)

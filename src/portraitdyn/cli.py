@@ -6,12 +6,14 @@ on a parse or usage error.  Output is deterministic: fixed key order,
 canonical lowest-terms rational strings, LF line endings.
 
 One table, `COMMANDS`, defines the interface: group -> command ->
-(argument specs, handler).  An argument spec is the argparse name and
+(argument specs, handler).  An argument spec (`arg`) is the argparse name and
 keywords plus the name of its loader (`load_portrait`, `load_map`,
 `load_points`, `load_stability` or `load_point`; None keeps the value
 argparse parsed).  `main` builds the subcommand parsers of the
-requested group only, runs the loaders in argument order and passes
-the loaded values to the handler, which only shapes the output.
+requested group only; `run` runs the loaders in argument order, passes
+the loaded values to the handler, which only shapes the output, and
+prints the answer or the one-line refusal.  `script` runs the scripts
+in `scripts/` through `run` too.
 
 Loaders and handlers import the modules they use when they run, so a
 command loads only its own part of the package.
@@ -372,21 +374,22 @@ def _cmd_git_stability(instance):
 # -- the command table ---------------------------------------------------
 
 
-def _arg(*flags, load=None, **options):
-    """Argparse flags and keywords, and the loader's name.  Loaders (and
-    every function a handler calls) are looked up when a command runs,
-    so rebinding one, as the benchmark's tracer does, takes effect."""
+def arg(*flags, load=None, **options):
+    """Argparse flags and keywords, and the loader's name.  The value is read
+    from argparse's dest (`--max-prime` -> `max_prime`).  Loaders (and every
+    function a handler calls) are looked up when a command runs, so
+    rebinding one, as the benchmark's tracer does, takes effect."""
     return flags, options, load
 
 
-_PORTRAIT = _arg("file", load="load_portrait")
-_MAP = _arg("map", load="load_map")
-_POINT = _arg("--point", required=True, load="load_point",
+_PORTRAIT = arg("file", load="load_portrait")
+_MAP = arg("map", load="load_map")
+_POINT = arg("--point", required=True, load="load_point",
               help="a rational or inf; give a negative one as --point=-1/2")
-_POINTS = _arg("points", load="load_points")
-_DEGREE = _arg("--degree", type=int, required=True)
-_DIM = _arg("--dim", type=int, required=True)
-_N = _arg("-n", type=int, required=True)
+_POINTS = arg("points", load="load_points")
+_DEGREE = arg("--degree", type=int, required=True)
+_DIM = arg("--dim", type=int, required=True)
+_N = arg("-n", type=int, required=True)
 
 COMMANDS = {
     "portrait": {
@@ -398,8 +401,8 @@ COMMANDS = {
         "conditions": ([_PORTRAIT, _DEGREE], _cmd_portrait_conditions),
         "sp": ([_PORTRAIT], _cmd_portrait_sp),
         "frame": ([_PORTRAIT, _DEGREE], _cmd_portrait_frame),
-        "fibers": ([_arg("pfile", load="load_portrait"),
-                    _arg("pprimefile", load="load_portrait"), _DEGREE, _DIM],
+        "fibers": ([arg("pfile", load="load_portrait"),
+                    arg("pprimefile", load="load_portrait"), _DEGREE, _DIM],
                    _cmd_portrait_fibers),
     },
     "dyn": {
@@ -407,23 +410,23 @@ COMMANDS = {
         "multiplicity": ([_MAP, _POINT], _cmd_dyn_multiplicity),
         "crit": ([_MAP], _cmd_dyn_crit),
         "dynatomic": ([_MAP, _N], _cmd_dyn_dynatomic),
-        "verify": ([_MAP, _POINTS, _arg("portrait", load="load_portrait")],
+        "verify": ([_MAP, _POINTS, arg("portrait", load="load_portrait")],
                    _cmd_dyn_verify),
         "extract": ([_MAP, _POINTS], _cmd_dyn_extract),
-        "reduce": ([_MAP, _arg("--prime", type=int, required=True),
-                    _arg("points", nargs="?", load="load_points"),
-                    _arg("portrait", nargs="?", load="load_portrait")],
+        "reduce": ([_MAP, arg("--prime", type=int, required=True),
+                    arg("points", nargs="?", load="load_points"),
+                    arg("portrait", nargs="?", load="load_portrait")],
                    _cmd_dyn_reduce),
     },
     "mod": {
-        "nu": ([_DEGREE, _DIM, _N, _arg("-m", type=int)], _cmd_mod_nu),
+        "nu": ([_DEGREE, _DIM, _N, arg("-m", type=int)], _cmd_mod_nu),
         "multipliers": ([_MAP, _N], _cmd_mod_multipliers),
         "milnor": ([_MAP], _cmd_mod_milnor),
-        "ueda": ([_MAP, _arg("-k", type=int, choices=(0, 1), required=True)],
+        "ueda": ([_MAP, arg("-k", type=int, choices=(0, 1), required=True)],
                  _cmd_mod_ueda),
     },
     "git": {
-        "stability": ([_arg("config", load="load_stability")], _cmd_git_stability),
+        "stability": ([arg("config", load="load_stability")], _cmd_git_stability),
     },
 }
 
@@ -453,30 +456,38 @@ def _load(specs, args) -> list:
     for flags, _, loader in specs:
         if flags[0] in optional and len({getattr(args, a) is None for a in optional}) > 1:
             raise SchemaError(" and ".join(optional) + " must be given together")
-        value = getattr(args, flags[0].lstrip("-"))
+        value = getattr(args, flags[0].lstrip("-").replace("-", "_"))
         if value is not None and loader is not None:
             value = globals()[loader](value)
         values.append(value)
     return values
 
 
-def report_error(exc: SchemaError | DomainError) -> int:
-    """Print the one-line message of a schema or domain error to stderr and
-    return its exit code: 2 for a SchemaError, 1 for a DomainError."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2 if isinstance(exc, SchemaError) else 1
+def run(specs, handler, args) -> int:
+    """Load the arguments, call the handler and print its JSON document; a
+    SchemaError or DomainError prints one `error:` line and returns 2 or 1."""
+    try:
+        result = handler(*_load(specs, args))
+    except (SchemaError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, SchemaError) else 1
+    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    return 0
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
-    specs, handler = COMMANDS[args.group][args.cmd]
-    try:
-        result = handler(*_load(specs, args))
-    except (SchemaError, DomainError) as exc:
-        return report_error(exc)
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
-    return 0
+    return run(*COMMANDS[args.group][args.cmd], args)
+
+
+def script(doc, specs, handler, argv=None):
+    """Run a script: parse argv with a flat parser built from the argument
+    specs, `run` the handler and exit with its code."""
+    parser = argparse.ArgumentParser(description=doc)
+    for flags, options, _ in specs:
+        parser.add_argument(*flags, **options)
+    sys.exit(run(specs, handler, parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

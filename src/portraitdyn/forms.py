@@ -185,12 +185,11 @@ def exact_div(num: Form, den: Form) -> Form:
 
 
 def _bareiss_det(m) -> int:
-    """Fraction-free Bareiss (1968) determinant of a square integer matrix: every
-    division in the elimination is exact, so it stays in the integers."""
+    """Fraction-free Bareiss (1968) determinant of a nonempty square integer
+    matrix: every division in the elimination is exact, so it stays in the
+    integers."""
     a = [list(row) for row in m]
     n = len(a)
-    if n == 0:
-        return 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:

@@ -158,6 +158,8 @@ class Portrait:
         orbits, types = self._orbit_table()
         if v not in orbits:
             raise PortraitError(f"{v!r} is not a vertex")
+        if m < 0:
+            raise PortraitError(f"negative iterate count {m}")
         path = orbits[v]
         if m < len(path):
             return path[m]
@@ -191,6 +193,9 @@ class Portrait:
     def restrict(self, keep: Iterable[str]) -> "Portrait":
         """Subportrait induced on a phi-closed vertex subset."""
         keep = set(keep)
+        missing = keep.difference(self.vertices)
+        if missing:
+            raise PortraitError(f"kept vertex {min(missing)!r} is not a vertex")
         phi = {v: w for v, w in self.phi.items() if v in keep}
         for v, w in phi.items():
             if w not in keep:
@@ -322,8 +327,8 @@ def hom(p1: Portrait, p2: Portrait) -> list:
 
 
 def _sizes(p: Portrait) -> tuple:
-    """(#V, #V0, sum of (w - 1) over V0)."""
-    return len(p.vertices), len(p.domain), sum(w - 1 for w in p.weights.values())
+    """(#V, #V0)."""
+    return len(p.vertices), len(p.domain)
 
 
 def isomorphisms(p1: Portrait, p2: Portrait) -> list:
@@ -424,7 +429,7 @@ def ge(p_prime: Portrait, p: Portrait) -> bool:
     With equal vertex and domain counts, every morphism p -> p_prime is
     bijective and maps V \\ V0 onto V \\ V0; only weights may rise.
     """
-    return (_sizes(p_prime)[:2] == _sizes(p)[:2]
+    return (_sizes(p_prime) == _sizes(p)
             and next(morphism_maps(p, p_prime), None) is not None)
 
 
@@ -613,11 +618,14 @@ def shift_bound(p: Portrait) -> int:
 def _closure(relations: tuple, p: Portrait) -> tuple:
     """The iteration closure of a relation system on p, built once per system.
 
-    The closure is the smallest equivalence on pairs (critical vertex,
-    shift) containing each relation at every shift and closed under
-    adding a common shift.  It is computed by union-find on a bounded
-    shift range, with the pair (critical vertex, shift) stored at index
-    base[vertex] + shift of a flat array, and cached on p as
+    It is the congruence closure of the relations on the critical rays
+    (Downey, Sethi and Tarjan, J. ACM 1980): the smallest equivalence on
+    pairs (critical vertex c, shift s) that holds each relation and relates
+    the successors (c, s + 1) of related pairs.  Each relation merges its
+    ends once; merging two classes merges their successors.  A ray runs to
+    max(shift bound, largest shift in use), the pair (c, s) at index
+    base[c] + s.  Its last pair has a free successor, which a merge may
+    fill, so no chain is cut off and the closure is exact.  Cached on p as
     (shift bound, base, root of every index), keyed by the system.
     """
     if p._closures is None:
@@ -632,13 +640,10 @@ def _closure(relations: tuple, p: Portrait) -> tuple:
         if rel.m < 0 or rel.n < 0:
             raise PortraitError("relation shifts must be nonnegative")
     bound = shift_bound(p)
-    # Chains may pass above the queried shifts before coming back down,
-    # so the union-find range gets headroom proportional to #V hops.
-    span = max((max(rel.m, rel.n) for rel in relations), default=0)
-    cap = bound + len(p.vertices) * (span + 1)
-    width = cap + 1
+    width = max([bound] + [max(rel.m, rel.n) for rel in relations]) + 1
     base = {c: k * width for k, c in enumerate(sorted(crit))}
     parent = list(range(len(base) * width))
+    succ = [x + 1 if (x + 1) % width else None for x in parent]  # per root; None is free
 
     def find(x):
         while parent[x] != x:
@@ -646,12 +651,15 @@ def _closure(relations: tuple, p: Portrait) -> tuple:
             x = parent[x]
         return x
 
-    for rel in relations:
-        a, b = base[rel.i] + rel.m, base[rel.j] + rel.n
-        for c in range(cap - max(rel.m, rel.n) + 1):
-            ra, rb = find(a + c), find(b + c)
-            if ra != rb:
-                parent[ra] = rb
+    pending = [(base[rel.i] + rel.m, base[rel.j] + rel.n) for rel in relations]
+    while pending:
+        a, b = map(find, pending.pop())
+        if a != b:
+            parent[a] = b
+            if succ[b] is None:
+                succ[b] = succ[a]
+            elif succ[a] is not None:
+                pending.append((succ[a], succ[b]))
     closure = (bound, base, [find(x) for x in range(len(parent))])
     p._closures[relations] = closure
     return closure

@@ -304,7 +304,7 @@ def _lines(*items) -> str:
     ({"degree": 3, "numerator": ["1", "0", "2", "1"], "denominator": ["0", "3", "0", "1"]},
      ["ueda", "-k", "1"],
      _lines('{', '  "k": 1,', '  "sum": "-3"', '}')),
-])
+], ids=["z-plus-inverse", "inverse-square", "ueda-cubic"])
 def test_mod_output_through_infinity_is_byte_exact(capsys, tmp_path, doc, argv, expected):
     path = write(tmp_path, "map.json", doc)
     code, out = run_cli(capsys, "mod", argv[0], path, *argv[1:])

@@ -178,6 +178,7 @@ def test_subportrait_needs_the_same_arrows():
 
 
 _AB = Portrait(["a", "b"], {"a": "b"})
+_TAIL = Portrait(["c", "q", "r"], {"c": "q", "q": "r"}, {"c": 2})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -186,7 +187,12 @@ _AB = Portrait(["a", "b"], {"a": "b"})
     (lambda: PortraitMorphism(_AB, _AB, {"a": "a", "b": "b"}).compose(
         PortraitMorphism(Portrait(["x"], {}), Portrait(["a"], {}), {"x": "a"})),
      "composition mismatch"),
-], ids=["weight-off-the-domain", "restrict-not-closed", "compose-mismatch"])
+    (lambda: _TAIL.step("c", -1), "negative iterate count -1"),
+    (lambda: relation_holds(_TAIL, CriticalRelation("c", "c", -1, 2)),
+     "negative iterate count -1"),
+    (lambda: _AB.restrict(["b", "zz"]), "kept vertex 'zz' is not a vertex"),
+], ids=["weight-off-the-domain", "restrict-not-closed", "compose-mismatch", "step-negative",
+        "relation-negative-shift", "restrict-unknown-vertex"])
 def test_portrait_refusals(call, message):
     with pytest.raises(PortraitError) as exc:
         call()
@@ -653,8 +659,12 @@ def test_determination_completeness_brute_force():
             assert relation_determined(s, r, p), (p, s, r)
 
 
-def _reference_determined(relations, r, p):
-    """The iteration closure by a dict-keyed union-find on (vertex, shift) pairs."""
+def _reference_closure(relations, p):
+    """The congruence closure of a relation system as a naive fixpoint on
+    dict-keyed (vertex, shift) pairs, on rays twice as long as the library's:
+    merge the ends of each relation, then merge the successors of any two
+    pairs of one class, until a pass merges nothing.  Returns a predicate on
+    relations."""
     parent = {}
 
     def find(x):
@@ -663,16 +673,51 @@ def _reference_determined(relations, r, p):
             parent[x] = root = find(root)
         return root
 
-    if r.i == r.j and r.m == r.n:
-        return True
-    span = max((max(rel.m, rel.n) for rel in relations), default=0)
-    cap = shift_bound(p) + len(p.vertices) * (span + 1)
+    def union(a, b):
+        a, b = find(a), find(b)
+        parent[a] = b
+        return a != b
+
     for rel in relations:
-        for c in range(cap - max(rel.m, rel.n) + 1):
-            a, b = find((rel.i, rel.m + c)), find((rel.j, rel.n + c))
-            if a != b:
-                parent[a] = b
-    return find((r.i, r.m)) == find((r.j, r.n))
+        union((rel.i, rel.m), (rel.j, rel.n))
+    top = 2 * max([shift_bound(p)] + [max(rel.m, rel.n) for rel in relations])
+    below_top = [(c, s) for c in sorted(p.crit) for s in range(top)]
+    changed = True
+    while changed:
+        changed, first = False, {}
+        for c, s in below_top:
+            d, t = first.setdefault(find((c, s)), (c, s))
+            changed |= union((c, s + 1), (d, t + 1))
+    return lambda r: find((r.i, r.m)) == find((r.j, r.n))
+
+
+def test_relation_determined_follows_chains_above_the_largest_shift():
+    # periods 7 and 2 at the fixed point force period 1
+    p = Portrait(["a"], {"a": "a"}, {"a": 2})
+    system = [CriticalRelation("a", "a", 0, 7), CriticalRelation("a", "a", 2, 7)]
+    reference = _reference_closure(system, p)
+    for m, n in ((0, 2), (1, 3), (0, 1), (2, 3)):
+        r = CriticalRelation("a", "a", m, n)
+        assert relation_determined(system, r, p) and reference(r)
+
+
+def test_relation_determined_matches_reference_on_long_random_systems():
+    rng = random.Random(1980)
+    verdicts = set()
+    for fixed in ("a", "ab"):
+        p = Portrait(list(fixed), {v: v for v in fixed}, {v: 2 for v in fixed})
+        bound = shift_bound(p)
+        queries = [CriticalRelation(i, j, m, n) for i, j in itertools.product(fixed, repeat=2)
+                   for m in range(bound + 1) for n in range(bound + 1)]
+        for _ in range(40):
+            system = [CriticalRelation(rng.choice(fixed), rng.choice(fixed), rng.randint(0, 30),
+                                       rng.randint(0, 30)) for _ in range(rng.randint(1, 3))]
+            reference = _reference_closure(system, p)
+            for r in queries:
+                got = relation_determined(system, r, p)
+                assert got == reference(r), (system, r)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_relation_determined_matches_reference_with_a_relation_dropped():
@@ -686,9 +731,10 @@ def test_relation_determined_matches_reference_with_a_relation_dropped():
             continue
         tested += 1
         del s[rng.randrange(len(s))]
+        reference = _reference_closure(s, p)
         for r in realized_relations(p, shift_bound(p)):
             got = relation_determined(s, r, p)
-            assert got == _reference_determined(s, r, p), (p, s, r)
+            assert got == reference(r), (p, s, r)
             verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -705,9 +751,10 @@ def test_relation_determined_matches_reference_on_the_enumerated_classes():
         s = sp_relations(p)
         realized = realized_relations(p, len(p.vertices))
         for system in [s] + [s[:k] + s[k + 1:] for k in range(len(s))]:
+            reference = _reference_closure(system, p)
             for r in realized:
                 got = relation_determined(system, r, p)
-                assert got == _reference_determined(system, r, p), (p, system, r)
+                assert got == reference(r), (p, system, r)
                 verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -718,8 +765,9 @@ def _two_systems_that_disagree():
         s = sp_relations(p)
         for k in range(len(s)):
             dropped = s[:k] + s[k + 1:]
+            reference = _reference_closure(dropped, p)
             for r in realized_relations(p, len(p.vertices)):
-                if not _reference_determined(dropped, r, p):
+                if not reference(r):
                     return p, s, dropped, r
     raise AssertionError("every dropped relation is implied by the others")
 

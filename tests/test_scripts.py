@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -55,7 +56,7 @@ def test_find_model_without_a_model_is_an_answer(tmp_path):
                                 "map": {v: v for v in "abcd"}}), encoding="utf-8")
     proc = _script("find_model.py", str(path), "--degree", "2", "--bound", "1", check=False)
     assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout == b'{"found": false, "bound": 1}\n'
+    assert proc.stdout == b'{\n  "found": false,\n  "bound": 1\n}\n'
 
 
 def test_find_model_output_is_a_verified_model(tmp_path, capsys):
@@ -115,3 +116,23 @@ def test_scripts_report_bad_input_in_one_line(tmp_path, script, files, extra, co
     err = proc.stderr.decode()
     assert proc.returncode == code and proc.stdout == b""
     assert err.startswith(message) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.stem)
+def test_scripts_run_through_the_cli_script_path(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, from_cli = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            if node.module == "portraitdyn.cli":
+                from_cli.update(alias.name for alias in node.names)
+    calls = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "script" in from_cli and "script" in calls
+    assert not modules & {"argparse", "json"}
+    assert not any(name.startswith("_") for name in from_cli)
+    assert not any(isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   for node in ast.walk(tree))
