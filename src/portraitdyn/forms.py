@@ -15,8 +15,9 @@ up to FACTOR_CAP."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
+from operator import mul as _times
 
 from . import DomainError
 
@@ -63,13 +64,6 @@ def mul(f: Form, g: Form) -> Form:
     return tuple(out)
 
 
-def pow_(f: Form, k: int) -> Form:
-    result: Form = ONE
-    for _ in range(k):
-        result = mul(result, f)
-    return result
-
-
 def evaluate(f: Form, x, y):
     """Evaluate the form at the pair (x, y), by homogeneous Horner."""
     acc = 0
@@ -111,8 +105,7 @@ def primitive(f: Form) -> Form:
     c = content(f)
     if c == 0:
         raise FormError("zero form has no primitive part")
-    lead = next(a for a in f if a != 0)
-    if lead < 0:
+    if next(filter(None, f)) < 0:
         c = -c
     elif c == 1:
         return tuple(f)
@@ -123,7 +116,7 @@ def integerize(f) -> Form:
     """The primitive integer form proportional to f, whose coefficients
     may be anything Fraction accepts: the one place in forms that clears
     denominators."""
-    if not all(type(c) is int for c in f):
+    if {*map(type, f)} != {int}:
         f = [Fraction(c) for c in f]
         den = lcm(*(c.denominator for c in f))
         f = [c.numerator * (den // c.denominator) for c in f]
@@ -133,19 +126,22 @@ def integerize(f) -> Form:
         raise FormError("zero form") from None
 
 
-def compose_pair(f: Form, g0: Form, g1: Form) -> Form:
-    """Substitute X -> g0, Y -> g1 where g0, g1 are forms of equal degree."""
+def compose_pair(fs, g0: Form, g1: Form) -> tuple:
+    """Substitute X -> g0, Y -> g1 into each of the forms fs, all of one
+    degree D, where g0, g1 are forms of equal degree.  The products
+    g0^(D-i) g1^i are built once and shared by every form of fs."""
     if len(g0) != len(g1):
         raise FormError("substituted forms must have equal degree")
-    deg = degree(f)
-    inner = degree(g0)
-    out = (0,) * (deg * inner + 1)
-    for i, coef in enumerate(f):
-        if coef == 0:
-            continue
-        term = mul(pow_(g0, deg - i), pow_(g1, i))
-        out = add(out, scale(term, coef))
-    return out
+    if len({len(f) for f in fs}) > 1:
+        raise FormError("composed forms must have equal degree")
+    deg = degree(fs[0])
+    p0, p1 = [ONE], [ONE]
+    for _ in range(deg):
+        p0.append(mul(p0[-1], g0))
+        p1.append(mul(p1[-1], g1))
+    table = [mul(p0[deg - i], p1[i]) for i in range(deg + 1)]
+    columns = list(zip(*table))     # columns[j][i]: coefficient j of the i-th product
+    return tuple(tuple(sum(map(_times, f, col)) for col in columns) for f in fs)
 
 
 def exact_div(num: Form, den: Form) -> Form:
@@ -184,11 +180,10 @@ def exact_div(num: Form, den: Form) -> Form:
     return ((0,) * (lz_n - lz_d)) + tuple(q)
 
 
-def _bareiss_det(m) -> int:
+def _bareiss_det(a) -> int:
     """Fraction-free Bareiss (1968) determinant of a nonempty square integer
-    matrix: every division in the elimination is exact, so it stays in the
-    integers."""
-    a = [list(row) for row in m]
+    matrix, a list of row lists that it overwrites: every division in the
+    elimination is exact, so it stays in the integers."""
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -218,12 +213,25 @@ def resultant(f: Form, g: Form) -> int:
     or zero degree and for a coefficient that is not an int: the
     fraction-free elimination would floor a Fraction silently.  Rational
     forms go through integerize first, and Res(a f, b g) = (ab)^d Res(f, g).
+
+    The last pair and its resultant are kept: the model search tests a
+    candidate's resultant and then builds the map, whose constructor asks
+    for the same one.
     """
+    global _last_resultant
     if len(f) != len(g) or len(f) < 2:
         raise FormError("resultant needs two forms of one degree d >= 1")
-    if not all(type(c) is int for c in (*f, *g)):
+    if {*map(type, f), *map(type, g)} != {int}:
         raise FormError("resultant needs integer coefficients")
-    return _bezout_resultant(f, g)
+    f, g = tuple(f), tuple(g)
+    last_f, last_g, res = _last_resultant
+    if f != last_f or g != last_g:
+        res = _bezout_resultant(f, g)
+        _last_resultant = (f, g, res)
+    return res
+
+
+_last_resultant = ((), (), 0)       # (f, g, Res(f, g)) of the last call
 
 
 def _bezout_resultant(f: Form, g: Form) -> int:
@@ -241,7 +249,8 @@ def _bezout_resultant(f: Form, g: Form) -> int:
         row = [u[j + 1] * vi - ui * v[j + 1] + above[j + 1] for j in range(d)]
         rows.append(row)
         above = row + [0]
-    return (-1) ** (d * (d - 1) // 2) * _bareiss_det(rows)
+    det = _bareiss_det(rows)
+    return -det if d * (d - 1) // 2 % 2 else det
 
 
 def rational_roots(f: Form) -> list:
@@ -271,7 +280,7 @@ def rational_roots(f: Form) -> list:
     if len(work) > 1:
         g = content(work)
         cur = [c // g for c in work]
-        leads, tails = divisors(cur[0]), divisors(cur[-1])
+        leads, tails = _divisors(abs(cur[0])), _divisors(abs(cur[-1]))
         for q in leads:
             for p in tails:
                 if gcd(p, q) != 1:
@@ -414,12 +423,27 @@ def _factor(n: int) -> dict:
 
 def divisors(n: int) -> list:
     """Sorted positive divisors of the nonzero integer n, |n| <= FACTOR_CAP."""
+    return list(_divisors(abs(n)))
+
+
+def _divisors(n: int) -> tuple:
+    """divisors(n) for n >= 0, as a tuple.  rational_roots factors the same
+    small end coefficients over and over, so the divisors of n < 2^20 (at
+    most 240 of them) are memoized for the last 1,024 such n; a tuple, so
+    no caller can change a memoized answer."""
+    return _small_divisors(n) if n < 1 << 20 else _divisor_tuple(n)
+
+
+def _divisor_tuple(n: int) -> tuple:
     if n == 0:
         raise FormError("0 has infinitely many divisors")
     out = [1]
-    for p, e in _factor(abs(n)).items():
+    for p, e in _factor(n).items():
         out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
+    return tuple(sorted(out))
+
+
+_small_divisors = lru_cache(maxsize=1024)(_divisor_tuple)
 
 
 def mobius_pairs(n: int) -> list:

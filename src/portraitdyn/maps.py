@@ -6,6 +6,7 @@ resultant, acting on the projective line by z = X/Y -> f0(X,Y)/f1(X,Y).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -119,11 +120,9 @@ class RationalMap:
         pairs = self._cache.setdefault("iterates", {1: (self.f0, self.f1)})
         top = max(pairs)
         while top < k:
-            g0, g1 = pairs[top]
-            h = forms.primitive(forms.compose_pair(self.f0, g0, g1)
-                                + forms.compose_pair(self.f1, g0, g1))
-            half = len(h) // 2
-            pairs[top + 1] = (h[:half], h[half:])
+            h0, h1 = forms.compose_pair((self.f0, self.f1), *pairs[top])
+            h = forms.primitive(h0 + h1)
+            pairs[top + 1] = (h[:len(h0)], h[len(h0):])
             top += 1
         return pairs[k]
 
@@ -136,8 +135,7 @@ class RationalMap:
         a, b, c, d = m
         if a * d - b * c == 0:
             raise MapError("conjugating matrix is singular")
-        g0 = forms.compose_pair(self.f0, (a, b), (c, d))
-        g1 = forms.compose_pair(self.f1, (a, b), (c, d))
+        g0, g1 = forms.compose_pair((self.f0, self.f1), (a, b), (c, d))
         # apply phi^(-1), whose matrix is the adjugate (d, -b, -c, a)
         h0 = forms.add(forms.scale(g0, d), forms.scale(g1, -b))
         h1 = forms.add(forms.scale(g0, -c), forms.scale(g1, a))
@@ -174,7 +172,7 @@ class RationalMap:
     def fixed_point_form(self, k: int = 1):
         """Form of degree d^k + 1 vanishing exactly at the points of period dividing k."""
         g0, g1 = self.iterate_pair(k) if k > 1 else (self.f0, self.f1)
-        return forms.primitive(forms.sub((0,) + g0, g1 + (0,)))     # g0 Y - g1 X
+        return forms.primitive(tuple(map(operator.sub, (0,) + g0, g1 + (0,))))  # g0 Y - g1 X
 
     def dynatomic(self, n: int):
         """The degree-nu homogeneous dynatomic form of period n (primitive)."""

@@ -76,8 +76,11 @@ def _multiplier_mod_p(f: RationalMap, cycle, prime: int) -> int:
     next point (as in `RationalMap.cycle_multiplier`), J the Jacobian
     form of (f0, f1).  J/d is integral, since the monomials X^a Y^b and
     X^c Y^e contribute (ae - bc) = d (a - c) times a monomial, so p may
-    divide d."""
-    jac = [c // f.degree for c in forms.jacobian(f.f0, f.f1)]
+    divide d.  J/d is computed once per map."""
+    jac = f._cache.get("jacobian/d")
+    if jac is None:
+        jac = f._cache["jacobian/d"] = tuple(c // f.degree
+                                             for c in forms.jacobian(f.f0, f.f1))
     lam = 1
     for (x, y), (u, v) in cycle:
         c = v or u        # f(Q) = (u : v) is c (u/v : 1), or c (1 : 0) when v = 0

@@ -22,6 +22,16 @@ from .reduction import admits_period
 
 _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
+# Most candidate pairs one search walks; past it the search raises
+# MapError.  It counts the pairs walked, not the bound, so a query whose
+# model comes early may give a large bound.  At 0.016-0.023 ms per
+# degree-2 or degree-3 candidate on a 2-vCPU VM that is about 4-6 s; it
+# lets a search exhaust degree 2 at bound 3 (57,951 pairs) and degree 3
+# at bound 2 (191,760).  The tests, the benchmark and the script examples
+# walk at most 2,265 pairs (the three-fixed-points-and-a-2-cycle portrait
+# at degree 2, bound 5).
+SEARCH_CAP = 250_000
+
 
 def portrait_cycles(p: Portrait) -> list:
     """The cycles of a purely periodic portrait, as vertex tuples, each
@@ -99,7 +109,8 @@ def search_periodic_model(portrait: Portrait, degree: int,
     form once; nothing is kept from one call to the next.  A map that
     keeps enough cycles has a model exactly when `morphism_maps` finds a
     morphism from the portrait into the portrait the map induces on the
-    points of those cycles (`extract_portrait`).
+    points of those cycles (`extract_portrait`).  Raises MapError when
+    it would walk more than SEARCH_CAP pairs.
 
     The assignment is the first such morphism in lexicographic order:
     the portrait's vertices in sorted order, the points in sorted order
@@ -117,7 +128,9 @@ def search_periodic_model(portrait: Portrait, degree: int,
     screened = [n for n in by_len if n >= 3]
     wanted = sorted(by_len.items())
     fixed = {}      # fixed-point form -> its rational fixed points, for this call only
-    for f0, f1 in _coefficient_pairs(degree, coeff_bound):
+    for walked, (f0, f1) in enumerate(_coefficient_pairs(degree, coeff_bound)):
+        if walked == SEARCH_CAP:
+            raise MapError(f"model search exceeds cap {SEARCH_CAP} candidates")
         if forms.resultant(f0, f1) == 0:
             continue
         f = RationalMap(f0, f1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -15,6 +16,10 @@ coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_s
 
 def nonzero(f):
     return not forms.is_zero(tuple(f))
+
+
+def _power(f, k):
+    return reduce(forms.mul, [f] * k, forms.ONE)
 
 
 def test_evaluate_matches_sympy():
@@ -103,11 +108,34 @@ def test_derivatives():
 
 def test_compose_pair_matches_substitution():
     f = (1, -1, 2)  # X^2 - XY + 2Y^2
-    g = forms.compose_pair(f, (1, 1), (0, 1))  # X -> X+Y, Y -> Y
+    (g,) = forms.compose_pair((f,), (1, 1), (0, 1))  # X -> X+Y, Y -> Y
     x, y = sympy.symbols("x y")
     expr = (x + y) ** 2 - (x + y) * y + 2 * y**2
     for px, py in [(1, 0), (0, 1), (2, 3), (-1, 5)]:
         assert forms.evaluate(g, px, py) == expr.subs({x: px, y: py})
+
+
+def _sympy_form(f, x, y):
+    d = len(f) - 1
+    return sum(c * x ** (d - i) * y ** i for i, c in enumerate(f))
+
+
+@pytest.mark.parametrize("outer", [0, 1, 2, 3, 4])
+def test_compose_pair_of_several_forms_matches_sympy(outer):
+    # every form of one call composes as if it were alone, through the
+    # products g0^(D-i) g1^i they share
+    rng = random.Random(f"compose/{outer}")
+    x, y = sympy.symbols("x y")
+    for inner in (1, 2, 3, 4):
+        fs = [tuple(rng.randint(-9, 9) for _ in range(outer + 1)) for _ in range(3)]
+        g0, g1 = (tuple(rng.randint(-9, 9) for _ in range(inner + 1)) for _ in range(2))
+        got = forms.compose_pair(fs, g0, g1)
+        assert len(got) == len(fs)
+        for f, h in zip(fs, got):
+            assert len(h) == outer * inner + 1
+            want = sympy.expand(_sympy_form(f, x, y).subs(
+                {x: _sympy_form(g0, x, y), y: _sympy_form(g1, x, y)}, simultaneous=True))
+            assert sympy.expand(_sympy_form(h, x, y) - want) == 0, (f, g0, g1)
 
 
 @given(coeff_lists.filter(nonzero), coeff_lists.filter(nonzero))
@@ -235,6 +263,26 @@ def test_resultant_refuses_all_but_integer_forms_of_one_positive_degree(f, g, me
         forms.resultant(f, g)
 
 
+def test_resultant_remembers_only_equal_integer_forms():
+    f, g = [1, 0, 0], [0, 0, 1]             # X^2, Y^2
+    assert forms.resultant(f, g) == 1
+    g[2] = 2                                # the caller changes its list
+    assert forms.resultant(f, g) == 4
+    assert forms.resultant(tuple(f), tuple(g)) == 4
+    with pytest.raises(forms.FormError, match="integer coefficients"):
+        forms.resultant((Fraction(1), 0, 0), (0, 0, 2))     # equal, but not ints
+
+
+def test_divisors_memo_is_not_shared_with_callers():
+    first = forms.divisors(12)
+    first[0] = 7
+    first.append(5)
+    assert forms.divisors(12) == forms.divisors(-12) == [1, 2, 3, 4, 6, 12]
+    assert type(forms.divisors(12)) is list
+    big = 2 ** 20 * 3           # above the memoized range
+    assert forms.divisors(big) == sympy.divisors(big)
+
+
 def test_integer_routines_return_only_ints():
     f, g = (3, -1, 0, 4), (0, 2, -5, 1)
     assert type(forms.resultant(f, g)) is int
@@ -301,7 +349,7 @@ def test_rational_roots_match_sympy(roots, cofactor, lead, y_power):
     # forms and roots at infinity
     form = (lead,) + (0,) * y_power
     for r, m in roots:
-        form = forms.mul(form, forms.pow_((r.denominator, -r.numerator), m))
+        form = forms.mul(form, _power((r.denominator, -r.numerator), m))
     if cofactor and cofactor[0]:
         form = forms.mul(form, tuple(cofactor))
     assert forms.rational_roots(form) == _sympy_rational_roots(form)
@@ -311,7 +359,7 @@ def test_rational_roots_match_sympy(roots, cofactor, lead, y_power):
 def test_rational_roots_with_many_candidates():
     # lead 720^2 and tail 7^2 11: over a thousand candidates, of which
     # only the repeated root -7/720 survives
-    poly = forms.mul(forms.pow_((720, 7), 2), forms.mul((1, 0, 1), (1, 0, -2, 11)))
+    poly = forms.mul(_power((720, 7), 2), forms.mul((1, 0, 1), (1, 0, -2, 11)))
     assert forms.rational_roots(poly) == _sympy_rational_roots(poly) == [((-7, 720), 2)]
 
 
@@ -431,22 +479,24 @@ def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):
     rest = tuple(rest)
     if forms.is_zero(rest) or (prime and all(c % prime == 0 for c in rest)):
         return
-    form = forms.mul(forms.pow_((y, -x), k), rest)
+    form = forms.mul(_power((y, -x), k), rest)
     assert forms.ord_at(form, x, y, prime) == k + forms.ord_at(rest, x, y, prime)
 
 
 @pytest.mark.parametrize("call,message", [
     (lambda: forms.add((1, 2), (1, 2, 3)), "cannot add forms of different degrees"),
     (lambda: forms.sub((1, 2), (1, 2, 3)), "cannot subtract forms of different degrees"),
-    (lambda: forms.compose_pair((1, 0, 0), (1, 0), (0, 1, 0)),
+    (lambda: forms.compose_pair([(1, 0, 0)], (1, 0), (0, 1, 0)),
      "substituted forms must have equal degree"),
+    (lambda: forms.compose_pair([(1, 0, 0), (1, 0)], (1, 0), (0, 1)),
+     "composed forms must have equal degree"),
     (lambda: forms.exact_div((1, 1), (0, 0)), "division by zero form"),
     (lambda: forms.exact_div((0, 0), (1, 1)), "zero numerator"),
     (lambda: forms.exact_div((1, 0, 0), (0, 1, 1)), "not divisible (Y-multiplicity)"),
     (lambda: forms.exact_div((0, 0, 1), (0, 1, 1)), "not divisible (degree)"),
     (lambda: forms.rational_roots((0, 0, 0)), "zero form has no root divisor"),
     (lambda: forms.divisors(0), "0 has infinitely many divisors"),
-], ids=["add", "sub", "compose-pair", "div-by-zero", "zero-numerator",
+], ids=["add", "sub", "compose-pair", "compose-pair-forms", "div-by-zero", "zero-numerator",
         "y-multiplicity", "degree", "roots-of-zero", "divisors-of-zero"])
 def test_form_refusals(call, message):
     with pytest.raises(forms.FormError) as exc:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -120,6 +121,29 @@ def test_iterate_is_compositional(k, z):
     for _ in range(k):
         q = f.evaluate(q)
     assert f.iterate(k).evaluate(p) == q
+
+
+def test_iterate_pair_matches_repeated_substitution():
+    # f^k = (F0(G0, G1), F1(G0, G1)) with (G0, G1) = f^(k-1), substituted by
+    # sympy and made primitive with a positive first nonzero coefficient
+    x, y = sympy.symbols("x y")
+    rng = random.Random("iterate-pair")
+    for degree in (2, 2, 3, 3):
+        f = random_rational_map(rng, degree)
+        polys = [sum(c * x ** (degree - i) * y ** i for i, c in enumerate(form))
+                 for form in (f.f0, f.f1)]
+        g = polys
+        for k in (1, 2, 3):
+            if k > 1:
+                g = [sympy.expand(p.subs({x: g[0], y: g[1]}, simultaneous=True))
+                     for p in polys]
+            top = degree ** k
+            coeffs = [int(sympy.Poly(p, x, y).coeff_monomial(x ** (top - i) * y ** i))
+                      for p in g for i in range(top + 1)]
+            want = forms.primitive(tuple(coeffs))
+            got = f.iterate_pair(k)
+            assert got[0] + got[1] == want, (f, k)
+            assert len(got[0]) == len(got[1]) == top + 1
 
 
 # -- multiplicity -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (invertible_matrix_strategy, random_rational_map,
-                      reference_multiplier_polynomial)
+                      reference_multiplier_polynomial, within)
 from portraitdyn import (MapError, ModuliError, Portrait, ProjectivePoint,
                          RationalMap, cubic_three_double_fixed_family,
                          dim_moduli_space, doubly_critical_three_cycle_surface,
@@ -245,6 +245,33 @@ def test_multiplier_polynomial_size_cap():
         multiplier_polynomial(Z_SQUARED, 6)
     with pytest.raises(MapError, match="cap"):
         multiplier_polynomial(RationalMap.polynomial([1] + [0] * 8), 2)
+
+
+def test_multiplier_polynomial_near_the_cap_in_time():
+    # nu(7, 1, 2) = 42, the largest nu a small degree reaches below the cap.
+    # The map sends 0 -> 1 -> 0, so the multiplier of that 2-cycle, from
+    # the chain rule of cycle_multiplier, is a root of multiplicity at
+    # least 2, one for each of its points.  An integer-only Newton loop
+    # without the gcd per step gave the same polynomials in 5-11 s here.
+    rng = random.Random("nu-42")
+    while True:
+        f0 = [rng.randint(-9, 9) for _ in range(8)]
+        f1 = [rng.randint(-9, 9) for _ in range(8)]
+        f0[7] = f1[7] = rng.choice([-2, -1, 1, 2])      # f(0) = 1
+        f0[0] -= sum(f0)                                # f(1) = 0
+        if sum(f1) == 0:
+            continue
+        try:
+            f = RationalMap(f0, f1)
+            break
+        except MapError:
+            continue
+    with within(5):
+        data = multiplier_polynomial(f, 2)
+    assert len(data.poly) == nu(7, 1, 2) + 1 == 43 and data.poly[0] == 1
+    lam = f.cycle_multiplier(ProjectivePoint.affine(0), 2)
+    assert forms.evaluate(data.poly, lam, 1) == 0
+    assert forms.evaluate(forms.derivative_x(data.poly), lam, 1) == 0
 
 
 def test_milnor_fixtures():

@@ -1,12 +1,14 @@
 import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from portraitdyn import search
 from portraitdyn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +82,20 @@ def test_find_model_output_is_a_verified_model(tmp_path, capsys):
         (tmp_path / name).write_text(json.dumps(body), encoding="utf-8")
     assert main(["dyn", "verify", *(str(tmp_path / name) for name in files)]) == 0
     assert json.loads(capsys.readouterr().out) == {"ok": True}
+
+
+def test_find_model_past_the_search_cap_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "portrait.json"
+    path.write_text(json.dumps({"vertices": list("abcde"),
+                                "map": {"a": "a", "b": "b", "c": "c", "d": "e", "e": "d"}}),
+                    encoding="utf-8")
+    monkeypatch.setattr(search, "SEARCH_CAP", 100)
+    monkeypatch.setattr(sys, "argv", ["find_model.py", str(path), "--degree", "2"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "find_model.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exited.value.code == 1 and out == ""
+    assert err == "error: model search exceeds cap 100 candidates\n"
 
 
 _MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}

@@ -187,6 +187,49 @@ def test_exhausting_search_builds_one_map_per_nonzero_resultant(monkeypatch, len
     assert len(built) == 240
 
 
+def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch):
+    # the constructor reuses the resultant of the search's zero test, so
+    # each candidate pays for one Bezout determinant, built or not
+    computed = []
+
+    def counting(f, g):
+        computed.append((f, g))
+        return bezout(f, g)
+
+    bezout = forms._bezout_resultant
+    forms.resultant((1, 0), (0, 1))     # so no earlier call is remembered
+    monkeypatch.setattr(forms, "_bezout_resultant", counting)
+    assert search_periodic_model(_portrait((4,)), 2, 1) is None
+    assert computed == list(search._coefficient_pairs(2, 1))
+
+
+def test_search_refuses_past_its_candidate_cap(monkeypatch):
+    # the cap counts the pairs walked: 2,265 for the acceptance portrait at
+    # bound 5, of the 876,663 pairs within the bound
+    walked = 0
+
+    def counting(degree, bound):
+        nonlocal walked
+        for pair in pairs(degree, bound):
+            walked += 1
+            yield pair
+
+    pairs = search._coefficient_pairs
+    monkeypatch.setattr(search, "_coefficient_pairs", counting)
+    assert search_periodic_model(_portrait((1, 1, 1, 2)), 2, 5) is not None
+    assert walked == 2265 < search.SEARCH_CAP
+    monkeypatch.setattr(search, "SEARCH_CAP", 2265)
+    assert search_periodic_model(_portrait((1, 1, 1, 2)), 2, 5) is not None
+    monkeypatch.setattr(search, "SEARCH_CAP", 2264)
+    with pytest.raises(MapError) as refused:
+        search_periodic_model(_portrait((1, 1, 1, 2)), 2, 5)
+    assert str(refused.value) == "model search exceeds cap 2264 candidates"
+    # an exhausting search may walk exactly the cap
+    total = sum(1 for _ in pairs(2, 1))
+    monkeypatch.setattr(search, "SEARCH_CAP", total)
+    assert search_periodic_model(_portrait((1, 1, 1, 1)), 2, 1) is None
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduction_screen_is_sound_at_height_one(n):
     # every degree-2 map of height <= 1 that the screen drops has no
