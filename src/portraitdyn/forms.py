@@ -2,8 +2,9 @@
 
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
 ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
-integers: the resultant of two degree-d forms is a fraction-free d x d
-Bezout determinant, exact division stays in Z[X, Y], and evaluation,
+integers: the resultant of two degree-d forms is a d x d Bezout
+determinant (a closed form for d <= 3, a fraction-free Bareiss
+elimination above), exact division stays in Z[X, Y], and evaluation,
 which every root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only; integerize is the one place that clears denominators, and
@@ -237,10 +238,32 @@ _last_resultant = ((), (), 0)       # (f, g, Res(f, g)) of the last call
 def _bezout_resultant(f: Form, g: Form) -> int:
     """Res(f, g) of integer forms of one degree d >= 1 as a d x d
     determinant (Bezout, Cayley).  With u, v the ascending coefficients of
-    f(x, 1) and g(x, 1), B[i][j] = sum_k (u[j+k+1] v[i-k] - u[i-k] v[j+k+1])
-    over 0 <= k <= min(i, d-1-j), and Res = (-1)^(d(d-1)/2) det B.  The rows
-    are built by B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
+    f(x, 1) and g(x, 1) and the brackets [a b] = u[a] v[b] - u[b] v[a],
+    B[i][j] = sum_k [j+k+1, i-k] over 0 <= k <= min(i, d-1-j), and
+    Res = (-1)^(d(d-1)/2) det B.
+
+    For d <= 3, the sizes the model search walks, the signed det B is
+    expanded in closed form and no matrix is built: B is [10] for d = 1,
+    [[10], [20]; [20], [21]] for d = 2, so det B = [10] [21] - [20]^2, and
+    for d = 3 the symmetric [[10], [20], [30]; [20], [21] + [30], [31];
+    [30], [31], [32]].  Larger d goes through Bareiss, with the rows built
+    by B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
     d = len(f) - 1
+    if d == 1:
+        return f[0] * g[1] - f[1] * g[0]
+    if d == 2:
+        u2, u1, u0 = f
+        v2, v1, v0 = g
+        b20 = u2 * v0 - u0 * v2
+        return b20 * b20 - (u1 * v0 - u0 * v1) * (u2 * v1 - u1 * v2)
+    if d == 3:
+        u3, u2, u1, u0 = f
+        v3, v2, v1, v0 = g
+        b10, b20, b30 = u1 * v0 - u0 * v1, u2 * v0 - u0 * v2, u3 * v0 - u0 * v3
+        b31, b32 = u3 * v1 - u1 * v3, u3 * v2 - u2 * v3
+        b11 = u2 * v1 - u1 * v2 + b30          # the middle entry [21] + [30]
+        return (b20 * (b20 * b32 - b30 * b31) - b10 * (b11 * b32 - b31 * b31)
+                - b30 * (b20 * b31 - b30 * b11))
     u, v = f[::-1], g[::-1]
     rows = []
     above = [0] * (d + 1)       # B[i-1][j], and 0 past the last column

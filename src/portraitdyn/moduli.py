@@ -167,8 +167,9 @@ NU_CAP_BITS = 12000
 
 # Largest number nu of formal-period-n points for which multiplier_polynomial
 # computes; its work in the nu-dimensional algebra Q[x]/(psi) grows steeply
-# with nu.  On a 2-vCPU VM a random map takes 0.4-0.9 s at nu = 42
-# (degree 7, n = 2) and 17-24 s at nu = 54 (degree 2, n = 6).  The tests,
+# with nu.  On a 2-vCPU container seven seeded maps took 1.3-3.1 s at
+# nu = 42 (degree 7, n = 2) and two took 51-61 s at nu = 54 (degree 2,
+# n = 6, the cap lifted).  The tests reach nu = 42, under a 5 s guard;
 # the README and the benchmark stay at nu <= 6.
 MULTIPLIER_CAP = 48
 

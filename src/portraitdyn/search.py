@@ -24,12 +24,12 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
 # Most candidate pairs one search walks; past it the search raises
 # MapError.  It counts the pairs walked, not the bound, so a query whose
-# model comes early may give a large bound.  At 0.016-0.023 ms per
-# degree-2 or degree-3 candidate on a 2-vCPU VM that is about 4-6 s; it
-# lets a search exhaust degree 2 at bound 3 (57,951 pairs) and degree 3
-# at bound 2 (191,760).  The tests, the benchmark and the script examples
-# walk at most 2,265 pairs (the three-fixed-points-and-a-2-cycle portrait
-# at degree 2, bound 5).
+# model comes early may give a large bound.  At 0.012-0.015 ms per
+# degree-2 or degree-3 candidate on a 2-vCPU container that is about
+# 3-4 s; it lets a search exhaust degree 2 at bound 3 (57,951 pairs,
+# 0.7-0.9 s) and degree 3 at bound 2 (191,760, 2.4-2.9 s).  The tests,
+# the benchmark and the script examples walk at most 2,265 pairs (the
+# three-fixed-points-and-a-2-cycle portrait at degree 2, bound 5).
 SEARCH_CAP = 250_000
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from portraitdyn import forms
+from portraitdyn import forms, search
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
 
@@ -222,12 +222,16 @@ def _resultant_cases():
         g = forms.mul((1, -1), tuple(coeffs(d - 1)))
         cases += [(f, g), (g, f)]
     cases.append((tuple(coeffs(24)), tuple(coeffs(24))))
+    for d in (1, 2, 3):
+        # the closed forms of forms._bezout_resultant: at least 100 cases each
+        cases += [(tuple(coeffs(d)), tuple(coeffs(d))) for _ in range(70)]
     return cases
 
 
 def test_resultant_matches_sylvester_at_stated_degrees():
     cases = _resultant_cases()
     assert any(len(f) == 25 for f, _ in cases)
+    assert all(sum(len(f) == d + 1 for f, _ in cases) >= 100 for d in (1, 2, 3))
     assert any(f[0] == 0 and f[-1] == 0 for f, _ in cases)
     assert any(any(f) and any(g) and sylvester_resultant(f, g) == 0 for f, g in cases)
     for f, g in cases:
@@ -235,6 +239,42 @@ def test_resultant_matches_sylvester_at_stated_degrees():
         got = forms.resultant(f, g)
         assert got == expected, (f, g)
         assert type(got) is int, (f, g)
+
+
+def _bezout_by_bareiss(f, g):
+    """(-1)^(d(d-1)/2) det B for the Bezout matrix B of the formula in
+    _bezout_resultant's docstring, built entry by entry and run through
+    the general Bareiss determinant."""
+    d = len(f) - 1
+    u, v = f[::-1], g[::-1]
+
+    def bracket(a, b):
+        return u[a] * v[b] - u[b] * v[a]
+
+    rows = [[sum(bracket(j + k + 1, i - k) for k in range(min(i, d - 1 - j) + 1))
+             for j in range(d)] for i in range(d)]
+    det = forms._bareiss_det(rows)
+    return -det if d * (d - 1) // 2 % 2 else det
+
+
+def _degree_one_pairs_with_zeros():
+    rng = random.Random(23)
+    return [tuple(tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(2))
+                  for _ in range(2)) for _ in range(300)]
+
+
+def test_closed_form_resultants_match_the_bezout_matrix():
+    # every candidate pair the search walks in degree 2 at bound 2 and in
+    # degree 3 at bound 1, and degree-1 pairs with zero entries
+    cases = {1: _degree_one_pairs_with_zeros(),
+             2: list(search._coefficient_pairs(2, 2)),
+             3: list(search._coefficient_pairs(3, 1))}
+    assert [len(cases[d]) for d in (2, 3)] == [7399, 3240]
+    assert any(0 in f + g for f, g in cases[1])
+    for d, pairs in cases.items():
+        assert any(_bezout_by_bareiss(f, g) == 0 for f, g in pairs)
+        for f, g in pairs:
+            assert forms._bezout_resultant(f, g) == _bezout_by_bareiss(f, g), (f, g)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -32,6 +32,30 @@ def test_marked_two_cycle_star_exactly_off_two():
         assert rep.star
 
 
+def test_good_reduction_computes_each_multiplicity_over_q_once(monkeypatch):
+    # a fresh z^2 - 1 with its 2-cycle {0, -1} and the fixed point at
+    # infinity, at the 17 primes below 60: the multiplicity over Q of
+    # each marked point is computed once, not once per prime
+    f = RationalMap.polynomial([1, 0, -1])
+    portrait = Portrait(["p", "q", "r"], {"p": "q", "q": "p", "r": "r"}, {"p": 2, "r": 2})
+    assign = dict(ASSIGN, r=ProjectivePoint.infinity())
+    over_q = []
+
+    def counting(form, x, y, prime=0):
+        if not prime:
+            over_q.append(ProjectivePoint.of(x, y))
+        return ord_at(form, x, y, prime)
+
+    ord_at = reduction.forms.ord_at
+    monkeypatch.setattr(reduction.forms, "ord_at", counting)
+    primes = list(sympy.primerange(2, 60))
+    assert len(primes) == 17
+    reports = [good_reduction(f, assign, portrait, p) for p in primes]
+    assert all(rep.circ for rep in reports)
+    assert [rep.star for rep in reports] == [p != 2 for p in primes]
+    assert sorted(over_q) == sorted(assign.values())
+
+
 def test_map_with_bad_prime():
     f = RationalMap([1, 0, 0], [0, 0, 3])   # z^2 / 3
     for p in sympy.primerange(2, 20):

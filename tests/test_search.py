@@ -187,9 +187,15 @@ def test_exhausting_search_builds_one_map_per_nonzero_resultant(monkeypatch, len
     assert len(built) == 240
 
 
-def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch):
+@pytest.mark.parametrize("lens,degree,walked", [
+    ((4,), 2, 351),
+    ((1, 1, 1, 1, 1), 3, 3240),     # a cubic has four fixed points: every pair is walked
+], ids=["degree-2", "degree-3"])
+def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch, lens, degree,
+                                                                walked):
     # the constructor reuses the resultant of the search's zero test, so
-    # each candidate pays for one Bezout determinant, built or not
+    # each candidate pays for one Bezout determinant, built or not; in
+    # degree 3 that determinant is a closed form
     computed = []
 
     def counting(f, g):
@@ -199,8 +205,9 @@ def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch):
     bezout = forms._bezout_resultant
     forms.resultant((1, 0), (0, 1))     # so no earlier call is remembered
     monkeypatch.setattr(forms, "_bezout_resultant", counting)
-    assert search_periodic_model(_portrait((4,)), 2, 1) is None
-    assert computed == list(search._coefficient_pairs(2, 1))
+    assert search_periodic_model(_portrait(lens), degree, 1) is None
+    assert computed == list(search._coefficient_pairs(degree, 1))
+    assert len(computed) == walked
 
 
 def test_search_refuses_past_its_candidate_cap(monkeypatch):
