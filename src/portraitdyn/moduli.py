@@ -59,7 +59,7 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     at most d^N preimages and at most nu(n) vertices of each exact period
     n (only periods the portrait has are compared: 0 never exceeds nu)."""
     if d < 2 or N < 1:
-        raise ModuliError("need d >= 2, N >= 1, n >= 1")
+        raise ModuliError("need d >= 2, N >= 1")
     if not p.is_unweighted:
         raise ModuliError("portrait must be unweighted")
     stats = portrait_statistics(p)
@@ -167,8 +167,8 @@ NU_CAP_BITS = 12000
 
 # Largest number nu of formal-period-n points for which multiplier_polynomial
 # computes; its work in the nu-dimensional algebra Q[x]/(psi) grows steeply
-# with nu.  On a 2-vCPU container seven seeded maps took 1.3-3.1 s at
-# nu = 42 (degree 7, n = 2) and two took 51-61 s at nu = 54 (degree 2,
+# with nu.  On a 2-vCPU container seven seeded maps took 0.4-0.7 s at
+# nu = 42 (degree 7, n = 2) and two took 14-15 s at nu = 54 (degree 2,
 # n = 6, the cap lifted).  The tests reach nu = 42, under a 5 s guard;
 # the README and the benchmark stay at nu <= 6.
 MULTIPLIER_CAP = 48
@@ -180,15 +180,18 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
 
     No chart is needed.  Let k be the order of infinity as a root of the
     dynatomic form psi.  f^n = a / b fixes the roots of the affine part
-    psi(x, 1) and is affine there, so b is a unit mod psi(x, 1).  Those
-    roots give the characteristic polynomial of multiplication by
-    h = Y^2 J / (D b^2) on Q[x]/(psi(x, 1)), J the Jacobian form of (a, b)
-    and D = deg b: prod (t - h(z)) over the roots z, with multiplicity, or
-    1 when nu = k.  The inverse of b^2 comes from the extended Euclidean
-    algorithm and the characteristic polynomial from the traces of the
-    powers of h (Newton's identities).  When k > 0, f^n fixes infinity with
-    multiplier b[1] / a[0], a factor (t - b[1] / a[0])^k.  Cached per map
-    and period; raises MapError when nu exceeds MULTIPLIER_CAP.
+    psi(x, 1) and is affine there, so b is a unit mod psi(x, 1), and
+    psi(x, 1) divides x b - a, the affine part of the fixed-point form of
+    f^n.  So mod psi(x, 1) the derivative (a_X b - a b_X) / b^2 of f^n
+    equals h = g / b, g = Y a_X - X b_X, and those roots give the
+    characteristic polynomial of multiplication by h on Q[x]/(psi(x, 1)):
+    prod (t - h(z)) over the roots z, with multiplicity, or 1 when nu = k.
+    h comes from the extended Euclidean algorithm on psi(x, 1) and b, with
+    g as the cofactor of b, and the characteristic polynomial from the
+    traces of the powers of h (Newton's identities).  When k > 0, f^n
+    fixes infinity with multiplier b[1] / a[0], a factor
+    (t - b[1] / a[0])^k.  Cached per map and period; raises MapError when
+    nu exceeds MULTIPLIER_CAP.
     """
     from .maps import MapError
 
@@ -204,16 +207,16 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     coeffs = (Fraction(1),)
     if len(psi) - k > 1:
         # In y = c x, with c the leading coefficient of psi(x, 1), the
-        # algebra is Z[y]/(mod) with mod monic, and D h is the quotient of
-        # the integer polynomials c^(2D) (Y^2 J)(y / c) and c^(2D) b(y / c)^2.
+        # algebra is Z[y]/(mod) with mod monic, and h is the quotient of
+        # the integer polynomials c^D g(y / c) and c^D b(y / c).
         c = psi[k]
         mod = [x // c for x in _scale_roots(psi[k:], c)]
-        u, t = _inverse(_rem(_scale_roots(forms.mul(b, b), c), mod), mod)
-        h = _rem(forms.mul(_rem(_scale_roots((0, 0) + forms.jacobian(a, b), c), mod), u), mod)
-        coeffs = _charpoly(h, (len(b) - 1) * t, mod)
+        g = forms.sub((0,) + forms.derivative_x(a), forms.derivative_x(b) + (0,))
+        h, t = _quotient(_rem(_scale_roots(g, c), mod), _rem(_scale_roots(b, c), mod), mod)
+        coeffs = _charpoly(h, t, mod)
     for _ in range(k):
         coeffs = forms.sub(coeffs + (0,), (0,) + forms.scale(coeffs, Fraction(b[1], a[0])))
-    sym = tuple((-1) ** i * coeffs[i] for i in range(1, len(coeffs)))
+    sym = tuple(-c if i % 2 else c for i, c in enumerate(coeffs[1:], 1))
     cache[n] = MultiplierData(n, coeffs, sym)
     return cache[n]
 
@@ -235,13 +238,15 @@ def _rem(p, mod) -> list:
     return r[len(r) - deg:]
 
 
-def _inverse(p, mod):
-    """(u, t), t a positive integer, with u p = t mod the monic mod: the
-    extended Euclidean algorithm over Q, run on integer pseudo-remainders
-    with the joint content of each remainder and its cofactor divided out."""
+def _quotient(num, den, mod):
+    """(h, t), t a positive integer, with h den = t num mod the monic mod,
+    for den a unit mod mod: the extended Euclidean algorithm over Q, run
+    on integer pseudo-remainders r of mod and den with the joint content
+    of each remainder and its cofactor s divided out.  The cofactors keep
+    s den = r num mod mod, so the last one is h, not an inverse of den."""
     deg = len(mod) - 1
     r0, s0 = list(mod), [0] * deg
-    r1, s1 = list(p), [0] * (deg - 1) + [1]
+    r1, s1 = list(den), list(num)
     while True:
         while r1 and r1[0] == 0:
             r1.pop(0)
@@ -268,23 +273,38 @@ def _inverse(p, mod):
 
 def _charpoly(h, t, mod) -> tuple:
     """Monic characteristic polynomial (Fraction coefficients, descending)
-    of multiplication by h / t on Q[y]/(mod): the power sums of its roots
-    are the traces of the powers of h / t, and Newton's identities turn
-    them into the elementary symmetric functions."""
+    of multiplication by h / t on Q[y]/(mod): the power sums p_k of its
+    roots are the traces of the powers of h / t, and Newton's identities
+    k e_k = sum (-1)^i e_(k-1-i) p_(i+1) turn them into the elementary
+    symmetric functions e_k.  Every p_k and e_k is a reduced pair
+    (numerator, positive denominator) of integers: the terms of each e_k
+    are summed once over the lcm of their denominators and reduced by one
+    gcd, and only the returned coefficients become Fractions.  The
+    reductions keep the integers as small as Fractions would: an earlier
+    integer loop that skipped them took about ten times as long at
+    nu = 42 (degree 7, n = 2).  There the Newton part now takes about
+    0.005 s, against 0.023 s in Fraction sums, and the powers of h about
+    0.3 s of the 0.35-0.45 s call."""
     deg = len(mod) - 1
     tau = [deg]         # tau[j] = trace of y^j, a power sum of the roots of mod
     for j in range(1, deg):
         tau.append(-(sum(mod[i] * tau[j - i] for i in range(1, j)) + j * mod[j]))
-    e = [Fraction(1)]
+    e = [(1, 1)]
     sums = []
     power, den = [0] * (deg - 1) + [1], 1
     for k in range(1, deg + 1):
         power, den = _rem(forms.mul(power, h), mod), den * t
         g = gcd(den, *power)
         power, den = [x // g for x in power], den // g
-        sums.append(Fraction(sum(x * tau[deg - 1 - i] for i, x in enumerate(power)), den))
-        e.append(sum((-1) ** i * e[k - 1 - i] * sums[i] for i in range(k)) / k)
-    return tuple((-1) ** k * x for k, x in enumerate(e))
+        trace = sum(x * tau[deg - 1 - i] for i, x in enumerate(power))
+        g = gcd(trace, den)
+        sums.append((trace // g, den // g))
+        terms = [(en * sn, ed * sd) for (en, ed), (sn, sd) in zip(reversed(e), sums)]
+        common = lcm(*(d for _, d in terms))
+        num = sum((-1) ** i * n * (common // d) for i, (n, d) in enumerate(terms))
+        g = gcd(num, k * common)
+        e.append((num // g, k * common // g))
+    return tuple(Fraction((-1) ** k * n, d) for k, (n, d) in enumerate(e))
 
 
 def milnor_coordinates(f: RationalMap):
@@ -313,11 +333,13 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
     if k not in (0, 1):
         raise ModuliError("only k in {0, 1} is meaningful on P^1")
     data = multiplier_polynomial(f, 1)
-    at_one = sum(data.poly)
+    common = lcm(*(c.denominator for c in data.poly))
+    nums = [c.numerator * (common // c.denominator) for c in data.poly]
+    at_one = sum(nums)          # common P(1)
     if at_one == 0:
         raise MapError("a fixed-point multiplier equals 1 (non-simple fixed point)")
-    slope = sum(c * (data.degree - i) for i, c in enumerate(data.poly))
-    return Fraction(slope, at_one) - (data.degree if k == 1 else 0)
+    slope = sum(c * (data.degree - i) for i, c in enumerate(nums))   # common P'(1)
+    return Fraction(slope - (data.degree * at_one if k == 1 else 0), at_one)
 
 
 # -- worked families used as exact regression fixtures --------------------

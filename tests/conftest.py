@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import random
 import signal
 from fractions import Fraction
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import strategies as st
 
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
-                         critically_generated_subportrait, forms, nu)
+                         critically_generated_subportrait, forms, moduli, nu)
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -113,6 +114,48 @@ def reference_multiplier_polynomial(f: RationalMap, n: int) -> tuple:
     res = sympy.Poly(sympy.resultant((lam * b ** 2 - wr).as_expr(), psi.as_expr(), x), lam)
     assert res.degree() == nu(f.degree, 1, n)
     return tuple(Fraction(k.p, k.q) for k in res.monic().all_coeffs())
+
+
+def reference_charpoly(h, t, mod) -> tuple:
+    """The Newton loop of `moduli._charpoly` as it was in Fraction
+    arithmetic, kept as an oracle for the integer one: the power sums of
+    the roots of the characteristic polynomial of multiplication by h / t
+    on Q[y]/(mod) are the traces of the powers of h / t, and each
+    elementary symmetric function e_k is the Fraction sum
+    (1/k) sum (-1)^i e_(k-1-i) p_(i+1)."""
+    deg = len(mod) - 1
+    tau = [deg]
+    for j in range(1, deg):
+        tau.append(-(sum(mod[i] * tau[j - i] for i in range(1, j)) + j * mod[j]))
+    e = [Fraction(1)]
+    sums = []
+    power, den = [0] * (deg - 1) + [1], 1
+    for k in range(1, deg + 1):
+        power, den = moduli._rem(forms.mul(power, h), mod), den * t
+        g = math.gcd(den, *power)
+        power, den = [x // g for x in power], den // g
+        sums.append(Fraction(sum(x * tau[deg - 1 - i] for i, x in enumerate(power)), den))
+        e.append(sum((-1) ** i * e[k - 1 - i] * sums[i] for i in range(k)) / k)
+    return tuple((-1) ** k * x for k, x in enumerate(e))
+
+
+def nu_42_map() -> RationalMap:
+    """Seeded degree-7 map with nu(7, 1, 2) = 42 points of formal period 2,
+    the largest nu a small degree reaches below MULTIPLIER_CAP.  It sends
+    0 -> 1 -> 0, so the multiplier of that 2-cycle is a root of
+    multiplicity at least 2 of its period-2 multiplier polynomial."""
+    rng = random.Random("nu-42")
+    while True:
+        f0 = [rng.randint(-9, 9) for _ in range(8)]
+        f1 = [rng.randint(-9, 9) for _ in range(8)]
+        f0[7] = f1[7] = rng.choice([-2, -1, 1, 2])      # f(0) = 1
+        f0[0] -= sum(f0)                                # f(1) = 0
+        if sum(f1) == 0:
+            continue
+        try:
+            return RationalMap(f0, f1)
+        except MapError:
+            continue
 
 
 def random_critically_generated(rng: random.Random, max_vertices: int = 8) -> Portrait:

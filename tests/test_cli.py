@@ -492,7 +492,7 @@ def test_unweighted_moduli_need_valid_degree_and_dimension(capsys, tmp_path, com
     code, out = run_cli(capsys, "portrait", command, *files[:2 if command == "fibers" else 1],
                         "--degree", degree, "--dim", dim)
     assert code == 1 and out == ""
-    assert run_cli.err == "error: need d >= 2, N >= 1, n >= 1\n"
+    assert run_cli.err == "error: need d >= 2, N >= 1\n"
 
 
 _SQUARE = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}

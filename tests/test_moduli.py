@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (invertible_matrix_strategy, random_rational_map,
-                      reference_multiplier_polynomial, within)
+from conftest import (invertible_matrix_strategy, nu_42_map, random_rational_map,
+                      reference_charpoly, reference_multiplier_polynomial, within)
 from portraitdyn import (MapError, ModuliError, Portrait, ProjectivePoint,
                          RationalMap, cubic_three_double_fixed_family,
                          dim_moduli_space, doubly_critical_three_cycle_surface,
@@ -222,7 +222,7 @@ def test_multiplier_polynomial_matches_sympy_reference():
     ]
     orders = set()      # orders of infinity as a root of the dynatomic form
     for f in maps:
-        for n in (1, 2):
+        for n in (1, 2, 3) if f.degree == 2 else (1, 2):
             orders.add(next(i for i, c in enumerate(f.dynatomic(n)) if c))
             data = multiplier_polynomial(f, n)
             assert data.poly == reference_multiplier_polynomial(f, n)
@@ -248,30 +248,75 @@ def test_multiplier_polynomial_size_cap():
 
 
 def test_multiplier_polynomial_near_the_cap_in_time():
-    # nu(7, 1, 2) = 42, the largest nu a small degree reaches below the cap.
-    # The map sends 0 -> 1 -> 0, so the multiplier of that 2-cycle, from
-    # the chain rule of cycle_multiplier, is a root of multiplicity at
-    # least 2, one for each of its points.  An integer-only Newton loop
-    # without the gcd per step gave the same polynomials in 5-11 s here.
-    rng = random.Random("nu-42")
-    while True:
-        f0 = [rng.randint(-9, 9) for _ in range(8)]
-        f1 = [rng.randint(-9, 9) for _ in range(8)]
-        f0[7] = f1[7] = rng.choice([-2, -1, 1, 2])      # f(0) = 1
-        f0[0] -= sum(f0)                                # f(1) = 0
-        if sum(f1) == 0:
-            continue
-        try:
-            f = RationalMap(f0, f1)
-            break
-        except MapError:
-            continue
+    # nu(7, 1, 2) = 42, the largest nu a small degree reaches below the cap;
+    # the multiplier of the map's 2-cycle {0, 1}, from the chain rule of
+    # cycle_multiplier, is a root of multiplicity at least 2, one for each
+    # of its points.  On a 2-vCPU container it takes 0.35-0.45 s, about
+    # 0.3 s of it the powers of h in _charpoly.  It took 1.4-1.6 s with
+    # h = Y^2 J / (D b^2) and the Newton loop in Fractions, and 5-11 s with
+    # an integer Newton loop that had no gcd per step.
+    f = nu_42_map()
     with within(5):
         data = multiplier_polynomial(f, 2)
     assert len(data.poly) == nu(7, 1, 2) + 1 == 43 and data.poly[0] == 1
     lam = f.cycle_multiplier(ProjectivePoint.affine(0), 2)
     assert forms.evaluate(data.poly, lam, 1) == 0
     assert forms.evaluate(forms.derivative_x(data.poly), lam, 1) == 0
+
+
+def _charpoly_calls(monkeypatch, jobs) -> list:
+    """(h, t, mod, result) of every _charpoly call that multiplier_polynomial
+    makes for the (map, period) jobs."""
+    calls, real = [], moduli._charpoly
+
+    def spy(h, t, mod):
+        calls.append((h, t, mod, real(h, t, mod)))
+        return calls[-1][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(moduli, "_charpoly", spy)
+        for f, n in jobs:
+            multiplier_polynomial(f, n)
+    return calls
+
+
+def _seeded_jobs(degree, periods):
+    rng = random.Random(f"charpoly/{degree}")
+    maps = [random_rational_map(rng, degree) for _ in range(8)]
+    return [(f, n) for f in maps for n in periods]
+
+
+@pytest.mark.parametrize("jobs", [
+    lambda: _seeded_jobs(2, (1, 2, 3, 4)),
+    lambda: _seeded_jobs(3, (1, 2)),
+    lambda: [(nu_42_map(), 2)],
+], ids=["degree-2", "degree-3", "nu-42"])
+def test_charpoly_matches_fraction_newton_reference(monkeypatch, jobs):
+    jobs = jobs()
+    calls = _charpoly_calls(monkeypatch, jobs)
+    assert len(calls) == len(jobs)
+    for h, t, mod, got in calls:
+        assert got == reference_charpoly(h, t, mod)
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_charpoly_builds_one_fraction_per_coefficient(monkeypatch):
+    # the Newton loop runs on integer pairs; Fractions are made only for
+    # the deg + 1 returned coefficients.  Counting at Fraction.__new__
+    # also sees the Fractions that Fraction arithmetic makes, which a
+    # patched moduli.Fraction would miss.
+    (h, t, mod, _), = _charpoly_calls(monkeypatch, _seeded_jobs(3, (2,))[:1])
+    made, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    poly = moduli._charpoly(h, t, mod)
+    monkeypatch.undo()
+    assert len(mod) == nu(3, 1, 2) + 1 == 7
+    assert len(made) == len(poly) == len(mod)
 
 
 def test_milnor_fixtures():
@@ -311,6 +356,25 @@ def test_ueda_sums_random_maps():
             except MapError:
                 continue   # non-simple fixed point: resample
             done += 1
+
+
+@pytest.mark.parametrize("f, poly", [
+    # multipliers 3 and -1 at 3/2 and -1/2, and 0 at infinity
+    (RationalMap.polynomial([1, 0, Fraction(-3, 4)]), (1, -2, -3, 0)),
+    # 1 +- sqrt(1/2) at (1 +- sqrt(1/2)) / 2, and 0 at infinity
+    (RationalMap.polynomial([1, 0, Fraction(1, 8)]), (1, -2, Fraction(1, 2), 0)),
+    # 2z + 1/z: 1/2 at infinity, 3 at +-i
+    (RationalMap.from_affine([2, 0, 1], [1, 0]), (1, Fraction(-13, 2), 12, Fraction(-9, 2))),
+    # (3z^3 + 1) / (2z^2): 2/3 at infinity, 5/2 at each cube root of -1
+    (RationalMap.from_affine([3, 0, 0, 1], [2, 0, 0]),
+     (1, Fraction(-49, 6), Fraction(95, 4), Fraction(-225, 8), Fraction(125, 12))),
+])
+def test_ueda_sums_with_a_simple_fixed_point_at_infinity(f, poly):
+    assert next(i for i, c in enumerate(f.dynatomic(1)) if c) == 1
+    assert multiplier_polynomial(f, 1).poly == poly
+    sums = ueda_sum(f, 0), ueda_sum(f, 1)
+    assert sums == (1, -f.degree)
+    assert all(type(x) is Fraction for x in sums)
 
 
 def test_ueda_rejects_parabolic():
