@@ -3,8 +3,8 @@
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
 ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
 integers: the resultant of two degree-d forms is a d x d Bezout
-determinant (a closed form for d <= 3, a fraction-free Bareiss
-elimination above), exact division stays in Z[X, Y], and evaluation,
+determinant (a closed form for d = 2 and 3, a fraction-free Bareiss
+elimination otherwise), exact division stays in Z[X, Y], and evaluation,
 which every root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only; integerize is the one place that clears denominators, and
@@ -214,25 +214,12 @@ def resultant(f: Form, g: Form) -> int:
     or zero degree and for a coefficient that is not an int: the
     fraction-free elimination would floor a Fraction silently.  Rational
     forms go through integerize first, and Res(a f, b g) = (ab)^d Res(f, g).
-
-    The last pair and its resultant are kept: the model search tests a
-    candidate's resultant and then builds the map, whose constructor asks
-    for the same one.
     """
-    global _last_resultant
     if len(f) != len(g) or len(f) < 2:
         raise FormError("resultant needs two forms of one degree d >= 1")
     if {*map(type, f), *map(type, g)} != {int}:
         raise FormError("resultant needs integer coefficients")
-    f, g = tuple(f), tuple(g)
-    last_f, last_g, res = _last_resultant
-    if f != last_f or g != last_g:
-        res = _bezout_resultant(f, g)
-        _last_resultant = (f, g, res)
-    return res
-
-
-_last_resultant = ((), (), 0)       # (f, g, Res(f, g)) of the last call
+    return _bezout_resultant(f, g)
 
 
 def _bezout_resultant(f: Form, g: Form) -> int:
@@ -242,15 +229,13 @@ def _bezout_resultant(f: Form, g: Form) -> int:
     B[i][j] = sum_k [j+k+1, i-k] over 0 <= k <= min(i, d-1-j), and
     Res = (-1)^(d(d-1)/2) det B.
 
-    For d <= 3, the sizes the model search walks, the signed det B is
-    expanded in closed form and no matrix is built: B is [10] for d = 1,
-    [[10], [20]; [20], [21]] for d = 2, so det B = [10] [21] - [20]^2, and
-    for d = 3 the symmetric [[10], [20], [30]; [20], [21] + [30], [31];
-    [30], [31], [32]].  Larger d goes through Bareiss, with the rows built
-    by B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
+    For d = 2 and 3, the degrees the model search walks, the signed det B
+    is expanded in closed form and no matrix is built: B is [[10], [20];
+    [20], [21]] for d = 2, so det B = [10] [21] - [20]^2, and for d = 3 the
+    symmetric [[10], [20], [30]; [20], [21] + [30], [31]; [30], [31],
+    [32]].  Every other d goes through Bareiss, with the rows built by
+    B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
     d = len(f) - 1
-    if d == 1:
-        return f[0] * g[1] - f[1] * g[0]
     if d == 2:
         u2, u1, u0 = f
         v2, v1, v0 = g

@@ -14,6 +14,10 @@ from . import DomainError, forms
 from .portraits import Portrait, PortraitError, PortraitMorphism, PreperiodicType
 from .projective import ProjectivePoint
 
+# Largest degree d^k of an iterate or a dynatomic form.  At the cap the
+# work is long: single cold runs on a 2-vCPU Xeon VM, coefficients in
+# [-3, 3], took 34 s for `dyn dynatomic -n 3` on a degree-16 map and 45 s
+# for `-n 2` on a degree-64 map.
 DEGREE_CAP = 4096
 
 # Largest degree the constructor accepts: its resultant is a Bezout
@@ -222,6 +226,9 @@ class RationalMap:
         return None
 
     def orbit(self, p: ProjectivePoint, length: int) -> list:
+        """p and its first `length` images, length >= 0."""
+        if length < 0:
+            raise MapError("orbit length must be nonnegative")
         out = [p]
         for _ in range(length):
             out.append(self.evaluate(out[-1]))

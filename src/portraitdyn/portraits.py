@@ -36,7 +36,7 @@ class CriticalRelation(NamedTuple):
 class Portrait:
     """Immutable weighted functional graph."""
 
-    __slots__ = ("vertices", "domain", "phi", "weights", "_hash",
+    __slots__ = ("vertices", "domain", "phi", "weights",
                  "_orbits", "_types", "_canon", "_closures")
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
@@ -64,7 +64,7 @@ class Portrait:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "weights",
                           {k: w for k, w in weights.items() if w > 1})
-        for slot in ("_hash", "_orbits", "_types", "_canon", "_closures"):
+        for slot in ("_orbits", "_types", "_canon", "_closures"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -98,12 +98,9 @@ class Portrait:
                 and self.weights == other.weights)
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((frozenset(self.vertices),
-                      frozenset(self.phi.items()),
-                      frozenset(self.weights.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((frozenset(self.vertices),
+                     frozenset(self.phi.items()),
+                     frozenset(self.weights.items())))
 
     def __repr__(self):
         return (f"Portrait(vertices={sorted(self.vertices)}, phi={self.phi}, "

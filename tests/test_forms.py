@@ -104,6 +104,8 @@ def test_derivatives():
     f = (1, 0, 2, 0)
     assert forms.derivative_x(f) == (3, 0, 2)
     assert forms.derivative_y(f) == (0, 4, 0)
+    for c in (0, 7):                # a constant form has the zero form of degree 0
+        assert forms.derivative_x((c,)) == forms.derivative_y((c,)) == (0,)
 
 
 def test_compose_pair_matches_substitution():
@@ -223,7 +225,8 @@ def _resultant_cases():
         cases += [(f, g), (g, f)]
     cases.append((tuple(coeffs(24)), tuple(coeffs(24))))
     for d in (1, 2, 3):
-        # the closed forms of forms._bezout_resultant: at least 100 cases each
+        # at least 100 cases each: the closed forms of forms._bezout_resultant
+        # for d = 2 and 3, and its Bareiss path on a 1 x 1 matrix for d = 1
         cases += [(tuple(coeffs(d)), tuple(coeffs(d))) for _ in range(70)]
     return cases
 
@@ -265,7 +268,8 @@ def _degree_one_pairs_with_zeros():
 
 def test_closed_form_resultants_match_the_bezout_matrix():
     # every candidate pair the search walks in degree 2 at bound 2 and in
-    # degree 3 at bound 1, and degree-1 pairs with zero entries
+    # degree 3 at bound 1, which take the closed forms, and degree-1 pairs
+    # with zero entries, which take the Bareiss path
     cases = {1: _degree_one_pairs_with_zeros(),
              2: list(search._coefficient_pairs(2, 2)),
              3: list(search._coefficient_pairs(3, 1))}
@@ -303,7 +307,7 @@ def test_resultant_refuses_all_but_integer_forms_of_one_positive_degree(f, g, me
         forms.resultant(f, g)
 
 
-def test_resultant_remembers_only_equal_integer_forms():
+def test_resultant_follows_changed_lists_and_refuses_equal_fractions():
     f, g = [1, 0, 0], [0, 0, 1]             # X^2, Y^2
     assert forms.resultant(f, g) == 1
     g[2] = 2                                # the caller changes its list

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -74,12 +75,33 @@ def test_normalization_idempotent():
     assert f == again
 
 
+def test_map_is_immutable():
+    for name, value in (("f0", (1, 0, 1)), ("_cache", {}), ("extra", 1)):
+        with pytest.raises(AttributeError, match="^RationalMap is immutable$"):
+            setattr(Z_SQUARED, name, value)
+    assert Z_SQUARED.f0 == (1, 0, 0) and Z_SQUARED.resultant == 1
+
+
+def test_map_equality_defers_to_other_types():
+    pair = (Z_SQUARED.f0, Z_SQUARED.f1)
+    assert Z_SQUARED.__eq__(pair) is NotImplemented
+    assert Z_SQUARED != pair and Z_SQUARED != "RationalMap((1, 0, 0), (0, 0, 1))"
+    assert Z_SQUARED == mock.ANY        # the reflected comparison decides
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_evaluate_fixtures():
     assert Z_SQUARED.evaluate(aff(2)) == aff(4)
     assert Z_SQUARED.evaluate(ProjectivePoint.infinity()) == ProjectivePoint.infinity()
     assert Z2_MINUS_1.evaluate(aff(0)) == aff(-1)
+
+
+def test_calling_a_map_evaluates_it():
+    for f in (Z_SQUARED, Z2_MINUS_1):
+        for p in (aff(0), aff(-1), aff(Fraction(2, 3)), ProjectivePoint.infinity()):
+            assert f(p) == f.evaluate(p)
+    assert Z2_MINUS_1(aff(Fraction(2, 3))) == aff(Fraction(-5, 9))
 
 
 @given(invertible_matrix_strategy(), st.integers(-5, 5), st.integers(1, 5))
@@ -275,6 +297,12 @@ def test_period_of_point_fixtures():
     assert Z_SQUARED.period_of_point(aff(2), 12) is None
 
 
+def test_orbit_lists_the_point_and_its_first_images():
+    assert Z_SQUARED.orbit(aff(2), 0) == [aff(2)]
+    assert Z_SQUARED.orbit(aff(2), 3) == [aff(2), aff(4), aff(16), aff(256)]
+    assert Z2_MINUS_1.orbit(aff(0), 2) == [aff(0), aff(-1), aff(0)]
+
+
 def test_cycle_multiplier_chain_rule():
     lam = Z2_MINUS_1.cycle_multiplier(aff(0), 2)
     assert lam == Z2_MINUS_1.affine_derivative(0) * Z2_MINUS_1.affine_derivative(-1)
@@ -458,6 +486,7 @@ _FIXED = Portrait(["a"], {"a": "a"})
     (lambda: Z_SQUARED.iterate_pair(0), "iterate exponent must be positive"),
     (lambda: Z_SQUARED.conjugate((1, 2, 2, 4)), "conjugating matrix is singular"),
     (lambda: Z_SQUARED.period_of_point(aff(2), 0), "max_steps must be positive"),
+    (lambda: Z_SQUARED.orbit(aff(2), -1), "orbit length must be nonnegative"),
     (lambda: _MILNOR.affine_derivative(-1), "derivative chart: image at infinity"),
     (lambda: verify_model(Z_SQUARED, Portrait(["a", "b"], {"a": "a"}), {"b": aff(0)}),
      "assignment missing vertices ['a']"),
@@ -465,7 +494,7 @@ _FIXED = Portrait(["a"], {"a": "a"})
                             Model(Z_SQUARED, Portrait(["b"], {"b": "b"}), {"b": aff(0)})),
      "morphism target does not match the model portrait"),
 ], ids=["unequal-lengths", "iterate-0", "singular-matrix", "max-steps-0",
-        "image-at-infinity", "missing-vertices", "pullback-mismatch"])
+        "orbit-negative", "image-at-infinity", "missing-vertices", "pullback-mismatch"])
 def test_map_refusals(call, message):
     with pytest.raises(DomainError) as exc:
         call()

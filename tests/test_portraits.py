@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -44,6 +45,31 @@ def test_validate_rejects_bad_input():
 
 def test_weight_one_is_dropped():
     assert Portrait(["a"], {"a": "a"}, {"a": 1}) == Portrait(["a"], {"a": "a"})
+
+
+def test_portrait_is_immutable():
+    p = Portrait(["a", "b"], {"a": "b"}, {"a": 2})
+    for name, value in (("phi", {}), ("weights", {}), ("_canon", ()), ("extra", 1)):
+        with pytest.raises(AttributeError, match="^Portrait is immutable$"):
+            setattr(p, name, value)
+    assert p.phi == {"a": "b"} and p.weights == {"a": 2}
+
+
+def test_portrait_equality_defers_to_other_types():
+    p = Portrait(["a"], {"a": "a"})
+    assert p.__eq__({"a": "a"}) is NotImplemented
+    assert p != {"a": "a"} and p != "a"
+    assert p == mock.ANY                # the reflected comparison decides
+
+
+def test_equal_portraits_hash_equal_whatever_their_vertex_order():
+    vs = ["a", "b", "c", "d"]
+    phi, weights = {"a": "b", "b": "c", "c": "b"}, {"a": 2, "c": 3}
+    first = Portrait(vs, phi, weights)
+    for order in itertools.permutations(vs):
+        other = Portrait(order, dict(reversed(phi.items())), weights)
+        assert other == first and hash(other) == hash(first)
+    assert len({first, Portrait(vs[::-1], phi, weights)}) == 1
 
 
 @pytest.mark.parametrize("weight", [2.7, 2.0, "2", True])

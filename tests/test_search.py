@@ -187,15 +187,14 @@ def test_exhausting_search_builds_one_map_per_nonzero_resultant(monkeypatch, len
     assert len(built) == 240
 
 
-@pytest.mark.parametrize("lens,degree,walked", [
-    ((4,), 2, 351),
-    ((1, 1, 1, 1, 1), 3, 3240),     # a cubic has four fixed points: every pair is walked
+@pytest.mark.parametrize("lens,degree,walked,built", [
+    ((4,), 2, 351, 240),
+    ((1, 1, 1, 1, 1), 3, 3240, 2248),   # a cubic has four fixed points: every pair is walked
 ], ids=["degree-2", "degree-3"])
-def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch, lens, degree,
-                                                                walked):
-    # the constructor reuses the resultant of the search's zero test, so
-    # each candidate pays for one Bezout determinant, built or not; in
-    # degree 3 that determinant is a closed form
+def test_exhausting_search_computes_a_resultant_per_pair_and_per_built_map(
+        monkeypatch, lens, degree, walked, built):
+    # the zero test computes each walked pair's Bezout determinant, and the
+    # constructor of each map built from a pair computes it once more
     computed = []
 
     def counting(f, g):
@@ -203,11 +202,14 @@ def test_exhausting_search_computes_one_resultant_per_candidate(monkeypatch, len
         return bezout(f, g)
 
     bezout = forms._bezout_resultant
-    forms.resultant((1, 0), (0, 1))     # so no earlier call is remembered
     monkeypatch.setattr(forms, "_bezout_resultant", counting)
     assert search_periodic_model(_portrait(lens), degree, 1) is None
-    assert computed == list(search._coefficient_pairs(degree, 1))
-    assert len(computed) == walked
+    pairs = list(search._coefficient_pairs(degree, 1))
+    expected = []
+    for pair in pairs:
+        expected += [pair] * (2 if bezout(*pair) else 1)
+    assert computed == expected
+    assert (len(pairs), len(computed)) == (walked, walked + built)
 
 
 def test_search_refuses_past_its_candidate_cap(monkeypatch):
