@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Answer ledger of the model search and of the reduction screen.
+
+Example:
+    python scripts/ledger.py
+    python scripts/ledger.py --family screen --list 3
+
+Each family is a list of text lines, one per answer:
+
+  search  a query (cycle lengths, (vertex index, weight) pairs, degree,
+          coefficient bound, label order) and its first model: the map
+          and the points of its vertices in sorted order, or "none".  The
+          queries are the six of the benchmark's search workload and the
+          pinned queries of tests/test_search.py, the cycles labelled
+          v00, v01, ... in order, and again with label i of k renamed to
+          label k - 1 - i.
+  screen  a map, a prime p and a period n, and the verdict of
+          reduction.admits_period: every map of degree 2 or 3 with
+          coefficients in {-1, 0, 1}, taken up to sign, every prime
+          p <= --max-prime of good reduction, and n = 2..8.
+
+Prints the number of lines and the sha256 of the lines (each ending in a
+newline) of each family; --list N adds the first N lines.  Two trees that
+print the same digests give the same answers on every entry: run it with
+PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
+in the output depends on the hash seed.  The defaults take about 2 s.
+"""
+
+import hashlib
+import itertools
+
+from portraitdyn import DomainError
+from portraitdyn.cli import arg, script
+from portraitdyn.forms import is_prime, resultant
+from portraitdyn.maps import RationalMap
+from portraitdyn.portraits import Portrait
+from portraitdyn.reduction import admits_period
+from portraitdyn.search import search_periodic_model
+
+# (cycle lengths, (vertex index, weight) pairs, degree, bound)
+SEARCH_QUERIES = (
+    # the benchmark's search workload
+    ((1, 1, 1, 2), (), 2, 5), ((1, 1, 1), (), 3, 2), ((2, 2), (), 3, 1),
+    ((1, 1, 1, 1), (), 2, 1), ((3, 2), (), 2, 1), ((4,), (), 2, 1),
+    # the pinned answers of the tests
+    ((3,), (), 2, 2), ((1, 3), (), 2, 2), ((4,), (), 2, 2), ((2, 3), (), 2, 1),
+    ((1, 1, 3), (), 2, 1), ((3, 3), (), 2, 1), ((4,), (), 3, 1), ((3,), (), 3, 1),
+    ((1,), (), 2, 1), ((1,), ((0, 2),), 2, 1), ((1, 1), ((0, 2), (1, 2)), 2, 1),
+    ((1, 1, 1), ((2, 2),), 2, 2), ((2,), ((0, 2),), 2, 2), ((2,), ((0, 2), (1, 2)), 2, 2),
+    ((1, 2), ((1, 2),), 2, 2), ((3,), ((0, 2),), 2, 2), ((1, 1), (), 3, 1),
+    ((1, 1), ((0, 3),), 3, 1), ((1, 1), ((0, 2), (1, 2)), 3, 1), ((2,), ((0, 3),), 3, 1),
+    ((1,), ((0, 3),), 2, 1),
+)
+PERIODS = range(2, 9)
+
+
+def portrait(lens, weights, reverse):
+    """Cycles of the given lengths over the labels v00, v01, ...; with
+    `reverse`, label i of k is named v(k - 1 - i) instead."""
+    k = sum(lens)
+    labels = [f"v{k - 1 - i if reverse else i:02d}" for i in range(k)]
+    phi, pos = {}, 0
+    for n in lens:
+        cyc = labels[pos:pos + n]
+        pos += n
+        phi.update((v, cyc[(j + 1) % n]) for j, v in enumerate(cyc))
+    return Portrait(labels, phi, {labels[i]: w for i, w in weights})
+
+
+def search_lines():
+    for (lens, weights, degree, bound), reverse in itertools.product(SEARCH_QUERIES,
+                                                                     (False, True)):
+        model = search_periodic_model(portrait(lens, weights, reverse), degree, bound)
+        answer = ("none" if model is None else
+                  f"{model.map.f0} {model.map.f1} {' '.join(map(str, model.points()))}")
+        order = "reversed" if reverse else "forward"
+        yield f"{lens} {weights} d={degree} b={bound} {order}: {answer}"
+
+
+def maps_of_height_one(degree):
+    """The maps with coefficients in {-1, 0, 1}, one per pair up to sign:
+    the pairs whose first nonzero coefficient is 1 and lies in f0."""
+    for coeffs in itertools.product((-1, 0, 1), repeat=2 * degree + 2):
+        lead = next(filter(None, coeffs), 0)
+        if lead == 1 and coeffs.index(1) <= degree:
+            f0, f1 = coeffs[:degree + 1], coeffs[degree + 1:]
+            if resultant(f0, f1):
+                yield RationalMap(f0, f1)
+
+
+def screen_lines(max_prime):
+    primes = list(filter(is_prime, range(2, max_prime + 1)))
+    for degree in (2, 3):
+        for f in maps_of_height_one(degree):
+            for p in primes:
+                if f.resultant % p:
+                    verdicts = "".join("1" if admits_period(f, n, p) else "0" for n in PERIODS)
+                    yield f"{f.f0} {f.f1} p={p} n=2..8: {verdicts}"
+
+
+def ledger(family, listed, max_prime):
+    if listed < 0:
+        raise DomainError("--list must be nonnegative")
+    families = {"search": search_lines, "screen": lambda: screen_lines(max_prime)}
+    out = {}
+    for name in [family] if family else families:
+        lines = list(families[name]())
+        entry = {"count": len(lines),
+                 "sha256": hashlib.sha256("".join(f"{s}\n" for s in lines).encode()).hexdigest()}
+        if listed:
+            entry["lines"] = lines[:listed]
+        out[name] = entry
+    return out
+
+
+if __name__ == "__main__":
+    script(__doc__, [arg("--family", choices=("search", "screen"),
+                         help="one family only (default: both)"),
+                     arg("--list", type=int, default=0, metavar="N",
+                         help="also print the first N lines of each family"),
+                     arg("--max-prime", type=int, default=13,
+                         help="largest prime of the screen family (default 13)")],
+           ledger)

@@ -103,7 +103,7 @@ def content(f: Form) -> int:
 
 def primitive(f: Form) -> Form:
     """Divide out the content and make the leading nonzero coefficient positive."""
-    c = content(f)
+    c = gcd(*f)
     if c == 0:
         raise FormError("zero form has no primitive part")
     if next(filter(None, f)) < 0:

@@ -60,7 +60,8 @@ class RationalMap:
             raise MapError("zero map") from None
         n = len(f0)
         nf0, nf1 = ints[:n], ints[n:]
-        res = forms.resultant(nf0, nf1)
+        # integerize returns ints, so the checks of forms.resultant are moot
+        res = forms._bezout_resultant(nf0, nf1)
         if res == 0:
             raise MapError("resultant vanishes: not a morphism of the stated degree")
         object.__setattr__(self, "f0", nf0)
@@ -186,15 +187,15 @@ class RationalMap:
 
     def dynatomic(self, n: int):
         """The degree-nu homogeneous dynatomic form of period n (primitive)."""
+        cache = self._cache.setdefault("dynatomic", {})
+        if n in cache:      # only a valid period is ever stored
+            return cache[n]
         if n < 1:
             raise MapError("period must be positive")
-        check_power(self.degree, n, DEGREE_CAP)
-        cache = self._cache.setdefault("dynatomic", {})
-        if n in cache:
-            return cache[n]
-        if n == 1:      # the fixed-point form is already primitive
+        if n == 1:      # d <= MAP_DEGREE_CAP < DEGREE_CAP; the form is already primitive
             cache[n] = self.fixed_point_form(1)
             return cache[n]
+        check_power(self.degree, n, DEGREE_CAP)
         num, den = forms.ONE, forms.ONE
         for k, mu in forms.mobius_pairs(n):
             gk = self.fixed_point_form(k)

@@ -41,27 +41,29 @@ def _reduced_cycles(f: RationalMap, prime: int) -> list:
         raise MapError(f"map does not reduce to a morphism mod {prime}")
     # point i is (i : 1) for i < p and (1 : 0) for i = p; image[i] is the
     # index of its image under the reduced map
-    points = [(x, 1) for x in range(prime)] + [(1, 0)]
+    f0, f1 = f.f0, f.f1
     values = []
     for x in range(prime):
         u = v = 0
-        for a, b in zip(f.f0, f.f1):       # Horner at (x : 1)
+        for a, b in zip(f0, f1):       # Horner at (x : 1)
             u, v = u * x + a, v * x + b
         values.append((u % prime, v % prime))
-    values.append((f.f0[0] % prime, f.f1[0] % prime))
+    values.append((f0[0] % prime, f1[0] % prime))
     image = [u * pow(v, -1, prime) % prime if v else prime for u, v in values]
     cycles = []
-    state = [0] * (prime + 1)     # 0 unseen, 1 on the current path, 2 done
+    walk = [0] * (prime + 1)      # 1 + the first start whose orbit reached the point
     for start in range(prime + 1):
-        path, i = [], start
-        while state[i] == 0:
-            state[i] = 1
-            path.append(i)
+        if walk[start]:
+            continue
+        i = start
+        while not walk[i]:
+            walk[i] = start + 1
             i = image[i]
-        if state[i] == 1:
-            cycles.append([(points[j], values[j]) for j in path[path.index(i):]])
-        for j in path:
-            state[j] = 2
+        if walk[i] == start + 1:      # this orbit closed a new cycle at i
+            cycle = [i]
+            while image[cycle[-1]] != i:
+                cycle.append(image[cycle[-1]])
+            cycles.append([((j, 1) if j < prime else (1, 0), values[j]) for j in cycle])
     return cycles
 
 
@@ -72,20 +74,34 @@ def periods_mod_p(f: RationalMap, prime: int) -> set:
 
 def _multiplier_mod_p(f: RationalMap, cycle, prime: int) -> int:
     """Multiplier of a cycle of `_reduced_cycles`: the product of
-    (J/d)(Q) / c^2 mod p over its points Q, where f(Q) = c Q' with Q' the
-    next point (as in `RationalMap.cycle_multiplier`), J the Jacobian
-    form of (f0, f1).  J/d is integral, since the monomials X^a Y^b and
-    X^c Y^e contribute (ae - bc) = d (a - c) times a monomial, so p may
-    divide d.  J/d is computed once per map."""
-    jac = f._cache.get("jacobian/d")
-    if jac is None:
-        jac = f._cache["jacobian/d"] = tuple(c // f.degree
-                                             for c in forms.jacobian(f.f0, f.f1))
-    lam = 1
+    (J/d)(Q) / c^2 mod p over its points Q, where J is the Jacobian form
+    of (f0, f1) and f(Q) = c Q' with Q' the next point (as in
+    `RationalMap.cycle_multiplier`); c comes from the values of f0 and f1
+    that the cycle carries.
+
+    J is never built.  By Euler's identity X dX F + Y dY F = d F,
+    Y J = d (dX f0 f1 - f0 dX f1) and X J = d (f0 dY f1 - dY f0 f1), so
+    (J/d)(x, 1) = f0'(x) f1(x) - f0(x) f1'(x), one integer Horner pass
+    over both forms and their x-derivatives, and (J/d)(1, 0) = a0 b1 - a1 b0
+    for the first two coefficients of f0 and of f1.  These are the
+    integers (J/d)(Q) themselves, found without dividing by d: J's
+    coefficients are multiples of d, so J/d is an integer form.  So their
+    residues mod p are exact when p divides d too, where J vanishes mod p
+    and d has no inverse."""
+    f0, f1 = f.f0, f.f1
+    num = den = 1
     for (x, y), (u, v) in cycle:
-        c = v or u        # f(Q) = (u : v) is c (u/v : 1), or c (1 : 0) when v = 0
-        lam = lam * forms.evaluate(jac, x, y) * pow(c, -2, prime) % prime
-    return lam
+        if y:
+            a = b = da = db = 0
+            for s, t in zip(f0, f1):       # Horner for f0, f1 and their x-derivatives
+                da, db = da * x + a, db * x + b
+                a, b = a * x + s, b * x + t
+            jd = da * b - a * db
+        else:
+            jd = f0[0] * f1[1] - f0[1] * f1[0]
+        num = num * jd % prime
+        den *= v or u     # f(Q) = (u : v) is c (u/v : 1), or c (1 : 0) when v = 0
+    return num * pow(den, -2, prime) % prime
 
 
 def admits_period(f: RationalMap, n: int, prime: int) -> bool:

@@ -24,12 +24,18 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
 # Most candidate pairs one search walks; past it the search raises
 # MapError.  It counts the pairs walked, not the bound, so a query whose
-# model comes early may give a large bound.  At 0.012-0.015 ms per
-# degree-2 or degree-3 candidate on a 2-vCPU container that is about
-# 3-4 s; it lets a search exhaust degree 2 at bound 3 (57,951 pairs,
-# 0.7-0.9 s) and degree 3 at bound 2 (191,760, 2.4-2.9 s).  The tests,
-# the benchmark and the script examples walk at most 2,265 pairs (the
-# three-fixed-points-and-a-2-cycle portrait at degree 2, bound 5).
+# model comes early may give a large bound.  A pair's cost depends on the
+# portrait (single runs on a 2-vCPU Xeon VM): 11-12 us when every cycle
+# is a fixed point, so a search exhausts degree 2 at bound 3 (57,951
+# pairs) in 0.6-0.7 s and degree 3 at bound 2 (191,760) in 2.2-2.3 s,
+# and about 3 s at the cap; 19 us for a 4-cycle in degree 2 at bound 1
+# (351 pairs in 6.8 ms).  Where many candidates pass the reduction
+# screen and need long dynatomic forms it costs far more: two 4-cycles in
+# degree 3 walk 140,688 pairs, about 180 us each, in 26-33 s before the
+# model at bound 2, so such a search may run about 45 s up to the cap.
+# The tests, the benchmark and the script examples walk at most 2,265
+# pairs (the three-fixed-points-and-a-2-cycle portrait at degree 2,
+# bound 5).
 SEARCH_CAP = 250_000
 
 
@@ -131,7 +137,7 @@ def search_periodic_model(portrait: Portrait, degree: int,
     for walked, (f0, f1) in enumerate(_coefficient_pairs(degree, coeff_bound)):
         if walked == SEARCH_CAP:
             raise MapError(f"model search exceeds cap {SEARCH_CAP} candidates")
-        if forms.resultant(f0, f1) == 0:
+        if forms._bezout_resultant(f0, f1) == 0:     # int tuples: no argument checks
             continue
         f = RationalMap(f0, f1)
         model = _match_cycles(f, portrait, screened, wanted, fixed)
@@ -147,7 +153,7 @@ def _screened_out(f: RationalMap, n: int) -> bool:
 
 
 def _match_cycles(f, portrait, screened, wanted, fixed):
-    if any(_screened_out(f, n) for n in screened):
+    if screened and any(_screened_out(f, n) for n in screened):
         return None
     points = []
     for length, count in wanted:

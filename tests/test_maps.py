@@ -14,7 +14,7 @@ from portraitdyn import (DomainError, MapError, Model, ModelFailure, Portrait,
                          extract_portrait, hom, nu, pullback_model,
                          verify_model)
 from portraitdyn import forms
-from portraitdyn.maps import MAP_DEGREE_CAP
+from portraitdyn.maps import DEGREE_CAP, MAP_DEGREE_CAP
 from portraitdyn.search import rational_cycles
 
 Z_SQUARED = RationalMap([1, 0, 0], [0, 0, 1])
@@ -60,6 +60,26 @@ def test_iterate_refuses_before_composing(monkeypatch):
     f = RationalMap.from_affine([3, -2, 5], [1, 4, -7])
     with pytest.raises(MapError, match=f"degree 1024 exceeds cap {MAP_DEGREE_CAP}"):
         f.iterate(10)
+
+
+@pytest.mark.parametrize("f0,f1", [
+    ([Fraction(1, 2), "-3/4", 0, 5, Fraction(7, 3)], ["2/9", 0, Fraction(-1, 6), 1, "1/5"]),
+    (["2/3", 0, Fraction(1, 7), -1, 0, "5/2"], [Fraction(-3, 4), "3/4", 1, "-2/5", 0, 1]),
+], ids=["degree-4", "degree-5"])
+def test_resultant_of_rational_coefficients_is_an_integer(f0, f1):
+    # the constructor skips the argument checks of forms.resultant, whose
+    # Bareiss elimination (degree >= 4) would floor a Fraction silently
+    f = RationalMap(f0, f1)
+    assert {type(c) for c in f.f0 + f.f1} == {int}
+    assert type(f.resultant) is int
+    assert f.resultant == forms.resultant(f.f0, f.f1) != 0
+    # both leading coefficients are nonzero, so sympy's resultant of the
+    # dehomogenized rational forms is Res(f0, f1), and scaling both forms
+    # by s multiplies it by s^(2d)
+    x = sympy.Symbol("x")
+    num, den = (sympy.Poly([sympy.Rational(str(c)) for c in g], x) for g in (f0, f1))
+    scale = sympy.Rational(f.f0[0]) / sympy.Rational(str(f0[0]))
+    assert f.resultant == scale ** (2 * f.degree) * sympy.resultant(num, den)
 
 
 def test_normalization_clears_content_and_denominators():
@@ -259,6 +279,20 @@ def test_dynatomic_degrees_match_counting_formula():
         f = random_rational_map(rng, d)
         for n in (1, 2, 3, 4):
             assert forms.degree(f.dynatomic(n)) == nu(d, 1, n)
+
+
+def test_dynatomic_refuses_bad_periods_once_others_are_cached():
+    # dynatomic reads its cache before it checks the period; only valid
+    # periods are ever stored, so a bad one is still refused
+    f = RationalMap([1, 0, -1], [0, 0, 1])
+    cached = [f.dynatomic(n) for n in (1, 2, 3)]
+    for n, message in [(0, "^period must be positive$"), (-1, "^period must be positive$"),
+                       (13, f"^degree 8192 exceeds cap {DEGREE_CAP}$"),
+                       (DEGREE_CAP + 1, f"^degree 2\\^{DEGREE_CAP + 1} exceeds cap {DEGREE_CAP}$")]:
+        with pytest.raises(MapError, match=message):
+            f.dynatomic(n)
+    assert sorted(f._cache["dynatomic"]) == [1, 2, 3]
+    assert [f.dynatomic(n) for n in (1, 2, 3)] == cached
 
 
 def test_dynatomic_of_squaring_map():

@@ -5,8 +5,8 @@ import sympy
 
 from conftest import multiplicity_probes, random_rational_map, reference_multiplicity
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
-                         admits_period, extract_portrait, good_reduction,
-                         multiplicity_mod_p, periods_mod_p, reduction)
+                         admits_period, extract_portrait, forms, good_reduction,
+                         multiplicity_mod_p, periods_mod_p, reduction, search)
 from portraitdyn.reduction import reduce_point
 from portraitdyn.search import rational_cycles
 
@@ -265,4 +265,45 @@ def test_multiplier_mod_p_matches_cycle_multiplier():
                     seen["n>1"] += n > 1
                     seen["zero"] += want == 0
                     seen["p|d"] += f.degree % prime == 0
+    assert all(seen.values()), seen
+
+
+def _jacobian_over_d(f):
+    """J/d for the Jacobian form J of (f0, f1), divided coefficient by
+    coefficient: every coefficient of J is a multiple of d."""
+    jac = forms.jacobian(f.f0, f.f1)
+    assert all(c % f.degree == 0 for c in jac)
+    return tuple(c // f.degree for c in jac)
+
+
+def _multiplier_by_jacobian(jac, cycle, prime):
+    """Oracle for `reduction._multiplier_mod_p`, given J/d: its value at
+    each cycle point over c^2 mod p, where f(Q) = c Q'."""
+    lam = 1
+    for (x, y), (u, v) in cycle:
+        lam = lam * forms.evaluate(jac, x, y) * pow(v or u, -2, prime) % prime
+    return lam
+
+
+def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
+    # every degree-2 and degree-3 map of height <= 1, at each good prime
+    # p <= 13, for the cycle lengths n = 2..8
+    maps = [RationalMap(f0, f1) for d in (2, 3) for f0, f1 in search._coefficient_pairs(d, 1)
+            if forms.resultant(f0, f1)]
+    jacobians = {f: _jacobian_over_d(f) for f in maps}
+    grid = [(f, p) for f in maps for p in (2, 3, 5, 7, 11, 13) if f.resultant % p]
+    seen = {"inf": 0, "d=p=2": 0, "d=p=3": 0, "n>1": 0}
+    for f, p in grid:
+        for cycle in reduction._reduced_cycles(f, p):
+            assert (reduction._multiplier_mod_p(f, cycle, p)
+                    == _multiplier_by_jacobian(jacobians[f], cycle, p)), (f, p, cycle)
+            seen["inf"] += any(y == 0 for (x, y), _ in cycle)
+            if f.degree == p:
+                seen[f"d=p={p}"] += 1
+            seen["n>1"] += len(cycle) > 1
+    verdicts = [admits_period(f, n, p) for f, p in grid for n in range(2, 9)]
+    monkeypatch.setattr(reduction, "_multiplier_mod_p",
+                        lambda f, cycle, p: _multiplier_by_jacobian(jacobians[f], cycle, p))
+    assert [admits_period(f, n, p) for f, p in grid for n in range(2, 9)] == verdicts
+    assert len(maps) == 240 + 2248 and 0 < sum(verdicts) < len(verdicts)
     assert all(seen.values()), seen

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import runpy
@@ -98,6 +99,28 @@ def test_find_model_past_the_search_cap_exits_1_in_one_line(tmp_path, monkeypatc
     assert err == "error: model search exceeds cap 100 candidates\n"
 
 
+def test_ledger_digests_its_lines_under_either_hash_seed():
+    out = _run_script("ledger.py", "--max-prime", "2", "--list", "100000")
+    assert _run_script("ledger.py", "--max-prime", "2", "--list", "100000",
+                       hash_seed="1") == out
+    doc = json.loads(out)
+    assert list(doc) == ["search", "screen"]
+    for entry in doc.values():
+        assert set(entry) == {"count", "sha256", "lines"}
+        assert entry["count"] == len(entry["lines"]) > 0
+        text = "".join(f"{line}\n" for line in entry["lines"])
+        assert entry["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert doc["search"]["count"] == 54     # 27 queries in two label orders
+    assert doc["search"]["lines"][:2] == [
+        "(1, 1, 1, 2) () d=2 b=5 forward: (1, -1, -2) (-2, -2, 2) -1/2 -2 1 -1 0",
+        "(1, 1, 1, 2) () d=2 b=5 reversed: (1, -1, -2) (-2, -2, 2) -1 0 -1/2 -2 1"]
+    assert all(line.split(" p=")[1].startswith("2 n=2..8: ")
+               for line in doc["screen"]["lines"])
+    one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
+                                 "--list", "1"))
+    assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
+
+
 _MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}
 _POINTS = ["0", "inf"]
 _PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
@@ -119,8 +142,9 @@ _PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
     ("reduction_scan.py", [{"degree": 2, "numerator": ["1", "0", "0"],
                             "denominator": ["1", "0", "0"]}, _POINTS, _PORTRAIT], [], 1,
      "error: resultant vanishes"),
+    ("ledger.py", [], ["--list", "-1"], 1, "error: --list must be nonnegative"),
 ], ids=["find-missing", "find-phi", "find-degree", "find-bound", "scan-missing", "scan-phi",
-        "scan-points", "scan-resultant"])
+        "scan-points", "scan-resultant", "ledger-list"])
 def test_scripts_report_bad_input_in_one_line(tmp_path, script, files, extra, code, message):
     paths = []
     for i, doc in enumerate(files):
