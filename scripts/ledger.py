@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Answer ledger of the model search and of the reduction screen.
+"""Answer ledger of the model search, the reduction screen, the critical
+portrait classes and the portrait morphism search.
 
 Example:
     python scripts/ledger.py
@@ -18,22 +19,43 @@ Each family is a list of text lines, one per answer:
           reduction.admits_period: every map of degree 2 or 3 with
           coefficients in {-1, 0, 1}, taken up to sign, every prime
           p <= --max-prime of good reduction, and n = 2..8.
+  classes the 133 classes of critically primitive complete critical
+          portraits of degree 2 and 3, keyed and sorted by degree and
+          canonical form: the representative, its automorphisms (the
+          images of its vertices in sorted order), its sp relations, its
+          frame, its expected dimension, and its realized relations with
+          shifts up to the vertex count, each flagged by
+          relation_determined from the sp relations.
+  morphisms
+          a pair of portraits (p, q) of at most 7 vertices, drawn from
+          random.Random("morphisms/<seed>") for seeds 0..MORPHISM_PAIRS-1,
+          and the answers of hom(p, q) and isomorphisms(p, q) (each map as
+          the images of p's vertices in sorted order, in the order listed)
+          and of ge(q, p); each seed gives both directions.  q is a
+          relabelled copy of p, such a copy with one weight raised or with
+          one more arrow, or another random portrait.
 
-Prints the number of lines and the sha256 of the lines (each ending in a
-newline) of each family; --list N adds the first N lines.  Two trees that
-print the same digests give the same answers on every entry: run it with
+A refusal (a domain error) counts as its message.  Prints the number of
+lines and the sha256 of the lines (each ending in a newline) of each
+family; --list N adds the first N lines.  Two trees that print the same
+digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
-in the output depends on the hash seed.  The defaults take about 2 s.
+in the output depends on the hash seed.  The defaults take about 3 s.
 """
 
 import hashlib
 import itertools
+import random
 
 from portraitdyn import DomainError
 from portraitdyn.cli import arg, script
 from portraitdyn.forms import is_prime, resultant
 from portraitdyn.maps import RationalMap
-from portraitdyn.portraits import Portrait
+from portraitdyn.moduli import expected_dimension
+from portraitdyn.portraits import (Portrait, automorphism_group, canonical_form,
+                                   enumerate_primitive_critical_portraits, frame, ge, hom,
+                                   isomorphisms, realized_relations, relation_determined,
+                                   sp_relations)
 from portraitdyn.reduction import admits_period
 from portraitdyn.search import search_periodic_model
 
@@ -52,6 +74,7 @@ SEARCH_QUERIES = (
     ((1,), ((0, 3),), 2, 1),
 )
 PERIODS = range(2, 9)
+MORPHISM_PAIRS = 1000
 
 
 def portrait(lens, weights, reverse):
@@ -98,10 +121,72 @@ def screen_lines(max_prime):
                     yield f"{f.f0} {f.f1} p={p} n=2..8: {verdicts}"
 
 
+def answer(compute):
+    """compute(), or the message of the domain error it raises."""
+    try:
+        return compute()
+    except DomainError as exc:
+        return f"error: {exc}"
+
+
+def shape(p):
+    return f"{sorted(p.vertices)} {sorted(p.phi.items())} {sorted(p.weights.items())}"
+
+
+def images(p, morphisms):
+    return [tuple(m(v) for v in sorted(p.vertices)) for m in morphisms]
+
+
+def classes_lines():
+    keyed = sorted((d, canonical_form(p), p) for d in (2, 3)
+                   for p in enumerate_primitive_critical_portraits(d))
+    for d, form, p in keyed:
+        sp = sp_relations(p)
+        realized = [(*r, relation_determined(sp, r, p))
+                    for r in realized_relations(p, len(p.vertices))]
+        yield (f"d={d} {form}: {shape(p)} aut={images(p, automorphism_group(p))} "
+               f"sp={[tuple(r) for r in sp]} frame={shape(frame(p, d))} "
+               f"dim={tuple(expected_dimension(p, d))} realized={realized}")
+
+
+def random_portrait(rng, names):
+    phi = {v: rng.choice(names) for v in names if rng.random() < 0.8}
+    return names, phi, {v: rng.randint(2, 3) for v in phi if rng.random() < 0.3}
+
+
+def morphism_pair(rng):
+    """Vertex lists, arrows and weights of two portraits."""
+    names = [f"v{i}" for i in range(rng.randint(1, 7))]
+    p = random_portrait(rng, names)
+    kind = rng.randrange(4)
+    if kind == 3:
+        return p, random_portrait(rng, [f"u{i}" for i in range(rng.randint(1, 7))])
+    renamed = rng.sample([f"u{i}" for i in range(len(names))], len(names))
+    new = dict(zip(names, renamed))
+    phi = {new[v]: new[w] for v, w in p[1].items()}
+    weights = {new[v]: w for v, w in p[2].items()}
+    if kind == 1 and phi:
+        v = rng.choice(sorted(phi))
+        weights[v] = weights.get(v, 1) + 1
+    elif kind == 2 and len(phi) < len(names):
+        phi[rng.choice(sorted(set(renamed) - set(phi)))] = rng.choice(renamed)
+    return p, (renamed, phi, weights)
+
+
+def morphisms_lines():
+    for seed in range(MORPHISM_PAIRS):
+        a, b = morphism_pair(random.Random(f"morphisms/{seed}"))
+        for x, y in ((a, b), (b, a)):
+            p, q = Portrait(*x), Portrait(*y)
+            yield (f"{seed} {x} -> {y}: hom={answer(lambda: images(p, hom(p, q)))} "
+                   f"iso={answer(lambda: images(p, isomorphisms(p, q)))} ge={ge(q, p)}")
+
+
 def ledger(family, listed, max_prime):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
-    families = {"search": search_lines, "screen": lambda: screen_lines(max_prime)}
+    families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
+                "classes": classes_lines, "morphisms": morphisms_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -114,8 +199,8 @@ def ledger(family, listed, max_prime):
 
 
 if __name__ == "__main__":
-    script(__doc__, [arg("--family", choices=("search", "screen"),
-                         help="one family only (default: both)"),
+    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms"),
+                         help="one family only (default: all four)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--max-prime", type=int, default=13,

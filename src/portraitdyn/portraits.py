@@ -37,7 +37,7 @@ class Portrait:
     """Immutable weighted functional graph."""
 
     __slots__ = ("vertices", "domain", "phi", "weights",
-                 "_orbits", "_types", "_canon", "_closures")
+                 "_orbits", "_types", "_codes", "_canon", "_closures")
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
                  weights: Optional[Mapping[str, int]] = None):
@@ -64,7 +64,7 @@ class Portrait:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "weights",
                           {k: w for k, w in weights.items() if w > 1})
-        for slot in ("_orbits", "_types", "_canon", "_closures"):
+        for slot in ("_orbits", "_types", "_codes", "_canon", "_closures"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -135,6 +135,47 @@ class Portrait:
             object.__setattr__(self, "_orbits", orbits)
             object.__setattr__(self, "_types", types)
         return self._orbits, self._types
+
+    def _code_table(self):
+        """Every vertex's in-tree code and the cycles, built in one pass.
+
+        Vertices are peeled in Kahn order from those without preimages.
+        A vertex's code is (weight, or 0 off the domain; sorted codes of
+        its peeled preimages), as in Aho-Hopcroft-Ullman tree
+        isomorphism, so a vertex is coded once its preimages are.  The
+        vertices never peeled are exactly the cycles; each is listed in
+        orbit order.
+        """
+        if self._codes is None:
+            phi, weights = self.phi, self.weights
+            unpeeled = {}       # vertex -> preimages not yet peeled
+            for w in phi.values():
+                unpeeled[w] = unpeeled.get(w, 0) + 1
+            peeled = {}         # vertex -> codes of its peeled preimages
+            codes = {}
+            peel = [v for v in self.vertices if v not in unpeeled]
+            for v in peel:      # grows as vertices run out of unpeeled preimages
+                below = peeled.get(v)
+                codes[v] = code = (weights.get(v, 1) if v in phi else 0,
+                                   tuple(sorted(below)) if below else ())
+                w = phi.get(v)
+                if w is not None:
+                    peeled.setdefault(w, []).append(code)
+                    unpeeled[w] -= 1
+                    if not unpeeled[w]:
+                        peel.append(w)
+            cycles = []
+            for v in self.vertices:
+                if v not in codes:
+                    cycle = []
+                    while v not in codes:
+                        below = peeled.get(v)
+                        codes[v] = (weights.get(v, 1), tuple(sorted(below)) if below else ())
+                        cycle.append(v)
+                        v = phi[v]
+                    cycles.append(cycle)
+            object.__setattr__(self, "_codes", (codes, cycles))
+        return self._codes
 
     def orbit(self, v: str) -> list:
         """Forward orbit: iterate phi until leaving the domain or closing a cycle."""
@@ -268,6 +309,10 @@ class PortraitMorphism(_Morphism):
 # to list more morphisms than this.  A portrait of k isolated vertices has
 # k! automorphisms: on a 2-vCPU Xeon VM, listing the 9! = 362,880 of nine
 # vertices took 4.1 s, and each further vertex multiplies that by about 10.
+# The cap counts maps listed, not search nodes, so it does not bound a
+# search that lists few maps: no node budget is kept.  Forced orbits and
+# in-tree codes keep the isomorphism case near the true symmetries, but
+# `ge` between portraits whose weights differ can still backtrack for long.
 MORPHISM_CAP = 100_000
 
 
@@ -275,39 +320,61 @@ def morphism_maps(p1: Portrait, p2: Portrait):
     """Backtracking enumeration of the morphism vertex maps p1 -> p2,
     generated one at a time, so a caller that needs only one stops early.
 
-    Vertices of p1 are assigned in sorted order, each trying the vertices
-    of p2 in sorted order, so the maps come in lexicographic order.  A
-    new pair v -> w stays when `_broken_rule` holds at v and at each
-    already-mapped preimage of v, the vertices whose rule it completes.
+    Vertices of p1 are taken in sorted order, and each unmapped one tries
+    the unused vertices of p2 in sorted order.  A choice v -> w forces
+    phi(v) -> phi(w) along v's forward orbit until the orbit leaves the
+    domain or meets a mapped vertex, with `_broken_rule` checked at each
+    step.  When the two canonical forms are equal, every morphism is an
+    isomorphism (see `isomorphisms`), so each pair must also have equal
+    in-tree codes; with unequal forms weights may rise and codes are not
+    used.  A forced vertex is a function of the free choices before it in
+    sorted order, so the maps come in lexicographic order.
     """
     v1 = sorted(p1.vertices)
     v2 = sorted(p2.vertices)
     if len(v1) > len(v2):
         return
-    checks = {v: [v] for v in v1}       # v, then its preimages mapped before it
-    for u, v in p1.phi.items():
-        if u < v:
-            checks[v].append(u)
+    codes1 = codes2 = None
+    if _sizes(p1) == _sizes(p2) and canonical_form(p1) == canonical_form(p2):
+        codes1, codes2 = p1._code_table()[0], p2._code_table()[0]
     assignment = {}
     used = set()
 
+    def force(v, w):
+        """Map v -> w and its forced orbit; the vertices mapped, or None
+        (with nothing left mapped) when a rule breaks."""
+        mapped = []
+        while True:
+            if w in used or (codes1 is not None and codes1[v] != codes2[w]):
+                break
+            assignment[v] = w
+            used.add(w)
+            mapped.append(v)
+            if _broken_rule(p1, p2, assignment, v):
+                break
+            v = p1.phi.get(v)
+            if v is None or v in assignment:
+                return mapped
+            w = p2.phi[w]
+        undo(mapped)
+        return None
+
+    def undo(mapped):
+        for v in mapped:
+            used.discard(assignment.pop(v))
+
     def rec(idx):
+        while idx < len(v1) and v1[idx] in assignment:
+            idx += 1
         if idx == len(v1):
-            yield dict(assignment)
+            yield {v: assignment[v] for v in v1}
             return
         v = v1[idx]
         for w in v2:
-            if w in used:
-                continue
-            assignment[v] = w
-            for u in checks[v]:
-                if _broken_rule(p1, p2, assignment, u):
-                    break
-            else:
-                used.add(w)
+            mapped = force(v, w)
+            if mapped is not None:
                 yield from rec(idx + 1)
-                used.discard(w)
-            del assignment[v]
+                undo(mapped)
 
     yield from rec(0)
 
@@ -349,38 +416,19 @@ def canonical_form(p: Portrait) -> tuple:
     """A complete isomorphism invariant, computed once per portrait.
 
     Every component of a portrait is a cycle of rooted in-trees, or one
-    in-tree whose root lies outside the domain.  Each in-tree vertex is
-    encoded as (weight, or 0 off the domain; sorted codes of its
-    preimages off the cycle), as in Aho-Hopcroft-Ullman tree
-    isomorphism.  A component is (period, least rotation of its cycle's
-    vertex codes), with period 0 and the root code for a tree; the form
-    is the sorted tuple of component codes.
+    in-tree whose root lies outside the domain.  The form reads the
+    in-tree codes of `Portrait._code_table`: a component is (period,
+    least rotation of its cycle's vertex codes), with period 0 and the
+    root code for a tree, and the form is the sorted tuple of component
+    codes.  No orbit is built.
     """
     if p._canon is None:
-        orbits, types = p._orbit_table()
-        on_cycle = {v for v, t in types.items() if t is not None and t.preperiod == 0}
-        children = {v: [] for v in p.vertices}
-        for v, w in p.phi.items():
-            if v not in on_cycle:
-                children[w].append(v)
-
-        def height(v):  # steps to the cycle or to the root
-            t = types[v]
-            return len(orbits[v]) - 1 if t is None else t.preperiod
-
-        code = {}
-        for v in sorted(p.vertices, key=height, reverse=True):
-            weight = p.weights.get(v, 1) if v in p.domain else 0
-            code[v] = (weight, tuple(sorted(code[u] for u in children[v])))
-        components = [(0, (code[v],)) for v in p.vertices if v not in p.domain]
-        seen = set()
-        for v in p.vertices:
-            if v in on_cycle and v not in seen:
-                cycle = orbits[v]
-                seen.update(cycle)
-                codes = [code[c] for c in cycle]
-                components.append((len(codes), min(
-                    tuple(codes[k:] + codes[:k]) for k in range(len(codes)))))
+        codes, cycles = p._code_table()
+        components = [(0, (codes[v],)) for v in p.vertices if v not in p.domain]
+        for cycle in cycles:
+            ring = [codes[c] for c in cycle]
+            components.append((len(ring), min(
+                tuple(ring[k:] + ring[:k]) for k in range(len(ring)))))
         object.__setattr__(p, "_canon", tuple(sorted(components)))
     return p._canon
 

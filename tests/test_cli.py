@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import within
 from portraitdyn.cli import COMMANDS, main
 
 
@@ -339,6 +340,18 @@ def test_aut_over_the_morphism_cap_exits_one(capsys, tmp_path, monkeypatch):
     code, out = run_cli(capsys, "portrait", "aut", portrait)
     assert code == 1 and out == ""
     assert run_cli.err == "error: more than 1000 morphisms\n"
+
+
+def test_aut_of_a_long_cycle_maps_each_cycle_at_once(capsys, tmp_path):
+    # one choice forces the whole cycle: the search recurses once per
+    # free choice, and 1,500 levels would pass Python's recursion limit
+    names = [f"c{i}" for i in range(1500)]
+    portrait = write(tmp_path, "cycle.json", {
+        "vertices": names, "map": {v: names[i - 1] for i, v in enumerate(names)}})
+    with within(30):
+        code, out = run_cli(capsys, "portrait", "aut", portrait)
+    assert code == 0 and run_cli.err == ""
+    assert json.loads(out) == {"order": 1500, "cyclic": True}
 
 
 def test_mod_multipliers_over_the_cap(capsys, square_map):

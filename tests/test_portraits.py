@@ -14,8 +14,9 @@ from portraitdyn import (CriticalRelation, Portrait, PortraitError,
                          is_critically_primitive, is_subportrait, isomorphic,
                          portrait_statistics, realized_relations,
                          relation_determined, relation_holds, sp_relations)
-from portraitdyn.portraits import (element_order, group_is_cyclic, isomorphisms,
-                                   shift_bound)
+from portraitdyn import portraits
+from portraitdyn.portraits import (_broken_rule, _sizes, element_order, group_is_cyclic,
+                                   isomorphisms, morphism_maps, shift_bound)
 
 
 # -- validation ----------------------------------------------------------
@@ -225,15 +226,27 @@ def test_portrait_refusals(call, message):
     assert str(exc.value) == message
 
 
-def _tail_family(k):
-    """Fixed points f<i>, i < k, each with a tail e<i>_0 -> ... -> e<i>_{i-1}
-    -> f<i> of length i; the tail vertices sort before the fixed points."""
+def _tail_family(k, tails_first=True):
+    """Fixed points, i < k, each with a tail of length i.  Tails first:
+    the tail e<i>_0 -> ... -> e<i>_{i-1} -> f<i>, whose vertices sort
+    before the fixed points; otherwise t<i>_0 -> ... -> a<i>, whose
+    vertices sort after them."""
+    fixed, tail = ("f", "e") if tails_first else ("a", "t")
     phi = {}
     for i in range(k):
-        path = [f"e{i}_{j}" for j in range(i)] + [f"f{i}"]
+        path = [f"{tail}{i}_{j}" for j in range(i)] + [f"{fixed}{i}"]
         phi.update(zip(path, path[1:]))
-        phi[f"f{i}"] = f"f{i}"
+        phi[f"{fixed}{i}"] = f"{fixed}{i}"
     return Portrait(sorted(phi), phi)
+
+
+def _comb_family(k):
+    """A spine s00 -> s01 -> ... -> s<k-1>, fixed at its end, and a leaf
+    z<i> into each spine vertex s<i>; the leaves sort after the spine."""
+    spine = [f"s{i:02d}" for i in range(k)]
+    leaves = [f"z{i:02d}" for i in range(k)]
+    phi = {**dict(zip(spine, spine[1:] + spine[-1:])), **dict(zip(leaves, spine))}
+    return Portrait(spine + leaves, phi)
 
 
 def test_isomorphisms_of_portraits_with_different_forms_need_no_search():
@@ -245,8 +258,22 @@ def test_isomorphisms_of_portraits_with_different_forms_need_no_search():
         assert isomorphisms(twin, p) == []
 
 
+@pytest.mark.parametrize("p", [_tail_family(12), _tail_family(12, tails_first=False),
+                               _comb_family(12)],
+                         ids=["tails-first", "fixed-points-first", "comb-leaves-last"])
+def test_hard_families_have_a_trivial_group_found_at_once(p):
+    # a search in sorted vertex order with only local checks takes
+    # exponential time on each: 26 s for the tails-first family at k = 7
+    twin = _relabel(p, random.Random(len(p.vertices)))
+    with within(2):
+        assert [m.mapping for m in automorphism_group(p)] == [{v: v for v in p.vertices}]
+        isos = isomorphisms(p, twin)
+        assert len(isos) == 1 and [m.mapping for m in isomorphisms(twin, p)] == [
+            {w: v for v, w in isos[0].mapping.items()}]
+        assert ge(twin, p) and ge(p, twin)
+
+
 def test_morphism_lists_stop_at_the_cap(monkeypatch):
-    from portraitdyn import portraits
     monkeypatch.setattr(portraits, "MORPHISM_CAP", 100)
     five = Portrait("abcde", {})                # 5! = 120 automorphisms
     with pytest.raises(PortraitError, match="^more than 100 morphisms$"):
@@ -478,6 +505,123 @@ def test_canonical_form_keeps_cyclic_order_and_orientation():
 def test_isomorphic_agrees_with_backtracking(p, q):
     _assert_canonical_matches_oracle(p, q)
     assert isomorphic(p, _relabel(p, random.Random(len(p.vertices))))
+
+
+# -- the code table against the constructions it replaced -------------------
+
+def _orbit_table_canonical_form(p):
+    """The canonical form built from the orbit table: codes assigned by
+    decreasing height, cycles read off the orbits."""
+    orbits, types = p._orbit_table()
+    on_cycle = {v for v, t in types.items() if t is not None and t.preperiod == 0}
+    children = {v: [] for v in p.vertices}
+    for v, w in p.phi.items():
+        if v not in on_cycle:
+            children[w].append(v)
+
+    def height(v):
+        t = types[v]
+        return len(orbits[v]) - 1 if t is None else t.preperiod
+
+    code = {}
+    for v in sorted(p.vertices, key=height, reverse=True):
+        weight = p.weights.get(v, 1) if v in p.domain else 0
+        code[v] = (weight, tuple(sorted(code[u] for u in children[v])))
+    components = [(0, (code[v],)) for v in p.vertices if v not in p.domain]
+    seen = set()
+    for v in p.vertices:
+        if v in on_cycle and v not in seen:
+            cycle = orbits[v]
+            seen.update(cycle)
+            codes = [code[c] for c in cycle]
+            components.append((len(codes), min(
+                tuple(codes[k:] + codes[:k]) for k in range(len(codes)))))
+    return tuple(sorted(components))
+
+
+def _sorted_order_morphism_maps(p1, p2):
+    """Every morphism vertex map by backtracking in sorted vertex order,
+    each new pair checked at its vertex and its mapped preimages."""
+    v1, v2 = sorted(p1.vertices), sorted(p2.vertices)
+    if len(v1) > len(v2):
+        return []
+    checks = {v: [v] for v in v1}
+    for u, v in p1.phi.items():
+        if u < v:
+            checks[v].append(u)
+    out, assignment, used = [], {}, set()
+
+    def rec(idx):
+        if idx == len(v1):
+            out.append(dict(assignment))
+            return
+        v = v1[idx]
+        for w in v2:
+            if w in used:
+                continue
+            assignment[v] = w
+            if not any(_broken_rule(p1, p2, assignment, u) for u in checks[v]):
+                used.add(w)
+                rec(idx + 1)
+                used.discard(w)
+            del assignment[v]
+
+    rec(0)
+    return out
+
+
+def _random_weighted(rng, max_vertices):
+    n = rng.randint(1, max_vertices)
+    verts = [f"v{i}" for i in range(n)]
+    phi = {v: rng.choice(verts) for v in verts if rng.random() < 0.85}
+    return Portrait(verts, phi, {v: rng.randint(1, 3) for v in phi if rng.random() < 0.4})
+
+
+def test_canonical_form_matches_the_orbit_table_on_every_enumerated_candidate():
+    with mock.patch.object(portraits, "canonical_form", wraps=canonical_form) as spy:
+        enumerate_primitive_critical_portraits(2)
+        enumerate_primitive_critical_portraits(3)
+    candidates = [call.args[0] for call in spy.call_args_list]
+    assert len(candidates) == 4364
+    for p in candidates:
+        assert canonical_form(p) == _orbit_table_canonical_form(p), p
+
+
+def test_canonical_form_matches_the_orbit_table_on_random_weighted_portraits():
+    rng = random.Random(1812)
+    for _ in range(400):
+        p = _random_weighted(rng, 14)
+        assert canonical_form(p) == _orbit_table_canonical_form(p), p
+
+
+def test_canonical_form_builds_no_orbit_table():
+    p = Portrait("abcdef", {"a": "b", "b": "c", "c": "a", "d": "a", "e": "f"}, {"d": 2})
+    assert canonical_form(p) == _orbit_table_canonical_form(
+        Portrait(p.vertices, p.phi, p.weights))
+    assert p._orbits is None and p._types is None
+
+
+def test_morphism_maps_match_the_sorted_order_search():
+    rng = random.Random(9936)
+    kinds = set()
+    for k in range(300):
+        p = _random_weighted(rng, 7)
+        if k % 3 == 0:      # an isomorphic copy: codes prune the search
+            q = _relabel(p, rng)
+        elif k % 3 == 1:    # the same shape with a weight raised: codes unused
+            q = _relabel(p, rng)
+            if q.domain:
+                v = rng.choice(sorted(q.domain))
+                q = Portrait(q.vertices, q.phi, {**q.weights, v: q.weight(v) + 1})
+        else:
+            q = _random_weighted(rng, 7)
+        for a, b in ((p, q), (q, p)):
+            maps = list(morphism_maps(a, b))
+            assert maps == _sorted_order_morphism_maps(a, b), (a, b)
+            assert all(list(m) == sorted(a.vertices) for m in maps)
+            kinds.add((_sizes(a) == _sizes(b), isomorphic(a, b), bool(maps)))
+    assert kinds >= {(True, True, True), (True, False, True), (True, False, False),
+                     (False, False, True), (False, False, False)}
 
 
 # -- morphism search against brute force ------------------------------------
@@ -844,7 +988,6 @@ def test_relation_determined_checks_the_query_after_a_cached_build():
 
 
 def test_relation_closure_is_built_once_per_portrait_and_system(monkeypatch):
-    from portraitdyn import portraits
     calls = []
 
     def counted(p):

@@ -104,7 +104,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert _run_script("ledger.py", "--max-prime", "2", "--list", "100000",
                        hash_seed="1") == out
     doc = json.loads(out)
-    assert list(doc) == ["search", "screen"]
+    assert list(doc) == ["search", "screen", "classes", "morphisms"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -116,6 +116,14 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
         "(1, 1, 1, 2) () d=2 b=5 reversed: (1, -1, -2) (-2, -2, 2) -1 0 -1/2 -2 1"]
     assert all(line.split(" p=")[1].startswith("2 n=2..8: ")
                for line in doc["screen"]["lines"])
+    assert doc["classes"]["count"] == 133      # 9 classes in degree 2, 124 in degree 3
+    assert sum(line.startswith("d=2 ") for line in doc["classes"]["lines"]) == 9
+    assert doc["classes"]["lines"][0].startswith(
+        "d=2 ((0, ((0, ((2, ()),)),)), (0, ((0, ((2, ()),)),))): ['c1', 'c2', 's1', 's2'] ")
+    assert doc["morphisms"]["count"] == 2000   # 1,000 seeded pairs, both directions
+    assert doc["morphisms"]["lines"][0].endswith(
+        ": hom=[('u0', 'u2', 'u5', 'u3', 'u1', 'u4')] "
+        "iso=[('u0', 'u2', 'u5', 'u3', 'u1', 'u4')] ge=True")
     one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
                                  "--list", "1"))
     assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
