@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Answer ledger of the model search, the reduction screen, the critical
-portrait classes and the portrait morphism search.
+portrait classes, the portrait morphism search and the periodic and
+critical points of seeded maps.
 
 Example:
     python scripts/ledger.py
@@ -34,6 +35,11 @@ Each family is a list of text lines, one per answer:
           and of ge(q, p); each seed gives both directions.  q is a
           relabelled copy of p, such a copy with one weight raised or with
           one more arrow, or another random portrait.
+  maps    a map drawn from random.Random("maps/<seed>") for seeds
+          0..MAP_SEEDS-1 (see seeded_map), of degree 2 or 3, and
+          its dynatomic forms for n = 1, 2, 3, its rational cycles of
+          period 1 and 2 (points in orbit order), and the rational roots
+          of its critical form with multiplicities.
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
@@ -57,7 +63,7 @@ from portraitdyn.portraits import (Portrait, automorphism_group, canonical_form,
                                    isomorphisms, realized_relations, relation_determined,
                                    sp_relations)
 from portraitdyn.reduction import admits_period
-from portraitdyn.search import search_periodic_model
+from portraitdyn.search import rational_cycles, search_periodic_model
 
 # (cycle lengths, (vertex index, weight) pairs, degree, bound)
 SEARCH_QUERIES = (
@@ -75,6 +81,7 @@ SEARCH_QUERIES = (
 )
 PERIODS = range(2, 9)
 MORPHISM_PAIRS = 1000
+MAP_SEEDS = 400
 
 
 def portrait(lens, weights, reverse):
@@ -182,11 +189,41 @@ def morphisms_lines():
                    f"iso={answer(lambda: images(p, isomorphisms(p, q)))} ge={ge(q, p)}")
 
 
+def seeded_map(rng):
+    """A map of degree 2 or 3 with a nonzero resultant and coefficients in
+    [-2, 2] or [-9, 9], or one time in ten of up to 4 to 13 digits; a
+    third fix infinity and a third swap 0 and infinity, so that rational
+    cycles are common."""
+    degree = rng.choice((2, 3))
+    height = 10 ** rng.randint(4, 13) if rng.random() < 0.1 else rng.choice((2, 9))
+    shape = rng.randrange(3)
+    while True:
+        c = [rng.randint(-height, height) for _ in range(2 * degree + 2)]
+        if shape == 1:
+            c[degree + 1] = 0           # f1 has no X^d term: infinity is fixed
+        elif shape == 2:
+            c[0] = c[-1] = 0            # 0 -> infinity -> 0
+        if resultant(c[:degree + 1], c[degree + 1:]):
+            return RationalMap(c[:degree + 1], c[degree + 1:])
+
+
+def maps_lines():
+    for seed in range(MAP_SEEDS):
+        f = seeded_map(random.Random(f"maps/{seed}"))
+        dynatomic = [answer(lambda: f.dynatomic(n)) for n in (1, 2, 3)]
+        cycles = [answer(lambda: [" ".join(map(str, c)) for c in rational_cycles(f, n)])
+                  for n in (1, 2)]
+        critical = answer(lambda: [(str(q), m) for q, m in f.critical_divisor()[1]])
+        yield (f"{seed} {f.f0} {f.f1}: dynatomic={dynatomic} cycles={cycles} "
+               f"critical={critical}")
+
+
 def ledger(family, listed, max_prime):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
     families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
-                "classes": classes_lines, "morphisms": morphisms_lines}
+                "classes": classes_lines, "morphisms": morphisms_lines,
+                "maps": maps_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -199,8 +236,8 @@ def ledger(family, listed, max_prime):
 
 
 if __name__ == "__main__":
-    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms"),
-                         help="one family only (default: all four)"),
+    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps"),
+                         help="one family only (default: all five)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--max-prime", type=int, default=13,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul as _times
 
 from . import DomainError
@@ -266,17 +266,20 @@ def rational_roots(f: Form) -> list:
 
     Returns a list of ((x, y), multiplicity) with (x, y) coprime integers
     and y >= 0: first the root at infinity (1, 0), the power of Y that
-    divides f, then the affine roots x/y in increasing order.  An affine
-    root x/y of the primitive part has x | tail and y | lead; each
+    divides f, then the affine roots x/y in increasing order.  The Y and X
+    factors and the content are removed first.  While the residual form has
+    degree 3 or more, an affine root x/y has x | tail and y | lead; each
     candidate is tested by homogeneous Horner at (x, y), and the form is
-    deflated by yX - xY only at a root.  Raises FormError when the leading
-    or the constant coefficient of the primitive part, Y and X factors
-    removed, exceeds FACTOR_CAP in absolute value.
+    deflated by yX - xY only at a root.  A residual of degree 1 or 2 is
+    solved in closed form: its linear root, or the roots of a quadratic
+    from the integer square root of its discriminant.  Raises FormError
+    when the leading or the constant coefficient of the primitive part, Y
+    and X factors removed, exceeds FACTOR_CAP in absolute value, whatever
+    the degree, so a form the closed form would solve is refused too.
     """
-    lz = next((i for i, c in enumerate(f) if c != 0), None)
+    lz = 0 if f and f[0] else next((i for i, c in enumerate(f) if c != 0), None)
     if lz is None:
         raise FormError("zero form has no root divisor")
-    infinity = [((1, 0), lz)] if lz else []
     work = list(f[lz:])
     roots = []
     zero_mult = 0
@@ -287,24 +290,61 @@ def rational_roots(f: Form) -> list:
         roots.append(((0, 1), zero_mult))
     if len(work) > 1:
         g = content(work)
-        cur = [c // g for c in work]
-        leads, tails = _divisors(abs(cur[0])), _divisors(abs(cur[-1]))
-        for q in leads:
-            for p in tails:
-                if gcd(p, q) != 1:
+        cur = [c // g for c in work] if g > 1 else work
+        _check_cap(abs(cur[0]))
+        _check_cap(abs(cur[-1]))
+        if len(cur) > 3:
+            cur = _grid_roots(cur, roots)
+        if len(cur) <= 3:
+            roots += _closed_form_roots(cur)
+    if len(roots) > 1:
+        roots.sort(key=cmp_to_key(lambda r, s: r[0][0] * s[0][1] - s[0][0] * r[0][1]))
+    return [((1, 0), lz)] + roots if lz else roots
+
+
+def _grid_roots(cur: list, roots: list) -> list:
+    """Append to `roots` the roots x/y of the primitive form cur, with x
+    dividing its tail and y its lead, until the residual has degree 2 or
+    less; return the residual."""
+    leads, tails = _divisors(abs(cur[0])), _divisors(abs(cur[-1]))
+    for q in leads:
+        for p in tails:
+            if gcd(p, q) != 1:
+                continue
+            for x in (p, -p):
+                if evaluate(cur, x, q) != 0:
                     continue
-                for x in (p, -p):
-                    if evaluate(cur, x, q) != 0:
-                        continue
-                    mult = 0
-                    while len(cur) > 1 and (quot := _deflate(cur, x, q)) is not None:
-                        mult += 1
-                        cur = quot
-                    roots.append(((x, q), mult))
-            if len(cur) == 1:
-                break
-    roots.sort(key=cmp_to_key(lambda r, s: r[0][0] * s[0][1] - s[0][0] * r[0][1]))
-    return infinity + roots
+                mult = 0
+                while len(cur) > 1 and (quot := _deflate(cur, x, q)) is not None:
+                    mult += 1
+                    cur = quot
+                roots.append(((x, q), mult))
+                if len(cur) <= 3:
+                    return cur
+    return cur
+
+
+def _closed_form_roots(cur: list) -> list:
+    """The rational roots of a primitive form of degree 0, 1 or 2 with
+    nonzero end coefficients: (-c : a) for aX + cY, and for aX^2 + bXY + cY^2
+    the roots (-b +- s : 2a) with s^2 the discriminant, one double root when
+    it is 0 and none when it is not a square."""
+    if len(cur) < 2:
+        return []
+    if len(cur) == 2:
+        a, c = cur
+        return [((-c, a) if a > 0 else (c, -a), 1)]
+    a, b, c = cur
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return []
+    y = 2 * a
+    out = []
+    for x, mult in (((-b, 2),) if s == 0 else ((-b - s, 1), (-b + s, 1))):
+        g = gcd(x, y) if y > 0 else -gcd(x, y)
+        out.append(((x // g, y // g), mult))
+    return out
 
 
 def _deflate(f, x: int, y: int, prime: int = 0):

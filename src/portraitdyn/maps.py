@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional
 
 from . import DomainError, forms
@@ -196,14 +197,13 @@ class RationalMap:
             cache[n] = self.fixed_point_form(1)
             return cache[n]
         check_power(self.degree, n, DEGREE_CAP)
-        num, den = forms.ONE, forms.ONE
+        # n > 1 has a prime factor q, so mu(n) = 1 for k = n and mu = -1 for
+        # k = n / q: both products have a first factor
+        num, den = [], []
         for k, mu in forms.mobius_pairs(n):
-            gk = self.fixed_point_form(k)
-            if mu == 1:
-                num = forms.mul(num, gk)
-            else:
-                den = forms.mul(den, gk)
-        cache[n] = forms.primitive(forms.exact_div(num, den))
+            (num if mu == 1 else den).append(self.fixed_point_form(k))
+        cache[n] = forms.primitive(forms.exact_div(reduce(forms.mul, num),
+                                                   reduce(forms.mul, den)))
         return cache[n]
 
     def formal_period(self, p: ProjectivePoint, n: int) -> bool:

@@ -33,43 +33,86 @@ def reduce_point(p: ProjectivePoint, prime: int):
     return (1, 0)
 
 
-def _reduced_cycles(f: RationalMap, prime: int) -> list:
-    """The cycles of the reduced map on P^1(F_p), each a list of pairs
-    ((x, y), (u, v)) in orbit order: a point, (x : 1) with 0 <= x < p or
-    (1 : 0), and the values of f0 and f1 at it mod p."""
-    if f.resultant % prime == 0:
-        raise MapError(f"map does not reduce to a morphism mod {prime}")
-    # point i is (i : 1) for i < p and (1 : 0) for i = p; image[i] is the
-    # index of its image under the reduced map
-    f0, f1 = f.f0, f.f1
-    values = []
+def _reduced_table(f: RationalMap, prime: int):
+    """The reduced map on P^1(F_p) as an image table, and its cycles; f
+    must have good reduction at p.
+
+    Point i is (i : 1) for i < p and (1 : 0) for i = p.  Returns the list
+    image, image[i] the index of the image of point i, and each cycle as
+    (a point on it, its length).  One walk follows the images from each
+    unvisited start and numbers the points in the order it meets them; an
+    orbit that meets a point of its own walk again closes a new cycle,
+    whose length is the difference of the numbers."""
+    f0 = [c % prime for c in f.f0]
+    f1 = [c % prime for c in f.f1]
+    image = []
     for x in range(prime):
         u = v = 0
-        for a, b in zip(f0, f1):       # Horner at (x : 1)
-            u, v = u * x + a, v * x + b
-        values.append((u % prime, v % prime))
-    values.append((f0[0] % prime, f1[0] % prime))
-    image = [u * pow(v, -1, prime) % prime if v else prime for u, v in values]
+        for a in f0:        # Horner at (x : 1)
+            u = u * x + a
+        for b in f1:
+            v = v * x + b
+        v %= prime
+        image.append(u * pow(v, -1, prime) % prime if v else prime)
+    v = f1[0]
+    image.append(f0[0] * pow(v, -1, prime) % prime if v else prime)
     cycles = []
-    walk = [0] * (prime + 1)      # 1 + the first start whose orbit reached the point
+    seen = [0] * (prime + 1)      # the number of each visited point, from 1
+    count = 0
     for start in range(prime + 1):
-        if walk[start]:
+        if seen[start]:
             continue
+        first = count + 1
         i = start
-        while not walk[i]:
-            walk[i] = start + 1
+        while not seen[i]:
+            count += 1
+            seen[i] = count
             i = image[i]
-        if walk[i] == start + 1:      # this orbit closed a new cycle at i
-            cycle = [i]
-            while image[cycle[-1]] != i:
-                cycle.append(image[cycle[-1]])
-            cycles.append([((j, 1) if j < prime else (1, 0), values[j]) for j in cycle])
-    return cycles
+        if seen[i] >= first:      # this orbit closed a new cycle at i
+            cycles.append((i, count + 1 - seen[i]))
+    return image, cycles
+
+
+def _cycle_points(f: RationalMap, image, i: int, prime: int) -> list:
+    """The cycle through point i of `_reduced_table`, as a list of pairs
+    ((x, y), (u, v)) in orbit order from i: a point, (x : 1) with
+    0 <= x < p or (1 : 0), and the values of f0 and f1 at it mod p."""
+    f0, f1 = f.f0, f.f1
+    points = []
+    j = i
+    while True:
+        if j < prime:
+            points.append(((j, 1), (forms.evaluate(f0, j, 1) % prime,
+                                    forms.evaluate(f1, j, 1) % prime)))
+        else:
+            points.append(((1, 0), (f0[0] % prime, f1[0] % prime)))
+        j = image[j]
+        if j == i:
+            return points
+
+
+def _check_prime(f: RationalMap, prime: int) -> None:
+    """Refuse a `prime` that is not prime, then a prime of bad reduction."""
+    if not forms.is_prime(prime):
+        raise MapError(f"{prime} is not prime")
+    if f.resultant % prime == 0:
+        raise MapError(f"map does not reduce to a morphism mod {prime}")
+
+
+def _reduced_cycles(f: RationalMap, prime: int) -> list:
+    """The cycles of the reduced map on P^1(F_p), each a list of pairs
+    ((x, y), (u, v)) as in `_cycle_points`."""
+    _check_prime(f, prime)
+    image, cycles = _reduced_table(f, prime)
+    return [_cycle_points(f, image, i, prime) for i, _ in cycles]
 
 
 def periods_mod_p(f: RationalMap, prime: int) -> set:
-    """The exact periods of the cycles of the reduced map on P^1(F_p)."""
-    return {len(cycle) for cycle in _reduced_cycles(f, prime)}
+    """The exact periods of the cycles of the reduced map on P^1(F_p).
+    Raises MapError when `prime` is not prime or the map does not reduce
+    to a morphism mod p."""
+    _check_prime(f, prime)
+    return {m for _, m in _reduced_table(f, prime)[1]}
 
 
 def _multiplier_mod_p(f: RationalMap, cycle, prime: int) -> int:
@@ -113,10 +156,23 @@ def admits_period(f: RationalMap, n: int, prime: int) -> bool:
     in F_p^* (r infinite when the multiplier is 0), then n = m, n = m r or
     n = m r p^e.  So some cycle of the reduced map must have a length m
     dividing n with n = m, or with a nonzero multiplier of order r and
-    n/m = r p^e for some e >= 0.
+    n/m = r p^e for some e >= 0.  The cycle lengths come from the reduced
+    map's image table; a cycle's points and multiplier are computed only
+    when n/m, with its factors p removed, divides p - 1.  Raises MapError,
+    before any work, when n < 1 or `prime` is not prime, and when the map
+    does not reduce to a morphism mod p.
     """
-    for cycle in _reduced_cycles(f, prime):
-        m = len(cycle)
+    if n < 1:
+        raise MapError("period must be positive")
+    _check_prime(f, prime)
+    return _admits_period(f, n, prime)
+
+
+def _admits_period(f: RationalMap, n: int, prime: int) -> bool:
+    """admits_period without the argument checks: n >= 1, and p a prime
+    of good reduction."""
+    image, cycles = _reduced_table(f, prime)
+    for i, m in cycles:
         if n % m:
             continue
         k = n // m
@@ -126,6 +182,7 @@ def admits_period(f: RationalMap, n: int, prime: int) -> bool:
             k //= prime
         if (prime - 1) % k:           # r divides p - 1
             continue
+        cycle = _cycle_points(f, image, i, prime)
         if _order(_multiplier_mod_p(f, cycle, prime), prime) == k:
             return True
     return False
@@ -149,9 +206,10 @@ def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):
     the order of vanishing of f~ - f~(P~) at P~, when that order is < p,
     and None when every formal derivative vanishes mod p (wild
     ramification), in which case no finite multiplicity is certified.
+    Raises MapError when `prime` is not prime or the map does not reduce
+    to a morphism mod p.
     """
-    if f.resultant % prime == 0:
-        raise MapError(f"map does not reduce to a morphism mod {prime}")
+    _check_prime(f, prime)
     order = forms.ord_at(f.fiber_form(p), p.x, p.y, prime)
     return order if order < prime else None
 

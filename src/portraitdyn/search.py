@@ -18,21 +18,21 @@ from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, che
                    extract_portrait, pullback_model)
 from .portraits import Portrait, PortraitError, PortraitMorphism, morphism_maps
 from .projective import ProjectivePoint
-from .reduction import admits_period
+from .reduction import _admits_period
 
 _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 
 # Most candidate pairs one search walks; past it the search raises
 # MapError.  It counts the pairs walked, not the bound, so a query whose
 # model comes early may give a large bound.  A pair's cost depends on the
-# portrait (single runs on a 2-vCPU Xeon VM): 11-12 us when every cycle
+# portrait (single runs on a 2-vCPU Xeon VM): 9-10 us when every cycle
 # is a fixed point, so a search exhausts degree 2 at bound 3 (57,951
-# pairs) in 0.6-0.7 s and degree 3 at bound 2 (191,760) in 2.2-2.3 s,
-# and about 3 s at the cap; 19 us for a 4-cycle in degree 2 at bound 1
-# (351 pairs in 6.8 ms).  Where many candidates pass the reduction
-# screen and need long dynatomic forms it costs far more: two 4-cycles in
-# degree 3 walk 140,688 pairs, about 180 us each, in 26-33 s before the
-# model at bound 2, so such a search may run about 45 s up to the cap.
+# pairs) in 0.5 s and degree 3 at bound 2 (191,760) in 1.8 s, and about
+# 2.5 s at the cap; 15 us for a 4-cycle in degree 2 at bound 1 (351
+# pairs in 5.4 ms).  Where many candidates pass the reduction screen and
+# need long dynatomic forms it costs far more: two 4-cycles in degree 3
+# walk 140,688 pairs, about 170 us each, in 24 s before the model at
+# bound 2, so such a search may run about 45 s up to the cap.
 # The tests, the benchmark and the script examples walk at most 2,265
 # pairs (the three-fixed-points-and-a-2-cycle portrait at degree 2,
 # bound 5).
@@ -48,7 +48,14 @@ def portrait_cycles(p: Portrait) -> list:
 
 
 def rational_cycles(f: RationalMap, period: int) -> list:
-    """All cycles of exact period `period` consisting of rational points."""
+    """All cycles of exact period `period` consisting of rational points.
+
+    The fixed points are the roots of the fixed-point form as they are
+    (`_fixed_points`).  For a longer period each root of the dynatomic
+    form is followed along its orbit, since a root may have a smaller
+    exact period."""
+    if period == 1:
+        return _fixed_points(f.dynatomic(1))
     cycles = []
     used = set()
     for (x, y), _ in forms.rational_roots(f.dynatomic(period)):
@@ -60,6 +67,13 @@ def rational_cycles(f: RationalMap, period: int) -> list:
             used.update(orb)
             cycles.append(tuple(orb[:-1]))
     return cycles
+
+
+def _fixed_points(form) -> list:
+    """The fixed points of a map, as 1-cycles, from its fixed-point form
+    y f0 - x f1: f0 and f1 have no common zero, so the form vanishes at
+    (x : y) exactly when f(x : y) = (x : y)."""
+    return [(ProjectivePoint.of(x, y),) for (x, y), _ in forms.rational_roots(form)]
 
 
 def _coefficient_pairs(degree: int, bound: int):
@@ -107,12 +121,15 @@ def search_periodic_model(portrait: Portrait, degree: int,
     n = m, or with n/m = r p^e, e >= 0, for the order r in F_p^* of a
     nonzero multiplier of that cycle (`reduction.admits_period`).  The
     screen only drops maps without a rational n-cycle, so it never
-    changes the answer.  Then the rational cycles are found one length
-    at a time, shortest first, and the map is dropped at the first
-    length with too few of them.  The fixed points of a map are the
-    roots of its fixed-point form `dynatomic(1)`, which many candidates
-    share, so each call keeps them per form and finds the roots of a
-    form once; nothing is kept from one call to the next.  A map that
+    changes the answer.  The screen reads the cycle lengths of the
+    reduced map first and computes a multiplier only for a cycle whose
+    length leaves an order r dividing p - 1 to check.  Then the rational
+    cycles are found one length at a time, shortest first, and the map
+    is dropped at the first length with too few of them.  The fixed
+    points of a map are the roots of its fixed-point form, taken as they
+    are, with no orbit walk; many candidates share that form, so each
+    call keeps the fixed points per form and finds the roots of a form
+    once; nothing is kept from one call to the next.  A map that
     keeps enough cycles has a model exactly when `morphism_maps` finds a
     morphism from the portrait into the portrait the map induces on the
     points of those cycles (`extract_portrait`).  Raises MapError when
@@ -149,7 +166,11 @@ def search_periodic_model(portrait: Portrait, degree: int,
 def _screened_out(f: RationalMap, n: int) -> bool:
     """Whether reduction at some good prime in _SIEVE_PRIMES rules out a
     rational point of exact period n (see `reduction.admits_period`)."""
-    return any(f.resultant % p and not admits_period(f, n, p) for p in _SIEVE_PRIMES)
+    res = f.resultant
+    for p in _SIEVE_PRIMES:
+        if res % p and not _admits_period(f, n, p):
+            return True
+    return False
 
 
 def _match_cycles(f, portrait, screened, wanted, fixed):
@@ -159,10 +180,10 @@ def _match_cycles(f, portrait, screened, wanted, fixed):
     for length, count in wanted:
         if length == 1:
             # the fixed points of f are the roots of its fixed-point form
-            form = f.dynatomic(1)
+            form = f.fixed_point_form()
             found = fixed.get(form)
             if found is None:
-                found = fixed[form] = rational_cycles(f, 1)
+                found = fixed[form] = _fixed_points(form)
         else:
             found = rational_cycles(f, length)
         if len(found) < count:

@@ -484,6 +484,116 @@ def test_integer_helpers_up_to_the_cap():
         forms.rational_roots([1, 0, -(forms.FACTOR_CAP + 37)])
 
 
+def _grid_rational_roots(f):
+    """rational_roots by the divisor grid at every degree: each x/y with x
+    dividing the tail and y the lead of the primitive part is tested by
+    Horner, and the form deflated at a root.  The parent implementation,
+    kept as the oracle of the closed-form residuals."""
+    lz = next((i for i, c in enumerate(f) if c != 0), None)
+    if lz is None:
+        raise forms.FormError("zero form has no root divisor")
+    infinity = [((1, 0), lz)] if lz else []
+    work = list(f[lz:])
+    roots = []
+    zero_mult = 0
+    while work[-1] == 0:
+        zero_mult += 1
+        work.pop()
+    if zero_mult:
+        roots.append(((0, 1), zero_mult))
+    if len(work) > 1:
+        g = forms.content(work)
+        cur = [c // g for c in work]
+        leads, tails = forms._divisors(abs(cur[0])), forms._divisors(abs(cur[-1]))
+        for q in leads:
+            for p in tails:
+                if gcd(p, q) != 1:
+                    continue
+                for x in (p, -p):
+                    if forms.evaluate(cur, x, q) != 0:
+                        continue
+                    mult = 0
+                    while len(cur) > 1 and (quot := forms._deflate(cur, x, q)) is not None:
+                        mult += 1
+                        cur = quot
+                    roots.append(((x, q), mult))
+            if len(cur) == 1:
+                break
+    roots.sort(key=lambda r: Fraction(*r[0]))
+    return infinity + roots
+
+
+def _roots_or_refusal(roots, form):
+    try:
+        return roots(form)
+    except forms.FormError as exc:
+        return f"error: {exc}"
+
+
+def _seeded_root_forms(seed, count):
+    """Forms s * prod (qX - pY)^m * cofactor: a random sign and content s,
+    up to four linear factors, some repeated, with roots at 0 (p = 0) and
+    at infinity (q = 0), and half the time a random cofactor of degree 1
+    to 3, which may be irreducible or have rational roots of its own."""
+    rng = random.Random(f"rational-roots/{seed}")
+    for _ in range(count):
+        form = (rng.choice((-1, 1)) * rng.randint(1, 6),)
+        for _ in range(rng.randint(0, 4)):
+            p, q = rng.randint(-9, 9), rng.randint(0, 6)
+            if p or q:
+                form = forms.mul(form, _power((q, -p), rng.randint(1, 2)))
+        cofactor = tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 4)))
+        if rng.random() < 0.5 and any(cofactor):
+            form = forms.mul(form, cofactor)
+        yield form
+
+
+def test_closed_form_residuals_match_the_divisor_grid():
+    seen = {"double": 0, "zero": 0, "inf": 0, "negative lead": 0, "content": 0,
+            "no root": 0, "quadratic residual": 0}
+    for form in _seeded_root_forms(0, 3000):
+        got = forms.rational_roots(form)
+        assert got == _grid_rational_roots(form), form
+        assert forms.rational_roots(forms.scale(form, -5)) == got
+        lead = next(filter(None, form))
+        affine = [r for r in got if r[0] != (1, 0)]
+        seen["double"] += any(m == 2 for _, m in got)
+        seen["zero"] += any(r == (0, 1) for r, _ in got)
+        seen["inf"] += form[0] == 0
+        seen["negative lead"] += lead < 0
+        seen["content"] += forms.content(form) > 1
+        seen["no root"] += not got
+        seen["quadratic residual"] += len(form) - 1 - sum(m for _, m in got) == 2
+        assert all(y > 0 and gcd(x, y) == 1 for (x, y), _ in affine)
+    assert all(seen.values()), seen
+
+
+CAP = forms.FACTOR_CAP
+
+
+# forms whose primitive part, Y and X factors removed, has its end
+# coefficients at the cap, and forms refused past it
+WITHIN_CAP = [(1, 0, -CAP), (-1, 0, CAP), (CAP, 0, -1), (-CAP, 0, 1), (CAP, -1), (-1, CAP),
+              (1, 1, CAP), (CAP, 2, CAP), (-CAP, CAP - 1, 1), (2 * CAP, 0, -2),
+              (0, 0, 1, 0, -CAP, 0), forms.mul((1, -1), (CAP, 0, -1))]
+PAST_CAP = [(1, 0, -(CAP + 1)), (CAP + 1, 0, -1), (-(CAP + 1), 3), (CAP + 1, 1, -(CAP + 1)),
+            (1, 2, -(CAP + 1)), (CAP, 1, -(CAP + 1)), (3 * (CAP + 1), 0, 3),
+            (0, CAP + 1, 0, -1, 0), forms.mul((2, 3), (1, 0, -(CAP + 1)))]
+
+
+@pytest.mark.parametrize("form", WITHIN_CAP + PAST_CAP,
+                         ids=lambda form: "-".join(map(str, form)))
+def test_rational_roots_at_the_factoring_cap_match_the_divisor_grid(form):
+    # both end coefficients of the primitive part are checked against the
+    # cap whatever the degree, so a quadratic the closed form would solve
+    # is refused exactly where the divisor grid refuses, with its message
+    got = _roots_or_refusal(forms.rational_roots, form)
+    assert got == _roots_or_refusal(_grid_rational_roots, form)
+    assert isinstance(got, str) == (form in PAST_CAP)
+    if form in PAST_CAP:
+        assert got.startswith("error: cannot factor ") and got.endswith(f"exceeds cap {CAP}")
+
+
 def test_rational_roots_zero_root_and_infinity():
     roots = forms.rational_roots((0, 1, -1, 0))  # X^2 Y - X Y^2 = XY(X-Y)
     assert roots == [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from conftest import multiplicity_probes, random_rational_map, reference_multiplicity
+from conftest import multiplicity_probes, random_rational_map, reference_multiplicity, within
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          admits_period, extract_portrait, forms, good_reduction,
                          multiplicity_mod_p, periods_mod_p, reduction, search)
@@ -307,3 +307,128 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     assert [admits_period(f, n, p) for f, p in grid for n in range(2, 9)] == verdicts
     assert len(maps) == 240 + 2248 and 0 < sum(verdicts) < len(verdicts)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: admits_period(Z2_MINUS_1, 0, 5), "period must be positive"),
+    (lambda: admits_period(Z2_MINUS_1, -2, 5), "period must be positive"),
+    (lambda: admits_period(Z2_MINUS_1, 0, 9), "period must be positive"),
+    (lambda: admits_period(Z2_MINUS_1, 2, 9), "9 is not prime"),
+    (lambda: admits_period(Z2_MINUS_1, 2, -3), "-3 is not prime"),
+    (lambda: admits_period(Z2_MINUS_1, 2, 1), "1 is not prime"),
+    (lambda: periods_mod_p(Z2_MINUS_1, 9), "9 is not prime"),
+    (lambda: periods_mod_p(Z2_MINUS_1, -3), "-3 is not prime"),
+    (lambda: periods_mod_p(Z2_MINUS_1, 0), "0 is not prime"),
+    (lambda: admits_period(RationalMap([1, 0, 0], [0, 0, 3]), 2, 3),
+     "map does not reduce to a morphism mod 3"),
+    # the multiplicity over Z/9 was 2 at 0, and a ValueError at 1/3
+    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), 9), "9 is not prime"),
+    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.of(1, 3), 9), "9 is not prime"),
+    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), -3), "-3 is not prime"),
+], ids=["n=0", "n<0", "n=0,p=9", "p=9", "p=-3", "p=1", "periods-p=9", "periods-p=-3",
+        "periods-p=0", "bad-reduction", "multiplicity-p=9", "multiplicity-p=9-at-1/3",
+        "multiplicity-p=-3"])
+def test_screen_refuses_bad_arguments_before_any_work(monkeypatch, call, message):
+    # n = 0 used to loop forever on k % p == 0, and a non-prime p gave an
+    # answer about no field: periods_mod_p(z^2 - 1, 9) was {1, 2} and
+    # periods_mod_p(z^2 - 1, -3) was set()
+    def no_work(*args):
+        raise AssertionError("the reduced map was used")
+
+    monkeypatch.setattr(reduction, "_reduced_table", no_work)
+    monkeypatch.setattr(reduction.forms, "ord_at", no_work)
+    with within(1), pytest.raises(MapError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def _list_of_cycles(f, prime):
+    """The cycles of the reduced map on P^1(F_p), each a list of pairs
+    ((x, y), (u, v)) in orbit order, built from a table of values: the
+    parent implementation, kept as an oracle of the length-first walk."""
+    f0, f1 = f.f0, f.f1
+    values = []
+    for x in range(prime):
+        u = v = 0
+        for a, b in zip(f0, f1):
+            u, v = u * x + a, v * x + b
+        values.append((u % prime, v % prime))
+    values.append((f0[0] % prime, f1[0] % prime))
+    image = [u * pow(v, -1, prime) % prime if v else prime for u, v in values]
+    cycles = []
+    walk = [0] * (prime + 1)
+    for start in range(prime + 1):
+        if walk[start]:
+            continue
+        i = start
+        while not walk[i]:
+            walk[i] = start + 1
+            i = image[i]
+        if walk[i] == start + 1:
+            cycle = [i]
+            while image[cycle[-1]] != i:
+                cycle.append(image[cycle[-1]])
+            cycles.append([((j, 1) if j < prime else (1, 0), values[j]) for j in cycle])
+    return cycles
+
+
+def _admits_by_list_of_cycles(f, cycles, n, prime):
+    """The parent admits_period over `_list_of_cycles`: every cycle comes
+    with its points and values, and the rule is checked cycle by cycle."""
+    for cycle in cycles:
+        m = len(cycle)
+        if n % m:
+            continue
+        k = n // m
+        if k == 1:
+            return True
+        while k % prime == 0:
+            k //= prime
+        if (prime - 1) % k:
+            continue
+        if reduction._order(reduction._multiplier_mod_p(f, cycle, prime), prime) == k:
+            return True
+    return False
+
+
+def test_screen_verdicts_match_the_list_of_cycles_oracle():
+    # every degree-2 and degree-3 map of height <= 1, at each good prime
+    # 3 <= p <= 13 (11,744 pairs), for n = 1..8: the same cycles, cycle
+    # lengths and verdicts
+    maps = [RationalMap(f0, f1) for d in (2, 3) for f0, f1 in search._coefficient_pairs(d, 1)
+            if forms.resultant(f0, f1)]
+    verdicts = []
+    for f in maps:
+        for p in (3, 5, 7, 11, 13):
+            if f.resultant % p == 0:
+                continue
+            cycles = _list_of_cycles(f, p)
+            assert reduction._reduced_cycles(f, p) == cycles, (f, p)
+            assert periods_mod_p(f, p) == {len(c) for c in cycles}
+            for n in range(1, 9):
+                want = _admits_by_list_of_cycles(f, cycles, n, p)
+                assert admits_period(f, n, p) == want, (f, n, p)
+                verdicts.append(want)
+    assert len(verdicts) == 8 * 11744 and 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("n,multipliers", [(1, 0), (2, 0), (3, 0), (4, 3), (5, 1), (8, 1)])
+def test_screen_computes_a_multiplier_only_where_r_can_divide_p_minus_1(monkeypatch, n,
+                                                                        multipliers):
+    # z^2 - 1 mod 5: the walk meets the 2-cycle {0, 4}, then the fixed
+    # points 3 and infinity.  n = 1 and 2 pass on a length alone, and for
+    # n = 3 no length m | n leaves an r dividing 4.  n = 4 needs the
+    # multipliers of the 2-cycle (r = 2) and of both fixed points (r = 4);
+    # n = 5 that of the fixed point 3 only, which passes (r = 1 and
+    # 5 = 1 * 1 * 5); n = 8 that of the 2-cycle only, since the fixed
+    # points would need r = 8, which cannot divide 4
+    computed = []
+
+    def counting(f, cycle, prime):
+        computed.append(cycle)
+        return multiplier(f, cycle, prime)
+
+    multiplier = reduction._multiplier_mod_p
+    monkeypatch.setattr(reduction, "_multiplier_mod_p", counting)
+    assert admits_period(Z2_MINUS_1, n, 5) == (n in (1, 2, 5))
+    assert len(computed) == multipliers

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from portraitdyn import search
+from portraitdyn import forms, search
 from portraitdyn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,11 +100,11 @@ def test_find_model_past_the_search_cap_exits_1_in_one_line(tmp_path, monkeypatc
 
 
 def test_ledger_digests_its_lines_under_either_hash_seed():
-    out = _run_script("ledger.py", "--max-prime", "2", "--list", "100000")
-    assert _run_script("ledger.py", "--max-prime", "2", "--list", "100000",
-                       hash_seed="1") == out
+    tiny = ("--max-prime", "2", "--list", "100000")
+    out = _run_script("ledger.py", *tiny)
+    assert _run_script("ledger.py", *tiny, hash_seed="1") == out
     doc = json.loads(out)
-    assert list(doc) == ["search", "screen", "classes", "morphisms"]
+    assert list(doc) == ["search", "screen", "classes", "morphisms", "maps"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -124,6 +124,13 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert doc["morphisms"]["lines"][0].endswith(
         ": hom=[('u0', 'u2', 'u5', 'u3', 'u1', 'u4')] "
         "iso=[('u0', 'u2', 'u5', 'u3', 'u1', 'u4')] ge=True")
+    assert doc["maps"]["count"] == 400
+    assert doc["maps"]["lines"][1].startswith(
+        "1 (9, 4, -6, 3) (0, 6, 0, 5): dynatomic=[(0, 3, 4, -11, 3), (1215, ")
+    assert doc["maps"]["lines"][1].endswith(" cycles=[['inf'], []] critical=[]")
+    assert doc["maps"]["lines"][0].endswith(
+        " cycles=[[], 'error: cannot factor 99686661755331800730472576: exceeds cap "
+        f"{forms.FACTOR_CAP}'] critical=[]")
     one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
                                  "--list", "1"))
     assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
