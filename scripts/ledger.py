@@ -6,6 +6,7 @@ critical points of seeded maps.
 Example:
     python scripts/ledger.py
     python scripts/ledger.py --family screen --list 3
+    python scripts/ledger.py --family classes --check
 
 Each family is a list of text lines, one per answer:
 
@@ -24,9 +25,11 @@ Each family is a list of text lines, one per answer:
           portraits of degree 2 and 3, keyed and sorted by degree and
           canonical form: the representative, its automorphisms (the
           images of its vertices in sorted order), its sp relations, its
-          frame, its expected dimension, and its realized relations with
+          frame, its expected dimension, its realized relations with
           shifts up to the vertex count, each flagged by
-          relation_determined from the sp relations.
+          relation_determined from the sp relations, and that flag (0 or
+          1) for every other (i, j, m, n) with shifts up to the vertex
+          count, in lexicographic order.
   morphisms
           a pair of portraits (p, q) of at most 7 vertices, drawn from
           random.Random("morphisms/<seed>") for seeds 0..MORPHISM_PAIRS-1,
@@ -47,21 +50,27 @@ family; --list N adds the first N lines.  Two trees that print the same
 digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
 in the output depends on the hash seed.  The defaults take about 3 s.
+
+--check compares each family's count and sha256 with scripts/ledger.expected
+(one "family count sha256" line each, for the default --max-prime) and
+exits 1, naming the families that differ, when any does.  A change that
+means to change answers updates that file in the same diff.
 """
 
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 from portraitdyn import DomainError
 from portraitdyn.cli import arg, script
 from portraitdyn.forms import is_prime, resultant
 from portraitdyn.maps import RationalMap
 from portraitdyn.moduli import expected_dimension
-from portraitdyn.portraits import (Portrait, automorphism_group, canonical_form,
-                                   enumerate_primitive_critical_portraits, frame, ge, hom,
-                                   isomorphisms, realized_relations, relation_determined,
-                                   sp_relations)
+from portraitdyn.portraits import (CriticalRelation, Portrait, automorphism_group,
+                                   canonical_form, enumerate_primitive_critical_portraits,
+                                   frame, ge, hom, isomorphisms, realized_relations,
+                                   relation_determined, sp_relations)
 from portraitdyn.reduction import admits_period
 from portraitdyn.search import rational_cycles, search_periodic_model
 
@@ -80,6 +89,8 @@ SEARCH_QUERIES = (
     ((1,), ((0, 3),), 2, 1),
 )
 PERIODS = range(2, 9)
+MAX_PRIME = 13
+EXPECTED = Path(__file__).with_name("ledger.expected")
 MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
 
@@ -149,11 +160,18 @@ def classes_lines():
                    for p in enumerate_primitive_critical_portraits(d))
     for d, form, p in keyed:
         sp = sp_relations(p)
-        realized = [(*r, relation_determined(sp, r, p))
-                    for r in realized_relations(p, len(p.vertices))]
+        shift = len(p.vertices)
+        relations = realized_relations(p, shift)
+        realized = [(*r, relation_determined(sp, r, p)) for r in relations]
+        every = {CriticalRelation(i, j, m, n)
+                 for i, j in itertools.product(sorted(p.weights), repeat=2)
+                 for m in range(shift + 1) for n in range(shift + 1)}
+        unrealized = "".join("01"[relation_determined(sp, r, p)]
+                             for r in sorted(every - set(relations)))
         yield (f"d={d} {form}: {shape(p)} aut={images(p, automorphism_group(p))} "
                f"sp={[tuple(r) for r in sp]} frame={shape(frame(p, d))} "
-               f"dim={tuple(expected_dimension(p, d))} realized={realized}")
+               f"dim={tuple(expected_dimension(p, d))} realized={realized} "
+               f"unrealized={unrealized}")
 
 
 def random_portrait(rng, names):
@@ -218,9 +236,11 @@ def maps_lines():
                f"critical={critical}")
 
 
-def ledger(family, listed, max_prime):
+def ledger(family, listed, max_prime, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
+    if check and max_prime != MAX_PRIME and family in (None, "screen"):
+        raise DomainError(f"--check needs the default --max-prime {MAX_PRIME}")
     families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
                 "classes": classes_lines, "morphisms": morphisms_lines,
                 "maps": maps_lines}
@@ -232,6 +252,15 @@ def ledger(family, listed, max_prime):
         if listed:
             entry["lines"] = lines[:listed]
         out[name] = entry
+    if check:
+        expected = {}
+        for line in EXPECTED.read_text(encoding="utf-8").splitlines():
+            name, count, digest = line.split()
+            expected[name] = {"count": int(count), "sha256": digest}
+        differ = [name for name, entry in out.items()
+                  if expected.get(name) != {"count": entry["count"], "sha256": entry["sha256"]}]
+        if differ:
+            raise DomainError(f"ledger differs from {EXPECTED.name}: {', '.join(differ)}")
     return out
 
 
@@ -240,6 +269,8 @@ if __name__ == "__main__":
                          help="one family only (default: all five)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
-                     arg("--max-prime", type=int, default=13,
-                         help="largest prime of the screen family (default 13)")],
+                     arg("--max-prime", type=int, default=MAX_PRIME,
+                         help=f"largest prime of the screen family (default {MAX_PRIME})"),
+                     arg("--check", action="store_true",
+                         help=f"exit 1 when a count or digest differs from {EXPECTED.name}")],
            ledger)

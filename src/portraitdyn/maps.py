@@ -9,11 +9,15 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import DomainError, forms
-from .portraits import Portrait, PortraitError, PortraitMorphism, PreperiodicType
 from .projective import ProjectivePoint
+
+# Maps need no portraits until a model or a preperiodic type is built: those
+# functions import `portraits` when they run.
+if TYPE_CHECKING:
+    from .portraits import Portrait, PortraitMorphism, PreperiodicType
 
 # Largest degree d^k of an iterate or a dynatomic form.  At the cap the
 # work is long: single cold runs on a 2-vCPU Xeon VM, coefficients in
@@ -214,6 +218,7 @@ class RationalMap:
                         max_steps: int) -> Optional[PreperiodicType]:
         """Exact preperiod/period by orbit detection; None if no revisit
         happens within max_steps images."""
+        from .portraits import PreperiodicType
         if max_steps < 1:
             raise MapError("max_steps must be positive")
         seen = {p: 0}
@@ -320,6 +325,7 @@ def verify_model(f: RationalMap, portrait: Portrait, assignment):
 def extract_portrait(f: RationalMap, points):
     """Portrait induced by f on a list of distinct points, with weights
     equal to the local multiplicities."""
+    from .portraits import Portrait
     points = list(points)
     if len(set(points)) != len(points):
         raise MapError("points must be pairwise distinct")
@@ -337,6 +343,7 @@ def extract_portrait(f: RationalMap, points):
 
 def pullback_model(alpha: PortraitMorphism, model: Model) -> Model:
     """Transport a model of the target portrait to the source portrait."""
+    from .portraits import PortraitError
     if alpha.target != model.portrait:
         raise PortraitError("morphism target does not match the model portrait")
     assignment = {v: model.assignment[alpha(v)] for v in alpha.source.vertices}

@@ -5,16 +5,18 @@ spaces, and the fixed/periodic-point multiplier layer for maps on P^1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DomainError, forms
-from .portraits import Portrait, is_subportrait, portrait_statistics
 
-# The counting functions need no maps; the multiplier, Milnor, Ueda and
-# cubic-family functions import `maps` when they run.
+# The counting functions need no maps and the multiplier functions no
+# portraits: the portrait functions import `portraits`, and the multiplier,
+# Milnor, Ueda and cubic-family functions import `maps`, when they run.
 if TYPE_CHECKING:
     from .maps import RationalMap
+    from .portraits import Portrait
 
 
 class ModuliError(DomainError):
@@ -28,6 +30,10 @@ def nu(d: int, N: int, n: int) -> int:
     return nu_pre(d, N, 0, n)
 
 
+# Memoized like forms._small_divisors: the portrait checks ask for the same
+# few counts over and over.  An entry is below NU_CAP_BITS + 2 bits, so the
+# cache holds at most about 1.5 MB; `typed` keeps 2 and 2.0 apart.
+@lru_cache(maxsize=1024, typed=True)
 def nu_pre(d: int, N: int, m: int, n: int) -> int:
     """Count of preperiodic type (m, n): d^(N(m-1)) (d^N - 1) nu for m >= 1,
     nu for m = 0.  Raises ModuliError above NU_CAP_BITS."""
@@ -62,6 +68,7 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
         raise ModuliError("need d >= 2, N >= 1")
     if not p.is_unweighted:
         raise ModuliError("portrait must be unweighted")
+    from .portraits import portrait_statistics
     stats = portrait_statistics(p)
     if stats.max_preimage_count > d ** N:
         return False
@@ -79,13 +86,15 @@ class NecessaryConditions(NamedTuple):
 def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
     """Necessary (never sufficient) conditions for a weighted portrait to
     be realized by a degree-d map on P^1."""
+    from .portraits import portrait_statistics
     if d < 2:
         raise ModuliError("degree must be at least 2")
-    fiber = {v: 0 for v in p.vertices}
-    for v in p.domain:
-        fiber[p.phi[v]] += p.weight(v)
+    fiber = dict.fromkeys(p.vertices, 0)
+    weights = p.weights
+    for v, w in p.phi.items():
+        fiber[w] += weights.get(v, 1)
     cond1 = max(fiber.values(), default=0) <= d
-    cond2 = sum(p.weight(v) - 1 for v in p.domain) <= 2 * d - 2
+    cond2 = p.ramification <= 2 * d - 2
     stats = portrait_statistics(p)
     # a period with no vertex cannot exceed nu, so only the others compute it
     cond3 = {n: not c or c <= nu(d, 1, n)
@@ -120,7 +129,7 @@ def expected_dimension(p: Portrait, d: int, N: int = 1) -> DimensionReport:
     conditions = weighted_necessary_conditions(p, d)
     if not conditions.overall:
         return DimensionReport(None, None, "empty-certified", ())
-    dm = (2 * d - 2) - sum(p.weight(v) - 1 for v in p.domain) + p.zeta
+    dm = (2 * d - 2) - p.ramification + p.zeta
     caveats = ["dimension is that of the non-Lattes locus"]
     if isqrt(d) ** 2 == d:
         caveats.append(f"degree {d} is a square, so flexible Lattes maps exist "
@@ -132,6 +141,7 @@ def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:
     """Fiber dimension and image codimension of the restriction map
     between the moduli spaces of an unweighted portrait and an
     unweighted subportrait."""
+    from .portraits import is_subportrait
     if not (p.is_unweighted and p_prime.is_unweighted):
         raise ModuliError("both portraits must be unweighted")
     if not is_subportrait(p_prime, p):

@@ -86,6 +86,12 @@ class Portrait:
         return not self.weights
 
     @property
+    def ramification(self) -> int:
+        """Sum of (weight - 1) over V0: `weights` holds only the weights
+        above 1, and every other domain vertex adds 0."""
+        return sum(self.weights.values()) - len(self.weights)
+
+    @property
     def zeta(self) -> int:
         """Number of vertices without an out-arrow, #(V \\ V0)."""
         return len(self.vertices) - len(self.domain)
@@ -217,13 +223,7 @@ class Portrait:
         of the cycle.  Grouping in sorted vertex order lists each
         component sorted and the components by their smallest vertex.
         """
-        orbits, types = self._orbit_table()
-        comps = {}
-        for v in sorted(self.vertices):
-            t = types[v]
-            end = orbits[v][-1] if t is None else min(orbits[v][t.preperiod:])
-            comps.setdefault(end, []).append(v)
-        return list(comps.values())
+        return _components(self, *self._orbit_table())
 
     def component_has_cycle(self, comp: Iterable[str]) -> bool:
         return any(self.preperiodic_type(v) is not None for v in comp)
@@ -240,6 +240,16 @@ class Portrait:
                 raise PortraitError("restriction is not phi-closed")
         return Portrait(sorted(keep), phi,
                         {v: w for v, w in self.weights.items() if v in keep})
+
+
+def _components(p: Portrait, orbits: dict, types: dict) -> list:
+    """`Portrait.components` from the orbit table."""
+    comps = {}
+    for v in sorted(p.vertices):
+        t = types[v]
+        end = orbits[v][-1] if t is None else min(orbits[v][t.preperiod:])
+        comps.setdefault(end, []).append(v)
+    return list(comps.values())
 
 
 def _broken_rule(p1: Portrait, p2: Portrait, m: Mapping[str, str],
@@ -309,6 +319,10 @@ class PortraitMorphism(_Morphism):
 # to list more morphisms than this.  A portrait of k isolated vertices has
 # k! automorphisms: on a 2-vCPU Xeon VM, listing the 9! = 362,880 of nine
 # vertices took 4.1 s, and each further vertex multiplies that by about 10.
+# The search keeps an explicit stack, so the cap refuses at any depth: on
+# 1,100 isolated vertices after 24 s, spent mostly on the 100,000 maps of
+# 1,100 entries that the list holds until it refuses (about 25 MB per 1,000
+# maps by tracemalloc, so about 2.5 GB at the cap).
 # The cap counts maps listed, not search nodes, so it does not bound a
 # search that lists few maps: no node budget is kept.  Forced orbits and
 # in-tree codes keep the isomorphism case near the true symmetries, but
@@ -323,60 +337,86 @@ def morphism_maps(p1: Portrait, p2: Portrait):
     Vertices of p1 are taken in sorted order, and each unmapped one tries
     the unused vertices of p2 in sorted order.  A choice v -> w forces
     phi(v) -> phi(w) along v's forward orbit until the orbit leaves the
-    domain or meets a mapped vertex, with `_broken_rule` checked at each
-    step.  When the two canonical forms are equal, every morphism is an
-    isomorphism (see `isomorphisms`), so each pair must also have equal
-    in-tree codes; with unequal forms weights may rise and codes are not
-    used.  A forced vertex is a function of the free choices before it in
-    sorted order, so the maps come in lexicographic order.
+    domain or meets a mapped vertex, with the rules of `_broken_rule`
+    checked at each step.  When the two canonical forms are equal, every
+    morphism is an isomorphism (see `isomorphisms`), so each pair must
+    also have equal in-tree codes: each code gets a small number per
+    search, and a vertex tries only the bucket of p2's vertices with its
+    number, still in sorted order.  With unequal forms weights may rise,
+    codes are not used and every vertex tries all of p2.  The search keeps
+    an explicit stack of (vertex index, candidate iterator, vertices the
+    current candidate mapped), so no recursion limit bounds its depth.  A
+    forced vertex is a function of the free choices before it in sorted
+    order, so the maps come in lexicographic order, as in a recursive
+    search over the same candidates.
     """
     v1 = sorted(p1.vertices)
-    v2 = sorted(p2.vertices)
-    if len(v1) > len(v2):
+    v2 = v1 if p2 is p1 else sorted(p2.vertices)
+    size = len(v1)
+    if size > len(v2):
         return
-    codes1 = codes2 = None
+    phi1, phi2, weights1, weights2 = p1.phi, p2.phi, p1.weights, p2.weights
     if _sizes(p1) == _sizes(p2) and canonical_form(p1) == canonical_form(p2):
         codes1, codes2 = p1._code_table()[0], p2._code_table()[0]
+        number = {}
+        class2 = {w: number.setdefault(codes2[w], len(number)) for w in v2}
+        # equal forms have the same codes, so every code of p1 has a number
+        class1 = class2 if p1 is p2 else {v: number[codes1[v]] for v in v1}
+        buckets = [[] for _ in number]
+        for w in v2:
+            buckets[class2[w]].append(w)
+    else:               # one bucket: every vertex of p2
+        class1, class2, buckets = dict.fromkeys(v1, 0), dict.fromkeys(v2, 0), [v2]
     assignment = {}
     used = set()
 
-    def force(v, w):
-        """Map v -> w and its forced orbit; the vertices mapped, or None
-        (with nothing left mapped) when a rule breaks."""
-        mapped = []
-        while True:
-            if w in used or (codes1 is not None and codes1[v] != codes2[w]):
-                break
+    def force(v, w, mapped):
+        """Map v -> w and its forced orbit, listing the vertices mapped in
+        `mapped`; whether no rule broke.  The rules are those of
+        `_broken_rule` at each vertex: no mapped vertex has an unmapped
+        image, so a newly mapped vertex has no mapped preimage to check."""
+        while w not in used and class1[v] == class2[w]:
             assignment[v] = w
             used.add(w)
             mapped.append(v)
-            if _broken_rule(p1, p2, assignment, v):
-                break
-            v = p1.phi.get(v)
-            if v is None or v in assignment:
-                return mapped
-            w = p2.phi[w]
-        undo(mapped)
-        return None
+            u = phi1.get(v)
+            if u is None:
+                return True
+            x = phi2.get(w)
+            if x is None or weights2.get(w, 1) < weights1.get(v, 1):
+                return False
+            if u in assignment:
+                return assignment[u] == x
+            v, w = u, x
+        return False
 
-    def undo(mapped):
-        for v in mapped:
-            used.discard(assignment.pop(v))
-
-    def rec(idx):
-        while idx < len(v1) and v1[idx] in assignment:
+    stack = []          # (vertex index, candidate iterator, vertices mapped)
+    idx = 0
+    while True:
+        while idx < size and v1[idx] in assignment:
             idx += 1
-        if idx == len(v1):
+        if idx == size:
             yield {v: assignment[v] for v in v1}
+        else:
+            stack.append((idx, iter(buckets[class1[v1[idx]]]), []))
+        while stack:    # the next candidate of the deepest vertex that has one
+            idx, candidates, mapped = stack[-1]
+            v = v1[idx]
+            for w in candidates:
+                for u in mapped:
+                    used.discard(assignment.pop(u))
+                mapped.clear()
+                if w not in used and force(v, w, mapped):
+                    break
+            else:
+                for u in mapped:
+                    used.discard(assignment.pop(u))
+                stack.pop()
+                continue
+            idx += 1
+            break
+        else:
             return
-        v = v1[idx]
-        for w in v2:
-            mapped = force(v, w)
-            if mapped is not None:
-                yield from rec(idx + 1)
-                undo(mapped)
-
-    yield from rec(0)
 
 
 def hom(p1: Portrait, p2: Portrait) -> list:
@@ -386,7 +426,8 @@ def hom(p1: Portrait, p2: Portrait) -> list:
     for m in morphism_maps(p1, p2):
         if len(out) == MORPHISM_CAP:
             raise PortraitError(f"more than {MORPHISM_CAP} morphisms")
-        out.append(PortraitMorphism(p1, p2, m))
+        # the search lists only morphisms, so the constructor's checks are skipped
+        out.append(tuple.__new__(PortraitMorphism, (p1, p2, m)))
     return out
 
 
@@ -492,17 +533,19 @@ def portrait_statistics(p: Portrait) -> PortraitStatistics:
         indeg[w] += 1
     d_p = max(indeg.values(), default=0)
     counts = {n: 0 for n in range(1, len(p.vertices) + 1)}
+    types = p._orbit_table()[1]
     for v in p.domain:
-        t = p.preperiodic_type(v)
+        t = types[v]
         if t is not None and t.preperiod == 0:
             counts[t.period] += 1
     return PortraitStatistics(
         max_preimage_count=d_p,
         exact_period_counts=counts,
         zeta=p.zeta,
-        weight_total=sum(p.weight(v) for v in p.domain),
-        crit_set=tuple(sorted(p.crit)),
+        weight_total=p.ramification + len(p.domain),
+        crit_set=tuple(sorted(p.weights)),
     )
+
 
 
 def critically_generated_subportrait(p: Portrait) -> Portrait:
@@ -519,9 +562,13 @@ def is_critically_generated(p: Portrait) -> bool:
     Orbits are phi-closed, so this is the same as the critically
     generated subportrait being p itself.
     """
-    orbits = p._orbit_table()[0]
+    return _covers(p, p._orbit_table()[0])
+
+
+def _covers(p: Portrait, orbits: dict) -> bool:
+    """Whether the orbits of the critical vertices hold every vertex."""
     covered = set()
-    for c in p.crit:
+    for c in p.weights:
         covered.update(orbits[c])
     return len(covered) == len(p.vertices)
 
@@ -530,8 +577,7 @@ def is_complete_critical(p: Portrait, d: int) -> bool:
     """Total ramification 2d-2 and every vertex in a critical orbit."""
     if d < 2:
         raise PortraitError("degree must be at least 2")
-    total = sum(p.weight(v) - 1 for v in p.domain)
-    return total == 2 * d - 2 and is_critically_generated(p)
+    return p.ramification == 2 * d - 2 and is_critically_generated(p)
 
 
 def is_critically_primitive(p: Portrait) -> bool:
@@ -539,10 +585,20 @@ def is_critically_primitive(p: Portrait) -> bool:
 
 
 def frame(p: Portrait, d: int) -> Portrait:
-    """The unique critically primitive complete critical subportrait."""
+    """The unique critically primitive complete critical subportrait.
+
+    A critically primitive p whose vertex tuple is sorted is its own
+    frame and is returned itself (portraits are immutable): every vertex
+    of a complete critical portrait lies on a critical orbit, so with
+    every domain vertex critical it is critical or a critical image.
+    Otherwise the frame is a new portrait on the sorted critical points
+    and their images.
+    """
     if not is_complete_critical(p, d):
         raise PortraitError("frame is only defined for complete critical portraits")
-    w0 = set(p.crit)
+    if len(p.weights) == len(p.domain) and list(p.vertices) == sorted(p.vertices):
+        return p
+    w0 = set(p.weights)
     w = w0 | {p.phi[v] for v in w0}
     phi = {v: p.phi[v] for v in w0}
     return Portrait(sorted(w), phi, {v: p.weights[v] for v in w0})
@@ -614,18 +670,21 @@ def sp_relations(p: Portrait) -> list:
     exactly T - zeta tuples, where T = #Crit and zeta = number of
     cycle-free components.
     """
-    if not is_critically_generated(p):
-        raise PortraitError("portrait is not critically generated")
     orbits, types = p._orbit_table()
+    if not _covers(p, orbits):
+        raise PortraitError("portrait is not critically generated")
+    weights = p.weights
     relations = []
-    for comp in p.components():
+    for comp in _components(p, orbits, types):
         earlier = {}  # vertex -> (critical point, index) where it first occurs
-        for c in (v for v in comp if v in p.weights):
+        for c in comp:
+            if c not in weights:
+                continue
             orbit = orbits[c]
             for m, v in enumerate(orbit):
-                if v in earlier:
-                    j, n = earlier[v]
-                    relations.append(CriticalRelation(c, j, m, n))
+                first = earlier.get(v)
+                if first is not None:
+                    relations.append(CriticalRelation(c, first[0], m, first[1]))
                     break
             else:
                 t = types[c]
@@ -671,14 +730,12 @@ def _closure(relations: tuple, p: Portrait) -> tuple:
     max(shift bound, largest shift in use), the pair (c, s) at index
     base[c] + s.  Its last pair has a free successor, which a merge may
     fill, so no chain is cut off and the closure is exact.  Cached on p as
-    (shift bound, base, root of every index), keyed by the system.
+    (shift bound, base, root of every index), keyed by the system;
+    `relation_determined` looks the cache up before it calls this.
     """
     if p._closures is None:
         object.__setattr__(p, "_closures", {})
-    cached = p._closures.get(relations)
-    if cached is not None:
-        return cached
-    crit = p.crit
+    crit = p.weights
     for rel in relations:
         if rel.i not in crit or rel.j not in crit:
             raise PortraitError("relation references a non-critical vertex")
@@ -715,33 +772,50 @@ def relation_determined(relations: Iterable[CriticalRelation],
     """Whether r follows from the given relations under the iteration closure.
 
     The closure of each system is built once per portrait (see
-    `_closure`); a query checks r and compares two roots.
+    `_closure`); a query looks it up once, checks r and compares two roots.
     """
-    bound, base, roots = _closure(tuple(relations), p)
-    if r.i not in base or r.j not in base:
+    key = tuple(relations)
+    closures = p._closures
+    closure = None if closures is None else closures.get(key)
+    bound, base, roots = _closure(key, p) if closure is None else closure
+    i, j, m, n = r
+    bi, bj = base.get(i), base.get(j)
+    if bi is None or bj is None:
         raise PortraitError("relation references a non-critical vertex")
-    if r.m < 0 or r.n < 0:
+    if 0 <= m <= bound and 0 <= n <= bound:
+        return roots[bi + m] == roots[bj + n]
+    if m < 0 or n < 0:
         raise PortraitError("relation shifts must be nonnegative")
-    if r.m > bound or r.n > bound:
-        raise PortraitError(f"relation shift exceeds the closure bound {bound}")
-    return roots[base[r.i] + r.m] == roots[base[r.j] + r.n]
+    raise PortraitError(f"relation shift exceeds the closure bound {bound}")
 
 
 def realized_relations(p: Portrait, max_shift: int) -> list:
-    """Brute-force enumeration of all realized critical relations with shifts <= max_shift."""
-    crits = sorted(p.crit)
-    steps = {}
+    """Every realized critical relation phi^m(i) = phi^n(j) with shifts
+    <= max_shift, in lexicographic order of (i, j, m, n).
+
+    Each critical point's path phi^0(c), ..., phi^max_shift(c), cut where
+    it leaves the domain, is walked once along phi and indexed by vertex,
+    so the work beyond the paths is one lookup per (i, j, m) and one
+    tuple per relation found.
+    """
+    phi = p.phi
+    crits = sorted(p.weights)
+    paths, positions = [], []
     for c in crits:
-        steps[c] = path = []
+        path, at, v = [], {}, c
         for m in range(max_shift + 1):
-            v = p.step(c, m)
+            path.append(v)
+            at.setdefault(v, []).append(m)
+            v = phi.get(v)
             if v is None:
                 break
-            path.append(v)
+        paths.append(path)
+        positions.append(at)
+    new = tuple.__new__
     out = []
-    for i, j in itertools.product(crits, repeat=2):
-        for m, a in enumerate(steps[i]):
-            for n, b in enumerate(steps[j]):
-                if a == b:
-                    out.append(CriticalRelation(i, j, m, n))
+    for i, path in zip(crits, paths):
+        for j, at in zip(crits, positions):
+            for m, a in enumerate(path):
+                for n in at.get(a, ()):
+                    out.append(new(CriticalRelation, (i, j, m, n)))
     return out

@@ -375,12 +375,10 @@ def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
 @pytest.mark.parametrize("argv,modules", [
     (None, {"cli"}),
     (["portrait", "stats", "PORTRAIT"], {"cli", "portraits"}),
-    (["dyn", "eval", "MAP", "--point", "2"],
-     {"cli", "forms", "maps", "portraits", "projective"}),
-    (["mod", "nu", "--degree", "2", "--dim", "1", "-n", "3"],
-     {"cli", "forms", "moduli", "portraits"}),
+    (["dyn", "eval", "MAP", "--point", "2"], {"cli", "forms", "maps", "projective"}),
+    (["mod", "nu", "--degree", "2", "--dim", "1", "-n", "3"], {"cli", "forms", "moduli"}),
     (["mod", "multipliers", "MAP", "-n", "2"],
-     {"cli", "forms", "maps", "moduli", "portraits", "projective"}),
+     {"cli", "forms", "maps", "moduli", "projective"}),
     (["git", "stability", "CONFIG"], {"cli", "projective", "stability"}),
 ], ids=["import", "portrait-stats", "dyn-eval", "mod-nu", "mod-multipliers",
         "git-stability"])

@@ -366,7 +366,10 @@ FOUR_DOUBLE_FIXED = Portrait("abcd", {v: v for v in "abcd"}, {v: 2 for v in "abc
 def test_complete_critical_and_frame():
     assert is_complete_critical(FOUR_DOUBLE_FIXED, 3)
     assert is_critically_primitive(FOUR_DOUBLE_FIXED)
-    assert frame(FOUR_DOUBLE_FIXED, 3) == FOUR_DOUBLE_FIXED
+    assert frame(FOUR_DOUBLE_FIXED, 3) is FOUR_DOUBLE_FIXED
+    shuffled = Portrait("dcba", FOUR_DOUBLE_FIXED.phi, FOUR_DOUBLE_FIXED.weights)
+    fr = frame(shuffled, 3)     # its own frame up to the order of its vertex tuple
+    assert fr is not shuffled and fr == shuffled and fr.vertices == ("a", "b", "c", "d")
 
 
 def test_frame_drops_simple_tail():
@@ -378,6 +381,7 @@ def test_frame_drops_simple_tail():
     assert not is_critically_primitive(p)
     fr = frame(p, 2)
     assert fr == Portrait(["c", "t", "u"], {"c": "t", "u": "u"}, {"c": 2, "u": 2})
+    assert fr is not p and fr.vertices == ("c", "t", "u")
     assert is_subportrait(fr, p)
     assert is_critically_primitive(fr) and is_complete_critical(fr, 2)
 
@@ -423,6 +427,7 @@ def test_enumerate_primitive_critical_degree_two():
     assert any(isomorphic(cyc, q) for q in classes)
     for q in classes:
         assert is_complete_critical(q, 2) and is_critically_primitive(q)
+        assert frame(q, 2) is q
     for i, qi in enumerate(classes):
         for qj in classes[i + 1:]:
             assert not isomorphic(qi, qj)
@@ -433,6 +438,7 @@ def test_enumerate_primitive_critical_degree_three_postconditions():
     assert len(classes) == 124
     for q in classes:
         assert is_complete_critical(q, 3) and is_critically_primitive(q)
+        assert frame(q, 3) is q
     three_fixed = Portrait("abc", {v: v for v in "abc"},
                            {"a": 3, "b": 2, "c": 2})
     assert any(isomorphic(three_fixed, q) for q in classes)
@@ -978,13 +984,17 @@ def test_relation_determined_checks_the_query_after_a_cached_build():
     s = sp_relations(p)
     bound = shift_bound(p)
     assert relation_determined(s, CriticalRelation("c", "c", bound, 1), p)
-    for r in (CriticalRelation("c", "c", bound + 1, 1),
-              CriticalRelation("c", "c", 1, bound + 1),
-              CriticalRelation("c", "c", -1, 1),
-              CriticalRelation("q", "c", 1, 1)):
+    critical = "^relation references a non-critical vertex$"
+    negative = "^relation shifts must be nonnegative$"
+    above = f"^relation shift exceeds the closure bound {bound}$"
+    # a query that breaks several rules gets the message of the first
+    for r, message in ((("c", "c", bound + 1, 1), above), (("c", "c", 1, bound + 1), above),
+                       (("c", "c", -1, 1), negative), (("q", "c", 1, 1), critical),
+                       (("q", "c", -1, bound + 1), critical),
+                       (("c", "c", bound + 1, -1), negative)):
         for _ in range(2):
-            with pytest.raises(PortraitError):
-                relation_determined(s, r, p)
+            with pytest.raises(PortraitError, match=message):
+                relation_determined(s, CriticalRelation(*r), p)
 
 
 def test_relation_closure_is_built_once_per_portrait_and_system(monkeypatch):
@@ -1054,8 +1064,150 @@ def test_realized_relations_match_the_nested_loop():
         for max_shift in (len(p.vertices), shift_bound(p)):
             assert (realized_relations(p, max_shift)
                     == _nested_loop_realized_relations(p, max_shift)), p
+    for p in classes + _some_portraits(200):
+        for max_shift in range(-1, 2 * len(p.vertices) + 3):
+            got = realized_relations(p, max_shift)
+            assert got == _nested_loop_realized_relations(p, max_shift), (p, max_shift)
+            assert all(type(r) is CriticalRelation for r in got)
+
+
+# -- per-class queries against their previous implementations ---------------
+
+def _recursive_morphism_maps(p1, p2):
+    """The morphism search as a recursive generator, one level per free
+    choice, filtering every vertex of p2 by in-tree code between equal
+    forms: the implementation the explicit stack and the code buckets
+    replaced."""
+    v1 = sorted(p1.vertices)
+    v2 = sorted(p2.vertices)
+    if len(v1) > len(v2):
+        return
+    codes1 = codes2 = None
+    if _sizes(p1) == _sizes(p2) and canonical_form(p1) == canonical_form(p2):
+        codes1, codes2 = p1._code_table()[0], p2._code_table()[0]
+    assignment = {}
+    used = set()
+
+    def force(v, w):
+        mapped = []
+        while True:
+            if w in used or (codes1 is not None and codes1[v] != codes2[w]):
+                break
+            assignment[v] = w
+            used.add(w)
+            mapped.append(v)
+            if _broken_rule(p1, p2, assignment, v):
+                break
+            v = p1.phi.get(v)
+            if v is None or v in assignment:
+                return mapped
+            w = p2.phi[w]
+        undo(mapped)
+        return None
+
+    def undo(mapped):
+        for v in mapped:
+            used.discard(assignment.pop(v))
+
+    def rec(idx):
+        while idx < len(v1) and v1[idx] in assignment:
+            idx += 1
+        if idx == len(v1):
+            yield {v: assignment[v] for v in v1}
+            return
+        v = v1[idx]
+        for w in v2:
+            mapped = force(v, w)
+            if mapped is not None:
+                yield from rec(idx + 1)
+                undo(mapped)
+
+    yield from rec(0)
+
+
+def _assert_morphism_queries_match_the_recursive_search(p, q):
+    maps = list(_recursive_morphism_maps(p, q))
+    assert [m.mapping for m in hom(p, q)] == maps, (p, q)
+    for m in hom(p, q):
+        assert m == PortraitMorphism(p, q, m.mapping)      # the checks still pass
+    same_form = canonical_form(p) == canonical_form(q)
+    assert [m.mapping for m in isomorphisms(p, q)] == (maps if same_form else []), (p, q)
+    assert ge(q, p) == (_sizes(p) == _sizes(q) and bool(maps)), (p, q)
+    for r in (p, q):
+        assert ([m.mapping for m in automorphism_group(r)]
+                == list(_recursive_morphism_maps(r, r))), r
+
+
+def _ledger_pair(rng):
+    """Two portraits of at most 7 vertices: p, and a relabelled copy of
+    it, such a copy with one weight raised or with one more arrow, or
+    another random portrait (the kinds of the ledger's morphism pairs)."""
+    def random_portrait(names):
+        phi = {v: rng.choice(names) for v in names if rng.random() < 0.8}
+        return Portrait(names, phi, {v: rng.randint(2, 3) for v in phi if rng.random() < 0.3})
+
+    p = random_portrait([f"v{i}" for i in range(rng.randint(1, 7))])
+    kind = rng.randrange(4)
+    if kind == 3:
+        return p, random_portrait([f"u{i}" for i in range(rng.randint(1, 7))]), kind
+    q = _relabel(p, rng)
+    if kind == 1 and q.domain:
+        v = rng.choice(sorted(q.domain))
+        q = Portrait(q.vertices, q.phi, {**q.weights, v: q.weight(v) + 1})
+    elif kind == 2 and len(q.domain) < len(q.vertices):
+        q = _perturb_domain(q, rng)
+    return p, q, kind
+
+
+def test_morphism_queries_match_the_recursive_search_on_the_classes():
+    classes = (enumerate_primitive_critical_portraits(2)
+               + enumerate_primitive_critical_portraits(3))
     rng = random.Random(133)
-    for p in _some_portraits(200):
-        max_shift = rng.randint(-1, 12)
-        assert (realized_relations(p, max_shift)
-                == _nested_loop_realized_relations(p, max_shift)), (p, max_shift)
+    for p in classes:
+        _assert_morphism_queries_match_the_recursive_search(p, p)
+        _assert_morphism_queries_match_the_recursive_search(p, _relabel(p, rng))
+    for p, q in itertools.product(classes[:9], repeat=2):
+        _assert_morphism_queries_match_the_recursive_search(p, q)
+    assert sum(len(automorphism_group(p)) for p in classes) == 313
+
+
+def test_morphism_queries_match_the_recursive_search_on_seeded_pairs():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        p, q, kind = _ledger_pair(rng)
+        for a, b in ((p, q), (q, p)):
+            _assert_morphism_queries_match_the_recursive_search(a, b)
+            outcomes.add((kind, isomorphic(a, b), bool(hom(a, b))))
+    assert {(0, True, True), (1, False, True), (1, False, False), (2, False, True),
+            (2, False, False), (3, False, True), (3, False, False)} <= outcomes
+
+
+def test_isolated_vertices_past_the_recursion_limit_meet_the_cap(monkeypatch):
+    # the recursive search raised RecursionError here after about 0.1 s; the
+    # stack meets the cap in about 0.3 s on a 2-vCPU VM
+    monkeypatch.setattr(portraits, "MORPHISM_CAP", 1000)
+    p = Portrait([f"v{i:04d}" for i in range(1100)], {})
+    with within(3):
+        with pytest.raises(PortraitError) as exc:
+            automorphism_group(p)
+    assert str(exc.value) == "more than 1000 morphisms"
+
+
+def test_relation_determined_matches_a_fresh_closure_at_every_shift():
+    verdicts = set()
+    for p in (enumerate_primitive_critical_portraits(2)
+              + enumerate_primitive_critical_portraits(3)):
+        s = sp_relations(p)
+        bound = shift_bound(p)
+        queries = [CriticalRelation(i, j, m, n)
+                   for i, j in itertools.product(sorted(p.crit), repeat=2)
+                   for m in range(bound + 1) for n in range(bound + 1)]
+        for system in [s] + [s[:k] + s[k + 1:] for k in range(len(s))]:
+            _, base, roots = portraits._closure(tuple(system),
+                                                Portrait(p.vertices, p.phi, p.weights))
+            for r in queries:
+                got = relation_determined(system, r, p)
+                assert got == (roots[base[r.i] + r.m] == roots[base[r.j] + r.n]), (p, r)
+                verdicts.add(got)
+    assert verdicts == {True, False}

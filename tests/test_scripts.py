@@ -136,6 +136,32 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
 
 
+@pytest.mark.parametrize("family,count", [("classes", 133), ("morphisms", 2000)])
+def test_ledger_check_passes_against_the_committed_digests(family, count):
+    doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
+    expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
+    assert f"{family} {count} {doc[family]['sha256']}\n" in expected
+    assert doc[family]["count"] == count
+
+
+def test_ledger_check_exits_1_naming_the_families_that_differ(tmp_path):
+    script = tmp_path / "ledger.py"
+    script.write_text((ROOT / "scripts" / "ledger.py").read_text(encoding="utf-8"),
+                      encoding="utf-8")
+    lines = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "ledger.expected").write_text(
+        "".join(f"{line.replace(' 133 ', ' 134 ')}\n" for line in lines), encoding="utf-8")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for family, code in (("classes", 1), ("morphisms", 0)):
+        proc = subprocess.run([sys.executable, str(script), "--family", family, "--check"],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == b""
+            assert proc.stderr == b"error: ledger differs from ledger.expected: classes\n"
+
+
 _MAP = {"degree": 2, "numerator": ["1", "0", "0"], "denominator": ["0", "0", "1"]}
 _POINTS = ["0", "inf"]
 _PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
@@ -158,8 +184,10 @@ _PORTRAIT = {"vertices": ["a", "b"], "map": {"a": "a", "b": "b"}}
                             "denominator": ["1", "0", "0"]}, _POINTS, _PORTRAIT], [], 1,
      "error: resultant vanishes"),
     ("ledger.py", [], ["--list", "-1"], 1, "error: --list must be nonnegative"),
+    ("ledger.py", [], ["--check", "--max-prime", "2"], 1,
+     "error: --check needs the default --max-prime 13"),
 ], ids=["find-missing", "find-phi", "find-degree", "find-bound", "scan-missing", "scan-phi",
-        "scan-points", "scan-resultant", "ledger-list"])
+        "scan-points", "scan-resultant", "ledger-list", "ledger-check-prime"])
 def test_scripts_report_bad_input_in_one_line(tmp_path, script, files, extra, code, message):
     paths = []
     for i, doc in enumerate(files):
