@@ -37,7 +37,7 @@ class Portrait:
     """Immutable weighted functional graph."""
 
     __slots__ = ("vertices", "domain", "phi", "weights",
-                 "_orbits", "_types", "_codes", "_canon", "_closures")
+                 "_peeled", "_codes", "_ends", "_canon", "_closures")
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
                  weights: Optional[Mapping[str, int]] = None):
@@ -64,7 +64,7 @@ class Portrait:
         object.__setattr__(self, "phi", dict(phi))
         object.__setattr__(self, "weights",
                           {k: w for k, w in weights.items() if w > 1})
-        for slot in ("_orbits", "_types", "_codes", "_canon", "_closures"):
+        for slot in ("_peeled", "_codes", "_ends", "_canon", "_closures"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -114,103 +114,121 @@ class Portrait:
 
     # -- orbits and periods ----------------------------------------------
 
-    def _orbit_table(self):
-        """Every vertex's orbit (a tuple) and preperiodic type, built in one pass."""
-        if self._orbits is None:
-            phi = self.phi
-            orbits = {v: (v,) for v in self.vertices if v not in phi}
-            types = dict.fromkeys(orbits)
-            for v in self.vertices:
-                path, pos, u = [], {}, v
-                while u not in orbits and u not in pos:
-                    pos[u] = len(path)
-                    path.append(u)
-                    u = phi[u]
-                if u in pos:  # the walk closed a new cycle
-                    cycle = path[pos[u]:]
-                    del path[pos[u]:]
-                    for k, c in enumerate(cycle):
-                        orbits[c] = tuple(cycle[k:] + cycle[:k])
-                        types[c] = PreperiodicType(0, len(cycle))
-                for w in reversed(path):
-                    nxt = phi[w]
-                    orbits[w] = (w,) + orbits[nxt]
-                    t = types[nxt]
-                    types[w] = None if t is None else PreperiodicType(t.preperiod + 1,
-                                                                       t.period)
-            object.__setattr__(self, "_orbits", orbits)
-            object.__setattr__(self, "_types", types)
-        return self._orbits, self._types
+    def _peel(self):
+        """The Kahn peel and the cycles, built in one pass.
 
-    def _code_table(self):
-        """Every vertex's in-tree code and the cycles, built in one pass.
-
-        Vertices are peeled in Kahn order from those without preimages.
-        A vertex's code is (weight, or 0 off the domain; sorted codes of
-        its peeled preimages), as in Aho-Hopcroft-Ullman tree
-        isomorphism, so a vertex is coded once its preimages are.  The
-        vertices never peeled are exactly the cycles; each is listed in
-        orbit order.
+        Vertices are peeled from those without preimages, each once its
+        preimages are, so the peel lists each vertex off the cycles before
+        its image.  The vertices never peeled are exactly the cycles; each
+        is listed in orbit order.  Orbit queries read this, not the codes,
+        whose nested tuples CPython compares recursively.
         """
-        if self._codes is None:
-            phi, weights = self.phi, self.weights
+        if self._peeled is None:
+            phi = self.phi
             unpeeled = {}       # vertex -> preimages not yet peeled
             for w in phi.values():
                 unpeeled[w] = unpeeled.get(w, 0) + 1
-            peeled = {}         # vertex -> codes of its peeled preimages
-            codes = {}
             peel = [v for v in self.vertices if v not in unpeeled]
             for v in peel:      # grows as vertices run out of unpeeled preimages
-                below = peeled.get(v)
-                codes[v] = code = (weights.get(v, 1) if v in phi else 0,
-                                   tuple(sorted(below)) if below else ())
                 w = phi.get(v)
                 if w is not None:
-                    peeled.setdefault(w, []).append(code)
                     unpeeled[w] -= 1
                     if not unpeeled[w]:
                         peel.append(w)
             cycles = []
             for v in self.vertices:
-                if v not in codes:
+                if unpeeled.get(v):
                     cycle = []
-                    while v not in codes:
-                        below = peeled.get(v)
-                        codes[v] = (weights.get(v, 1), tuple(sorted(below)) if below else ())
+                    while unpeeled[v]:
+                        unpeeled[v] = 0
                         cycle.append(v)
                         v = phi[v]
                     cycles.append(cycle)
+            object.__setattr__(self, "_peeled", (peel, cycles))
+        return self._peeled
+
+    def _code_table(self):
+        """Every vertex's in-tree code, coded in peel order, and the cycles.
+
+        A vertex's code is (weight, or 0 off the domain; sorted codes of
+        its peeled preimages), as in Aho-Hopcroft-Ullman tree isomorphism,
+        so the peel codes each vertex after its preimages.
+        """
+        if self._codes is None:
+            peel, cycles = self._peel()
+            phi, weights = self.phi, self.weights
+            below = {}          # vertex -> codes of its peeled preimages
+            codes = {}
+            for v in peel:
+                kids = below.get(v)
+                codes[v] = code = (weights.get(v, 1) if v in phi else 0,
+                                   tuple(sorted(kids)) if kids else ())
+                w = phi.get(v)
+                if w is not None:
+                    below.setdefault(w, []).append(code)
+            for cycle in cycles:
+                for v in cycle:
+                    kids = below.get(v)
+                    codes[v] = (weights.get(v, 1), tuple(sorted(kids)) if kids else ())
             object.__setattr__(self, "_codes", (codes, cycles))
         return self._codes
 
-    def orbit(self, v: str) -> list:
-        """Forward orbit: iterate phi until leaving the domain or closing a cycle."""
+    def _orbit_ends(self):
+        """Every vertex's (depth, end, place), from the peel walked backwards.
+
+        A vertex's orbit runs `depth` arrows to its end, a cycle or the
+        one-vertex list of the root where the orbit leaves the domain,
+        and arrives at the end's vertex `place`.  Walked backwards, the
+        peel meets each image before its preimages: a vertex is one arrow
+        deeper than its image, with the same end and place, and a root is
+        its own end at depth 0.
+        """
+        if self._ends is None:
+            peel, cycles = self._peel()
+            phi = self.phi
+            ends = {c: (0, cycle, k) for cycle in cycles for k, c in enumerate(cycle)}
+            for v in reversed(peel):
+                w = phi.get(v)
+                depth, end, place = (-1, [v], 0) if w is None else ends[w]
+                ends[v] = (depth + 1, end, place)
+            object.__setattr__(self, "_ends", ends)
+        return self._ends
+
+    def _locate(self, v: str) -> tuple:
         try:
-            return list(self._orbit_table()[0][v])
+            return self._orbit_ends()[v]
         except KeyError:
             raise PortraitError(f"{v!r} is not a vertex") from None
+
+    def orbit(self, v: str) -> list:
+        """Forward orbit: iterate phi until leaving the domain or closing a cycle."""
+        depth, end, place = self._locate(v)
+        phi = self.phi
+        out = [v]
+        for _ in range(depth):
+            out.append(phi[out[-1]])
+        if end[0] in phi:
+            out += end[place + 1:] + end[:place]
+        return out
 
     def preperiodic_type(self, v: str) -> Optional[PreperiodicType]:
         """(m, n) if v enters an n-cycle after m steps; None if the orbit escapes."""
-        try:
-            return self._orbit_table()[1][v]
-        except KeyError:
-            raise PortraitError(f"{v!r} is not a vertex") from None
+        depth, end, _ = self._locate(v)
+        return PreperiodicType(depth, len(end)) if end[0] in self.phi else None
 
     def step(self, v: str, m: int) -> Optional[str]:
         """phi^m(v), or None when some intermediate vertex has no out-arrow."""
-        orbits, types = self._orbit_table()
-        if v not in orbits:
-            raise PortraitError(f"{v!r} is not a vertex")
+        depth, end, place = self._locate(v)
         if m < 0:
             raise PortraitError(f"negative iterate count {m}")
-        path = orbits[v]
-        if m < len(path):
-            return path[m]
-        t = types[v]
-        if t is None:
+        if m < depth:
+            phi = self.phi
+            for _ in range(m):
+                v = phi[v]
+            return v
+        if m > depth and end[0] not in self.phi:
             return None
-        return path[t.preperiod + (m - t.preperiod) % t.period]
+        return end[(place + m - depth) % len(end)]
 
     # -- components -------------------------------------------------------
 
@@ -219,11 +237,15 @@ class Portrait:
 
         Every orbit ends at a root outside the domain or runs around a
         cycle, and each component holds exactly one root or one cycle, so
-        vertices are grouped by that end: the root, or the least vertex
-        of the cycle.  Grouping in sorted vertex order lists each
-        component sorted and the components by their smallest vertex.
+        vertices are grouped by that end (see `_orbit_ends`).  Grouping in
+        sorted vertex order lists each component sorted and the components
+        by their smallest vertex.
         """
-        return _components(self, *self._orbit_table())
+        ends = self._orbit_ends()
+        comps = {}
+        for v in sorted(self.vertices):
+            comps.setdefault(ends[v][1][0], []).append(v)
+        return list(comps.values())
 
     def component_has_cycle(self, comp: Iterable[str]) -> bool:
         return any(self.preperiodic_type(v) is not None for v in comp)
@@ -240,16 +262,6 @@ class Portrait:
                 raise PortraitError("restriction is not phi-closed")
         return Portrait(sorted(keep), phi,
                         {v: w for v, w in self.weights.items() if v in keep})
-
-
-def _components(p: Portrait, orbits: dict, types: dict) -> list:
-    """`Portrait.components` from the orbit table."""
-    comps = {}
-    for v in sorted(p.vertices):
-        t = types[v]
-        end = orbits[v][-1] if t is None else min(orbits[v][t.preperiod:])
-        comps.setdefault(end, []).append(v)
-    return list(comps.values())
 
 
 def _broken_rule(p1: Portrait, p2: Portrait, m: Mapping[str, str],
@@ -533,11 +545,8 @@ def portrait_statistics(p: Portrait) -> PortraitStatistics:
         indeg[w] += 1
     d_p = max(indeg.values(), default=0)
     counts = {n: 0 for n in range(1, len(p.vertices) + 1)}
-    types = p._orbit_table()[1]
-    for v in p.domain:
-        t = types[v]
-        if t is not None and t.preperiod == 0:
-            counts[t.period] += 1
+    for cycle in p._peel()[1]:
+        counts[len(cycle)] += len(cycle)
     return PortraitStatistics(
         max_preimage_count=d_p,
         exact_period_counts=counts,
@@ -550,10 +559,7 @@ def portrait_statistics(p: Portrait) -> PortraitStatistics:
 
 def critically_generated_subportrait(p: Portrait) -> Portrait:
     """Union of the forward orbits of the weight->=2 vertices."""
-    keep = set()
-    for c in p.crit:
-        keep.update(p.orbit(c))
-    return p.restrict(keep)
+    return p.restrict(_critical_orbits(p))
 
 
 def is_critically_generated(p: Portrait) -> bool:
@@ -562,15 +568,19 @@ def is_critically_generated(p: Portrait) -> bool:
     Orbits are phi-closed, so this is the same as the critically
     generated subportrait being p itself.
     """
-    return _covers(p, p._orbit_table()[0])
+    return len(_critical_orbits(p)) == len(p.vertices)
 
 
-def _covers(p: Portrait, orbits: dict) -> bool:
-    """Whether the orbits of the critical vertices hold every vertex."""
-    covered = set()
-    for c in p.weights:
-        covered.update(orbits[c])
-    return len(covered) == len(p.vertices)
+def _critical_orbits(p: Portrait) -> set:
+    """The vertices on the critical orbits.  Each orbit is walked until it
+    leaves the domain or meets a vertex already kept, whose orbit is kept
+    already, so every vertex is walked at most once."""
+    phi, keep = p.phi, set()
+    for v in p.weights:
+        while v is not None and v not in keep:
+            keep.add(v)
+            v = phi.get(v)
+    return keep
 
 
 def is_complete_critical(p: Portrait, d: int) -> bool:
@@ -666,33 +676,26 @@ def sp_relations(p: Portrait) -> list:
     and relates the first vertex that lies on an earlier critical orbit
     of its component, at that orbit's first index.  Failing that, its
     orbit closes its own cycle at step preperiod + period; the first
-    critical point of a cycle-free component does neither.  Produces
-    exactly T - zeta tuples, where T = #Crit and zeta = number of
-    cycle-free components.
+    critical point of a cycle-free component does neither.  So each walk
+    stops at the first vertex already walked, and every vertex is walked
+    at most once.  Produces exactly T - zeta tuples, where T = #Crit and
+    zeta = number of cycle-free components.
     """
-    orbits, types = p._orbit_table()
-    if not _covers(p, orbits):
-        raise PortraitError("portrait is not critically generated")
-    weights = p.weights
+    phi, weights = p.phi, p.weights
     relations = []
-    for comp in _components(p, orbits, types):
-        earlier = {}  # vertex -> (critical point, index) where it first occurs
+    earlier = {}  # vertex -> (critical point, index) where it first occurs
+    for comp in p.components():
         for c in comp:
-            if c not in weights:
-                continue
-            orbit = orbits[c]
-            for m, v in enumerate(orbit):
-                first = earlier.get(v)
-                if first is not None:
+            if c in weights:
+                v, m = c, 0
+                while v is not None and v not in earlier:
+                    earlier[v] = (c, m)
+                    v, m = phi.get(v), m + 1
+                if v is not None:
+                    first = earlier[v]
                     relations.append(CriticalRelation(c, first[0], m, first[1]))
-                    break
-            else:
-                t = types[c]
-                if t is not None:
-                    relations.append(CriticalRelation(c, c, t.preperiod + t.period,
-                                                      t.preperiod))
-            for n, v in enumerate(orbit):
-                earlier.setdefault(v, (c, n))
+    if len(earlier) != len(p.vertices):
+        raise PortraitError("portrait is not critically generated")
     return relations
 
 
@@ -711,12 +714,8 @@ def shift_bound(p: Portrait) -> int:
     every brute-force-enumerable relation stays queryable.
     """
     nv = len(p.vertices)
-    maxtype = 0
-    for v in p.vertices:
-        t = p.preperiodic_type(v)
-        if t is not None:
-            maxtype = max(maxtype, t.preperiod + 2 * t.period)
-    return max(maxtype + nv, 2 * nv)
+    return max([2 * nv] + [t.preperiod + 2 * t.period + nv
+                           for t in map(p.preperiodic_type, p.vertices) if t])
 
 
 def _closure(relations: tuple, p: Portrait) -> tuple:

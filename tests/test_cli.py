@@ -354,6 +354,52 @@ def test_aut_of_a_long_cycle_maps_each_cycle_at_once(capsys, tmp_path):
     assert json.loads(out) == {"order": 1500, "cyclic": True}
 
 
+def _sweep_portrait(shape, n):
+    """A portrait document of n vertices in one of the sweep's shapes."""
+    names = [f"v{i:06d}" for i in range(n)]
+    spine, teeth = names[:n // 2], names[n // 2:]
+    comb = dict(zip(spine, spine[1:]))
+    comb.update(zip(teeth, spine))
+    maps = {"chain": dict(zip(names, names[1:])),
+            "star": dict.fromkeys(names[1:], names[0]),
+            "comb": comb, "critical comb": comb, "isolated": {},
+            "cycle": dict(zip(names, names[1:] + names[:1]))}
+    doc = {"vertices": names, "map": maps[shape]}
+    if shape == "critical comb":
+        doc["weights"] = dict.fromkeys(teeth, 2)
+    return doc
+
+
+_SWEEP_COMMANDS = {"validate": [], "stats": [], "sp": [],
+                   "dim": ["--degree", "2", "--dim", "1"],
+                   "conditions": ["--degree", "2"],
+                   "nonempty": ["--degree", "2", "--dim", "1"],
+                   "frame": ["--degree", "2"]}
+
+
+# `portrait aut` is left out: `morphism_maps` numbers in-tree codes by
+# hashing nested tuples, which costs O(n^2) on a chain (ROADMAP item 14).
+# Only the chain has 10^5 vertices, to keep the sweep to a few seconds.
+@pytest.mark.parametrize("shape, size, refused", [
+    ("chain", 100_000, {"sp", "frame"}),
+    ("star", 20_000, {"sp", "frame"}),
+    ("comb", 20_000, {"sp", "frame"}),
+    ("critical comb", 20_000, {"nonempty", "frame"}),
+    ("isolated", 20_000, {"sp", "frame"}),
+    ("cycle", 20_000, {"sp", "dim", "conditions", "nonempty", "frame"}),
+])
+def test_portrait_commands_answer_in_linear_size(tmp_path, shape, size, refused):
+    portrait = write(tmp_path, "p.json", _sweep_portrait(shape, size))
+    for command, options in _SWEEP_COMMANDS.items():
+        with within(5):
+            code, out, err = _run_in_process(["portrait", command, portrait] + options)
+        assert code == (1 if command in refused else 0), (command, err)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(out)
+
+
 def test_mod_multipliers_over_the_cap(capsys, square_map):
     code, out = run_cli(capsys, "mod", "multipliers", square_map, "-n", "6")
     assert code == 1 and out == ""

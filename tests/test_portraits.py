@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -12,11 +13,13 @@ from portraitdyn import (CriticalRelation, Portrait, PortraitError,
                          enumerate_primitive_critical_portraits, frame, ge,
                          hom, is_complete_critical, is_critically_generated,
                          is_critically_primitive, is_subportrait, isomorphic,
-                         portrait_statistics, realized_relations,
-                         relation_determined, relation_holds, sp_relations)
+                         portrait_cycles, portrait_statistics,
+                         realized_relations, relation_determined, relation_holds,
+                         sp_relations)
 from portraitdyn import portraits
-from portraitdyn.portraits import (_broken_rule, _sizes, element_order, group_is_cyclic,
-                                   isomorphisms, morphism_maps, shift_bound)
+from portraitdyn.portraits import (PortraitStatistics, _broken_rule, _sizes,
+                                   element_order, group_is_cyclic, isomorphisms,
+                                   morphism_maps, shift_bound)
 
 
 # -- validation ----------------------------------------------------------
@@ -116,20 +119,38 @@ def test_orbit_returns_a_fresh_list():
     assert p.orbit("a") == ["a", "b"]
 
 
+def _direct_orbit(p, v):
+    """v's orbit and preperiodic type, walking phi one arrow at a time
+    until the walk leaves the domain or meets a vertex it has passed."""
+    path = [v]
+    while path[-1] in p.domain and p.phi[path[-1]] not in path:
+        path.append(p.phi[path[-1]])
+    if path[-1] not in p.domain:
+        return path, None
+    m = path.index(p.phi[path[-1]])
+    return path, PreperiodicType(m, len(path) - m)
+
+
+def _direct_step(p, v, m):
+    for _ in range(m):
+        if v not in p.domain:
+            return None
+        v = p.phi[v]
+    return v
+
+
+def _assert_orbit_queries_match_direct_walk(p):
+    for v in p.vertices:
+        path, t = _direct_orbit(p, v)
+        assert p.orbit(v) == path, (p, v)
+        assert p.preperiodic_type(v) == t, (p, v)
+        for m in range(2 * len(p.vertices) + 3):
+            assert p.step(v, m) == _direct_step(p, v, m), (p, v, m)
+
+
 @given(portrait_strategy())
 def test_orbit_table_matches_direct_walk(p):
-    for v in p.vertices:
-        path = [v]
-        while path[-1] in p.domain and p.phi[path[-1]] not in path:
-            path.append(p.phi[path[-1]])
-        assert p.orbit(v) == path
-        if path[-1] not in p.domain:
-            assert p.preperiodic_type(v) is None
-            assert p.step(v, len(path)) is None
-        else:
-            m = path.index(p.phi[path[-1]])
-            assert p.preperiodic_type(v) == PreperiodicType(m, len(path) - m)
-            assert p.step(v, len(path)) == path[m]
+    _assert_orbit_queries_match_direct_walk(p)
 
 
 # -- morphisms, automorphisms, ordering -----------------------------------
@@ -319,6 +340,21 @@ def test_statistics_four_fixed_points():
     assert st.max_preimage_count == 1
     assert st.exact_period_counts[1] == 4
     assert st.zeta == 0
+
+
+def test_statistics_memory_grows_linearly_on_a_chain():
+    # linear growth gives 8 times the peak, quadratic growth 64
+    peaks = []
+    for n in (1000, 8000):
+        names = [f"v{i:04d}" for i in range(n)]
+        p = Portrait(names, dict(zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            assert portrait_statistics(p).zeta == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 16 * peaks[0], peaks
 
 
 def test_statistics_shared_image():
@@ -516,9 +552,12 @@ def test_isomorphic_agrees_with_backtracking(p, q):
 # -- the code table against the constructions it replaced -------------------
 
 def _orbit_table_canonical_form(p):
-    """The canonical form built from the orbit table: codes assigned by
-    decreasing height, cycles read off the orbits."""
-    orbits, types = p._orbit_table()
+    """The canonical form built from a table of orbits walked directly
+    along phi: codes assigned by decreasing height, cycles read off the
+    orbits."""
+    orbits, types = {}, {}
+    for v in p.vertices:
+        orbits[v], types[v] = _direct_orbit(p, v)
     on_cycle = {v for v, t in types.items() if t is not None and t.preperiod == 0}
     children = {v: [] for v in p.vertices}
     for v, w in p.phi.items():
@@ -589,6 +628,7 @@ def test_canonical_form_matches_the_orbit_table_on_every_enumerated_candidate():
         enumerate_primitive_critical_portraits(3)
     candidates = [call.args[0] for call in spy.call_args_list]
     assert len(candidates) == 4364
+    assert all(p._ends is None for p in candidates)     # no orbit data was paid for
     for p in candidates:
         assert canonical_form(p) == _orbit_table_canonical_form(p), p
 
@@ -602,9 +642,13 @@ def test_canonical_form_matches_the_orbit_table_on_random_weighted_portraits():
 
 def test_canonical_form_builds_no_orbit_table():
     p = Portrait("abcdef", {"a": "b", "b": "c", "c": "a", "d": "a", "e": "f"}, {"d": 2})
-    assert canonical_form(p) == _orbit_table_canonical_form(
-        Portrait(p.vertices, p.phi, p.weights))
-    assert p._orbits is None and p._types is None
+    assert canonical_form(p) == _orbit_table_canonical_form(p)
+    assert p._ends is None
+    # nor do orbit queries build codes, whose comparison recurses
+    q = Portrait(p.vertices, p.phi, p.weights)
+    assert q.orbit("d") == ["d", "a", "b", "c"] and q.components() == [list("abcd"), ["e", "f"]]
+    assert portrait_statistics(q).exact_period_counts[3] == 3
+    assert q._codes is None and q._canon is None
 
 
 def test_morphism_maps_match_the_sorted_order_search():
@@ -766,21 +810,23 @@ def _reference_components(p):
 
 def _reference_sp_relations(p):
     """The minimal relation system by stepping each critical point one
-    shift at a time and scanning the critical orbits for the image."""
+    shift at a time and scanning the critical orbits for the image, all
+    walked directly along phi."""
     relations = []
     for comp in _reference_components(p):
         crits = sorted(v for v in comp if v in p.crit)
         assert crits, "component without a critical point"
-        has_cycle = any(p.preperiodic_type(v) is not None for v in comp)
-        first_index = {c: {v: i for i, v in enumerate(p.orbit(c))} for c in crits}
+        has_cycle = any(_direct_orbit(p, v)[1] is not None for v in comp)
+        first_index = {c: {v: i for i, v in enumerate(_direct_orbit(p, c)[0])}
+                       for c in crits}
         for idx, ci in enumerate(crits):
             if idx == 0 and not has_cycle:
                 continue
-            t = p.preperiodic_type(ci)
-            limit = t.preperiod + t.period if t else len(p.orbit(ci)) - 1
+            path, t = _direct_orbit(p, ci)
+            limit = t.preperiod + t.period if t else len(path) - 1
             chosen = None
             for m in range(limit + 1):
-                target = p.step(ci, m)
+                target = _direct_step(p, ci, m)
                 for cj in crits[:idx + 1]:
                     occ = first_index[cj].get(target)
                     if occ is not None and (cj != ci or occ < m):
@@ -793,6 +839,24 @@ def _reference_sp_relations(p):
     return relations
 
 
+def _reference_statistics(p):
+    types = {v: _direct_orbit(p, v)[1] for v in p.vertices}
+    preimages = [sum(1 for u in p.domain if p.phi[u] == v) for v in p.vertices]
+    return PortraitStatistics(
+        max_preimage_count=max(preimages, default=0),
+        exact_period_counts={n: sum(1 for t in types.values() if t == (0, n))
+                             for n in range(1, len(p.vertices) + 1)},
+        zeta=len(p.vertices) - len(p.domain),
+        weight_total=sum(p.weight(v) for v in p.domain),
+        crit_set=tuple(sorted(v for v in p.domain if p.weight(v) >= 2)))
+
+
+def _reference_shift_bound(p):
+    nv = len(p.vertices)
+    types = [_direct_orbit(p, v)[1] for v in p.vertices]
+    return max([2 * nv] + [t.preperiod + 2 * t.period + nv for t in types if t])
+
+
 def test_components_and_sp_relations_match_the_references():
     classes = (enumerate_primitive_critical_portraits(2)
                + enumerate_primitive_critical_portraits(3))
@@ -801,8 +865,30 @@ def test_components_and_sp_relations_match_the_references():
     for p in classes + generated:
         assert p.components() == _reference_components(p), p
         assert sp_relations(p) == _reference_sp_relations(p), p
-    for p in _some_portraits(300):
+    outcomes, periodic = set(), 0
+    for p in classes + generated + _some_portraits(300):
         assert p.components() == _reference_components(p), p
+        _assert_orbit_queries_match_direct_walk(p)
+        assert portrait_statistics(p) == _reference_statistics(p), p
+        assert shift_bound(p) == _reference_shift_bound(p), p
+        keep = set()
+        for c in p.crit:
+            keep.update(_direct_orbit(p, c)[0])
+        sub = Portrait(sorted(keep), {v: p.phi[v] for v in keep if v in p.domain},
+                       {v: p.weights[v] for v in keep & p.crit})
+        got = critically_generated_subportrait(p)
+        assert got == sub and got.vertices == sub.vertices, p
+        assert is_critically_generated(p) == (keep == set(p.vertices)), p
+        outcomes.add(is_critically_generated(p))
+        types = [_direct_orbit(p, v)[1] for v in p.vertices]
+        if all(t is not None and t.preperiod == 0 for t in types):
+            periodic += 1
+            assert portrait_cycles(p) == [tuple(_direct_orbit(p, comp[0])[0])
+                                          for comp in _reference_components(p)], p
+        else:
+            with pytest.raises(PortraitError, match="not a disjoint union of cycles"):
+                portrait_cycles(p)
+    assert outcomes == {True, False} and periodic > 20
 
 
 def test_relation_determined_reflexive_cases():
