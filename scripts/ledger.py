@@ -41,8 +41,9 @@ Each family is a list of text lines, one per answer:
   maps    a map drawn from random.Random("maps/<seed>") for seeds
           0..MAP_SEEDS-1 (see seeded_map), of degree 2 or 3, and
           its dynatomic forms for n = 1, 2, 3, its rational cycles of
-          period 1 and 2 (points in orbit order), and the rational roots
-          of its critical form with multiplicities.
+          period 1 and 2 (points in orbit order) and the exact multiplier
+          of each (RationalMap.cycle_multiplier over Q), and the rational
+          roots of its critical form with multiplicities.
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
@@ -231,9 +232,11 @@ def maps_lines():
         dynatomic = [answer(lambda: f.dynatomic(n)) for n in (1, 2, 3)]
         cycles = [answer(lambda: [" ".join(map(str, c)) for c in rational_cycles(f, n)])
                   for n in (1, 2)]
+        multipliers = [answer(lambda: [str(f.cycle_multiplier(c[0], n))
+                                       for c in rational_cycles(f, n)]) for n in (1, 2)]
         critical = answer(lambda: [(str(q), m) for q, m in f.critical_divisor()[1]])
         yield (f"{seed} {f.f0} {f.f1}: dynatomic={dynatomic} cycles={cycles} "
-               f"critical={critical}")
+               f"multipliers={multipliers} critical={critical}")
 
 
 def ledger(family, listed, max_prime, check):

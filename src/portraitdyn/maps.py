@@ -47,6 +47,14 @@ def check_power(d: int, k: int, cap: int, what: str = "degree") -> None:
         raise MapError(f"{what} {d ** k} exceeds cap {cap}")
 
 
+def check_prime(f: RationalMap, prime: int) -> None:
+    """Refuse a `prime` that is not prime, then a prime of bad reduction."""
+    if not forms.is_prime(prime):
+        raise MapError(f"{prime} is not prime")
+    if f.resultant % prime == 0:
+        raise MapError(f"map does not reduce to a morphism mod {prime}")
+
+
 class RationalMap:
     """Normalized primitive-integer model of a degree-d endomorphism of P^1."""
 
@@ -252,27 +260,47 @@ class RationalMap:
         jac = forms.evaluate(forms.jacobian(self.f0, self.f1), alpha, 1)
         return Fraction(jac, self.degree * qa * qa)
 
-    def cycle_multiplier(self, p: ProjectivePoint, n: int) -> Fraction:
+    def cycle_multiplier(self, p: ProjectivePoint, n: int, prime: int = 0):
         """Multiplier of f^n at a point p with f^n(p) = p, n >= 1 (for p of
-        exact period m, the m-cycle multiplier to the power n / m).
+        exact period m, the m-cycle multiplier to the power n / m): a
+        Fraction over Q, or with `prime` the residue mod p of the reduced
+        map's multiplier at the reduced point, p a prime of good reduction.
 
         No chart is needed: with orbit points in primitive coordinates and
-        f(Q) = c Q', Q' the next one, J(Q) / (d c^2) is the derivative of f
+        f(Q) = c Q', Q' the next one, (J/d)(Q) / c^2 is the derivative of f
         in the tangent coordinates that Q and Q' fix, J the Jacobian form
-        of (f0, f1); around the cycle those coordinates cancel."""
+        of (f0, f1); around the cycle those coordinates cancel.  J is never
+        built: by Euler's identity y (J/d)(x, y) = dX f0 f1 - f0 dX f1, one
+        Horner pass, and (J/d)(1, 0) = a0 b1 - a1 b0.  J/d is an integer
+        form, so its residues are exact also where p divides d."""
         if n < 1:
             raise MapError("period must be positive")
-        jac = forms.jacobian(self.f0, self.f1)
-        lam, q = Fraction(1), p
+        x, y = p
+        if prime:
+            check_prime(self, prime)
+            x, y = (x * pow(y, -1, prime) % prime, 1) if y % prime else (1, 0)
+        f0, f1 = self.f0, self.f1
+        start, num, den = (x, y), 1, 1
         for _ in range(n):
-            fx, fy = forms.evaluate(self.f0, q.x, q.y), forms.evaluate(self.f1, q.x, q.y)
-            image = ProjectivePoint.of(fx, fy)
-            c = fx // image.x if image.x else fy // image.y
-            lam *= Fraction(forms.evaluate(jac, q.x, q.y), self.degree * c * c)
-            q = image
-        if q != p:
+            a = b = da = db = 0
+            t = 1
+            for s, r in zip(f0, f1):        # Horner for f0, f1 and their X-derivatives
+                da, db = da * x + a, db * x + b
+                a, b = a * x + s * t, b * x + r * t
+                t *= y
+            num *= da * b - a * db if y else f0[0] * f1[1] - f0[1] * f1[0]
+            den *= y or 1
+            if prime:       # f(Q) = (a : b) is c (a/b : 1), or c (1 : 0) when b = 0
+                a, b = a % prime, b % prime
+                x, y, c = (a * pow(b, -1, prime) % prime, 1, b) if b else (1, 0, a)
+                num, den = num % prime, den * c * c % prime
+            else:
+                x, y = ProjectivePoint.of(a, b)
+                c = a // x if x else b // y
+                den *= c * c
+        if (x, y) != start:
             raise MapError("point is not n-periodic")
-        return lam
+        return num * pow(den, -1, prime) % prime if prime else Fraction(num, den)
 
 
 # -- portrait models ----------------------------------------------------

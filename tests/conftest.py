@@ -11,7 +11,7 @@ import sympy
 from hypothesis import strategies as st
 
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
-                         critically_generated_subportrait, forms, moduli, nu)
+                         critically_generated_subportrait, forms, moduli, nu, reduction)
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -72,6 +72,47 @@ def multiplicity_probes(rng: random.Random, count: int):
         points.update(q for q, _ in f.critical_divisor()[1])
         points.update(ProjectivePoint.of(x, y) for (x, y), _ in forms.rational_roots(f.f1))
         out.append((f, sorted(points)))
+    return out
+
+
+def chart_cycle_multiplier(f, p, n):
+    """The multiplier by the chain rule in an affine chart: conjugate f by
+    the first of the identity, the swap and (c, 1, 1, 0), (-c, 1, 1, 0),
+    c = 1, 2, ..., that sends infinity off the cycle, and multiply the
+    affine derivatives of the conjugate along the moved cycle."""
+    cycle = f.orbit(p, n - 1)
+    assert f.evaluate(cycle[-1]) == p
+    charts = [(1, 0, 0, 1), (0, 1, 1, 0)]
+    charts += [(s * c, 1, 1, 0) for c in range(1, n + 1) for s in (1, -1)]
+    a, b, c, d = next(m for m in charts if ProjectivePoint.of(m[0], m[2]) not in cycle)
+    g = f.conjugate((a, b, c, d))
+    lam = Fraction(1)
+    for q in cycle:
+        lam *= g.affine_derivative(q.apply_matrix(d, -b, -c, a).to_affine())
+    return lam
+
+
+def reduced_cycle(f: RationalMap, point, prime: int) -> list:
+    """The cycle of the reduced map on P^1(F_p) through a point (x, y),
+    (x : 1) with 0 <= x < p or (1 : 0), walked by evaluating f0 and f1:
+    pairs ((x, y), (u, v)) in orbit order, a point and the values of f0
+    and f1 at it mod p."""
+    cycle = []
+    q = point
+    while not cycle or q != point:
+        u, v = forms.evaluate(f.f0, *q) % prime, forms.evaluate(f.f1, *q) % prime
+        cycle.append((q, (u, v)))
+        q = (u * pow(v, -1, prime) % prime, 1) if v else (1, 0)
+    return cycle
+
+
+def reduced_cycles(f: RationalMap, prime: int) -> list:
+    """The cycles of `reduction._reduced_table`, each walked by
+    `reduced_cycle` from the point the table gives, of the length it gives."""
+    out = []
+    for i, m in reduction._reduced_table(f, prime):
+        out.append(reduced_cycle(f, (i, 1) if i < prime else (1, 0), prime))
+        assert len(out[-1]) == m, (f, prime, i, m)
     return out
 
 

@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (invertible_matrix_strategy, multiplicity_probes,
-                      random_rational_map, reference_multiplicity)
+from conftest import (chart_cycle_multiplier, invertible_matrix_strategy,
+                      multiplicity_probes, random_rational_map, reference_multiplicity)
 from portraitdyn import (DomainError, MapError, Model, ModelFailure, Portrait,
                          PreperiodicType, ProjectivePoint, RationalMap,
                          extract_portrait, hom, nu, pullback_model,
@@ -355,21 +355,21 @@ def test_cycle_multiplier_needs_a_positive_period():
     assert Z_SQUARED.cycle_multiplier(aff(1), 2) == 4
 
 
-def chart_cycle_multiplier(f, p, n):
-    """The multiplier by the chain rule in an affine chart: conjugate f by
-    the first of the identity, the swap and (c, 1, 1, 0), (-c, 1, 1, 0),
-    c = 1, 2, ..., that sends infinity off the cycle, and multiply the
-    affine derivatives of the conjugate along the moved cycle."""
-    cycle = f.orbit(p, n - 1)
-    assert f.evaluate(cycle[-1]) == p
-    charts = [(1, 0, 0, 1), (0, 1, 1, 0)]
-    charts += [(s * c, 1, 1, 0) for c in range(1, n + 1) for s in (1, -1)]
-    a, b, c, d = next(m for m in charts if ProjectivePoint.of(m[0], m[2]) not in cycle)
-    g = f.conjugate((a, b, c, d))
-    lam = Fraction(1)
-    for q in cycle:
-        lam *= g.affine_derivative(q.apply_matrix(d, -b, -c, a).to_affine())
-    return lam
+def test_cycle_multiplier_mod_p_refuses_what_reduction_refuses():
+    # z^2 mod 5 fixes 1 with multiplier 2, and 6 = 1, and infinity = 3/5
+    # with multiplier 0; 2 -> 4 -> 1 is not periodic.  The refusals are
+    # those of reduction.admits_period
+    assert Z_SQUARED.cycle_multiplier(aff(1), 1, 5) == 2
+    assert Z_SQUARED.cycle_multiplier(aff(6), 3, 5) == 8 % 5
+    assert Z_SQUARED.cycle_multiplier(ProjectivePoint.of(3, 5), 1, 5) == 0
+    for prime, message in ((9, "9 is not prime"), (1, "1 is not prime"),
+                           (-3, "-3 is not prime")):
+        with pytest.raises(MapError, match=f"^{message}$"):
+            Z_SQUARED.cycle_multiplier(aff(1), 1, prime)
+    with pytest.raises(MapError, match="^map does not reduce to a morphism mod 3$"):
+        RationalMap([1, 0, 0], [0, 0, 3]).cycle_multiplier(aff(0), 1, 3)
+    with pytest.raises(MapError, match="not n-periodic"):
+        Z_SQUARED.cycle_multiplier(aff(2), 2, 5)
 
 
 def test_cycle_multiplier_matches_the_chart_chain_rule():

@@ -3,11 +3,12 @@ import random
 import pytest
 import sympy
 
-from conftest import multiplicity_probes, random_rational_map, reference_multiplicity, within
+from conftest import (chart_cycle_multiplier, multiplicity_probes, random_rational_map,
+                      reduced_cycle, reduced_cycles, reference_multiplicity, within)
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          admits_period, extract_portrait, forms, good_reduction,
                          multiplicity_mod_p, periods_mod_p, reduction, search)
-from portraitdyn.reduction import reduce_point
+from portraitdyn.reduction import TABLE_PRIME_CAP, reduce_point
 from portraitdyn.search import rational_cycles
 
 Z2_MINUS_1 = RationalMap.polynomial([1, 0, -1])
@@ -229,7 +230,8 @@ def test_cycle_multiplier_order_decides_admission(coeffs, prime, admitted):
 def test_multiplier_mod_p_matches_cycle_multiplier():
     # every rational 1-, 2- and 3-cycle of seeded maps, at each good prime
     # p <= 23 where the cycle keeps its period and p does not divide the
-    # denominator of its multiplier
+    # denominator of its multiplier: the multiplier over F_p is the chart
+    # multiplier over Q, reduced
     rng = random.Random(43)
     maps = [Z2_MINUS_1, RationalMap.from_affine([1], [1, 0, 0]),
             RationalMap.polynomial([16, 0, -29]), RationalMap.polynomial([1, 0, -1, 0]),
@@ -249,18 +251,15 @@ def test_multiplier_mod_p_matches_cycle_multiplier():
     for f in maps:
         for n in (1, 2, 3):
             for cycle in rational_cycles(f, n):
-                lam = f.cycle_multiplier(cycle[0], n)
+                lam = chart_cycle_multiplier(f, cycle[0], n)
                 for prime in sympy.primerange(2, 24):
                     if f.resultant % prime == 0 or lam.denominator % prime == 0:
                         continue
-                    start = reduce_point(cycle[0], prime)
-                    reduced = next(c for c in reduction._reduced_cycles(f, prime)
-                                   if start in [q for q, _ in c])
+                    reduced = reduced_cycle(f, reduce_point(cycle[0], prime), prime)
                     if len(reduced) != n:
                         continue
                     want = lam.numerator * pow(lam.denominator, -1, prime) % prime
-                    assert reduction._multiplier_mod_p(f, reduced, prime) == want, (
-                        f, cycle, prime)
+                    assert f.cycle_multiplier(cycle[0], n, prime) == want, (f, cycle, prime)
                     seen["inf"] += any(q.is_infinity for q in cycle)
                     seen["n>1"] += n > 1
                     seen["zero"] += want == 0
@@ -277,8 +276,9 @@ def _jacobian_over_d(f):
 
 
 def _multiplier_by_jacobian(jac, cycle, prime):
-    """Oracle for `reduction._multiplier_mod_p`, given J/d: its value at
-    each cycle point over c^2 mod p, where f(Q) = c Q'."""
+    """Oracle for `RationalMap.cycle_multiplier` over F_p on a cycle of
+    `reduced_cycle`, given J/d: its value at each cycle point over c^2
+    mod p, where f(Q) = c Q'."""
     lam = 1
     for (x, y), (u, v) in cycle:
         lam = lam * forms.evaluate(jac, x, y) * pow(v or u, -2, prime) % prime
@@ -294,17 +294,25 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     grid = [(f, p) for f in maps for p in (2, 3, 5, 7, 11, 13) if f.resultant % p]
     seen = {"inf": 0, "d=p=2": 0, "d=p=3": 0, "n>1": 0}
     for f, p in grid:
-        for cycle in reduction._reduced_cycles(f, p):
-            assert (reduction._multiplier_mod_p(f, cycle, p)
+        for cycle in reduced_cycles(f, p):
+            assert (f.cycle_multiplier(ProjectivePoint.of(*cycle[0][0]), len(cycle), p)
                     == _multiplier_by_jacobian(jacobians[f], cycle, p)), (f, p, cycle)
             seen["inf"] += any(y == 0 for (x, y), _ in cycle)
             if f.degree == p:
                 seen[f"d=p={p}"] += 1
             seen["n>1"] += len(cycle) > 1
     verdicts = [admits_period(f, n, p) for f, p in grid for n in range(2, 9)]
-    monkeypatch.setattr(reduction, "_multiplier_mod_p",
-                        lambda f, cycle, p: _multiplier_by_jacobian(jacobians[f], cycle, p))
+
+    def by_jacobian(f, q, n, prime=0):
+        cycle = reduced_cycle(f, reduce_point(q, prime), prime)
+        assert len(cycle) == n
+        called.append(n)
+        return _multiplier_by_jacobian(jacobians[f], cycle, prime)
+
+    called = []
+    monkeypatch.setattr(RationalMap, "cycle_multiplier", by_jacobian)
     assert [admits_period(f, n, p) for f, p in grid for n in range(2, 9)] == verdicts
+    assert called
     assert len(maps) == 240 + 2248 and 0 < sum(verdicts) < len(verdicts)
     assert all(seen.values()), seen
 
@@ -321,12 +329,21 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     (lambda: periods_mod_p(Z2_MINUS_1, 0), "0 is not prime"),
     (lambda: admits_period(RationalMap([1, 0, 0], [0, 0, 3]), 2, 3),
      "map does not reduce to a morphism mod 3"),
+    # a table of p + 1 entries took 1.6 s at p = 1,000,003 and would need
+    # 10^12 entries at the prime below 10^12
+    (lambda: admits_period(Z2_MINUS_1, 2, TABLE_PRIME_CAP + 3),
+     f"prime {TABLE_PRIME_CAP + 3} exceeds cap {TABLE_PRIME_CAP}"),
+    (lambda: periods_mod_p(Z2_MINUS_1, 999_999_999_989),
+     f"prime 999999999989 exceeds cap {TABLE_PRIME_CAP}"),
+    (lambda: periods_mod_p(RationalMap([1, 0, 0], [0, 0, 1_000_003]), 1_000_003),
+     "map does not reduce to a morphism mod 1000003"),
     # the multiplicity over Z/9 was 2 at 0, and a ValueError at 1/3
     (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), 9), "9 is not prime"),
     (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.of(1, 3), 9), "9 is not prime"),
     (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), -3), "-3 is not prime"),
 ], ids=["n=0", "n<0", "n=0,p=9", "p=9", "p=-3", "p=1", "periods-p=9", "periods-p=-3",
-        "periods-p=0", "bad-reduction", "multiplicity-p=9", "multiplicity-p=9-at-1/3",
+        "periods-p=0", "bad-reduction", "p>cap", "periods-p>cap", "periods-bad-p>cap",
+        "multiplicity-p=9", "multiplicity-p=9-at-1/3",
         "multiplicity-p=-3"])
 def test_screen_refuses_bad_arguments_before_any_work(monkeypatch, call, message):
     # n = 0 used to loop forever on k % p == 0, and a non-prime p gave an
@@ -374,7 +391,8 @@ def _list_of_cycles(f, prime):
 
 def _admits_by_list_of_cycles(f, cycles, n, prime):
     """The parent admits_period over `_list_of_cycles`: every cycle comes
-    with its points and values, and the rule is checked cycle by cycle."""
+    with its points and values, and the rule is checked cycle by cycle,
+    each multiplier taken from the Jacobian form."""
     for cycle in cycles:
         m = len(cycle)
         if n % m:
@@ -386,7 +404,8 @@ def _admits_by_list_of_cycles(f, cycles, n, prime):
             k //= prime
         if (prime - 1) % k:
             continue
-        if reduction._order(reduction._multiplier_mod_p(f, cycle, prime), prime) == k:
+        lam = _multiplier_by_jacobian(_jacobian_over_d(f), cycle, prime)
+        if reduction._order(lam, prime) == k:
             return True
     return False
 
@@ -403,7 +422,7 @@ def test_screen_verdicts_match_the_list_of_cycles_oracle():
             if f.resultant % p == 0:
                 continue
             cycles = _list_of_cycles(f, p)
-            assert reduction._reduced_cycles(f, p) == cycles, (f, p)
+            assert reduced_cycles(f, p) == cycles, (f, p)
             assert periods_mod_p(f, p) == {len(c) for c in cycles}
             for n in range(1, 9):
                 want = _admits_by_list_of_cycles(f, cycles, n, p)
@@ -424,11 +443,11 @@ def test_screen_computes_a_multiplier_only_where_r_can_divide_p_minus_1(monkeypa
     # points would need r = 8, which cannot divide 4
     computed = []
 
-    def counting(f, cycle, prime):
-        computed.append(cycle)
-        return multiplier(f, cycle, prime)
+    def counting(f, q, m, prime=0):
+        computed.append((q, m))
+        return multiplier(f, q, m, prime)
 
-    multiplier = reduction._multiplier_mod_p
-    monkeypatch.setattr(reduction, "_multiplier_mod_p", counting)
+    multiplier = RationalMap.cycle_multiplier
+    monkeypatch.setattr(RationalMap, "cycle_multiplier", counting)
     assert admits_period(Z2_MINUS_1, n, 5) == (n in (1, 2, 5))
     assert len(computed) == multipliers

@@ -127,16 +127,18 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert doc["maps"]["count"] == 400
     assert doc["maps"]["lines"][1].startswith(
         "1 (9, 4, -6, 3) (0, 6, 0, 5): dynatomic=[(0, 3, 4, -11, 3), (1215, ")
-    assert doc["maps"]["lines"][1].endswith(" cycles=[['inf'], []] critical=[]")
+    assert doc["maps"]["lines"][1].endswith(
+        " cycles=[['inf'], []] multipliers=[['2/3'], []] critical=[]")
+    refusal = f"'error: cannot factor 99686661755331800730472576: exceeds cap {forms.FACTOR_CAP}'"
     assert doc["maps"]["lines"][0].endswith(
-        " cycles=[[], 'error: cannot factor 99686661755331800730472576: exceeds cap "
-        f"{forms.FACTOR_CAP}'] critical=[]")
+        f" cycles=[[], {refusal}] multipliers=[[], {refusal}] critical=[]")
     one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
                                  "--list", "1"))
     assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
 
 
-@pytest.mark.parametrize("family,count", [("classes", 133), ("morphisms", 2000)])
+@pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
+                                          ("morphisms", 2000), ("maps", 400)])
 def test_ledger_check_passes_against_the_committed_digests(family, count):
     doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")

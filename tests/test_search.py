@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import within
+from conftest import reduced_cycle, within
 from portraitdyn import (MapError, Model, Portrait, PortraitError, RationalMap, forms,
                          portrait_cycles, rational_cycles, reduction, search,
                          search_periodic_model, verify_model)
@@ -159,9 +159,9 @@ def test_reduction_screen_passes_maps_with_a_rational_cycle(pair, n):
 
 def test_collapsed_four_cycle_passes_by_its_multiplier_order():
     f = RationalMap(*CYCLE_FIXTURES[3][0])
-    [cycle] = reduction._reduced_cycles(f, 3)
-    assert [q for q, _ in cycle] == [(0, 1), (1, 1)]
-    assert reduction._multiplier_mod_p(f, cycle, 3) == 3 - 1
+    assert reduction._reduced_table(f, 3) == [(0, 2)]
+    assert [q for q, _ in reduced_cycle(f, (0, 1), 3)] == [(0, 1), (1, 1)]
+    assert f.cycle_multiplier(ProjectivePoint.affine(0), 2, 3) == 3 - 1
     assert reduction.admits_period(f, 4, 3) and not reduction.admits_period(f, 8, 3)
 
 
