@@ -40,10 +40,11 @@ Each family is a list of text lines, one per answer:
           one more arrow, or another random portrait.
   maps    a map drawn from random.Random("maps/<seed>") for seeds
           0..MAP_SEEDS-1 (see seeded_map), of degree 2 or 3, and
-          its dynatomic forms for n = 1, 2, 3, its rational cycles of
-          period 1 and 2 (points in orbit order) and the exact multiplier
-          of each (RationalMap.cycle_multiplier over Q), and the rational
-          roots of its critical form with multiplicities.
+          its dynatomic forms for n = 1, 2, 3, its critical form
+          (RationalMap.wronskian), its rational cycles of period 1 and 2
+          (points in orbit order) and the exact multiplier of each
+          (RationalMap.cycle_multiplier over Q), and the rational roots
+          of its critical form with multiplicities.
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
@@ -235,8 +236,8 @@ def maps_lines():
         multipliers = [answer(lambda: [str(f.cycle_multiplier(c[0], n))
                                        for c in rational_cycles(f, n)]) for n in (1, 2)]
         critical = answer(lambda: [(str(q), m) for q, m in f.critical_divisor()[1]])
-        yield (f"{seed} {f.f0} {f.f1}: dynatomic={dynatomic} cycles={cycles} "
-               f"multipliers={multipliers} critical={critical}")
+        yield (f"{seed} {f.f0} {f.f1}: dynatomic={dynatomic} wronskian={f.wronskian()} "
+               f"cycles={cycles} multipliers={multipliers} critical={critical}")
 
 
 def ledger(family, listed, max_prime, check):

@@ -9,9 +9,9 @@ which every root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only; integerize is the one place that clears denominators, and
 callers with rational coefficients go through it first.  add, sub, mul,
-scale, evaluate and jacobian stay generic and also run on Fractions.
-The integer helpers is_prime, divisors and mobius_pairs live here too,
-up to FACTOR_CAP."""
+scale and evaluate stay generic and also run on Fractions.  The integer
+helpers is_prime, divisors and mobius_pairs live here too, up to
+FACTOR_CAP."""
 
 from __future__ import annotations
 
@@ -80,21 +80,6 @@ def derivative_x(f: Form) -> Form:
     if d == 0:
         return (0,)
     return tuple((d - i) * f[i] for i in range(d))
-
-
-def derivative_y(f: Form) -> Form:
-    d = degree(f)
-    if d == 0:
-        return (0,)
-    return tuple(i * f[i] for i in range(1, d + 1))
-
-
-def jacobian(f: Form, g: Form) -> Form:
-    """The Jacobian determinant dX f * dY g - dY f * dX g of two forms of
-    degree D.  By Euler's identity Y J = D (dX f * g - f * dX g), so at
-    Y = 1 it is D times the numerator of the derivative of f / g."""
-    return sub(mul(derivative_x(f), derivative_y(g)),
-               mul(derivative_y(f), derivative_x(g)))
 
 
 def content(f: Form) -> int:
@@ -272,10 +257,10 @@ def rational_roots(f: Form) -> list:
     candidate is tested by homogeneous Horner at (x, y), and the form is
     deflated by yX - xY only at a root.  A residual of degree 1 or 2 is
     solved in closed form: its linear root, or the roots of a quadratic
-    from the integer square root of its discriminant.  Raises FormError
-    when the leading or the constant coefficient of the primitive part, Y
-    and X factors removed, exceeds FACTOR_CAP in absolute value, whatever
-    the degree, so a form the closed form would solve is refused too.
+    from the integer square root of its discriminant, with no factoring.
+    Raises FormError when a residual of degree 3 or more has a leading or
+    constant coefficient past FACTOR_CAP in absolute value, which the
+    candidate grid would have to factor.
     """
     lz = 0 if f and f[0] else next((i for i, c in enumerate(f) if c != 0), None)
     if lz is None:
@@ -291,8 +276,6 @@ def rational_roots(f: Form) -> list:
     if len(work) > 1:
         g = content(work)
         cur = [c // g for c in work] if g > 1 else work
-        _check_cap(abs(cur[0]))
-        _check_cap(abs(cur[-1]))
         if len(cur) > 3:
             cur = _grid_roots(cur, roots)
         if len(cur) <= 3:
@@ -402,11 +385,6 @@ FACTOR_CAP = 10 ** 24
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _check_cap(n: int) -> None:
-    if abs(n) > FACTOR_CAP:
-        raise FormError(f"cannot factor {n}: exceeds cap {FACTOR_CAP}")
-
-
 def _strong_probable_prime(n: int, base: int) -> bool:
     """Miller-Rabin round: n odd, n > base."""
     d, s = n - 1, 0
@@ -425,7 +403,8 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether the integer n, |n| <= FACTOR_CAP, is prime: trial division by
     the primes up to 41, then Miller-Rabin to those 13 bases."""
-    _check_cap(n)
+    if abs(n) > FACTOR_CAP:
+        raise FormError(f"cannot test {n} for primality: exceeds cap {FACTOR_CAP}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -452,7 +431,8 @@ def _pollard_rho(n: int) -> int:
 def _factor(n: int) -> dict:
     """Prime factorization {p: e} of 1 <= n <= FACTOR_CAP: trial division by
     the small primes, then Pollard's rho on what is left."""
-    _check_cap(n)
+    if n > FACTOR_CAP:
+        raise FormError(f"cannot factor {n}: exceeds cap {FACTOR_CAP}")
     out = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:

@@ -181,8 +181,13 @@ class RationalMap:
         return e
 
     def wronskian(self):
-        """The critical form dX f0 * dY f1 - dY f0 * dX f1, primitive."""
-        return forms.primitive(forms.jacobian(self.f0, self.f1))
+        """The critical form: the Jacobian form J = dX f0 dY f1 - dY f0 dX f1
+        of degree 2d - 2, primitive.  J is never built: by Euler's identity
+        Y J = d (dX f0 f1 - f0 dX f1), so that form of degree 2d - 1 has
+        X^(2d-1) coefficient 0, and J/d after it."""
+        f0, f1 = self.f0, self.f1
+        e = forms.sub(forms.mul(forms.derivative_x(f0), f1), forms.mul(f0, forms.derivative_x(f1)))
+        return forms.primitive(e[1:])
 
     def critical_divisor(self):
         """(wronskian form of degree 2d-2, rational roots with multiplicities)."""
@@ -248,17 +253,7 @@ class RationalMap:
             out.append(self.evaluate(out[-1]))
         return out
 
-    # -- derivatives and multipliers -----------------------------------------
-
-    def affine_derivative(self, z) -> Fraction:
-        """f'(z) at an affine point where f(z) is affine: J(z, 1) / (d f1(z, 1)^2),
-        J the Jacobian form of (f0, f1)."""
-        alpha = Fraction(z)
-        qa = forms.evaluate(self.f1, alpha, 1)
-        if qa == 0:
-            raise MapError("derivative chart: image at infinity")
-        jac = forms.evaluate(forms.jacobian(self.f0, self.f1), alpha, 1)
-        return Fraction(jac, self.degree * qa * qa)
+    # -- multipliers ---------------------------------------------------------
 
     def cycle_multiplier(self, p: ProjectivePoint, n: int, prime: int = 0):
         """Multiplier of f^n at a point p with f^n(p) = p, n >= 1 (for p of

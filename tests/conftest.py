@@ -75,6 +75,27 @@ def multiplicity_probes(rng: random.Random, count: int):
     return out
 
 
+def affine_derivative(f, z) -> Fraction:
+    """f'(z) by the quotient rule in the affine chart, at an affine z whose
+    image is affine: (p' q - p q') / q^2 at z, with p(z) = f0(z, 1) and
+    q(z) = f1(z, 1) summed term by term from the map's coefficients."""
+    z, d = Fraction(z), f.degree
+    value = [sum(c * z ** (d - i) for i, c in enumerate(g)) for g in (f.f0, f.f1)]
+    slope = [sum((d - i) * c * z ** (d - i - 1) for i, c in enumerate(g[:-1]))
+             for g in (f.f0, f.f1)]
+    assert value[1] != 0, "image at infinity"
+    return (slope[0] * value[1] - value[0] * slope[1]) / value[1] ** 2
+
+
+def jacobian_form(f0, f1) -> tuple:
+    """The Jacobian form dX f0 dY f1 - dY f0 dX f1 of two forms of one
+    degree d, built from both partial derivatives."""
+    d = len(f0) - 1
+    dx = [tuple((d - i) * c for i, c in enumerate(g[:-1])) for g in (f0, f1)]
+    dy = [tuple(i * c for i, c in enumerate(g))[1:] for g in (f0, f1)]
+    return forms.sub(forms.mul(dx[0], dy[1]), forms.mul(dy[0], dx[1]))
+
+
 def chart_cycle_multiplier(f, p, n):
     """The multiplier by the chain rule in an affine chart: conjugate f by
     the first of the identity, the swap and (c, 1, 1, 0), (-c, 1, 1, 0),
@@ -88,7 +109,7 @@ def chart_cycle_multiplier(f, p, n):
     g = f.conjugate((a, b, c, d))
     lam = Fraction(1)
     for q in cycle:
-        lam *= g.affine_derivative(q.apply_matrix(d, -b, -c, a).to_affine())
+        lam *= affine_derivative(g, q.apply_matrix(d, -b, -c, a).to_affine())
     return lam
 
 

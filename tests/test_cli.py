@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -407,14 +408,24 @@ def test_mod_multipliers_over_the_cap(capsys, square_map):
 
 
 def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
-    # (z^2 + c)/z has critical points z^2 = c; finding the rational ones
-    # factors c, which is over the cap
-    big = write(tmp_path, "big.json", {
-        "degree": 2, "numerator": ["1", "0", "1000000000000000000000007"],
-        "denominator": ["0", "1", "0"]})
-    code, out = run_cli(capsys, "dyn", "crit", big)
+    # a degree-2 map's critical form is a quadratic, solved in closed form
+    # with no factoring, so end coefficients past the cap are answered
+    quadratic = {"degree": 2, "numerator": ["1000000000039", "0", "7"],
+                 "denominator": ["0", "1000000000061", "3"]}
+    code, out = run_cli(capsys, "dyn", "crit", write(tmp_path, "quadratic.json", quadratic))
+    assert code == 0
+    doc = json.loads(out)
+    x = sympy.Symbol("x")
+    critical = sympy.Poly([int(c) for c in doc["wronskian"]], x)
+    assert doc["degree"] == 2 and doc["roots"] == []
+    assert all(factor.degree() == 2 for factor, _ in sympy.factor_list(critical)[1])
+    # (z^3 + c)/z^2 has the critical form X (X^3 - 2c Y^3): finding the
+    # rational roots of the cubic factors 2c, which is over the cap
+    cubic = {"degree": 3, "numerator": ["1", "0", "0", "1000000000000000000000007"],
+             "denominator": ["0", "1", "0", "0"]}
+    code, out = run_cli(capsys, "dyn", "crit", write(tmp_path, "cubic.json", cubic))
     assert code == 1 and out == ""
-    assert run_cli.err == ("error: cannot factor 1000000000000000000000007: "
+    assert run_cli.err == ("error: cannot factor 2000000000000000000000014: "
                            "exceeds cap 1000000000000000000000000\n")
 
 
@@ -568,6 +579,9 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
     (["dyn", "extract", _SQUARE, [["1", "2", "3"]]],
      2, "cannot parse point entry ['1', '2', '3']"),
     (["dyn", "dynatomic", _SQUARE, "-n", "0"], 1, "period must be positive"),
+    (["dyn", "reduce", _SQUARE, "--prime", "10000000000000000000000007"],
+     1, "cannot test 10000000000000000000000007 for primality: "
+        "exceeds cap 1000000000000000000000000"),
     (["dyn", "crit", {"degree": 2, "numerator": ["0"] * 3, "denominator": ["0"] * 3}],
      1, "zero map"),
     (["git", "stability", {"N": 2, "d": 2, "weights": [1, 1], "points": ["0"]}],
@@ -591,7 +605,7 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
                            "fixed_point_flags": [True, None]}],
      1, "fixed-point flags need points, one flag per point"),
 ], ids=["map-list", "degree-1", "short-coefficients", "point-triple", "period-0",
-        "zero-map", "points-in-P2", "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
+        "prime-past-cap", "zero-map", "points-in-P2", "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
         "points-and-incidences", "four-flags-two-points", "no-flag-one-point",
         "flags-without-points"])
 def test_refusals_print_one_line(capsys, tmp_path, argv, code, message):

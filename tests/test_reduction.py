@@ -3,8 +3,9 @@ import random
 import pytest
 import sympy
 
-from conftest import (chart_cycle_multiplier, multiplicity_probes, random_rational_map,
-                      reduced_cycle, reduced_cycles, reference_multiplicity, within)
+from conftest import (chart_cycle_multiplier, jacobian_form, multiplicity_probes,
+                      random_rational_map, reduced_cycle, reduced_cycles,
+                      reference_multiplicity, within)
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          admits_period, extract_portrait, forms, good_reduction,
                          multiplicity_mod_p, periods_mod_p, reduction, search)
@@ -268,9 +269,10 @@ def test_multiplier_mod_p_matches_cycle_multiplier():
 
 
 def _jacobian_over_d(f):
-    """J/d for the Jacobian form J of (f0, f1), divided coefficient by
-    coefficient: every coefficient of J is a multiple of d."""
-    jac = forms.jacobian(f.f0, f.f1)
+    """J/d for the Jacobian form J of (f0, f1), built from the partial
+    derivatives and divided coefficient by coefficient: every coefficient
+    of J is a multiple of d."""
+    jac = jacobian_form(f.f0, f.f1)
     assert all(c % f.degree == 0 for c in jac)
     return tuple(c // f.degree for c in jac)
 
