@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Answer ledger of the model search, the reduction screen, the critical
-portrait classes, the portrait morphism search and the periodic and
-critical points of seeded maps.
+portrait classes, the portrait morphism search, the periodic and
+critical points of seeded maps and the stability verdicts of seeded
+configurations.
 
 Example:
     python scripts/ledger.py
@@ -22,14 +23,14 @@ Each family is a list of text lines, one per answer:
           coefficients in {-1, 0, 1}, taken up to sign, every prime
           p <= --max-prime of good reduction, and n = 2..8.
   classes the 133 classes of critically primitive complete critical
-          portraits of degree 2 and 3, keyed and sorted by degree and
-          canonical form: the representative, its automorphisms (the
-          images of its vertices in sorted order), its sp relations, its
-          frame, its expected dimension, its realized relations with
-          shifts up to the vertex count, each flagged by
-          relation_determined from the sp relations, and that flag (0 or
-          1) for every other (i, j, m, n) with shifts up to the vertex
-          count, in lexicographic order.
+          portraits of degree 2 and 3, sorted by degree and canonical form
+          (the form itself is not printed): the degree, the
+          representative, its automorphisms (the images of its vertices
+          in sorted order), its sp relations, its frame, its expected
+          dimension, its realized relations with shifts up to the vertex
+          count, each flagged by relation_determined from the sp
+          relations, and that flag (0 or 1) for every other (i, j, m, n)
+          with shifts up to the vertex count, in lexicographic order.
   morphisms
           a pair of portraits (p, q) of at most 7 vertices, drawn from
           random.Random("morphisms/<seed>") for seeds 0..MORPHISM_PAIRS-1,
@@ -45,13 +46,18 @@ Each family is a list of text lines, one per answer:
           (points in orbit order) and the exact multiplier of each
           (RationalMap.cycle_multiplier over Q), and the rational roots
           of its critical form with multiplicities.
+  stability
+          a configuration drawn from random.Random("stability/<seed>") for
+          seeds 0..STABILITY_SEEDS-1 (see stability_instance): N, d, the
+          weights and the marked points or incidences, and the verdict of
+          stability.verdict (semistable, stable, witnesses).
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
 family; --list N adds the first N lines.  Two trees that print the same
 digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
-in the output depends on the hash seed.  The defaults take about 3 s.
+in the output depends on the hash seed.  The defaults take about 5 s.
 
 --check compares each family's count and sha256 with scripts/ledger.expected
 (one "family count sha256" line each, for the default --max-prime) and
@@ -69,12 +75,14 @@ from portraitdyn.cli import arg, script
 from portraitdyn.forms import is_prime, resultant
 from portraitdyn.maps import RationalMap
 from portraitdyn.moduli import expected_dimension
+from portraitdyn.projective import ProjectivePoint
 from portraitdyn.portraits import (CriticalRelation, Portrait, automorphism_group,
                                    canonical_form, enumerate_primitive_critical_portraits,
                                    frame, ge, hom, isomorphisms, realized_relations,
                                    relation_determined, sp_relations)
 from portraitdyn.reduction import admits_period
 from portraitdyn.search import rational_cycles, search_periodic_model
+from portraitdyn.stability import StabilityInstance, Subspace, verdict
 
 # (cycle lengths, (vertex index, weight) pairs, degree, bound)
 SEARCH_QUERIES = (
@@ -95,6 +103,7 @@ MAX_PRIME = 13
 EXPECTED = Path(__file__).with_name("ledger.expected")
 MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
+STABILITY_SEEDS = 8000
 
 
 def portrait(lens, weights, reverse):
@@ -160,7 +169,7 @@ def images(p, morphisms):
 def classes_lines():
     keyed = sorted((d, canonical_form(p), p) for d in (2, 3)
                    for p in enumerate_primitive_critical_portraits(d))
-    for d, form, p in keyed:
+    for d, _, p in keyed:
         sp = sp_relations(p)
         shift = len(p.vertices)
         relations = realized_relations(p, shift)
@@ -170,7 +179,7 @@ def classes_lines():
                  for m in range(shift + 1) for n in range(shift + 1)}
         unrealized = "".join("01"[relation_determined(sp, r, p)]
                              for r in sorted(every - set(relations)))
-        yield (f"d={d} {form}: {shape(p)} aut={images(p, automorphism_group(p))} "
+        yield (f"d={d}: {shape(p)} aut={images(p, automorphism_group(p))} "
                f"sp={[tuple(r) for r in sp]} frame={shape(frame(p, d))} "
                f"dim={tuple(expected_dimension(p, d))} realized={realized} "
                f"unrealized={unrealized}")
@@ -240,6 +249,48 @@ def maps_lines():
                f"cycles={cycles} multipliers={multipliers} critical={critical}")
 
 
+def stability_instance(rng):
+    """N, d, weights and marked points (N = 1) or incidences (N = 2 or 3),
+    as keyword arguments of StabilityInstance.  Points coincide often;
+    one instance in fifty has 100 to 400 points over a wide range, so that
+    it has many candidate subspaces.  An incidence in fifty has dimension
+    N, which the instance refuses."""
+    N = 1 if rng.random() < 0.7 else rng.randint(2, 3)
+    wide = rng.random() < 0.02
+    n = rng.randint(100, 400) if wide else rng.randint(0, 6)
+    kwargs = {"N": N, "d": rng.randint(2, 4),
+              "weights": tuple(rng.randint(0, 3) for _ in range(n + 1))}
+    if N == 1:
+        span = 1000 if wide else 2
+        kwargs["points"] = tuple(ProjectivePoint.of(rng.randint(-span, span), rng.randint(1, 2))
+                                 if rng.random() < 0.9 else ProjectivePoint.infinity()
+                                 for _ in range(n))
+        if rng.random() < 0.5:
+            kwargs["fixed_point_flags"] = tuple(rng.choice((True, False, None))
+                                                for _ in range(n))
+    else:
+        kwargs["incidences"] = tuple(
+            Subspace(rng.randrange(N) if rng.random() < 0.98 else N,
+                     frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))))
+            for _ in range(rng.randint(0, 4) if n else 0))
+    return kwargs
+
+
+def stability_lines():
+    for seed in range(STABILITY_SEEDS):
+        kwargs = stability_instance(random.Random(f"stability/{seed}"))
+
+        def compute():
+            v = verdict(StabilityInstance(**kwargs))
+            return f"{v.semistable} {v.stable} {sorted(v.witnesses.items())}"
+
+        shown = {k: [str(x) for x in v] if k == "points" else
+                 [(s.dim, sorted(s.members)) for s in v] if k == "incidences" else v
+                 for k, v in kwargs.items()}
+        config = " ".join(f"{k}={v}" for k, v in shown.items())
+        yield f"{seed} {config}: {answer(compute)}"
+
+
 def ledger(family, listed, max_prime, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
@@ -247,7 +298,7 @@ def ledger(family, listed, max_prime, check):
         raise DomainError(f"--check needs the default --max-prime {MAX_PRIME}")
     families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
                 "classes": classes_lines, "morphisms": morphisms_lines,
-                "maps": maps_lines}
+                "maps": maps_lines, "stability": stability_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -269,8 +320,9 @@ def ledger(family, listed, max_prime, check):
 
 
 if __name__ == "__main__":
-    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps"),
-                         help="one family only (default: all five)"),
+    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
+                                               "stability"),
+                         help="one family only (default: all six)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--max-prime", type=int, default=MAX_PRIME,

@@ -130,11 +130,11 @@ def load_map(path: str):
     return RationalMap(num, den)
 
 
-def _text(value) -> str:
-    """str(value) of an exact answer; one with an integer too long for
+def _text(value, show=str) -> str:
+    """show(value) of an exact answer; one with an integer too long for
     Python to print is a domain failure, not a traceback."""
     try:
-        return str(value)
+        return show(value)
     except ValueError:   # str of an int or Fraction raises only at the digit limit
         raise DomainError("answer too long to print: it has an integer of more than "
                           f"{sys.get_int_max_str_digits()} digits, Python's limit for "
@@ -467,11 +467,12 @@ def run(specs, handler, args) -> int:
     """Load the arguments, call the handler and print its JSON document; a
     SchemaError or DomainError prints one `error:` line and returns 2 or 1."""
     try:
-        result = handler(*_load(specs, args))
+        # json.dumps prints the int answers, such as dim_end, through _text
+        out = _text(handler(*_load(specs, args)), lambda doc: json.dumps(doc, indent=2))
     except (SchemaError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SchemaError) else 1
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(out + "\n")
     return 0
 
 

@@ -4,9 +4,10 @@ spaces, and the fixed/periodic-point multiplier layer for maps on P^1.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, log10
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import DomainError, forms
@@ -51,7 +52,18 @@ def nu_pre(d: int, N: int, m: int, n: int) -> int:
 
 
 def dim_end(d: int, N: int) -> int:
-    """Dimension of the space of degree-d endomorphisms of P^N."""
+    """Dimension of the space of degree-d endomorphisms of P^N.
+
+    Refuses when even the lower bound C(n, k) >= (n/k)^k, for n = N + d
+    and k = min(N, d), has more digits than Python converts to a string,
+    so it never builds an answer that could not be printed.  The float
+    estimate errs by far less than the one digit of margin kept.
+    """
+    limit = sys.get_int_max_str_digits()
+    k = min(N, d)
+    if limit and k * (log10(N + d) - log10(k)) > limit + 1:
+        raise ModuliError(f"dim End_d(P^N) has more than {limit} digits, Python's limit "
+                          "for converting an integer to a string")
     return (N + 1) * comb(N + d, d) - 1
 
 
@@ -70,7 +82,10 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
         raise ModuliError("portrait must be unweighted")
     from .portraits import portrait_statistics
     stats = portrait_statistics(p)
-    if stats.max_preimage_count > d ** N:
+    # D <= d^N when D has at most N (bit_length(d) - 1) bits, as d^N is at
+    # least 2 to that power; so d^N is built only when it is below 4 D^2
+    most = stats.max_preimage_count
+    if most.bit_length() > N * (d.bit_length() - 1) and most > d ** N:
         return False
     return all(not c or c <= nu(d, N, n)
                for n, c in stats.exact_period_counts.items())

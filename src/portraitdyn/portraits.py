@@ -115,26 +115,28 @@ class Portrait:
     # -- orbits and periods ----------------------------------------------
 
     def _peel(self):
-        """The Kahn peel and the cycles, built in one pass.
+        """The Kahn peel, in runs of equal height, and the cycles.
 
         Vertices are peeled from those without preimages, each once its
-        preimages are, so the peel lists each vertex off the cycles before
-        its image.  The vertices never peeled are exactly the cycles; each
-        is listed in orbit order.  Orbit queries read this, not the codes,
-        whose nested tuples CPython compares recursively.
+        last preimage is, so run k holds the vertices of height k (the
+        longest path to them from a vertex without preimages).  The
+        vertices never peeled are the cycles, each in orbit order.
         """
         if self._peeled is None:
             phi = self.phi
             unpeeled = {}       # vertex -> preimages not yet peeled
             for w in phi.values():
                 unpeeled[w] = unpeeled.get(w, 0) + 1
-            peel = [v for v in self.vertices if v not in unpeeled]
-            for v in peel:      # grows as vertices run out of unpeeled preimages
-                w = phi.get(v)
-                if w is not None:
-                    unpeeled[w] -= 1
-                    if not unpeeled[w]:
-                        peel.append(w)
+            run, runs = [v for v in self.vertices if v not in unpeeled], []
+            while run:
+                runs.append(run)
+                run = []        # the vertices whose last preimage is in runs[-1]
+                for v in runs[-1]:
+                    w = phi.get(v)
+                    if w is not None:
+                        unpeeled[w] -= 1
+                        if not unpeeled[w]:
+                            run.append(w)
             cycles = []
             for v in self.vertices:
                 if unpeeled.get(v):
@@ -144,33 +146,36 @@ class Portrait:
                         cycle.append(v)
                         v = phi[v]
                     cycles.append(cycle)
-            object.__setattr__(self, "_peeled", (peel, cycles))
+            object.__setattr__(self, "_peeled", (runs, cycles))
         return self._peeled
 
     def _code_table(self):
-        """Every vertex's in-tree code, coded in peel order, and the cycles.
+        """(codes, table, cycles): every vertex's in-tree code as an int id.
 
-        A vertex's code is (weight, or 0 off the domain; sorted codes of
-        its peeled preimages), as in Aho-Hopcroft-Ullman tree isomorphism,
-        so the peel codes each vertex after its preimages.
+        A key is (weight, or 0 off the domain, then the ids of the peeled
+        preimages), as in Aho-Hopcroft-Ullman tree isomorphism.  Run by run
+        of the peel, then the cycles as one run, the distinct keys of a run
+        get the next ids in sorted order, so ids do not depend on labels
+        and preimage ids arrive sorted.  `table` lists the keys by id.
         """
         if self._codes is None:
-            peel, cycles = self._peel()
+            runs, cycles = self._peel()
             phi, weights = self.phi, self.weights
-            below = {}          # vertex -> codes of its peeled preimages
-            codes = {}
-            for v in peel:
-                kids = below.get(v)
-                codes[v] = code = (weights.get(v, 1) if v in phi else 0,
-                                   tuple(sorted(kids)) if kids else ())
-                w = phi.get(v)
-                if w is not None:
-                    below.setdefault(w, []).append(code)
-            for cycle in cycles:
-                for v in cycle:
-                    kids = below.get(v)
-                    codes[v] = (weights.get(v, 1), tuple(sorted(kids)) if kids else ())
-            object.__setattr__(self, "_codes", (codes, cycles))
+            below, codes, table = {}, {}, []    # below: vertex -> ids of its peeled preimages
+            for run in runs + [[c for cycle in cycles for c in cycle]]:
+                keyed, last = [], None
+                for v in run:
+                    keyed.append(((weights.get(v, 1) if v in phi else 0, *below.get(v, ())), v))
+                keyed.sort()
+                for key, v in keyed:
+                    if key != last:
+                        code, last = len(table), key
+                        table.append(key)
+                    codes[v] = code
+                    w = phi.get(v)
+                    if w is not None:
+                        below.setdefault(w, []).append(code)
+            object.__setattr__(self, "_codes", (codes, tuple(table), cycles))
         return self._codes
 
     def _orbit_ends(self):
@@ -184,10 +189,10 @@ class Portrait:
         its own end at depth 0.
         """
         if self._ends is None:
-            peel, cycles = self._peel()
+            runs, cycles = self._peel()
             phi = self.phi
             ends = {c: (0, cycle, k) for cycle in cycles for k, c in enumerate(cycle)}
-            for v in reversed(peel):
+            for v in itertools.chain.from_iterable(reversed(runs)):
                 w = phi.get(v)
                 depth, end, place = (-1, [v], 0) if w is None else ends[w]
                 ends[v] = (depth + 1, end, place)
@@ -337,7 +342,7 @@ class PortraitMorphism(_Morphism):
 # maps by tracemalloc, so about 2.5 GB at the cap).
 # The cap counts maps listed, not search nodes, so it does not bound a
 # search that lists few maps: no node budget is kept.  Forced orbits and
-# in-tree codes keep the isomorphism case near the true symmetries, but
+# in-tree ids keep the isomorphism case near the true symmetries, but
 # `ge` between portraits whose weights differ can still backtrack for long.
 MORPHISM_CAP = 100_000
 
@@ -352,15 +357,15 @@ def morphism_maps(p1: Portrait, p2: Portrait):
     domain or meets a mapped vertex, with the rules of `_broken_rule`
     checked at each step.  When the two canonical forms are equal, every
     morphism is an isomorphism (see `isomorphisms`), so each pair must
-    also have equal in-tree codes: each code gets a small number per
-    search, and a vertex tries only the bucket of p2's vertices with its
-    number, still in sorted order.  With unequal forms weights may rise,
-    codes are not used and every vertex tries all of p2.  The search keeps
-    an explicit stack of (vertex index, candidate iterator, vertices the
-    current candidate mapped), so no recursion limit bounds its depth.  A
-    forced vertex is a function of the free choices before it in sorted
-    order, so the maps come in lexicographic order, as in a recursive
-    search over the same candidates.
+    also have equal in-tree ids (see `Portrait._code_table`): a vertex
+    tries only the bucket of p2's vertices with its id, still in sorted
+    order.  With unequal forms weights may rise, ids are not used and
+    every vertex tries all of p2.  The search keeps an explicit stack of
+    (vertex index, candidate iterator, vertices the current candidate
+    mapped), so no recursion limit bounds its depth.  A forced vertex is
+    a function of the free choices before it in sorted order, so the
+    maps come in lexicographic order, as in a recursive search over the
+    same candidates.
     """
     v1 = sorted(p1.vertices)
     v2 = v1 if p2 is p1 else sorted(p2.vertices)
@@ -369,12 +374,8 @@ def morphism_maps(p1: Portrait, p2: Portrait):
         return
     phi1, phi2, weights1, weights2 = p1.phi, p2.phi, p1.weights, p2.weights
     if _sizes(p1) == _sizes(p2) and canonical_form(p1) == canonical_form(p2):
-        codes1, codes2 = p1._code_table()[0], p2._code_table()[0]
-        number = {}
-        class2 = {w: number.setdefault(codes2[w], len(number)) for w in v2}
-        # equal forms have the same codes, so every code of p1 has a number
-        class1 = class2 if p1 is p2 else {v: number[codes1[v]] for v in v1}
-        buckets = [[] for _ in number]
+        class1, class2 = p1._code_table()[0], p2._code_table()[0]
+        buckets = [[] for _ in canonical_form(p2)[0]]
         for w in v2:
             buckets[class2[w]].append(w)
     else:               # one bucket: every vertex of p2
@@ -469,20 +470,20 @@ def canonical_form(p: Portrait) -> tuple:
     """A complete isomorphism invariant, computed once per portrait.
 
     Every component of a portrait is a cycle of rooted in-trees, or one
-    in-tree whose root lies outside the domain.  The form reads the
-    in-tree codes of `Portrait._code_table`: a component is (period,
-    least rotation of its cycle's vertex codes), with period 0 and the
-    root code for a tree, and the form is the sorted tuple of component
-    codes.  No orbit is built.
+    in-tree whose root lies outside the domain.  With the in-tree ids of
+    `Portrait._code_table`, a component is (period, least rotation of its
+    cycle's ids), or (0, (root id,)) for a tree.  The form is (table,
+    sorted components): the table names each id's in-tree, so equal forms
+    mean isomorphic portraits, and no tuple nests more than three deep.
     """
     if p._canon is None:
-        codes, cycles = p._code_table()
+        codes, table, cycles = p._code_table()
         components = [(0, (codes[v],)) for v in p.vertices if v not in p.domain]
         for cycle in cycles:
             ring = [codes[c] for c in cycle]
             components.append((len(ring), min(
                 tuple(ring[k:] + ring[:k]) for k in range(len(ring)))))
-        object.__setattr__(p, "_canon", tuple(sorted(components)))
+        object.__setattr__(p, "_canon", (table, tuple(sorted(components))))
     return p._canon
 
 
@@ -554,7 +555,6 @@ def portrait_statistics(p: Portrait) -> PortraitStatistics:
         weight_total=p.ramification + len(p.domain),
         crit_set=tuple(sorted(p.weights)),
     )
-
 
 
 def critically_generated_subportrait(p: Portrait) -> Portrait:

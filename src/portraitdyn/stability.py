@@ -114,11 +114,16 @@ def cd_values(inst: StabilityInstance, subspace: Subspace, eps) -> tuple:
     """Exact rational (C, D_eps) for a proper linear subspace."""
     if subspace.dim >= inst.N:
         raise StabilityError("subspace must be proper")
+    c, d0 = _scaled_cd(inst, inst.m_sigma, subspace)
+    return Fraction(c, inst.N + 1), Fraction(d0, inst.N + 1) + eps
+
+
+def _scaled_cd(inst, m_sigma, subspace) -> tuple:
+    """(N + 1) C and (N + 1) D_0, as integers, with the weight total m_sigma
+    given, so that a verdict sums the weights once, not once per candidate."""
     c = sum(inst.weights[i] for i in subspace.members)
     codim = inst.N - subspace.dim
-    d_val = Fraction(inst.m_sigma * (subspace.dim + 1)
-                     + inst.m0 * (inst.d - 1) * codim, inst.N + 1) + eps
-    return Fraction(c), d_val
+    return (inst.N + 1) * c, m_sigma * (subspace.dim + 1) + inst.m0 * (inst.d - 1) * codim
 
 
 def subspace_candidates(points) -> list:
@@ -182,9 +187,10 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
 def _band_verdicts(inst, candidates, witnesses):
     ss0 = st0 = True
     ssm = stm = True
-    for sub in candidates:
-        c, d0 = cd_values(inst, sub, 0)
-        dm = d0 + inst.m0
+    m_sigma, margin = inst.m_sigma, inst.m0 * (inst.N + 1)
+    for sub in candidates:     # each proper: the instance checks incidences
+        c, d0 = _scaled_cd(inst, m_sigma, sub)     # both times N + 1
+        dm = d0 + margin
         if c > d0:
             ss0 = False
         if c >= d0:

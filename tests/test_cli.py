@@ -362,6 +362,7 @@ def _sweep_portrait(shape, n):
     comb = dict(zip(spine, spine[1:]))
     comb.update(zip(teeth, spine))
     maps = {"chain": dict(zip(names, names[1:])),
+            "two chains": {**dict(zip(spine, spine[1:])), **dict(zip(teeth, teeth[1:]))},
             "star": dict.fromkeys(names[1:], names[0]),
             "comb": comb, "critical comb": comb, "isolated": {},
             "cycle": dict(zip(names, names[1:] + names[:1]))}
@@ -375,12 +376,13 @@ _SWEEP_COMMANDS = {"validate": [], "stats": [], "sp": [],
                    "dim": ["--degree", "2", "--dim", "1"],
                    "conditions": ["--degree", "2"],
                    "nonempty": ["--degree", "2", "--dim", "1"],
-                   "frame": ["--degree", "2"]}
+                   "frame": ["--degree", "2"], "aut": []}
 
 
-# `portrait aut` is left out: `morphism_maps` numbers in-tree codes by
-# hashing nested tuples, which costs O(n^2) on a chain (ROADMAP item 14).
-# Only the chain has 10^5 vertices, to keep the sweep to a few seconds.
+# `portrait aut` runs only on the chains: on a comb each leaf tries the
+# leaves before it, and a star, isolated vertices and a long cycle have
+# too many automorphisms to list in linear time (ROADMAP item 12).  Only
+# the chains have 10^5 vertices, to keep the sweep to a few seconds.
 @pytest.mark.parametrize("shape, size, refused", [
     ("chain", 100_000, {"sp", "frame"}),
     ("star", 20_000, {"sp", "frame"}),
@@ -388,10 +390,13 @@ _SWEEP_COMMANDS = {"validate": [], "stats": [], "sp": [],
     ("critical comb", 20_000, {"nonempty", "frame"}),
     ("isolated", 20_000, {"sp", "frame"}),
     ("cycle", 20_000, {"sp", "dim", "conditions", "nonempty", "frame"}),
+    ("two chains", 100_000, {"sp", "frame"}),
 ])
 def test_portrait_commands_answer_in_linear_size(tmp_path, shape, size, refused):
     portrait = write(tmp_path, "p.json", _sweep_portrait(shape, size))
     for command, options in _SWEEP_COMMANDS.items():
+        if command == "aut" and "chain" not in shape:
+            continue
         with within(5):
             code, out, err = _run_in_process(["portrait", command, portrait] + options)
         assert code == (1 if command in refused else 0), (command, err)
@@ -399,6 +404,47 @@ def test_portrait_commands_answer_in_linear_size(tmp_path, shape, size, refused)
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         else:
             assert err == "" and json.loads(out)
+            if command == "aut":
+                assert json.loads(out) == {"order": 2 if "two" in shape else 1, "cyclic": True}
+
+
+def test_git_stability_answers_in_linear_size(tmp_path):
+    # the verdict summed every weight once per candidate point: 4.4 s at
+    # 20,000 points on a 2-vCPU VM, quadratic in the points
+    n = 100_000
+    config = write(tmp_path, "c.json", {"N": 1, "d": 2, "weights": [1] * (n + 1),
+                                        "points": [str(i) for i in range(n)]})
+    with within(5):
+        code, out, err = _run_in_process(["git", "stability", config])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"semistable": "certified-yes", "stable": "certified-yes",
+                               "witnesses": {"semistable": "C <= D_0 on every candidate subspace",
+                                             "stable": "C < D_0 on every candidate subspace"}}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["nonempty", "--degree", "2", "--dim", "300000000"], {"nonempty": True}),
+    (["nonempty", "--degree", "1000000000", "--dim", "1000000"], {"nonempty": True}),
+    (["dim", "--degree", "2", "--dim", "300000000"],
+     {"dim_end": 13500000180000001050000000, "dim_moduli": 13500000090000000450000000}),
+    (["dim", "--degree", "10000", "--dim", "10000"], "answer too long to print"),
+    (["dim", "--degree", "1000000000", "--dim", "1000000"], "dim End_d(P^N) has more than"),
+])
+def test_huge_degree_and_dimension_answer_at_once(tmp_path, argv, expected):
+    # d^N was built before any cap (2.0 s at N = 3 * 10^8), and dim_end of
+    # a degree and dimension of 10^4 each, 6,000 digits long, ended in a
+    # ValueError traceback from json.dumps (after 104 s at d = 10^9)
+    chain = write(tmp_path, "p.json", {"vertices": ["a", "b", "c"], "map": {"a": "b", "b": "c"}})
+    with within(1):
+        code, out, err = _run_in_process(["portrait", argv[0], chain, *argv[1:]])
+    if isinstance(expected, str):
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "") and err.startswith(f"error: {expected}")
+        assert err.endswith(f" {limit} digits, Python's limit for converting an integer "
+                            "to a string\n")
+    else:
+        assert (code, err) == (0, "")
+        assert expected.items() <= json.loads(out).items()
 
 
 def test_mod_multipliers_over_the_cap(capsys, square_map):

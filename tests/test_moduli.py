@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,25 @@ def milnor_family(b):
 
 
 # -- counting -----------------------------------------------------------------
+
+def test_dim_end_refuses_only_answers_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    refused = set()
+    for N in (1, 2, 3, 7):
+        for digits in range(limit // N - 4, limit // N + 4):
+            d = 10 ** digits
+            value = (N + 1) * math.comb(N + d, N) - 1
+            try:
+                assert moduli.dim_end(d, N) == value
+                assert moduli.dim_end(N, d) == (d + 1) * math.comb(N + d, N) - 1
+            except ModuliError as exc:
+                assert str(exc) == (f"dim End_d(P^N) has more than {limit} digits, Python's "
+                                    "limit for converting an integer to a string")
+                with pytest.raises(ValueError):
+                    str(value)
+                refused.add(N)
+    assert refused == {1, 2, 3, 7}
+
 
 def test_nu_fixtures():
     assert [nu(2, 1, n) for n in (1, 2, 3, 4)] == [3, 2, 6, 12]
@@ -68,6 +89,16 @@ def test_nu_size_cap(d, N):
 
 
 # -- realizability -------------------------------------------------------------
+
+def test_unweighted_nonempty_compares_the_preimage_count_with_d_to_the_n():
+    # the bit-length shortcut must not change a verdict at the boundary
+    for count in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 27, 28, 63, 64, 65, 81, 82):
+        star = Portrait(["x"] + [f"a{i}" for i in range(count)],
+                        {f"a{i}": "x" for i in range(count)})
+        for d in range(2, 10):
+            for N in range(1, 7):
+                assert unweighted_nonempty(star, d, N) == (count <= d ** N), (count, d, N)
+
 
 def test_unweighted_nonempty_fixtures():
     four_fixed = Portrait("abcd", {v: v for v in "abcd"})

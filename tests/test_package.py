@@ -1,6 +1,8 @@
 """The package namespace and the contract of the record types."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +238,21 @@ def test_portrait_morphism_validation(target, mapping, message):
     identity = PortraitMorphism(_P, _P, {"a": "a", "b": "b"})
     with pytest.raises(PortraitError):
         identity._replace(target=target, mapping=mapping)
+
+
+# Every cap the README quotes, by the module that defines it.
+README_CAPS = {"MORPHISM_CAP": "portraits", "MAP_DEGREE_CAP": "maps", "DEGREE_CAP": "maps",
+               "FACTOR_CAP": "forms", "NU_CAP_BITS": "moduli", "MULTIPLIER_CAP": "moduli",
+               "TABLE_PRIME_CAP": "reduction", "SEARCH_CAP": "search"}
+
+
+def test_readme_quotes_each_cap_at_its_value():
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md")
+                      .read_text(encoding="utf-8").split())
+    for name, module in README_CAPS.items():
+        value = getattr(importlib.import_module(f"portraitdyn.{module}"), name)
+        quoted = re.findall(rf"`(?:{module}\.)?{name}` = (\d[\d,]*(?:\^\d+)?)", readme)
+        assert quoted, f"the README does not quote {name}"
+        for text in quoted:
+            base, _, exponent = text.replace(",", "").partition("^")
+            assert int(base) ** int(exponent or 1) == value, (name, text, value)

@@ -104,7 +104,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     out = _run_script("ledger.py", *tiny)
     assert _run_script("ledger.py", *tiny, hash_seed="1") == out
     doc = json.loads(out)
-    assert list(doc) == ["search", "screen", "classes", "morphisms", "maps"]
+    assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "stability"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -117,9 +117,9 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert all(line.split(" p=")[1].startswith("2 n=2..8: ")
                for line in doc["screen"]["lines"])
     assert doc["classes"]["count"] == 133      # 9 classes in degree 2, 124 in degree 3
-    assert sum(line.startswith("d=2 ") for line in doc["classes"]["lines"]) == 9
+    assert sum(line.startswith("d=2: ") for line in doc["classes"]["lines"]) == 9
     assert doc["classes"]["lines"][0].startswith(
-        "d=2 ((0, ((0, ((2, ()),)),)), (0, ((0, ((2, ()),)),))): ['c1', 'c2', 's1', 's2'] ")
+        "d=2: ['c1', 'c2'] [('c1', 'c1'), ('c2', 'c2')] [('c1', 2), ('c2', 2)] ")
     assert doc["morphisms"]["count"] == 2000   # 1,000 seeded pairs, both directions
     assert doc["morphisms"]["lines"][0].endswith(
         ": hom=[('u0', 'u2', 'u5', 'u3', 'u1', 'u4')] "
@@ -132,13 +132,19 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     refusal = f"'error: cannot factor 99686661755331800730472576: exceeds cap {forms.FACTOR_CAP}'"
     assert doc["maps"]["lines"][0].endswith(
         f" cycles=[[], {refusal}] multipliers=[[], {refusal}] critical=[]")
+    assert doc["stability"]["count"] == 8000
+    assert doc["stability"]["lines"][1] == (
+        "1 N=1 d=4 weights=(0, 1, 0, 2, 1, 1, 2) points=['-1/2', '0', '1', '-1/2', 'inf', "
+        "'inf']: certified-yes certified-yes [('semistable', 'C <= D_0 on every candidate "
+        "subspace'), ('stable', 'C < D_0 on every candidate subspace')]")
     one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
                                  "--list", "1"))
     assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
 
 
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
-                                          ("morphisms", 2000), ("maps", 400)])
+                                          ("morphisms", 2000), ("maps", 400),
+                                          ("stability", 8000)])
 def test_ledger_check_passes_against_the_committed_digests(family, count):
     doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
