@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Answer ledger of the model search, the reduction screen, the critical
 portrait classes, the portrait morphism search, the periodic and
-critical points of seeded maps and the stability verdicts of seeded
-configurations.
+critical points of seeded maps, the multiplier invariants of seeded maps
+and the stability verdicts of seeded configurations.
 
 Example:
     python scripts/ledger.py
@@ -46,6 +46,12 @@ Each family is a list of text lines, one per answer:
           (points in orbit order) and the exact multiplier of each
           (RationalMap.cycle_multiplier over Q), and the rational roots
           of its critical form with multiplicities.
+  multipliers
+          a map drawn from random.Random("multipliers/<seed>") for seeds
+          0..MULTIPLIER_SEEDS-1 (see seeded_map), and its multiplier
+          polynomials (moduli.multiplier_polynomial) for n = 1 and 2, its
+          Milnor coordinates (a refusal in degree 3) and its Ueda sums for
+          k = 0 and 1.
   stability
           a configuration drawn from random.Random("stability/<seed>") for
           seeds 0..STABILITY_SEEDS-1 (see stability_instance): N, d, the
@@ -57,7 +63,7 @@ lines and the sha256 of the lines (each ending in a newline) of each
 family; --list N adds the first N lines.  Two trees that print the same
 digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
-in the output depends on the hash seed.  The defaults take about 5 s.
+in the output depends on the hash seed.  The defaults take about 6 s.
 
 --check compares each family's count and sha256 with scripts/ledger.expected
 (one "family count sha256" line each, for the default --max-prime) and
@@ -74,7 +80,8 @@ from portraitdyn import DomainError
 from portraitdyn.cli import arg, script
 from portraitdyn.forms import is_prime, resultant
 from portraitdyn.maps import RationalMap
-from portraitdyn.moduli import expected_dimension
+from portraitdyn.moduli import (expected_dimension, milnor_coordinates, multiplier_polynomial,
+                                ueda_sum)
 from portraitdyn.projective import ProjectivePoint
 from portraitdyn.portraits import (CriticalRelation, Portrait, automorphism_group,
                                    canonical_form, enumerate_primitive_critical_portraits,
@@ -103,6 +110,7 @@ MAX_PRIME = 13
 EXPECTED = Path(__file__).with_name("ledger.expected")
 MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
+MULTIPLIER_SEEDS = 2000
 STABILITY_SEEDS = 8000
 
 
@@ -249,6 +257,16 @@ def maps_lines():
                f"cycles={cycles} multipliers={multipliers} critical={critical}")
 
 
+def multipliers_lines():
+    for seed in range(MULTIPLIER_SEEDS):
+        f = seeded_map(random.Random(f"multipliers/{seed}"))
+        polys = [answer(lambda: [str(c) for c in multiplier_polynomial(f, n).poly])
+                 for n in (1, 2)]
+        milnor = answer(lambda: [str(s) for s in milnor_coordinates(f)])
+        ueda = [answer(lambda: str(ueda_sum(f, k))) for k in (0, 1)]
+        yield f"{seed} {f.f0} {f.f1}: multipliers={polys} milnor={milnor} ueda={ueda}"
+
+
 def stability_instance(rng):
     """N, d, weights and marked points (N = 1) or incidences (N = 2 or 3),
     as keyword arguments of StabilityInstance.  Points coincide often;
@@ -298,7 +316,8 @@ def ledger(family, listed, max_prime, check):
         raise DomainError(f"--check needs the default --max-prime {MAX_PRIME}")
     families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
                 "classes": classes_lines, "morphisms": morphisms_lines,
-                "maps": maps_lines, "stability": stability_lines}
+                "maps": maps_lines, "multipliers": multipliers_lines,
+                "stability": stability_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -321,8 +340,8 @@ def ledger(family, listed, max_prime, check):
 
 if __name__ == "__main__":
     script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
-                                               "stability"),
-                         help="one family only (default: all six)"),
+                                               "multipliers", "stability"),
+                         help="one family only (default: all seven)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--max-prime", type=int, default=MAX_PRIME,

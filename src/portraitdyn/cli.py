@@ -8,7 +8,7 @@ canonical lowest-terms rational strings, LF line endings.
 One table, `COMMANDS`, defines the interface: group -> command ->
 (argument specs, handler).  An argument spec (`arg`) is the argparse name and
 keywords plus the name of its loader (`load_portrait`, `load_map`,
-`load_points`, `load_stability` or `load_point`; None keeps the value
+`load_points`, `load_stability` or `_parse_point`; None keeps the value
 argparse parsed).  `main` builds the subcommand parsers of the
 requested group only; `run` runs the loaders in argument order, passes
 the loaded values to the handler, which only shapes the output, and
@@ -148,12 +148,16 @@ def map_json(f) -> dict:
 
 
 def _parse_point(entry):
+    """A point from its text, through `ProjectivePoint.parse`, or from a
+    pair of homogeneous coordinates; the loader of `--point` and of every
+    point in a points file or a stability config."""
     from .projective import PointError, ProjectivePoint
 
     if isinstance(entry, str):
-        if entry == "inf":
-            return ProjectivePoint.infinity()
-        return ProjectivePoint.affine(_rational(entry, "point"))
+        try:
+            return ProjectivePoint.parse(entry)
+        except PointError as exc:
+            raise SchemaError(str(exc)) from exc
     if isinstance(entry, list) and len(entry) == 2:
         x, y = (_rational(c, "point coordinate") for c in entry)
         try:
@@ -161,15 +165,6 @@ def _parse_point(entry):
         except PointError as exc:
             raise SchemaError(f"point entry {entry!r}: {exc}") from exc
     raise SchemaError(f"cannot parse point entry {entry!r}")
-
-
-def load_point(text: str):
-    from .projective import PointError, ProjectivePoint
-
-    try:
-        return ProjectivePoint.parse(text)
-    except PointError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def load_points(path: str) -> list:
@@ -230,11 +225,10 @@ def _cmd_portrait_stats(p):
 
 
 def _cmd_portrait_nonempty(p, degree, dim):
-    from .moduli import unweighted_nonempty
+    from .moduli import EMPTY, NONEMPTY, unweighted_nonempty
 
     ok = unweighted_nonempty(p, degree, dim)
-    return {"nonempty": ok,
-            "verdict": "nonempty-certified" if ok else "empty-certified"}
+    return {"nonempty": ok, "verdict": NONEMPTY if ok else EMPTY}
 
 
 def _cmd_portrait_dim(p, degree, dim):
@@ -384,7 +378,7 @@ def arg(*flags, load=None, **options):
 
 _PORTRAIT = arg("file", load="load_portrait")
 _MAP = arg("map", load="load_map")
-_POINT = arg("--point", required=True, load="load_point",
+_POINT = arg("--point", required=True, load="_parse_point",
               help="a rational or inf; give a negative one as --point=-1/2")
 _POINTS = arg("points", load="load_points")
 _DEGREE = arg("--degree", type=int, required=True)

@@ -9,15 +9,15 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import DomainError, forms
 from .projective import ProjectivePoint
 
-# Maps need no portraits until a model or a preperiodic type is built: those
-# functions import `portraits` when they run.
+# Maps need no portraits until a model is built: those functions import
+# `portraits` when they run.
 if TYPE_CHECKING:
-    from .portraits import Portrait, PortraitMorphism, PreperiodicType
+    from .portraits import Portrait, PortraitMorphism
 
 # Largest degree d^k of an iterate or a dynatomic form.  At the cap the
 # work is long: single cold runs on a 2-vCPU Xeon VM, coefficients in
@@ -128,9 +128,6 @@ class RationalMap:
         return ProjectivePoint.of(forms.evaluate(self.f0, p.x, p.y),
                                   forms.evaluate(self.f1, p.x, p.y))
 
-    def __call__(self, p: ProjectivePoint) -> ProjectivePoint:
-        return self.evaluate(p)
-
     def iterate_pair(self, k: int):
         """Primitive coefficient pair of the k-th iterate (k >= 1)."""
         if k < 1:
@@ -204,7 +201,8 @@ class RationalMap:
         return forms.primitive(tuple(map(operator.sub, (0,) + g0, g1 + (0,))))  # g0 Y - g1 X
 
     def dynatomic(self, n: int):
-        """The degree-nu homogeneous dynatomic form of period n (primitive)."""
+        """The degree-nu homogeneous dynatomic form of period n (primitive),
+        the exact quotient of the Mobius products of fixed-point forms."""
         cache = self._cache.setdefault("dynatomic", {})
         if n in cache:      # only a valid period is ever stored
             return cache[n]
@@ -222,27 +220,6 @@ class RationalMap:
         cache[n] = forms.primitive(forms.exact_div(reduce(forms.mul, num),
                                                    reduce(forms.mul, den)))
         return cache[n]
-
-    def formal_period(self, p: ProjectivePoint, n: int) -> bool:
-        """Whether the dynatomic form of period n vanishes at the point."""
-        return forms.evaluate(self.dynatomic(n), p.x, p.y) == 0
-
-    def period_of_point(self, p: ProjectivePoint,
-                        max_steps: int) -> Optional[PreperiodicType]:
-        """Exact preperiod/period by orbit detection; None if no revisit
-        happens within max_steps images."""
-        from .portraits import PreperiodicType
-        if max_steps < 1:
-            raise MapError("max_steps must be positive")
-        seen = {p: 0}
-        cur = p
-        for i in range(1, max_steps + 1):
-            cur = self.evaluate(cur)
-            if cur in seen:
-                m = seen[cur]
-                return PreperiodicType(m, i - m)
-            seen[cur] = i
-        return None
 
     def orbit(self, p: ProjectivePoint, length: int) -> list:
         """p and its first `length` images, length >= 0."""

@@ -20,6 +20,14 @@ if TYPE_CHECKING:
     from .portraits import Portrait
 
 
+# The three nonemptiness verdicts; only an unweighted portrait can be
+# certified nonempty, and a weighted one that passes the necessary
+# conditions is never certified either way.
+NONEMPTY = "nonempty-certified"
+EMPTY = "empty-certified"
+NECESSARY = "necessary-conditions-hold"
+
+
 class ModuliError(DomainError):
     pass
 
@@ -44,7 +52,11 @@ def nu_pre(d: int, N: int, m: int, n: int) -> int:
         raise ModuliError("need d >= 2, N >= 1, n >= 1")
     bits = N * (m + n) * d.bit_length()
     if bits > NU_CAP_BITS:
-        raise ModuliError(f"nu size N (m + n) bit_length(d) = {bits} "
+        try:
+            size = str(bits)
+        except ValueError:      # two huge arguments: too many digits to print
+            size = f"at least 2^{bits.bit_length() - 1}"
+        raise ModuliError(f"nu size N (m + n) bit_length(d) = {size} "
                           f"exceeds cap {NU_CAP_BITS}")
     total = sum(mu * sum(d ** (j * k) for j in range(N + 1))
                 for k, mu in forms.mobius_pairs(n))
@@ -121,7 +133,7 @@ def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
 class DimensionReport(NamedTuple):
     dim_end: object              # int or None when the space is empty
     dim_moduli: object
-    nonempty_verdict: str        # empty-certified | nonempty-certified | necessary-conditions-hold
+    nonempty_verdict: str        # EMPTY | NONEMPTY | NECESSARY
     caveats: tuple
 
 
@@ -137,19 +149,19 @@ def expected_dimension(p: Portrait, d: int, N: int = 1) -> DimensionReport:
         if unweighted_nonempty(p, d, N):
             de = dim_end(d, N) + N * p.zeta
             return DimensionReport(de, de - ((N + 1) ** 2 - 1),
-                                   "nonempty-certified", ())
-        return DimensionReport(None, None, "empty-certified", ())
+                                   NONEMPTY, ())
+        return DimensionReport(None, None, EMPTY, ())
     if N != 1:
         raise ModuliError("weighted portraits are supported for N = 1 only")
     conditions = weighted_necessary_conditions(p, d)
     if not conditions.overall:
-        return DimensionReport(None, None, "empty-certified", ())
+        return DimensionReport(None, None, EMPTY, ())
     dm = (2 * d - 2) - p.ramification + p.zeta
     caveats = ["dimension is that of the non-Lattes locus"]
     if isqrt(d) ** 2 == d:
         caveats.append(f"degree {d} is a square, so flexible Lattes maps exist "
                        "and are excluded from the count")
-    return DimensionReport(dm + 3, dm, "necessary-conditions-hold", tuple(caveats))
+    return DimensionReport(dm + 3, dm, NECESSARY, tuple(caveats))
 
 
 def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:

@@ -475,6 +475,9 @@ def canonical_form(p: Portrait) -> tuple:
     cycle's ids), or (0, (root id,)) for a tree.  The form is (table,
     sorted components): the table names each id's in-tree, so equal forms
     mean isomorphic portraits, and no tuple nests more than three deep.
+    Time and memory are linear in #V but for the least rotation, which is
+    quadratic in the cycle length: 6.5 s for one 20,000-vertex cycle on a
+    2-vCPU VM.
     """
     if p._canon is None:
         codes, table, cycles = p._code_table()
@@ -488,7 +491,12 @@ def canonical_form(p: Portrait) -> tuple:
 
 
 def automorphism_group(p: Portrait) -> list:
-    """All self-isomorphisms; closed under composition and inverses."""
+    """All self-isomorphisms; closed under composition and inverses.
+
+    The search costs about #V per automorphism listed, so a large group
+    (a star, isolated vertices, a long cycle) is slow well below
+    MORPHISM_CAP, and on a comb each leaf tries the leaves before it, so
+    the search is quadratic there.  On chains it is linear."""
     return isomorphisms(p, p)
 
 

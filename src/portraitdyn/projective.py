@@ -54,21 +54,13 @@ class ProjectivePoint(_Coordinates):
 
     @staticmethod
     def affine(z) -> "ProjectivePoint":
+        """The point [z : 1] of an exact rational z: anything Fraction accepts."""
         q = Fraction(z)
-        return ProjectivePoint(q.numerator, q.denominator)
+        return ProjectivePoint.of(q.numerator, q.denominator)
 
     @staticmethod
     def infinity() -> "ProjectivePoint":
         return ProjectivePoint(1, 0)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
-    def to_affine(self) -> Fraction:
-        if self.y == 0:
-            raise PointError("the point at infinity has no affine value")
-        return Fraction(self.x, self.y)
 
     def apply_matrix(self, a, b, c, d) -> "ProjectivePoint":
         """Image under the projective linear map with matrix [[a, b], [c, d]]."""
@@ -83,10 +75,13 @@ class ProjectivePoint(_Coordinates):
 
     @staticmethod
     def parse(text: str) -> "ProjectivePoint":
+        """The point of `text`, "inf" or a rational such as "-3/4", with
+        surrounding whitespace ignored: the one reader of point text, for
+        the `--point` option, points files and stability configs alike."""
         s = text.strip()
         if s == "inf":
             return ProjectivePoint.infinity()
         try:
-            return ProjectivePoint.affine(Fraction(s))
+            return ProjectivePoint.affine(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise PointError(f"cannot parse point {text!r}") from exc

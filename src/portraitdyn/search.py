@@ -154,7 +154,10 @@ def search_periodic_model(portrait: Portrait, degree: int,
     for walked, (f0, f1) in enumerate(_coefficient_pairs(degree, coeff_bound)):
         if walked == SEARCH_CAP:
             raise MapError(f"model search exceeds cap {SEARCH_CAP} candidates")
-        if forms._bezout_resultant(f0, f1) == 0:     # int tuples: no argument checks
+        # int tuples, so the zero test skips the argument checks of
+        # forms.resultant, which cost more than the closed form of degree 2
+        # and 3 itself; the constructor of a map that passes computes it again
+        if forms._bezout_resultant(f0, f1) == 0:
             continue
         f = RationalMap(f0, f1)
         model = _match_cycles(f, portrait, screened, wanted, fixed)

@@ -88,10 +88,6 @@ class StabilityInstance(_Instance):
         return cls(*iterable)
 
     @property
-    def n_points(self) -> int:
-        return len(self.weights) - 1
-
-    @property
     def m0(self) -> int:
         return self.weights[0]
 

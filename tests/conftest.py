@@ -109,7 +109,7 @@ def chart_cycle_multiplier(f, p, n):
     g = f.conjugate((a, b, c, d))
     lam = Fraction(1)
     for q in cycle:
-        lam *= affine_derivative(g, q.apply_matrix(d, -b, -c, a).to_affine())
+        lam *= affine_derivative(g, Fraction(*q.apply_matrix(d, -b, -c, a)))
     return lam
 
 

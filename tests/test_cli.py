@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import within
 from portraitdyn.cli import COMMANDS, main
+from portraitdyn.forms import FACTOR_CAP
+from portraitdyn.maps import DEGREE_CAP
+from portraitdyn.moduli import MULTIPLIER_CAP, NU_CAP_BITS, nu
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +423,88 @@ def test_git_stability_answers_in_linear_size(tmp_path):
     assert json.loads(out) == {"semistable": "certified-yes", "stable": "certified-yes",
                                "witnesses": {"semistable": "C <= D_0 on every candidate subspace",
                                              "stable": "C < D_0 on every candidate subspace"}}
+
+
+def test_extract_verify_and_fibers_answer_in_linear_size(tmp_path):
+    n = 100_000
+    names = [f"v{i:06d}" for i in range(n)]
+    square = write(tmp_path, "map.json", _SQUARE)
+    points = write(tmp_path, "pts.json", [str(i) for i in range(n)])
+    chain = write(tmp_path, "chain.json", {"vertices": names, "map": dict(zip(names, names[1:]))})
+    half = write(tmp_path, "half.json", {"vertices": names[:n // 2],
+                                         "map": dict(zip(names[:n // 2], names[1:n // 2]))})
+    with within(5):
+        code, out, err = _run_in_process(["dyn", "extract", square, points])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["assignment"]) == n
+    with within(5):     # z^2 breaks every arrow of the chain but i -> i + 1 = i^2
+        code, out, err = _run_in_process(["dyn", "verify", square, points, chain])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["problems"]) == n - 1
+    with within(5):
+        code, out, err = _run_in_process(["portrait", "fibers", chain, half,
+                                          "--degree", "2", "--dim", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"fiber_dim": 0, "image_codim": 0}
+
+
+# A value just past the first cap each integer argument meets, on a fixed
+# point and z^2: N (m + n) bit_length(d) past NU_CAP_BITS, d^n past
+# DEGREE_CAP, nu past MULTIPLIER_CAP, a prime past FACTOR_CAP.  `frame`
+# has no cap: its degree must match the portrait's ramification.
+_PAST_CAP = {"--degree": 2 ** NU_CAP_BITS, "--dim": NU_CAP_BITS // 2 + 1,
+             "-n": NU_CAP_BITS // 2 + 1, "-m": NU_CAP_BITS // 2, "--prime": FACTOR_CAP + 7,
+             ("dyn", "dynatomic", "-n"): DEGREE_CAP.bit_length(),
+             ("mod", "multipliers", "-n"): next(n for n in range(1, 99)
+                                                if nu(2, 1, n) > MULTIPLIER_CAP)}
+_VALID = {"--degree": "2", "--dim": "1", "-n": "1", "--prime": "3"}
+_HUGE = 10 ** 4000
+_CRITICAL_SQUARE = {"vertices": ["0", "inf"], "map": {"0": "0", "inf": "inf"},
+                    "weights": {"0": 2, "inf": 2}}
+
+
+def _integer_argument_cases():
+    """(group, command, {flag: value}) for each integer argument of the
+    command table (argparse itself refuses one outside its `choices`)."""
+    for group, commands in COMMANDS.items():
+        for command, (specs, _) in commands.items():
+            for flags, options, _ in specs:
+                if options.get("type") is int and "choices" not in options:
+                    past = _PAST_CAP.get((group, command, flags[0]), _PAST_CAP[flags[0]])
+                    name = f"{group}-{command}{flags[0]}"
+                    yield pytest.param(group, command, {flags[0]: past}, id=name + "-past-cap")
+                    yield pytest.param(group, command, {flags[0]: _HUGE}, id=name + "-huge")
+    # the product of two huge values has too many digits to print in the refusal
+    yield pytest.param("mod", "nu", {"--dim": _HUGE, "-n": _HUGE}, id="mod-nu-dim-and-n-huge")
+
+
+def _argv(tmp_path, group, command, values):
+    files = {"load_map": write(tmp_path, "map.json", _SQUARE),
+             "load_portrait": write(tmp_path, "p.json", _CRITICAL_SQUARE if command == "frame"
+                                    else {"vertices": ["a"], "map": {"a": "a"}})}
+    argv = [group, command]
+    for flags, options, loader in COMMANDS[group][command][0]:
+        if not flags[0].startswith("-"):
+            if options.get("nargs") != "?":
+                argv.append(files[loader])
+        elif flags[0] in values or options.get("required"):
+            argv += [flags[0], str(values[flags[0]]) if flags[0] in values
+                     else _VALID[flags[0]]]
+    return argv
+
+
+@pytest.mark.parametrize("group, command, values", _integer_argument_cases())
+def test_every_integer_argument_is_checked_before_arithmetic(tmp_path, group, command, values):
+    assert _run_in_process(_argv(tmp_path, group, command, {}))[0] == 0
+    with within(1):
+        code, out, err = _run_in_process(_argv(tmp_path, group, command, values))
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+
+
+def test_the_integer_argument_walk_covers_every_integer_flag():
+    assert {flag for case in _integer_argument_cases() for flag in case.values[2]} == {
+        "--degree", "--dim", "-n", "-m", "--prime"}
 
 
 @pytest.mark.parametrize("argv, expected", [

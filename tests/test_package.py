@@ -256,3 +256,13 @@ def test_readme_quotes_each_cap_at_its_value():
         for text in quoted:
             base, _, exponent = text.replace(",", "").partition("^")
             assert int(base) ** int(exponent or 1) == value, (name, text, value)
+
+
+def test_readme_quotes_exactly_the_verdict_vocabulary():
+    from portraitdyn import moduli, stability
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    notes = readme.split("## Notes on semantics", 1)[1]
+    quoted = set(re.findall(r"`([a-z]+(?:-[a-z]+)*)`", notes))
+    assert quoted == {moduli.NONEMPTY, moduli.EMPTY, moduli.NECESSARY,
+                      stability.YES, stability.NO, stability.UNDECIDED}

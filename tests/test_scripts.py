@@ -104,7 +104,8 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     out = _run_script("ledger.py", *tiny)
     assert _run_script("ledger.py", *tiny, hash_seed="1") == out
     doc = json.loads(out)
-    assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "stability"]
+    assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "multipliers",
+                         "stability"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -132,6 +133,13 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     refusal = f"'error: cannot factor 99686661755331800730472576: exceeds cap {forms.FACTOR_CAP}'"
     assert doc["maps"]["lines"][0].endswith(
         f" cycles=[[], {refusal}] multipliers=[[], {refusal}] critical=[]")
+    assert doc["multipliers"]["count"] == 2000
+    # the Ueda sums are 1 and -d wherever no fixed-point multiplier is 1
+    assert doc["multipliers"]["lines"][1] == (
+        "1 (2, -2, -1) (0, 1, 0): multipliers=[['1', '-21/2', '22', '-17/2'], "
+        "['1', '-86', '1849']] milnor=['21/2', '22'] ueda=['1', '-2']")
+    assert doc["multipliers"]["lines"][2].endswith(
+        " milnor=error: Milnor coordinates are defined for degree 2 only ueda=['1', '-3']")
     assert doc["stability"]["count"] == 8000
     assert doc["stability"]["lines"][1] == (
         "1 N=1 d=4 weights=(0, 1, 0, 2, 1, 1, 2) points=['-1/2', '0', '1', '-1/2', 'inf', "
@@ -144,7 +152,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
 
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
                                           ("morphisms", 2000), ("maps", 400),
-                                          ("stability", 8000)])
+                                          ("multipliers", 2000), ("stability", 8000)])
 def test_ledger_check_passes_against_the_committed_digests(family, count):
     doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")

@@ -204,7 +204,7 @@ def test_named_results_follow_from_the_bands():
     for _ in range(3000):
         inst = _sweep_instance(rng)
         v = verdict(inst)
-        N, d, n, m = inst.N, inst.d, inst.n_points, inst.weights
+        N, d, n, m = inst.N, inst.d, len(inst.weights) - 1, inst.weights
         g = gcd(*m) or 1
         unit = tuple(w // g for w in m)
         if inst.m0 * (d - 1) >= inst.m_sigma:
