@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Answer ledger of the model search, the reduction screen, the critical
 portrait classes, the portrait morphism search, the periodic and
-critical points of seeded maps, the multiplier invariants of seeded maps
-and the stability verdicts of seeded configurations.
+critical points of seeded maps, the multiplier invariants of seeded maps,
+the stability verdicts of seeded configurations and a grid of the
+preperiodic point counts nu_pre.
 
 Example:
     python scripts/ledger.py
@@ -21,7 +22,8 @@ Each family is a list of text lines, one per answer:
   screen  a map, a prime p and a period n, and the verdict of
           reduction.admits_period: every map of degree 2 or 3 with
           coefficients in {-1, 0, 1}, taken up to sign, every prime
-          p <= --max-prime of good reduction, and n = 2..8.
+          p <= --max-prime of good reduction, and n = 2..8.  --max-prime
+          is at most SCREEN_PRIME_CAP.
   classes the 133 classes of critically primitive complete critical
           portraits of degree 2 and 3, sorted by degree and canonical form
           (the form itself is not printed): the degree, the
@@ -57,6 +59,9 @@ Each family is a list of text lines, one per answer:
           seeds 0..STABILITY_SEEDS-1 (see stability_instance): N, d, the
           weights and the marked points or incidences, and the verdict of
           stability.verdict (semistable, stable, witnesses).
+  nu_pre  d, N, m and n, and moduli.nu_pre(d, N, m, n), for d in
+          NU_DEGREES, N = 1..5, m = 0..9 and n = 1..12; the two largest
+          degrees pass NU_CAP_BITS, so many of their lines are refusals.
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
@@ -81,7 +86,7 @@ from portraitdyn.cli import arg, script
 from portraitdyn.forms import is_prime, resultant
 from portraitdyn.maps import RationalMap
 from portraitdyn.moduli import (expected_dimension, milnor_coordinates, multiplier_polynomial,
-                                ueda_sum)
+                                nu_pre, ueda_sum)
 from portraitdyn.projective import ProjectivePoint
 from portraitdyn.portraits import (CriticalRelation, Portrait, automorphism_group,
                                    canonical_form, enumerate_primitive_critical_portraits,
@@ -107,11 +112,18 @@ SEARCH_QUERIES = (
 )
 PERIODS = range(2, 9)
 MAX_PRIME = 13
+# Largest --max-prime: the screen family takes 1.3 s at 13, 30 s at 127
+# and 37 s at 150 (single runs on a 2-vCPU Xeon VM), about quadratic in
+# the bound, so at the cap it still ends within a minute.
+SCREEN_PRIME_CAP = 150
 EXPECTED = Path(__file__).with_name("ledger.expected")
 MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
 MULTIPLIER_SEEDS = 2000
 STABILITY_SEEDS = 8000
+# nu_pre's degrees, each with the label its lines print
+NU_DEGREES = (("2", 2), ("3", 3), ("5", 5), ("2^61-1", 2 ** 61 - 1), ("10^300", 10 ** 300),
+              ("2^4000", 2 ** 4000))
 
 
 def portrait(lens, weights, reverse):
@@ -309,15 +321,23 @@ def stability_lines():
         yield f"{seed} {config}: {answer(compute)}"
 
 
+def nu_pre_lines():
+    for (label, d), N, m, n in itertools.product(NU_DEGREES, range(1, 6), range(10),
+                                                 range(1, 13)):
+        yield f"d={label} N={N} m={m} n={n}: {answer(lambda: nu_pre(d, N, m, n))}"
+
+
 def ledger(family, listed, max_prime, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
+    if max_prime > SCREEN_PRIME_CAP:
+        raise DomainError(f"--max-prime {max_prime} exceeds cap {SCREEN_PRIME_CAP}")
     if check and max_prime != MAX_PRIME and family in (None, "screen"):
         raise DomainError(f"--check needs the default --max-prime {MAX_PRIME}")
     families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
                 "classes": classes_lines, "morphisms": morphisms_lines,
                 "maps": maps_lines, "multipliers": multipliers_lines,
-                "stability": stability_lines}
+                "stability": stability_lines, "nu_pre": nu_pre_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -340,8 +360,8 @@ def ledger(family, listed, max_prime, check):
 
 if __name__ == "__main__":
     script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
-                                               "multipliers", "stability"),
-                         help="one family only (default: all seven)"),
+                                               "multipliers", "stability", "nu_pre"),
+                         help="one family only (default: all eight)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--max-prime", type=int, default=MAX_PRIME,

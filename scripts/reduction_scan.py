@@ -6,18 +6,24 @@ Example:
 
 The files use the same JSON schemas as the CLI, and the points pair in
 order with the portrait's vertices.  Each row is the answer of
-`portraitdyn dyn reduce` at one prime.  Like the CLI, a malformed input
-exits 2 and a domain error exits 1, each with one `error: ...` line on
-stderr.
+`portraitdyn dyn reduce` at one prime.  The scan tests every integer up
+to --max-prime for primality, so --max-prime is at most
+reduction.TABLE_PRIME_CAP = 10^5 (about 1 s of tests).  Like the CLI, a
+malformed input exits 2 and a domain error exits 1, each with one
+`error: ...` line on stderr.
 """
 
+from portraitdyn import DomainError
 from portraitdyn.cli import COMMANDS, arg, assign_points, script
 from portraitdyn.forms import is_prime
+from portraitdyn.reduction import TABLE_PRIME_CAP
 
 _, dyn_reduce = COMMANDS["dyn"]["reduce"]
 
 
 def scan(f, points, portrait, max_prime):
+    if max_prime > TABLE_PRIME_CAP:
+        raise DomainError(f"--max-prime {max_prime} exceeds cap {TABLE_PRIME_CAP}")
     assign_points(points, portrait)  # refuses a mismatched points file even with no prime
     primes = filter(is_prime, range(2, max_prime + 1))
     return [dyn_reduce(f, p, points, portrait) for p in primes]

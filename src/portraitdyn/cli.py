@@ -425,9 +425,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusal is one `error:` line and exit 2, as
+    every other refusal; its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser(group=None) -> argparse.ArgumentParser:
     """The parser of every group, with the commands of `group` only."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="portraitdyn",
         description="Exact tools for portraits and rational maps on the projective line.")
     top = parser.add_subparsers(dest="group", required=True)
@@ -479,7 +487,7 @@ def main(argv=None) -> int:
 def script(doc, specs, handler, argv=None):
     """Run a script: parse argv with a flat parser built from the argument
     specs, `run` the handler and exit with its code."""
-    parser = argparse.ArgumentParser(description=doc)
+    parser = _Parser(description=doc)
     for flags, options, _ in specs:
         parser.add_argument(*flags, **options)
     sys.exit(run(specs, handler, parser.parse_args(argv)))

@@ -135,80 +135,59 @@ def subspace_candidates(points) -> list:
 def verdict(inst: StabilityInstance) -> StabilityVerdict:
     """Three-valued (semi)stability verdict from the two bands.
 
-    The sufficient eps = 0 band certifies yes and the failure of the
-    necessary eps = m0 band certifies no.  For m = (0, 1, ..., 1) the
-    bands coincide, and the stable witness names the classical point
-    criterion.  Degree 2 with one marked point of unit weight has
-    C = D_0, so the bands leave stability open; the fixed-point flag
-    decides it.
+    One pass takes the excess e = (N + 1)(C - D_0) of every candidate.
+    The eps = 0 band certifies yes when the largest e is <= 0 (semistable)
+    or < 0 (stable); the eps = m0 band certifies no at the first candidate
+    with e > (N + 1) m0 (semistable) or e >= (N + 1) m0 (stable).  Both
+    bands are invariant under scaling the weights, so they read the weights
+    as given.  For m = (0, 1, ..., 1) up to a factor the bands coincide,
+    and the stable witness names the classical point criterion.  Degree 2
+    with one marked point of unit weight has C = D_0, so the bands leave
+    stability open; the fixed-point flag decides it.
     """
-    # C and D scale identically in the weights, so the bands only depend
-    # on the weight vector up to a positive factor; dividing by the gcd
-    # lets the classical witness and the flag case match scaled instances.
-    g = gcd(*inst.weights)
-    if g > 1:
-        inst = inst._replace(weights=tuple(w // g for w in inst.weights))
-
     if inst.points is not None:
         candidates = subspace_candidates(inst.points)
     else:
-        candidates = list(inst.incidences)
+        candidates = inst.incidences    # each proper: the instance checks them
+    m_sigma, margin = inst.m_sigma, (inst.N + 1) * inst.m0
+    top, past, reach = -1, None, None   # with no candidate, both bands say yes
+    for sub in candidates:
+        c, d0 = _scaled_cd(inst, m_sigma, sub)
+        top = max(top, c - d0)
+        if reach is None and c - d0 >= margin:
+            reach = sub
+        if past is None and c - d0 > margin:
+            past = sub
 
     witnesses = {}
-    semi, stab = _band_verdicts(inst, candidates, witnesses)
-    m = inst.weights
 
+    def band(name, holds, first, certified, failed):
+        if holds:
+            witnesses[name] = f"{certified} on every candidate subspace"
+            return YES
+        if first is None:
+            return UNDECIDED
+        witnesses[name] = f"{failed} at {first.label()}"
+        return NO
+
+    semi = band("semistable", top <= 0, past, "C <= D_0", "C > D_m0")
+    stab = band("stable", top < 0, reach, "C < D_0", "C >= D_m0")
+
+    # the named cases match the weights up to a positive factor
+    g = gcd(*inst.weights) or 1
+    m = tuple(w // g for w in inst.weights)
     if len(m) > 1 and m[0] == 0 and all(w == 1 for w in m[1:]):
         witnesses["stable"] = ("point-configuration criterion for O(0,1,...,1): "
                                + ("all subspace counts strict" if stab == YES
                                   else "a subspace holds too many points"))
 
-    if inst.d == 2 and tuple(m) == (1, 1) and inst.points is not None:
+    if inst.d == 2 and m == (1, 1) and inst.points is not None:
         flag = (inst.fixed_point_flags or (None,))[0]
-        if flag is None:
-            witnesses["stable"] = ("degree-2 single-point case needs the "
-                                   "fixed-point flag to decide")
-        elif flag:
-            stab = NO
-            witnesses["stable"] = "degree-2 single marked fixed point"
-        else:
-            stab = YES
-            witnesses["stable"] = "degree-2 single marked non-fixed point"
+        stab, witnesses["stable"] = (
+            (stab, "degree-2 single-point case needs the fixed-point flag to decide")
+            if flag is None else (NO, "degree-2 single marked fixed point") if flag
+            else (YES, "degree-2 single marked non-fixed point"))
 
     if stab == YES and semi == NO:
         raise StabilityError("inconsistent verdict")  # pragma: no cover
     return StabilityVerdict(semi, stab, witnesses)
-
-
-def _band_verdicts(inst, candidates, witnesses):
-    ss0 = st0 = True
-    ssm = stm = True
-    m_sigma, margin = inst.m_sigma, inst.m0 * (inst.N + 1)
-    for sub in candidates:     # each proper: the instance checks incidences
-        c, d0 = _scaled_cd(inst, m_sigma, sub)     # both times N + 1
-        dm = d0 + margin
-        if c > d0:
-            ss0 = False
-        if c >= d0:
-            st0 = False
-        if c > dm:
-            ssm = False
-            witnesses.setdefault("semistable", f"C > D_m0 at {sub.label()}")
-        if c >= dm:
-            stm = False
-            witnesses.setdefault("stable", f"C >= D_m0 at {sub.label()}")
-    if ss0:
-        semi = YES
-        witnesses["semistable"] = "C <= D_0 on every candidate subspace"
-    elif not ssm:
-        semi = NO
-    else:
-        semi = UNDECIDED
-    if st0:
-        stab = YES
-        witnesses["stable"] = "C < D_0 on every candidate subspace"
-    elif not stm:
-        stab = NO
-    else:
-        stab = UNDECIDED
-    return semi, stab

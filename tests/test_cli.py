@@ -450,14 +450,16 @@ def test_extract_verify_and_fibers_answer_in_linear_size(tmp_path):
 
 # A value just past the first cap each integer argument meets, on a fixed
 # point and z^2: N (m + n) bit_length(d) past NU_CAP_BITS, d^n past
-# DEGREE_CAP, nu past MULTIPLIER_CAP, a prime past FACTOR_CAP.  `frame`
-# has no cap: its degree must match the portrait's ramification.
+# DEGREE_CAP, nu past MULTIPLIER_CAP, a prime past FACTOR_CAP, k past its
+# choices.  `frame` has no cap: its degree must match the portrait's
+# ramification.
 _PAST_CAP = {"--degree": 2 ** NU_CAP_BITS, "--dim": NU_CAP_BITS // 2 + 1,
              "-n": NU_CAP_BITS // 2 + 1, "-m": NU_CAP_BITS // 2, "--prime": FACTOR_CAP + 7,
+             "-k": 2,
              ("dyn", "dynatomic", "-n"): DEGREE_CAP.bit_length(),
              ("mod", "multipliers", "-n"): next(n for n in range(1, 99)
                                                 if nu(2, 1, n) > MULTIPLIER_CAP)}
-_VALID = {"--degree": "2", "--dim": "1", "-n": "1", "--prime": "3"}
+_VALID = {"--degree": "2", "--dim": "1", "-n": "1", "--prime": "3", "-k": "0"}
 _HUGE = 10 ** 4000
 _CRITICAL_SQUARE = {"vertices": ["0", "inf"], "map": {"0": "0", "inf": "inf"},
                     "weights": {"0": 2, "inf": 2}}
@@ -469,7 +471,7 @@ def _integer_argument_cases():
     for group, commands in COMMANDS.items():
         for command, (specs, _) in commands.items():
             for flags, options, _ in specs:
-                if options.get("type") is int and "choices" not in options:
+                if options.get("type") is int:
                     past = _PAST_CAP.get((group, command, flags[0]), _PAST_CAP[flags[0]])
                     name = f"{group}-{command}{flags[0]}"
                     yield pytest.param(group, command, {flags[0]: past}, id=name + "-past-cap")
@@ -504,7 +506,40 @@ def test_every_integer_argument_is_checked_before_arithmetic(tmp_path, group, co
 
 def test_the_integer_argument_walk_covers_every_integer_flag():
     assert {flag for case in _integer_argument_cases() for flag in case.values[2]} == {
-        "--degree", "--dim", "-n", "-m", "--prime"}
+        "--degree", "--dim", "-n", "-m", "--prime", "-k"}
+
+
+def _parse_error_cases():
+    """(group, command, argv after the command) for each command with no
+    argument at all, and for each of its integer arguments given text."""
+    for group, commands in COMMANDS.items():
+        for command, (specs, _) in commands.items():
+            yield pytest.param(group, command, None, id=f"{group}-{command}-missing")
+            for flags, options, _ in specs:
+                if options.get("type") is int:
+                    yield pytest.param(group, command, flags[0],
+                                       id=f"{group}-{command}{flags[0]}-text")
+
+
+@pytest.mark.parametrize("group, command, flag", _parse_error_cases())
+def test_parse_errors_are_one_line(tmp_path, group, command, flag):
+    # argparse printed a usage line before its error line
+    argv = [group, command] if flag is None else _argv(tmp_path, group, command, {flag: "x"})
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, "")
+    expected = ("error: the following arguments are required: " if flag is None
+                else f"error: argument {flag}: invalid int value: 'x'\n")
+    assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["mod"], ["mod", "bogus"],
+                                  ["mod", "nu", "--degree", "2", "--dim", "1", "-n", "1", "-z"]],
+                         ids=["nothing", "unknown-group", "no-command", "unknown-command",
+                              "unknown-option"])
+def test_usage_errors_are_one_line(argv):
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv, expected", [

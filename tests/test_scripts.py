@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import within
 from portraitdyn import forms, search
 from portraitdyn.cli import main
+from portraitdyn.maps import MAP_DEGREE_CAP
+from portraitdyn.reduction import TABLE_PRIME_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,17 +88,26 @@ def test_find_model_output_is_a_verified_model(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True}
 
 
+# three fixed points and a 2-cycle: a degree-2 model has height 2
+_ACCEPTANCE = {"vertices": list("abcde"),
+               "map": {"a": "a", "b": "b", "c": "c", "d": "e", "e": "d"}}
+
+
+def _run_in_process(monkeypatch, capsys, name, *args):
+    """Run a script as __main__ in this process: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    out, err = capsys.readouterr()
+    return exited.value.code, out, err
+
+
 def test_find_model_past_the_search_cap_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "portrait.json"
-    path.write_text(json.dumps({"vertices": list("abcde"),
-                                "map": {"a": "a", "b": "b", "c": "c", "d": "e", "e": "d"}}),
-                    encoding="utf-8")
+    path.write_text(json.dumps(_ACCEPTANCE), encoding="utf-8")
     monkeypatch.setattr(search, "SEARCH_CAP", 100)
-    monkeypatch.setattr(sys, "argv", ["find_model.py", str(path), "--degree", "2"])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(ROOT / "scripts" / "find_model.py"), run_name="__main__")
-    out, err = capsys.readouterr()
-    assert exited.value.code == 1 and out == ""
+    code, out, err = _run_in_process(monkeypatch, capsys, "find_model.py", path, "--degree", "2")
+    assert code == 1 and out == ""
     assert err == "error: model search exceeds cap 100 candidates\n"
 
 
@@ -105,7 +117,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert _run_script("ledger.py", *tiny, hash_seed="1") == out
     doc = json.loads(out)
     assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "multipliers",
-                         "stability"]
+                         "stability", "nu_pre"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -152,7 +164,8 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
 
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
                                           ("morphisms", 2000), ("maps", 400),
-                                          ("multipliers", 2000), ("stability", 8000)])
+                                          ("multipliers", 2000), ("stability", 8000),
+                                          ("nu_pre", 3600)])
 def test_ledger_check_passes_against_the_committed_digests(family, count):
     doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
@@ -235,3 +248,88 @@ def test_scripts_run_through_the_cli_script_path(path):
     assert not any(name.startswith("_") for name in from_cli)
     assert not any(isinstance(node, ast.Attribute) and node.attr.startswith("_")
                    for node in ast.walk(tree))
+
+
+_HUGE = 10 ** 4000
+_SCREEN_PRIME_CAP = runpy.run_path(str(ROOT / "scripts" / "ledger.py"))["SCREEN_PRIME_CAP"]
+
+
+def _write_inputs(tmp_path, files):
+    paths = []
+    for i, doc in enumerate(files):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+# (script, input files, other arguments, integer flag, value, exit code):
+# each integer argument of a script just past its cap and at 10^4000.
+# find_model's --bound has no cap, since SEARCH_CAP bounds the candidates
+# walked, and ledger's --list none, since it only cuts the printed lines:
+# both answer at 10^4000.
+_SCRIPT_INTEGERS = [
+    ("enumerate_critical_portraits.py", [], [], "--degree", 4, 2),
+    ("enumerate_critical_portraits.py", [], [], "--degree", _HUGE, 2),
+    ("find_model.py", [_ACCEPTANCE], [], "--degree", MAP_DEGREE_CAP + 1, 1),
+    ("find_model.py", [_ACCEPTANCE], [], "--degree", _HUGE, 1),
+    ("find_model.py", [_ACCEPTANCE], ["--degree", "2"], "--bound", _HUGE, 0),
+    ("reduction_scan.py", [_MAP, _POINTS, _PORTRAIT], [], "--max-prime",
+     TABLE_PRIME_CAP + 1, 1),
+    ("reduction_scan.py", [_MAP, _POINTS, _PORTRAIT], [], "--max-prime", _HUGE, 1),
+    ("ledger.py", [], [], "--max-prime", _SCREEN_PRIME_CAP + 1, 1),
+    ("ledger.py", [], [], "--max-prime", _HUGE, 1),
+    ("ledger.py", [], ["--family", "nu_pre"], "--list", _HUGE, 0),
+]
+
+
+@pytest.mark.parametrize("script,files,extra,flag,value,code", _SCRIPT_INTEGERS,
+                         ids=[f"{c[0][:-3]}{c[3]}-{'huge' if c[4] == _HUGE else 'past-cap'}"
+                              for c in _SCRIPT_INTEGERS])
+def test_every_script_integer_is_checked_before_its_loops(tmp_path, monkeypatch, capsys,
+                                                          script, files, extra, flag, value,
+                                                          code):
+    # reduction_scan tested every integer up to --max-prime for primality:
+    # nothing printed in 10 s at 10^30
+    args = [*_write_inputs(tmp_path, files), *extra, flag, value]
+    with within(1):
+        got = _run_in_process(monkeypatch, capsys, script, *args)
+    if code:
+        assert got[:2] == (code, "")
+        assert got[2].startswith("error: ") and got[2].count("\n") == 1, got[2][:200]
+    else:
+        assert got[0] == 0 and got[2] == "" and json.loads(got[1])
+
+
+def test_the_script_integer_walk_covers_every_integer_argument():
+    flags = set()
+    for path in (ROOT / "scripts").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "arg"
+                    and any(k.arg == "type" and getattr(k.value, "id", None) == "int"
+                            for k in node.keywords)):
+                flags.add((path.name, node.args[0].value))
+    assert flags == {(case[0], case[3]) for case in _SCRIPT_INTEGERS}
+
+
+@pytest.mark.parametrize("script,files,args", [
+    ("enumerate_critical_portraits.py", [], ["--degree", "x"]),
+    ("enumerate_critical_portraits.py", [], ["--degree"]),
+    ("find_model.py", [_ACCEPTANCE], ["--degree", "x"]),
+    ("find_model.py", [_ACCEPTANCE], ["--degree", "2", "--bound", "x"]),
+    ("find_model.py", [], []),
+    ("reduction_scan.py", [_MAP, _POINTS, _PORTRAIT], ["--max-prime", "x"]),
+    ("reduction_scan.py", [_MAP], []),
+    ("ledger.py", [], ["--list", "x"]),
+    ("ledger.py", [], ["--max-prime", "x"]),
+    ("ledger.py", [], ["--family", "bogus"]),
+    ("ledger.py", [], ["--list"]),
+], ids=["enumerate-degree-text", "enumerate-degree-missing", "find-degree-text",
+        "find-bound-text", "find-missing", "scan-prime-text", "scan-missing", "ledger-list-text",
+        "ledger-prime-text", "ledger-family-choice", "ledger-list-missing"])
+def test_script_parse_errors_are_one_line(tmp_path, monkeypatch, capsys, script, files, args):
+    # argparse printed a usage line before its error line
+    code, out, err = _run_in_process(monkeypatch, capsys, script,
+                                     *_write_inputs(tmp_path, files), *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err

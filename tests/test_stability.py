@@ -232,6 +232,70 @@ def test_named_results_follow_from_the_bands():
     assert seen == {"global", "global, N > 1", "unit", "o21", "classical"}
 
 
+def _oracle_bands(inst):
+    """Each band from cd_values in Fractions, independently of verdict:
+    (answer, first candidate past the eps = m0 threshold) for the
+    semistable band (C > D_m0) and the stable band (C >= D_m0)."""
+    candidates = (subspace_candidates(inst.points) if inst.points is not None
+                  else inst.incidences)
+    zero = [cd_values(inst, sub, 0) for sub in candidates]
+    top = [cd_values(inst, sub, inst.m0) for sub in candidates]
+    past = next((sub for sub, (c, d) in zip(candidates, top) if c > d), None)
+    reach = next((sub for sub, (c, d) in zip(candidates, top) if c >= d), None)
+    semi = YES if all(c <= d for c, d in zero) else NO if past else MAYBE
+    stab = YES if all(c < d for c, d in zero) else NO if reach else MAYBE
+    return (semi, past), (stab, reach)
+
+
+def _oracle_instance(rng):
+    """N = 1 with coinciding marked points (and a flag for one point), or
+    N = 2, 3 with random incidences; the weights share a factor in two
+    instances of five."""
+    N = rng.choice((1, 1, 2, 3))
+    n = rng.randint(0, 6)
+    weights = tuple(rng.randint(0, 3) for _ in range(n + 1))
+    if rng.random() < 0.4:
+        weights = tuple(rng.randint(2, 4) * w for w in weights)
+    if N == 1:
+        points = tuple(rng.choice((aff(rng.randint(-2, 2)), ProjectivePoint.infinity()))
+                       for _ in range(n))
+        flags = (rng.choice((True, False, None)),) if n == 1 else None
+        return StabilityInstance(N=1, d=rng.randint(2, 4), weights=weights, points=points,
+                                 fixed_point_flags=flags)
+    incidences = tuple(Subspace(rng.randrange(N),
+                                frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))))
+                       for _ in range(rng.randint(0, 4) if n else 0))
+    return StabilityInstance(N=N, d=rng.randint(2, 4), weights=weights, incidences=incidences)
+
+
+def test_verdict_agrees_with_the_bands_from_cd_values():
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(3000):
+        inst = _oracle_instance(rng)
+        v = verdict(inst)
+        (semi, past), (stab, reach) = _oracle_bands(inst)
+        g = gcd(*inst.weights) or 1
+        unit = tuple(w // g for w in inst.weights)
+        classical = len(unit) > 1 and unit == (0,) + (1,) * (len(unit) - 1)
+        single = inst.d == 2 and unit == (1, 1) and inst.points is not None
+        flagged = single and (inst.fixed_point_flags or (None,))[0] is not None
+        seen.update({("semistable", semi), ("stable", stab), ("N", inst.N), ("scaled", g > 1)})
+        assert v.semistable == semi
+        assert v.witnesses.get("semistable") == {
+            YES: "C <= D_0 on every candidate subspace",
+            NO: past and f"C > D_m0 at {past.label()}", MAYBE: None}[semi]
+        if not flagged:
+            assert v.stable == stab
+        if not (single or classical):     # the named cases word the stable witness
+            assert v.witnesses.get("stable") == {
+                YES: "C < D_0 on every candidate subspace",
+                NO: reach and f"C >= D_m0 at {reach.label()}", MAYBE: None}[stab]
+    assert seen == {(band, answer) for band in ("semistable", "stable")
+                    for answer in (YES, NO, MAYBE)} | {("N", 1), ("N", 2), ("N", 3),
+                                                       ("scaled", False), ("scaled", True)}
+
+
 def test_incidence_mode_certified_no():
     # five unit-weight points all on one line inside P^2 cannot be stable
     inst = StabilityInstance(
