@@ -41,7 +41,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+__all__ = sorted(["DomainError", *_EXPORTS, *_MODULE_OF])
 
 
 def __getattr__(name):

@@ -32,6 +32,12 @@ class ModuliError(DomainError):
     pass
 
 
+def _ints(*args):
+    """Refuse a bool, float or other non-int argument before any arithmetic."""
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
+        raise ModuliError("the arguments must be integers")
+
+
 def nu(d: int, N: int, n: int) -> int:
     """Number of points of formal period n (with multiplicity) for a
     generic degree-d endomorphism of P^N:
@@ -41,11 +47,12 @@ def nu(d: int, N: int, n: int) -> int:
 
 # Memoized like forms._small_divisors: the portrait checks ask for the same
 # few counts over and over.  An entry is below NU_CAP_BITS + 2 bits, so the
-# cache holds at most about 1.5 MB; `typed` keeps 2 and 2.0 apart.
+# cache holds at most about 1.5 MB; `typed` keeps a bool off an int's entry.
 @lru_cache(maxsize=1024, typed=True)
 def nu_pre(d: int, N: int, m: int, n: int) -> int:
     """Count of preperiodic type (m, n): d^(N(m-1)) (d^N - 1) nu for m >= 1,
     nu for m = 0.  Raises ModuliError above NU_CAP_BITS."""
+    _ints(d, N, m, n)
     if m < 0:
         raise ModuliError("preperiod must be nonnegative")
     if d < 2 or N < 1 or n < 1:
@@ -71,6 +78,7 @@ def dim_end(d: int, N: int) -> int:
     so it never builds an answer that could not be printed.  The float
     estimate errs by far less than the one digit of margin kept.
     """
+    _ints(d, N)
     limit = sys.get_int_max_str_digits()
     k = min(N, d)
     if limit and k * (log10(N + d) - log10(k)) > limit + 1:
@@ -367,6 +375,7 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
     """
     from .maps import MapError
 
+    _ints(k)
     if k not in (0, 1):
         raise ModuliError("only k in {0, 1} is meaningful on P^1")
     data = multiplier_polynomial(f, 1)

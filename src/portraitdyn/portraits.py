@@ -41,10 +41,10 @@ class Portrait:
 
     def __init__(self, vertices: Iterable[str], phi: Mapping[str, str],
                  weights: Optional[Mapping[str, int]] = None):
-        vs = tuple(str(v) for v in vertices)
-        if len(set(vs)) != len(vs):
-            raise PortraitError("duplicate vertex id")
+        vs = tuple(map(str, vertices))
         vset = set(vs)
+        if len(vset) != len(vs):
+            raise PortraitError("duplicate vertex id")
         phi = {str(k): str(v) for k, v in phi.items()}
         for k, v in phi.items():
             if k not in vset:
@@ -61,9 +61,8 @@ class Portrait:
                 raise PortraitError(f"weight {w} < 1 on vertex {k!r}")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "domain", frozenset(phi))
-        object.__setattr__(self, "phi", dict(phi))
-        object.__setattr__(self, "weights",
-                          {k: w for k, w in weights.items() if w > 1})
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "weights", {k: w for k, w in weights.items() if w > 1})
         for slot in ("_peeled", "_codes", "_ends", "_canon", "_closures"):
             object.__setattr__(self, slot, None)
 
@@ -262,9 +261,8 @@ class Portrait:
         if missing:
             raise PortraitError(f"kept vertex {min(missing)!r} is not a vertex")
         phi = {v: w for v, w in self.phi.items() if v in keep}
-        for v, w in phi.items():
-            if w not in keep:
-                raise PortraitError("restriction is not phi-closed")
+        if not keep.issuperset(phi.values()):
+            raise PortraitError("restriction is not phi-closed")
         return Portrait(sorted(keep), phi,
                         {v: w for v, w in self.weights.items() if v in keep})
 
@@ -299,15 +297,14 @@ class PortraitMorphism(_Morphism):
     __slots__ = ()
 
     def __new__(cls, source, target, mapping):
-        m, src, tgt = mapping, source, target
-        if set(m) != set(src.vertices):
+        if set(mapping) != set(source.vertices):
             raise PortraitError("morphism must be defined on every vertex")
-        if len(set(m.values())) != len(m):
+        if len(set(mapping.values())) != len(mapping):
             raise PortraitError("morphism must be injective")
-        if not set(m.values()) <= set(tgt.vertices):
+        if not set(mapping.values()) <= set(target.vertices):
             raise PortraitError("morphism image outside target")
-        for v in src.domain:
-            broken = _broken_rule(src, tgt, m, v)
+        for v in source.domain:
+            broken = _broken_rule(source, target, mapping, v)
             if broken:
                 raise PortraitError(broken)
         return tuple.__new__(cls, (source, target, mapping))
@@ -518,15 +515,12 @@ def element_order(m: PortraitMorphism) -> int:
     order = 1
     seen = set()
     for v in m.mapping:
-        if v in seen:
-            continue
         length = 0
-        u = v
-        while u not in seen:
-            seen.add(u)
-            u = m.mapping[u]
+        while v not in seen:        # walk v's cycle, if no earlier vertex did
+            seen.add(v)
+            v = m.mapping[v]
             length += 1
-        order = math.lcm(order, length)
+        order = math.lcm(order, length or 1)
     return order
 
 
@@ -629,10 +623,9 @@ def frame(p: Portrait, d: int) -> Portrait:
         raise PortraitError("frame is only defined for complete critical portraits")
     if len(p.weights) == len(p.domain) and list(p.vertices) == sorted(p.vertices):
         return p
-    w0 = set(p.weights)
-    w = w0 | {p.phi[v] for v in w0}
-    phi = {v: p.phi[v] for v in w0}
-    return Portrait(sorted(w), phi, {v: p.weights[v] for v in w0})
+    phi = {v: p.phi[v] for v in p.weights}
+    vertices = set(phi) | set(phi.values())
+    return Portrait(sorted(vertices), phi, p.weights)
 
 
 def enumerate_primitive_critical_portraits(d: int) -> list:
@@ -652,38 +645,31 @@ def enumerate_primitive_critical_portraits(d: int) -> list:
     classes = {}
     for weights in _weight_multisets(2 * d - 2):
         t = len(weights)
-        crits = [f"c{i + 1}" for i in range(t)]
+        names = [f"c{i + 1}" for i in range(t)] + [f"s{i + 1}" for i in range(t)]
+        crit_weights = dict(zip(names, weights))
         for targets in itertools.product(range(2 * t), repeat=t):
-            phi = {}
-            sinks = []
-            sink_name = {}
-            for i, tgt in enumerate(targets):
+            phi, size = {}, t       # size: c1..ct and the sinks named so far
+            for c, tgt in zip(names, targets):
+                first = names[targets.index(tgt)]       # the first critical point sent to tgt
                 if tgt < t:
-                    phi[crits[i]] = crits[tgt]
+                    phi[c] = names[tgt]
+                elif first in phi:      # a sink, named s1, s2, ... in order of first use
+                    phi[c] = phi[first]
                 else:
-                    if tgt not in sink_name:
-                        sink_name[tgt] = f"s{len(sink_name) + 1}"
-                        sinks.append(sink_name[tgt])
-                    phi[crits[i]] = sink_name[tgt]
-            cand = Portrait(crits + sinks, phi,
-                            dict(zip(crits, weights)))
+                    phi[c], size = names[size], size + 1
+            cand = Portrait(names[:size], phi, crit_weights)
             classes.setdefault(canonical_form(cand), cand)
     return list(classes.values())
 
 
-def _weight_multisets(total: int):
-    """Multisets of weights >= 2 with sum of (w - 1) equal to `total`."""
-
-    def parts(remaining, maximum):
-        if remaining == 0:
-            yield []
-            return
-        for p in range(min(remaining, maximum), 0, -1):
-            for rest in parts(remaining - p, p):
-                yield [p] + rest
-
-    for partition in parts(total, total):
-        yield [p + 1 for p in partition]
+def _weight_multisets(total: int, largest: int = 0):
+    """Multisets of weights >= 2 with sum of (w - 1) equal to `total`, as
+    lists with no w - 1 above `largest` (if given), largest first."""
+    if total == 0:
+        yield []
+    for w in range(min(total, largest or total) + 1, 1, -1):
+        for rest in _weight_multisets(total - w + 1, w - 1):
+            yield [w] + rest
 
 
 # -- minimal critical-relation systems ----------------------------------

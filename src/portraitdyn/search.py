@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import forms
 from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
-                   extract_portrait, pullback_model)
-from .portraits import Portrait, PortraitError, PortraitMorphism, morphism_maps
+                   extract_portrait, verify_model)
+from .portraits import Portrait, PortraitError, morphism_maps
 from .projective import ProjectivePoint
 from .reduction import _admits_period
 
@@ -198,5 +198,7 @@ def _match_cycles(f, portrait, screened, wanted, fixed):
     first = next(morphism_maps(portrait, target), None)
     if first is None:
         return None
-    return pullback_model(PortraitMorphism(portrait, target, first),
-                          Model(f, target, assignment))
+    model = verify_model(f, portrait, {v: assignment[first[v]] for v in portrait.vertices})
+    if not model:
+        raise MapError(f"model check failed: {model.problems}")  # pragma: no cover
+    return model

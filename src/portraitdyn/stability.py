@@ -80,6 +80,8 @@ class StabilityInstance(_Instance):
         flags = self.fixed_point_flags
         if flags is not None and (self.points is None or len(flags) != n):
             raise StabilityError("fixed-point flags need points, one flag per point")
+        if flags is not None and any(f is not None and not isinstance(f, bool) for f in flags):
+            raise StabilityError("fixed-point flags must be True, False or None")
         return self
 
     @classmethod

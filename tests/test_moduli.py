@@ -74,6 +74,19 @@ def test_nu_rejects_bad_input():
         nu_pre(0, -1, 2, 1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1", None])
+def test_exact_counts_refuse_non_integer_arguments(bad):
+    # each good call runs first, so a bad argument equal to a good one (True
+    # and 1, 1.0 and 1) must not reach the answer nu_pre cached for it
+    calls = [(nu_pre, (2, 1, 1, 1), 3), (nu, (2, 1, 3), 6), (moduli.dim_end, (2, 1), 5),
+             (dim_moduli_space, (2, 1), 2), (ueda_sum, (Z_SQUARED, 1), -2)]
+    for fn, args, answer in calls:
+        assert fn(*args) == answer
+        for i in range(len(args)) if fn is not ueda_sum else [1]:
+            with pytest.raises(ModuliError, match="must be integers"):
+                fn(*args[:i], bad, *args[i + 1:])
+
+
 @pytest.mark.parametrize("d,N", [(2, 1), (3, 1), (2, 3), (255, 1), (256, 2), (10 ** 30, 1)])
 def test_nu_size_cap(d, N):
     """At the cap every count has fewer digits than Python prints; above it,

@@ -40,6 +40,8 @@ EXPORTS = {
                   "cd_values", "subspace_candidates", "verdict"],
     "search": ["portrait_cycles", "rational_cycles", "search_periodic_model"],
 }
+# The names the package itself defines and exports.
+PACKAGE = ["DomainError"]
 SUBMODULES = ["forms", "maps", "moduli", "portraits", "projective", "reduction", "search",
               "stability"]
 
@@ -47,7 +49,7 @@ SUBMODULES = ["forms", "maps", "moduli", "portraits", "projective", "reduction",
 def test_all_lists_the_exported_names_and_submodules():
     names = [n for names in EXPORTS.values() for n in names]
     assert len(names) == 64
-    assert portraitdyn.__all__ == sorted(names + SUBMODULES)
+    assert portraitdyn.__all__ == sorted(PACKAGE + names + SUBMODULES)
     assert set(portraitdyn.__all__) <= set(dir(portraitdyn))
 
 
@@ -64,6 +66,7 @@ def test_star_import():
     exec("from portraitdyn import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(portraitdyn.__all__)
     assert namespace["verdict"] is portraitdyn.stability.verdict
+    assert namespace["DomainError"] is DomainError
 
 
 def test_unknown_attribute_raises():

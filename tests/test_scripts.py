@@ -111,11 +111,17 @@ def test_find_model_past_the_search_cap_exits_1_in_one_line(tmp_path, monkeypatc
     assert err == "error: model search exceeds cap 100 candidates\n"
 
 
-def test_ledger_digests_its_lines_under_either_hash_seed():
-    tiny = ("--max-prime", "2", "--list", "100000")
-    out = _run_script("ledger.py", *tiny)
-    assert _run_script("ledger.py", *tiny, hash_seed="1") == out
-    doc = json.loads(out)
+@pytest.fixture(scope="module")
+def ledger_runs():
+    """The whole ledger, checked against its committed digests and with
+    every line listed: one run per hash seed."""
+    return {seed: _run_script("ledger.py", "--check", "--list", "100000", hash_seed=seed)
+            for seed in ("0", "1")}
+
+
+def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
+    assert ledger_runs["1"] == ledger_runs["0"]
+    doc = json.loads(ledger_runs["0"])
     assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "multipliers",
                          "stability", "nu_pre"]
     for entry in doc.values():
@@ -127,8 +133,6 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
     assert doc["search"]["lines"][:2] == [
         "(1, 1, 1, 2) () d=2 b=5 forward: (1, -1, -2) (-2, -2, 2) -1/2 -2 1 -1 0",
         "(1, 1, 1, 2) () d=2 b=5 reversed: (1, -1, -2) (-2, -2, 2) -1 0 -1/2 -2 1"]
-    assert all(line.split(" p=")[1].startswith("2 n=2..8: ")
-               for line in doc["screen"]["lines"])
     assert doc["classes"]["count"] == 133      # 9 classes in degree 2, 124 in degree 3
     assert sum(line.startswith("d=2: ") for line in doc["classes"]["lines"]) == 9
     assert doc["classes"]["lines"][0].startswith(
@@ -157,17 +161,20 @@ def test_ledger_digests_its_lines_under_either_hash_seed():
         "1 N=1 d=4 weights=(0, 1, 0, 2, 1, 1, 2) points=['-1/2', '0', '1', '-1/2', 'inf', "
         "'inf']: certified-yes certified-yes [('semistable', 'C <= D_0 on every candidate "
         "subspace'), ('stable', 'C < D_0 on every candidate subspace')]")
-    one = json.loads(_run_script("ledger.py", "--family", "screen", "--max-prime", "2",
-                                 "--list", "1"))
-    assert one == {"screen": dict(doc["screen"], lines=doc["screen"]["lines"][:1])}
+    # a tiny screen: every line at the prime 2, and --list cuts the lines only
+    tiny = ("--family", "screen", "--max-prime", "2", "--list")
+    screen = json.loads(_run_script("ledger.py", *tiny, "100000"))["screen"]
+    assert all(line.split(" p=")[1].startswith("2 n=2..8: ") for line in screen["lines"])
+    one = json.loads(_run_script("ledger.py", *tiny, "1"))
+    assert one == {"screen": dict(screen, lines=screen["lines"][:1])}
 
 
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
                                           ("morphisms", 2000), ("maps", 400),
                                           ("multipliers", 2000), ("stability", 8000),
                                           ("nu_pre", 3600)])
-def test_ledger_check_passes_against_the_committed_digests(family, count):
-    doc = json.loads(_run_script("ledger.py", "--family", family, "--check"))
+def test_ledger_check_passes_against_the_committed_digests(ledger_runs, family, count):
+    doc = json.loads(ledger_runs["0"])
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
     assert f"{family} {count} {doc[family]['sha256']}\n" in expected
     assert doc[family]["count"] == count

@@ -315,6 +315,19 @@ def test_incidence_validation():
         StabilityInstance(N=0, d=2, weights=(1,))
 
 
+@pytest.mark.parametrize("flag", ["no", 0.5, 1, 0, []])
+def test_non_boolean_fixed_point_flags_rejected(flag):
+    with pytest.raises(StabilityError, match="True, False or None"):
+        StabilityInstance(N=1, d=2, weights=(1, 1), points=(aff(0),), fixed_point_flags=(flag,))
+
+
+@pytest.mark.parametrize("flag", [True, False, None])
+def test_boolean_or_missing_fixed_point_flags_accepted(flag):
+    inst = StabilityInstance(N=1, d=2, weights=(1, 1), points=(aff(0),),
+                             fixed_point_flags=(flag,))
+    assert inst.fixed_point_flags == (flag,)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"N": "1", "d": 2, "weights": (1, 1)},
     {"N": 1, "d": 2.0, "weights": (1, 1)},
