@@ -2,10 +2,10 @@
 
 A form of degree D is a tuple of D+1 integers (c0, ..., cD) with
 ci the coefficient of X^(D-i) Y^i.  Every inner loop runs on Python
-integers: the resultant of two degree-d forms is a d x d Bezout
-determinant (a closed form for d = 2 and 3, a fraction-free Bareiss
-elimination otherwise), exact division stays in Z[X, Y], and evaluation,
-which every root test runs, is homogeneous Horner.  The algorithmic
+integers: the resultant of two degree-d forms is a Bezout determinant in
+closed form for d = 2 and 3 and a subresultant remainder sequence
+otherwise, exact division stays in Z[X, Y], and evaluation, which every
+root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only; integerize is the one place that clears denominators, and
 callers with rational coefficients go through it first.  add, sub, mul,
@@ -100,9 +100,14 @@ def primitive(f: Form) -> Form:
 
 def integerize(f) -> Form:
     """The primitive integer form proportional to f, whose coefficients
-    may be anything Fraction accepts: the one place in forms that clears
-    denominators."""
+    may be anything Fraction accepts but a float or a bool: the one place
+    in forms that clears denominators.  A float's value is its binary
+    expansion, not the number written, so it is refused, as is a bool."""
     if {*map(type, f)} != {int}:
+        for c in f:
+            if isinstance(c, (float, bool)):
+                raise FormError("coefficients must be ints, Fractions or rational "
+                                f"strings, got {c!r}")
         f = [Fraction(c) for c in f]
         den = lcm(*(c.denominator for c in f))
         f = [c.numerator * (den // c.denominator) for c in f]
@@ -166,30 +171,6 @@ def exact_div(num: Form, den: Form) -> Form:
     return ((0,) * (lz_n - lz_d)) + tuple(q)
 
 
-def _bareiss_det(a) -> int:
-    """Fraction-free Bareiss (1968) determinant of a nonempty square integer
-    matrix, a list of row lists that it overwrites: every division in the
-    elimination is exact, so it stays in the integers."""
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k = a[k]
-        pk = row_k[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            rik = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - rik * row_k[j]) // prev
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
 def resultant(f: Form, g: Form) -> int:
     """Resultant of two integer forms of one degree d >= 1.
 
@@ -197,7 +178,7 @@ def resultant(f: Form, g: Form) -> int:
     g(roots of f), which is the Sylvester determinant with the rows of f
     first, so Res(X^d, Y^d) = +1.  Raises FormError for forms of unequal
     or zero degree and for a coefficient that is not an int: the
-    fraction-free elimination would floor a Fraction silently.  Rational
+    remainder sequence's exact divisions would floor a Fraction.  Rational
     forms go through integerize first, and Res(a f, b g) = (ab)^d Res(f, g).
     """
     if len(f) != len(g) or len(f) < 2:
@@ -208,18 +189,22 @@ def resultant(f: Form, g: Form) -> int:
 
 
 def _bezout_resultant(f: Form, g: Form) -> int:
-    """Res(f, g) of integer forms of one degree d >= 1 as a d x d
-    determinant (Bezout, Cayley).  With u, v the ascending coefficients of
-    f(x, 1) and g(x, 1) and the brackets [a b] = u[a] v[b] - u[b] v[a],
-    B[i][j] = sum_k [j+k+1, i-k] over 0 <= k <= min(i, d-1-j), and
-    Res = (-1)^(d(d-1)/2) det B.
+    """Res(f, g) of integer forms of one degree d >= 1.
 
-    For d = 2 and 3, the degrees the model search walks, the signed det B
-    is expanded in closed form and no matrix is built: B is [[10], [20];
-    [20], [21]] for d = 2, so det B = [10] [21] - [20]^2, and for d = 3 the
-    symmetric [[10], [20], [30]; [20], [21] + [30], [31]; [30], [31],
-    [32]].  Every other d goes through Bareiss, with the rows built by
-    B[i][j] = u[j+1] v[i] - u[i] v[j+1] + B[i-1][j+1]."""
+    For d = 2 and 3, the degrees the model search walks, it is the d x d
+    Bezout determinant (Bezout, Cayley) in closed form.  With u, v the
+    ascending coefficients of f(x, 1) and g(x, 1) and the brackets
+    [a b] = u[a] v[b] - u[b] v[a], B[i][j] = sum_k [j+k+1, i-k] over
+    0 <= k <= min(i, d-1-j), and Res = (-1)^(d(d-1)/2) det B: B is
+    [[10], [20]; [20], [21]] for d = 2, so det B = [10] [21] - [20]^2, and
+    for d = 3 the symmetric [[10], [20], [30]; [20], [21] + [30], [31];
+    [30], [31], [32]].
+
+    Every other d runs the subresultant remainder sequence (Collins, J. ACM
+    1967; Brown and Traub, J. ACM 1971) of f(x, 1) and g(x, 1).  Each
+    pseudo-remainder is divided exactly by beta = lc h^delta, a factor the
+    sequence already knows: lc is the last divisor's leading coefficient,
+    h the last subresultant's and delta the last drop in degree."""
     d = len(f) - 1
     if d == 2:
         u2, u1, u0 = f
@@ -234,16 +219,33 @@ def _bezout_resultant(f: Form, g: Form) -> int:
         b11 = u2 * v1 - u1 * v2 + b30          # the middle entry [21] + [30]
         return (b20 * (b20 * b32 - b30 * b31) - b10 * (b11 * b32 - b31 * b31)
                 - b30 * (b20 * b31 - b30 * b11))
-    u, v = f[::-1], g[::-1]
-    rows = []
-    above = [0] * (d + 1)       # B[i-1][j], and 0 past the last column
-    for i in range(d):
-        ui, vi = u[i], v[i]
-        row = [u[j + 1] * vi - ui * v[j + 1] + above[j + 1] for j in range(d)]
-        rows.append(row)
-        above = row + [0]
-    det = _bareiss_det(rows)
-    return -det if d * (d - 1) // 2 % 2 else det
+    res = 1
+    if f[0] == 0:               # a root at infinity: Res(f, g) = (-1)^d Res(g, f)
+        if g[0] == 0:
+            return 0
+        f, g, res = g, f, (-1) ** d
+    k = next((i for i, c in enumerate(g) if c), d + 1)
+    a, b = f, g[k:]
+    res *= f[0] ** k            # k leading zeros of g: Res(f, g) = lc(f)^k Res(a, b)
+    lc = h = 1
+    while len(b) > 1:
+        n = len(b)
+        delta = len(a) - n
+        if len(a) % 2 == n % 2 == 0:        # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+            res = -res
+        r, b0, tail = a, b[0], b[1:]
+        for _ in range(delta + 1):          # lc(b)^(delta+1) a = q b + r
+            c = r[0]
+            r = [b0 * x - c * y for x, y in zip(r[1:n], tail)] + [b0 * x for x in r[n:]]
+        while r and not r[0]:               # the degree drops by more than one
+            del r[0]
+        beta = lc * h ** delta
+        a, b = b, [c // beta for c in r]
+        lc = a[0]
+        h = lc ** delta // h ** (delta - 1) if delta else h
+    if not b:
+        return 0
+    return res * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
 def rational_roots(f: Form) -> list:
@@ -402,7 +404,11 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Whether the integer n, |n| <= FACTOR_CAP, is prime: trial division by
-    the primes up to 41, then Miller-Rabin to those 13 bases."""
+    the primes up to 41, then Miller-Rabin to those 13 bases.  Every prime
+    argument of the package passes here first, so a bool, float or string
+    is refused here, before the cap test."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise FormError(f"cannot test {n!r} for primality: not an integer")
     if abs(n) > FACTOR_CAP:
         raise FormError(f"cannot test {n} for primality: exceeds cap {FACTOR_CAP}")
     if n < 2:

@@ -13,6 +13,13 @@ class PointError(DomainError):
     pass
 
 
+def _check_exact(*coordinates) -> None:
+    for c in coordinates:
+        if isinstance(c, (float, bool)):
+            raise PointError("coordinates must be ints, Fractions or rational "
+                             f"strings, got {c!r}")
+
+
 class _Coordinates(NamedTuple):
     x: int
     y: int
@@ -40,8 +47,10 @@ class ProjectivePoint(_Coordinates):
     @staticmethod
     def of(x, y) -> "ProjectivePoint":
         """Normalize arbitrary exact homogeneous coordinates.  Anything but
-        a pair of ints is first cleared to one through Fraction."""
+        a pair of ints is first cleared to one through Fraction; a float or
+        a bool is refused, since a float's value is its binary expansion."""
         if type(x) is not int or type(y) is not int:
+            _check_exact(x, y)
             fx, fy = Fraction(x), Fraction(y)
             x, y = fx.numerator * fy.denominator, fy.numerator * fx.denominator
         g = gcd(x, y)
@@ -54,7 +63,9 @@ class ProjectivePoint(_Coordinates):
 
     @staticmethod
     def affine(z) -> "ProjectivePoint":
-        """The point [z : 1] of an exact rational z: anything Fraction accepts."""
+        """The point [z : 1] of an exact rational z: anything Fraction
+        accepts but a float or a bool."""
+        _check_exact(z)
         q = Fraction(z)
         return ProjectivePoint.of(q.numerator, q.denominator)
 

@@ -69,6 +69,8 @@ class StabilityInstance(_Instance):
         if self.points is not None and len(self.points) != n:
             raise StabilityError("number of points must match the weights")
         for sub in self.incidences:
+            if not (_is_int(sub.dim) and all(map(_is_int, sub.members))):
+                raise StabilityError("subspace dimensions and point indices must be integers")
             if not 0 <= sub.dim <= self.N - 1:
                 raise StabilityError(f"subspace dimension {sub.dim} out of range")
             if any(not 1 <= i <= n for i in sub.members):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from conftest import within
 from portraitdyn import forms, search
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
@@ -225,7 +226,7 @@ def _resultant_cases():
     cases.append((tuple(coeffs(24)), tuple(coeffs(24))))
     for d in (1, 2, 3):
         # at least 100 cases each: the closed forms of forms._bezout_resultant
-        # for d = 2 and 3, and its Bareiss path on a 1 x 1 matrix for d = 1
+        # for d = 2 and 3, and its remainder sequence for d = 1
         cases += [(tuple(coeffs(d)), tuple(coeffs(d))) for _ in range(70)]
     return cases
 
@@ -243,10 +244,10 @@ def test_resultant_matches_sylvester_at_stated_degrees():
         assert type(got) is int, (f, g)
 
 
-def _bezout_by_bareiss(f, g):
+def _bezout_by_elimination(f, g):
     """(-1)^(d(d-1)/2) det B for the Bezout matrix B of the formula in
-    _bezout_resultant's docstring, built entry by entry and run through
-    the general Bareiss determinant."""
+    _bezout_resultant's docstring, built entry by entry, its determinant
+    by Gaussian elimination over Fraction."""
     d = len(f) - 1
     u, v = f[::-1], g[::-1]
 
@@ -255,7 +256,7 @@ def _bezout_by_bareiss(f, g):
 
     rows = [[sum(bracket(j + k + 1, i - k) for k in range(min(i, d - 1 - j) + 1))
              for j in range(d)] for i in range(d)]
-    det = forms._bareiss_det(rows)
+    det = int(_fraction_det(rows))
     return -det if d * (d - 1) // 2 % 2 else det
 
 
@@ -268,16 +269,118 @@ def _degree_one_pairs_with_zeros():
 def test_closed_form_resultants_match_the_bezout_matrix():
     # every candidate pair the search walks in degree 2 at bound 2 and in
     # degree 3 at bound 1, which take the closed forms, and degree-1 pairs
-    # with zero entries, which take the Bareiss path
+    # with zero entries, which take the remainder sequence
     cases = {1: _degree_one_pairs_with_zeros(),
              2: list(search._coefficient_pairs(2, 2)),
              3: list(search._coefficient_pairs(3, 1))}
     assert [len(cases[d]) for d in (2, 3)] == [7399, 3240]
     assert any(0 in f + g for f, g in cases[1])
     for d, pairs in cases.items():
-        assert any(_bezout_by_bareiss(f, g) == 0 for f, g in pairs)
+        assert any(_bezout_by_elimination(f, g) == 0 for f, g in pairs)
         for f, g in pairs:
-            assert forms._bezout_resultant(f, g) == _bezout_by_bareiss(f, g), (f, g)
+            assert forms._bezout_resultant(f, g) == _bezout_by_elimination(f, g), (f, g)
+
+
+def _sheared_sympy_resultant(f, g):
+    """Res(f, g) of nonzero forms of one degree d through sympy's resultant.
+    Both forms are first sheared by X -> X, Y -> tX + Y, with the least
+    t >= 0 that leaves both of x-degree d.  The shear has determinant 1,
+    so the resultant is unchanged, and sympy, which drops the rows of a
+    vanishing leading coefficient, then keeps every row."""
+    d = len(f) - 1
+    x = sympy.Symbol("x")
+    big_x = sympy.Poly(x, x)
+    for t in range(d + 1):
+        big_y = t * big_x + 1
+        polys = [sum((c * big_x ** (d - i) * big_y ** i for i, c in enumerate(h)),
+                     sympy.Poly(0, x)) for h in (f, g)]
+        if all(p.degree() == d for p in polys):
+            return int(sympy.resultant(*polys))
+    raise AssertionError("a nonzero form of degree d vanishes at d + 1 points")
+
+
+def _remainder_sequence_cases():
+    """Seeded pairs of integer forms of degree 4-64 with one-digit and
+    64-bit coefficients: dense and sparse pairs, a root at infinity in f,
+    in g and in both, a common factor X - 2Y, and (up to degree 12) a zero
+    form.  The oracles set the sizes: the Sylvester determinant over
+    Fraction takes 0.2-0.6 s per pair at degree 24, and sympy's resultant
+    of 64-bit forms sheared at degree 64 about 0.3 s."""
+    rng = random.Random("remainder-sequence")
+
+    def form(d, size, density=1.0):
+        return tuple(rng.randint(-size, size) if rng.random() < density else 0
+                     for _ in range(d + 1))
+
+    def kinds(d, size):
+        f, g, h = form(d, size), form(d, size), form(d, size, 0.3)
+        yield f, g
+        yield h, form(d, size, 0.3)
+        yield (0,) + f[1:], g
+        yield f, (0,) + g[1:]
+        yield (0,) + f[1:], (0, 0) + h[2:]
+        yield forms.mul((1, -2), form(d - 1, size)), forms.mul((1, -2), form(d - 1, size))
+
+    cases = []
+    for size, low, high in ((9, range(4, 13), (32, 48, 64)),
+                            (2 ** 64 - 1, (4, 5, 8, 12), (32,))):
+        for d in low:
+            cases += kinds(d, size)
+            cases += [(form(d, size), (0,) * (d + 1)), ((0,) * (d + 1), form(d, size))]
+            # sparse with both leading coefficients nonzero: the sequence
+            # often drops degree by more than one
+            cases += [((size,) + form(d - 1, size, 0.3), (-1,) + form(d - 1, size, 0.3))
+                      for _ in range(4)]
+        for d in high:
+            cases += kinds(d, size)
+    cases += [(form(d, 9), form(d, 9)) for d in (16, 20, 24)]
+    cases.append(((0,) + form(24, 9)[1:], form(24, 9, 0.3)))
+    return cases
+
+
+def _drops_by_more_than_one(f, g):
+    """Whether the remainder sequence of f(x, 1) and g(x, 1) ever drops
+    degree by more than one, after its first step, by sympy."""
+    x = sympy.Symbol("x")
+    degrees = [p.degree() for p in sympy.Poly(f, x).subresultants(sympy.Poly(g, x))]
+    return any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:]))
+
+
+def test_remainder_sequence_resultants_of_degree_4_to_64():
+    # forms.resultant runs the remainder sequence at every degree but 2
+    # and 3; the Sylvester determinant checks it up to degree 24, and
+    # sympy's resultant of sheared forms above
+    cases = _remainder_sequence_cases()
+    assert {len(f) - 1 for f, _ in cases} >= {4, 12, 24, 32, 64}
+    assert any(max(map(abs, f + g)) > 2 ** 63 for f, g in cases)
+    assert any(f[0] == 0 and g[0] != 0 for f, g in cases)
+    assert any(g[0] == 0 and f[0] != 0 for f, g in cases)
+    assert any(f[0] == g[0] == 0 and any(f) and any(g) for f, g in cases)
+    assert any(not any(g) for _, g in cases) and any(not any(f) for f, _ in cases)
+    assert any(len(f) > 25 and f[0] == 0 for f, _ in cases)
+    assert sum(f[0] and g[0] and _drops_by_more_than_one(f, g)
+               for f, g in cases if len(f) <= 9) >= 10
+    zeros = 0
+    for f, g in cases:
+        if len(f) <= 25:
+            expected = sylvester_resultant(f, g)
+        else:
+            expected = _sheared_sympy_resultant(f, g)
+        got = forms.resultant(f, g)
+        assert got == expected, (f, g)
+        assert type(got) is int, (f, g)
+        zeros += got == 0 and any(f) and any(g)
+    assert zeros >= 2 * 17      # the 17 common factors and 17 common roots at infinity
+
+
+def test_resultant_of_a_degree_64_pair_with_64_bit_coefficients_is_fast():
+    # a Bareiss elimination of the 64 x 64 Bezout matrix took 2.4 s on
+    # this pair; the remainder sequence takes about 0.3 s on a 2-vCPU VM
+    rng = random.Random("resultant/64/64-bit")
+    f, g = (tuple(rng.randint(-2 ** 64 + 1, 2 ** 64 - 1) for _ in range(65)) for _ in range(2))
+    with within(1):
+        got = forms.resultant(f, g)
+    assert got == _sheared_sympy_resultant(f, g)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

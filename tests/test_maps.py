@@ -70,7 +70,7 @@ def test_iterate_refuses_before_composing(monkeypatch):
 ], ids=["degree-4", "degree-5"])
 def test_resultant_of_rational_coefficients_is_an_integer(f0, f1):
     # the constructor skips the argument checks of forms.resultant, whose
-    # Bareiss elimination (degree >= 4) would floor a Fraction silently
+    # remainder sequence (degree >= 4) would floor a Fraction silently
     f = RationalMap(f0, f1)
     assert {type(c) for c in f.f0 + f.f1} == {int}
     assert type(f.resultant) is int
@@ -82,6 +82,29 @@ def test_resultant_of_rational_coefficients_is_an_integer(f0, f1):
     num, den = (sympy.Poly([sympy.Rational(str(c)) for c in g], x) for g in (f0, f1))
     scale = sympy.Rational(f.f0[0]) / sympy.Rational(str(f0[0]))
     assert f.resultant == scale ** (2 * f.degree) * sympy.resultant(num, den)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, 0.0, True, False], ids=repr)
+@pytest.mark.parametrize("position", range(6))
+def test_float_and_bool_coefficients_refused(position, value):
+    # a float is its binary expansion, not the number written: 0.1 would
+    # become 3602879701896397 / 2^55; all zeros but a float is no "zero map"
+    for base in ([1, 0, 1, 0, 0, 1], [0] * 6):
+        coeffs = list(base)
+        coeffs[position] = value
+        with pytest.raises(MapError, match="^coefficients must be ints, Fractions or rational "
+                                           f"strings, got {value!r}$"):
+            RationalMap(coeffs[:3], coeffs[3:])
+
+
+def test_exact_coefficients_give_one_map():
+    want = RationalMap([1, 0, 10], [0, 0, 10])
+    for tenth, one in ((Fraction(1, 10), 1), ("1/10", "1"), ("0.1", Fraction(1)),
+                       (Fraction("0.1"), "1/1")):
+        assert RationalMap([tenth, 0, one], [0, 0, one]) == want
+    assert want.f0 == (1, 0, 10) and want.f1 == (0, 0, 10)
+    with pytest.raises(MapError, match="^zero map$"):
+        RationalMap([0, Fraction(0), "0"], [0, 0, 0])
 
 
 def test_normalization_clears_content_and_denominators():

@@ -24,6 +24,16 @@ def test_invalid_points():
         ProjectivePoint(1, -1)
 
 
+def test_exact_coordinates_give_one_point():
+    tenth = ProjectivePoint(1, 10)
+    assert ProjectivePoint.of(1, 10) == tenth
+    for x, y in ((Fraction(1, 10), 1), ("1/10", 1), ("0.1", "1"), (1, Fraction(10))):
+        assert ProjectivePoint.of(x, y) == tenth
+    for z in (Fraction(1, 10), "1/10", "0.1", " 0.1 "):
+        assert ProjectivePoint.affine(z) == tenth
+    assert ProjectivePoint.parse("0.1") == tenth
+
+
 @given(st.integers(-100, 100), st.integers(-100, 100))
 def test_normalize_idempotent(x, y):
     if x == 0 and y == 0:
@@ -66,8 +76,21 @@ coordinates = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-3, 3),
                         st.fractions(-50, 50, max_denominator=20), st.booleans())
 
 
+def _refused_as_bool(x, y) -> bool:
+    """Whether x or y is a bool, after checking that ProjectivePoint.of
+    refuses the pair: a bool is no coordinate, though Fraction takes it."""
+    if not (isinstance(x, bool) or isinstance(y, bool)):
+        return False
+    with pytest.raises(PointError, match="^coordinates must be ints, Fractions or rational "
+                                         f"strings, got {x if isinstance(x, bool) else y!r}$"):
+        ProjectivePoint.of(x, y)
+    return True
+
+
 @given(coordinates, coordinates)
 def test_of_matches_the_fraction_normalization(x, y):
+    if _refused_as_bool(x, y):
+        return
     if x == 0 and y == 0:
         with pytest.raises(PointError, match=r"\(0, 0\) is not a projective point"):
             ProjectivePoint.of(x, y)
@@ -82,10 +105,30 @@ def test_of_matches_the_fraction_normalization(x, y):
                                  (7, 0), (-7, 0), (Fraction(-1, 9), 0), (True, False),
                                  (-4, 6), (Fraction(3, 4), -6), (True, -2)])
 def test_of_on_an_axis_or_with_mixed_types(x, y):
-    assert ProjectivePoint.of(x, y) == _fraction_normalization(x, y)
+    if not _refused_as_bool(x, y):
+        assert ProjectivePoint.of(x, y) == _fraction_normalization(x, y)
+
+
+@pytest.mark.parametrize("x,y", [(0.1, 1), (1, 0.1), (0.0, 0.0), (1.0, 2), (Fraction(1, 2), 0.5)])
+def test_of_refuses_float_coordinates(x, y):
+    # a float is its binary expansion, not the number written: 0.1 would
+    # be 3602879701896397 / 2^55
+    bad = x if isinstance(x, float) else y
+    with pytest.raises(PointError, match="^coordinates must be ints, Fractions or rational "
+                                         f"strings, got {bad!r}$"):
+        ProjectivePoint.of(x, y)
+
+
+@pytest.mark.parametrize("z", [0.1, 1.0, 0.0, True, False], ids=repr)
+def test_affine_refuses_float_and_bool_coordinates(z):
+    with pytest.raises(PointError, match="^coordinates must be ints, Fractions or rational "
+                                         f"strings, got {z!r}$"):
+        ProjectivePoint.affine(z)
 
 
 @pytest.mark.parametrize("x,y", [(0, 0), (Fraction(0), 0), (False, False), (0, Fraction(0, 5))])
 def test_of_zero_pair(x, y):
+    if _refused_as_bool(x, y):
+        return
     with pytest.raises(PointError, match=r"\(0, 0\) is not a projective point"):
         ProjectivePoint.of(x, y)

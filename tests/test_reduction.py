@@ -134,6 +134,23 @@ def test_composite_prime_rejected():
         good_reduction(Z2_MINUS_1, ASSIGN, TWO_CYCLE, 6)
 
 
+@pytest.mark.parametrize("prime", [7.0, True, "7"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda p: good_reduction(Z2_MINUS_1, {}, Portrait([], {}), p),
+    lambda p: periods_mod_p(Z2_MINUS_1, p),
+    lambda p: admits_period(Z2_MINUS_1, 3, p),
+    lambda p: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), p),
+    lambda p: Z2_MINUS_1.cycle_multiplier(ProjectivePoint.affine(0), 2, p),
+], ids=["good_reduction", "periods_mod_p", "admits_period", "multiplicity_mod_p",
+        "cycle_multiplier"])
+def test_prime_arguments_must_be_ints(call, prime):
+    # every prime argument reaches forms.is_prime first, which refuses a
+    # float, a bool or a string before any other test
+    with pytest.raises(forms.FormError, match=f"^cannot test {prime!r} for primality: "
+                                              "not an integer$"):
+        call(prime)
+
+
 def test_implication_chain_on_seeded_samples():
     rng = random.Random(20240818)
     primes = list(sympy.primerange(2, 30))

@@ -328,6 +328,18 @@ def test_boolean_or_missing_fixed_point_flags_accepted(flag):
     assert inst.fixed_point_flags == (flag,)
 
 
+@pytest.mark.parametrize("sub", [
+    Subspace(0.5, frozenset({1})), Subspace(True, frozenset({1})), Subspace("0", frozenset({1})),
+    Subspace(None, frozenset({1})), Subspace(0, frozenset({1.0})), Subspace(0, frozenset({True})),
+    Subspace(1, frozenset({Fraction(2)})), Subspace(0, frozenset({"1"})),
+], ids=repr)
+def test_non_integer_subspace_data_rejected(sub):
+    # only StabilityError escapes, before the range checks, and no verdict
+    # is computed from a float or bool dimension
+    with pytest.raises(StabilityError, match="^subspace dimensions and point indices must be"):
+        verdict(StabilityInstance(N=2, d=2, weights=(1, 1, 1), incidences=(sub,)))
+
+
 @pytest.mark.parametrize("kwargs", [
     {"N": "1", "d": 2, "weights": (1, 1)},
     {"N": 1, "d": 2.0, "weights": (1, 1)},
