@@ -13,6 +13,31 @@ class DomainError(ValueError):
     `PointError`, `FormError`)."""
 
 
+def _integer(value, error, message, *context):
+    """`value` when it is an int and not a bool; otherwise raise
+    `error(message.format(value, *context))`.  The package's one test of
+    an integer argument: each caller passes its own error class and
+    message template, formatted only on refusal."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(message.format(value, *context))
+
+
+def _rational(value, error, message):
+    """`Fraction(value)` for anything Fraction reads but a float or a bool,
+    since a float's value is its binary expansion and not the number
+    written; otherwise raise `error(message.format(value))`.  The package's
+    one reader of an exact rational."""
+    import fractions        # here, so a program that reads no rational never loads it
+
+    if not isinstance(value, (float, bool)):
+        try:
+            return fractions.Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise error(message.format(value))
+
+
 # submodule -> the names it exports from the package
 _EXPORTS = {
     "forms": (),

@@ -24,9 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import DomainError
+from . import DomainError, _integer, _rational
 
 
 class SchemaError(ValueError):
@@ -58,27 +57,14 @@ def _check_keys(obj, allowed, required, what):
             raise SchemaError(f"missing key {key!r} in {what}")
 
 
-def _int(value, what) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
+# the refusal of a value that is not an int, given what it is
+_INT = "{1} must be an integer, got {0!r}"
 
 
 def _list(value, what) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{what} must be a list, got {value!r}")
     return value
-
-
-def _rational(text, what) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise SchemaError(f"{what} must be a rational string, got {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{what}: cannot parse rational {text!r}") from exc
 
 
 def load_portrait(path: str):
@@ -100,7 +86,7 @@ def load_portrait(path: str):
         if not isinstance(v, str):
             raise SchemaError(f"map value {v!r} must be a vertex id string")
     for w in weights.values():
-        _int(w, "weight")
+        _integer(w, SchemaError, _INT, "weight")
     return Portrait(data["vertices"], data["map"], weights)
 
 
@@ -118,13 +104,14 @@ def load_map(path: str):
     data = _load_json(path)
     _check_keys(data, {"degree", "numerator", "denominator"},
                 {"degree", "numerator", "denominator"}, "map file")
-    d = data["degree"]
-    if not isinstance(d, int) or d < 2:
-        raise SchemaError("key 'degree' must be an integer >= 2")
-    num = [_rational(c, "numerator coefficient")
+    degree = "key 'degree' must be an integer >= 2"
+    d = _integer(data["degree"], SchemaError, degree)
+    if d < 2:
+        raise SchemaError(degree)
+    num = [_rational(c, SchemaError, "numerator coefficient must be a rational string, got {!r}")
            for c in _list(data["numerator"], "key 'numerator'")]
-    den = [_rational(c, "denominator coefficient")
-           for c in _list(data["denominator"], "key 'denominator'")]
+    den = [_rational(c, SchemaError, "denominator coefficient must be a rational string, "
+                     "got {!r}") for c in _list(data["denominator"], "key 'denominator'")]
     if len(num) != d + 1 or len(den) != d + 1:
         raise SchemaError("coefficient lists must have length degree + 1")
     return RationalMap(num, den)
@@ -159,9 +146,8 @@ def _parse_point(entry):
         except PointError as exc:
             raise SchemaError(str(exc)) from exc
     if isinstance(entry, list) and len(entry) == 2:
-        x, y = (_rational(c, "point coordinate") for c in entry)
         try:
-            return ProjectivePoint.of(x, y)
+            return ProjectivePoint.of(*entry)
         except PointError as exc:
             raise SchemaError(f"point entry {entry!r}: {exc}") from exc
     raise SchemaError(f"cannot parse point entry {entry!r}")
@@ -184,15 +170,16 @@ def load_stability(path: str):
     incidences = []
     for sub in _list(data.get("incidences", []), "key 'incidences'"):
         _check_keys(sub, {"dim", "points"}, {"dim", "points"}, "incidence entry")
-        members = [_int(i, "incidence point index")
+        members = [_integer(i, SchemaError, _INT, "incidence point index")
                    for i in _list(sub["points"], "incidence 'points'")]
-        incidences.append(Subspace(_int(sub["dim"], "incidence 'dim'"),
+        incidences.append(Subspace(_integer(sub["dim"], SchemaError, _INT, "incidence 'dim'"),
                                    frozenset(members)))
     flags = _list(data.get("fixed_point_flags", []), "key 'fixed_point_flags'")
     if any(flag is not None and not isinstance(flag, bool) for flag in flags):
         raise SchemaError("fixed-point flags must be true, false or null")
-    return StabilityInstance(N=_int(data["N"], "key 'N'"), d=_int(data["d"], "key 'd'"),
-                             weights=tuple(_int(w, "weight") for w in
+    return StabilityInstance(N=_integer(data["N"], SchemaError, _INT, "key 'N'"),
+                             d=_integer(data["d"], SchemaError, _INT, "key 'd'"),
+                             weights=tuple(_integer(w, SchemaError, _INT, "weight") for w in
                                            _list(data["weights"], "key 'weights'")),
                              points=points, incidences=tuple(incidences),
                              fixed_point_flags=(tuple(flags) if "fixed_point_flags"

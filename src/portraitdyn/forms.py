@@ -15,12 +15,11 @@ FACTOR_CAP."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul as _times
 
-from . import DomainError
+from . import DomainError, _integer, _rational
 
 Form = tuple  # tuple of int coefficients, X^D first
 
@@ -100,15 +99,12 @@ def primitive(f: Form) -> Form:
 
 def integerize(f) -> Form:
     """The primitive integer form proportional to f, whose coefficients
-    may be anything Fraction accepts but a float or a bool: the one place
-    in forms that clears denominators.  A float's value is its binary
-    expansion, not the number written, so it is refused, as is a bool."""
+    may be anything the package's rational reader takes (an int, a
+    Fraction or a rational string): the one place in forms that clears
+    denominators."""
     if {*map(type, f)} != {int}:
-        for c in f:
-            if isinstance(c, (float, bool)):
-                raise FormError("coefficients must be ints, Fractions or rational "
-                                f"strings, got {c!r}")
-        f = [Fraction(c) for c in f]
+        f = [_rational(c, FormError, "coefficients must be ints, Fractions or rational "
+                       "strings, got {!r}") for c in f]
         den = lcm(*(c.denominator for c in f))
         f = [c.numerator * (den // c.denominator) for c in f]
     try:
@@ -405,10 +401,9 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether the integer n, |n| <= FACTOR_CAP, is prime: trial division by
     the primes up to 41, then Miller-Rabin to those 13 bases.  Every prime
-    argument of the package passes here first, so a bool, float or string
-    is refused here, before the cap test."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FormError(f"cannot test {n!r} for primality: not an integer")
+    argument of the package passes here first, so anything but an int is
+    refused here, before the cap test."""
+    _integer(n, FormError, "cannot test {!r} for primality: not an integer")
     if abs(n) > FACTOR_CAP:
         raise FormError(f"cannot test {n} for primality: exceeds cap {FACTOR_CAP}")
     if n < 2:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, forms
+from . import DomainError, _integer, forms
 from .projective import ProjectivePoint
 
 # Maps need no portraits until a model is built: those functions import
@@ -35,6 +35,10 @@ MAP_DEGREE_CAP = 64
 
 class MapError(DomainError):
     pass
+
+
+_PERIOD = "period must be an integer, got {!r}"
+_EXPONENT = "iterate exponent must be an integer, got {!r}"
 
 
 def check_power(d: int, k: int, cap: int, what: str = "degree") -> None:
@@ -130,7 +134,7 @@ class RationalMap:
 
     def iterate_pair(self, k: int):
         """Primitive coefficient pair of the k-th iterate (k >= 1)."""
-        if k < 1:
+        if _integer(k, MapError, _EXPONENT) < 1:
             raise MapError("iterate exponent must be positive")
         check_power(self.degree, k, DEGREE_CAP, "iterate degree")
         pairs = self._cache.setdefault("iterates", {1: (self.f0, self.f1)})
@@ -143,6 +147,7 @@ class RationalMap:
         return pairs[k]
 
     def iterate(self, k: int) -> "RationalMap":
+        _integer(k, MapError, _EXPONENT)
         check_power(self.degree, k, MAP_DEGREE_CAP)     # refuse before composing
         return RationalMap(*self.iterate_pair(k))
 
@@ -197,12 +202,15 @@ class RationalMap:
 
     def fixed_point_form(self, k: int = 1):
         """Form of degree d^k + 1 vanishing exactly at the points of period dividing k."""
+        if _integer(k, MapError, _PERIOD) < 1:
+            raise MapError("period must be positive")
         g0, g1 = self.iterate_pair(k) if k > 1 else (self.f0, self.f1)
         return forms.primitive(tuple(map(operator.sub, (0,) + g0, g1 + (0,))))  # g0 Y - g1 X
 
     def dynatomic(self, n: int):
         """The degree-nu homogeneous dynatomic form of period n (primitive),
         the exact quotient of the Mobius products of fixed-point forms."""
+        _integer(n, MapError, _PERIOD)     # before the cache: True == 1 and 2.0 == 2
         cache = self._cache.setdefault("dynatomic", {})
         if n in cache:      # only a valid period is ever stored
             return cache[n]
@@ -223,7 +231,7 @@ class RationalMap:
 
     def orbit(self, p: ProjectivePoint, length: int) -> list:
         """p and its first `length` images, length >= 0."""
-        if length < 0:
+        if _integer(length, MapError, "orbit length must be an integer, got {!r}") < 0:
             raise MapError("orbit length must be nonnegative")
         out = [p]
         for _ in range(length):
@@ -245,10 +253,10 @@ class RationalMap:
         built: by Euler's identity y (J/d)(x, y) = dX f0 f1 - f0 dX f1, one
         Horner pass, and (J/d)(1, 0) = a0 b1 - a1 b0.  J/d is an integer
         form, so its residues are exact also where p divides d."""
-        if n < 1:
+        if _integer(n, MapError, _PERIOD) < 1:
             raise MapError("period must be positive")
         x, y = p
-        if prime:
+        if prime != 0 or type(prime) is not int:     # only the int 0 means over Q
             check_prime(self, prime)
             x, y = (x * pow(y, -1, prime) % prime, 1) if y % prime else (1, 0)
         f0, f1 = self.f0, self.f1

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, log10
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, forms
+from . import DomainError, _integer, _rational, forms
 
 # The counting functions need no maps and the multiplier functions no
 # portraits: the portrait functions import `portraits`, and the multiplier,
@@ -34,8 +34,14 @@ class ModuliError(DomainError):
 
 def _ints(*args):
     """Refuse a bool, float or other non-int argument before any arithmetic."""
-    if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
-        raise ModuliError("the arguments must be integers")
+    for a in args:
+        _integer(a, ModuliError, "the arguments must be integers")
+
+
+def _rationals(*args) -> list:
+    """The family values as Fractions: each an int, a Fraction or a rational string."""
+    return [_rational(a, ModuliError, "family values must be ints, Fractions or rational "
+                      "strings, got {!r}") for a in args]
 
 
 def nu(d: int, N: int, n: int) -> int:
@@ -96,6 +102,7 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     portrait (an equivalence in characteristic zero): every vertex needs
     at most d^N preimages and at most nu(n) vertices of each exact period
     n (only periods the portrait has are compared: 0 never exceeds nu)."""
+    _ints(d, N)
     if d < 2 or N < 1:
         raise ModuliError("need d >= 2, N >= 1")
     if not p.is_unweighted:
@@ -122,6 +129,7 @@ def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
     """Necessary (never sufficient) conditions for a weighted portrait to
     be realized by a degree-d map on P^1."""
     from .portraits import portrait_statistics
+    _ints(d)
     if d < 2:
         raise ModuliError("degree must be at least 2")
     fiber = dict.fromkeys(p.vertices, 0)
@@ -153,6 +161,7 @@ def expected_dimension(p: Portrait, d: int, N: int = 1) -> DimensionReport:
     (2d - 2) - sum(weight - 1) + #(V \\ V0) concerns the non-Lattes locus
     and nonemptiness is only a necessary-conditions check.
     """
+    _ints(d, N)
     if p.is_unweighted:
         if unweighted_nonempty(p, d, N):
             de = dim_end(d, N) + N * p.zeta
@@ -177,6 +186,7 @@ def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:
     between the moduli spaces of an unweighted portrait and an
     unweighted subportrait."""
     from .portraits import is_subportrait
+    _ints(d, N)
     if not (p.is_unweighted and p_prime.is_unweighted):
         raise ModuliError("both portraits must be unweighted")
     if not is_subportrait(p_prime, p):
@@ -240,6 +250,7 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     """
     from .maps import MapError
 
+    _ints(n)        # before the cache: True == 1 and 2.0 == 2
     cache = f._cache.setdefault("multipliers", {})
     if n in cache:
         return cache[n]
@@ -407,7 +418,7 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     from .maps import RationalMap
     from .projective import ProjectivePoint
 
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rationals(a, b)
     if a == 0:
         raise ModuliError("the family needs a != 0")
     den = lcm(a.denominator, b.denominator)
@@ -434,7 +445,7 @@ def doubly_critical_three_cycle_surface(alpha, beta, gamma) -> SurfaceMembership
     evaluated both in the raw coordinates and through the symmetric
     rewrite X^2 - XY + Y^2 - YZ - 2X + 1 at the elementary symmetric
     values; the two verdicts always agree."""
-    al, be, ga = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    al, be, ga = _rationals(alpha, beta, gamma)
     if len({al, be, ga}) != 3:
         raise ModuliError("the three values must be pairwise distinct")
     if {al, be, ga} & {Fraction(0), Fraction(1)}:
@@ -459,5 +470,5 @@ def doubly_critical_three_cycle_surface(alpha, beta, gamma) -> SurfaceMembership
 
 def symmetric_surface_form(x, y, z) -> Fraction:
     """X^2 - XY + Y^2 - YZ - 2X + 1."""
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _rationals(x, y, z)
     return x * x - x * y + y * y - y * z - 2 * x + 1

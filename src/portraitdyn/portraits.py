@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from . import DomainError
+from . import DomainError, _integer
 
 
 class PortraitError(DomainError):
@@ -53,8 +53,7 @@ class Portrait:
                 raise PortraitError(f"phi value {v!r} is not a vertex")
         weights = {str(k): w for k, w in (weights or {}).items()}
         for k, w in weights.items():
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise PortraitError(f"weight {w!r} on vertex {k!r} is not an integer")
+            _integer(w, PortraitError, "weight {!r} on vertex {!r} is not an integer", k)
             if k not in phi:
                 raise PortraitError(f"weight on vertex {k!r} outside the domain")
             if w < 1:
@@ -223,7 +222,7 @@ class Portrait:
     def step(self, v: str, m: int) -> Optional[str]:
         """phi^m(v), or None when some intermediate vertex has no out-arrow."""
         depth, end, place = self._locate(v)
-        if m < 0:
+        if _integer(m, PortraitError, "iterate count must be an integer, got {!r}") < 0:
             raise PortraitError(f"negative iterate count {m}")
         if m < depth:
             phi = self.phi
@@ -600,7 +599,7 @@ def _critical_orbits(p: Portrait) -> set:
 
 def is_complete_critical(p: Portrait, d: int) -> bool:
     """Total ramification 2d-2 and every vertex in a critical orbit."""
-    if d < 2:
+    if _integer(d, PortraitError, "degree must be an integer, got {!r}") < 2:
         raise PortraitError("degree must be at least 2")
     return p.ramification == 2 * d - 2 and is_critically_generated(p)
 
@@ -640,7 +639,7 @@ def enumerate_primitive_critical_portraits(d: int) -> list:
     classes come in candidate order.  Supported for d in {2, 3}; the
     class count grows quickly with d.
     """
-    if d not in (2, 3):
+    if _integer(d, PortraitError, "degree must be an integer, got {!r}") not in (2, 3):
         raise PortraitError("supported degrees are 2 and 3")
     classes = {}
     for weights in _weight_multisets(2 * d - 2):
@@ -804,6 +803,7 @@ def realized_relations(p: Portrait, max_shift: int) -> list:
     so the work beyond the paths is one lookup per (i, j, m) and one
     tuple per relation found.
     """
+    _integer(max_shift, PortraitError, "shift bound must be an integer, got {!r}")
     phi = p.phi
     crits = sorted(p.weights)
     paths, positions = [], []

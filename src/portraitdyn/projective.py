@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from . import DomainError
+from . import DomainError, _integer, _rational
 
 
 class PointError(DomainError):
     pass
 
 
-def _check_exact(*coordinates) -> None:
-    for c in coordinates:
-        if isinstance(c, (float, bool)):
-            raise PointError("coordinates must be ints, Fractions or rational "
-                             f"strings, got {c!r}")
+_EXACT = "coordinates must be ints, Fractions or rational strings, got {!r}"
 
 
 class _Coordinates(NamedTuple):
@@ -31,6 +26,8 @@ class ProjectivePoint(_Coordinates):
     __slots__ = ()
 
     def __new__(cls, x, y):
+        for c in (x, y):
+            _integer(c, PointError, "coordinates must be ints, got {!r}")
         if x == 0 and y == 0:
             raise PointError("(0, 0) is not a projective point")
         if gcd(abs(x), abs(y)) != 1:
@@ -47,11 +44,10 @@ class ProjectivePoint(_Coordinates):
     @staticmethod
     def of(x, y) -> "ProjectivePoint":
         """Normalize arbitrary exact homogeneous coordinates.  Anything but
-        a pair of ints is first cleared to one through Fraction; a float or
-        a bool is refused, since a float's value is its binary expansion."""
+        a pair of ints is first cleared to one through the package's
+        rational reader, which takes ints, Fractions and rational strings."""
         if type(x) is not int or type(y) is not int:
-            _check_exact(x, y)
-            fx, fy = Fraction(x), Fraction(y)
+            fx, fy = _rational(x, PointError, _EXACT), _rational(y, PointError, _EXACT)
             x, y = fx.numerator * fy.denominator, fy.numerator * fx.denominator
         g = gcd(x, y)
         if g == 0:
@@ -63,10 +59,9 @@ class ProjectivePoint(_Coordinates):
 
     @staticmethod
     def affine(z) -> "ProjectivePoint":
-        """The point [z : 1] of an exact rational z: anything Fraction
-        accepts but a float or a bool."""
-        _check_exact(z)
-        q = Fraction(z)
+        """The point [z : 1] of an exact rational z: an int, a Fraction or a
+        rational string."""
+        q = _rational(z, PointError, _EXACT)
         return ProjectivePoint.of(q.numerator, q.denominator)
 
     @staticmethod
@@ -94,5 +89,5 @@ class ProjectivePoint(_Coordinates):
             return ProjectivePoint.infinity()
         try:
             return ProjectivePoint.affine(s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except PointError as exc:
             raise PointError(f"cannot parse point {text!r}") from exc

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import forms
-from .maps import MapError, RationalMap, check_prime
+from . import _integer, forms
+from .maps import _PERIOD, MapError, RationalMap, check_prime
 from .portraits import Portrait
 from .projective import ProjectivePoint
 
@@ -109,7 +109,7 @@ def admits_period(f: RationalMap, n: int, prime: int) -> bool:
     work, when n < 1, when `prime` is not prime or exceeds
     TABLE_PRIME_CAP, and when the map does not reduce to a morphism mod p.
     """
-    if n < 1:
+    if _integer(n, MapError, _PERIOD) < 1:
         raise MapError("period must be positive")
     _check_table_prime(f, prime)
     return _admits_period(f, n, prime)

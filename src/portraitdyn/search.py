@@ -13,8 +13,8 @@ from collections import Counter
 from math import gcd
 from typing import Optional
 
-from . import forms
-from .maps import (DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
+from . import _integer, forms
+from .maps import (_PERIOD, DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
                    extract_portrait, verify_model)
 from .portraits import Portrait, PortraitError, morphism_maps
 from .projective import ProjectivePoint
@@ -54,7 +54,7 @@ def rational_cycles(f: RationalMap, period: int) -> list:
     (`_fixed_points`).  For a longer period each root of the dynatomic
     form is followed along its orbit, since a root may have a smaller
     exact period."""
-    if period == 1:
+    if _integer(period, MapError, _PERIOD) == 1:
         return _fixed_points(f.dynatomic(1))
     cycles = []
     used = set()
@@ -139,7 +139,8 @@ def search_periodic_model(portrait: Portrait, degree: int,
     the portrait's vertices in sorted order, the points in sorted order
     of their `str` form (the order of `morphism_maps`).
     """
-    if degree < 2:
+    _integer(coeff_bound, MapError, "coefficient bound must be an integer, got {!r}")
+    if _integer(degree, MapError, "degree must be an integer, got {!r}") < 2:
         raise MapError("degree must be at least 2")
     if degree > MAP_DEGREE_CAP:     # the constructor would refuse every candidate
         raise MapError(f"degree {degree} exceeds cap {MAP_DEGREE_CAP}")

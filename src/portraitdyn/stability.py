@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from . import DomainError
+from . import DomainError, _integer, _rational
 
 YES = "certified-yes"
 NO = "certified-no"
@@ -41,8 +41,15 @@ class Subspace(NamedTuple):
         return f"dim-{self.dim} subspace containing points {sorted(self.members)}"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_subspace(sub: Subspace, N: int, n: int) -> None:
+    """Refuse a subspace whose dimension or point indices are not ints, or
+    that is not proper in P^N or names a point outside 1..n."""
+    for v in (sub.dim, *sub.members):
+        _integer(v, StabilityError, "subspace dimensions and point indices must be integers")
+    if not 0 <= sub.dim <= N - 1:
+        raise StabilityError(f"subspace dimension {sub.dim} out of range")
+    if any(not 1 <= i <= n for i in sub.members):
+        raise StabilityError("incidence refers to a missing point index")
 
 
 class _Instance(NamedTuple):
@@ -59,8 +66,8 @@ class StabilityInstance(_Instance):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(_is_int(v) for v in (self.N, self.d, *self.weights)):
-            raise StabilityError("N, d and the weights must be integers")
+        for v in (self.N, self.d, *self.weights):
+            _integer(v, StabilityError, "N, d and the weights must be integers")
         if self.N < 1 or self.d < 2:
             raise StabilityError("need N >= 1 and d >= 2")
         if len(self.weights) < 1 or any(m < 0 for m in self.weights):
@@ -69,12 +76,7 @@ class StabilityInstance(_Instance):
         if self.points is not None and len(self.points) != n:
             raise StabilityError("number of points must match the weights")
         for sub in self.incidences:
-            if not (_is_int(sub.dim) and all(map(_is_int, sub.members))):
-                raise StabilityError("subspace dimensions and point indices must be integers")
-            if not 0 <= sub.dim <= self.N - 1:
-                raise StabilityError(f"subspace dimension {sub.dim} out of range")
-            if any(not 1 <= i <= n for i in sub.members):
-                raise StabilityError("incidence refers to a missing point index")
+            _check_subspace(sub, self.N, n)
         if self.points is not None and self.N != 1:
             raise StabilityError("explicit candidate enumeration is implemented for N = 1")
         if self.points is not None and self.incidences:
@@ -111,9 +113,11 @@ class StabilityVerdict(NamedTuple):
 
 
 def cd_values(inst: StabilityInstance, subspace: Subspace, eps) -> tuple:
-    """Exact rational (C, D_eps) for a proper linear subspace."""
-    if subspace.dim >= inst.N:
-        raise StabilityError("subspace must be proper")
+    """Exact rational (C, D_eps) for a proper linear subspace; eps is an int,
+    a Fraction or a rational string."""
+    _check_subspace(subspace, inst.N, len(inst.weights) - 1)
+    eps = _rational(eps, StabilityError, "eps must be an int, a Fraction or a rational "
+                    "string, got {!r}")
     c, d0 = _scaled_cd(inst, inst.m_sigma, subspace)
     return Fraction(c, inst.N + 1), Fraction(d0, inst.N + 1) + eps
 

@@ -607,7 +607,9 @@ def test_dyn_crit_over_the_factoring_cap(capsys, tmp_path):
         "git-stability"])
 def test_command_imports_only_its_modules(tmp_path, square_map, argv, modules):
     """A fresh `import portraitdyn.cli` loads no other package module, no
-    dataclasses and no sympy; a command then loads exactly its modules."""
+    dataclasses and no sympy; a command then loads exactly its modules.
+    Neither the import nor a portraits-only command loads `fractions` (or
+    the `decimal` it imports): the package reads rationals on demand."""
     files = {"MAP": square_map, "PORTRAIT": write(tmp_path, "p.json", _TWO_FIXED),
              "CONFIG": write(tmp_path, "c.json", STABILITY_OK)}
     argv = argv and [files.get(a, a) for a in argv]
@@ -629,6 +631,8 @@ def test_command_imports_only_its_modules(tmp_path, square_map, argv, modules):
     assert {m.split(".", 1)[1] for m in loaded if m.startswith("portraitdyn.")} == modules
     assert "dataclasses" not in loaded
     assert not any(m == "sympy" or m.startswith("sympy.") for m in loaded)
+    if modules <= {"cli", "portraits"}:
+        assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def test_git_stability(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """The package namespace and the contract of the record types."""
 
+import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -81,6 +83,204 @@ def test_domain_errors_share_one_base():
     for error in (PortraitError, MapError, ModuliError, StabilityError, PointError,
                   FormError):
         assert issubclass(error, DomainError) and issubclass(error, ValueError)
+
+
+# -- the one gate for exact inputs ------------------------------------------
+
+# Every public callable with an int-annotated parameter, by qualified name,
+# with those parameters.
+INTEGER_PARAMETERS = {
+    "Portrait.step": ("m",),
+    "RationalMap.cycle_multiplier": ("n", "prime"),
+    "RationalMap.dynatomic": ("n",),
+    "RationalMap.fixed_point_form": ("k",),
+    "RationalMap.iterate": ("k",),
+    "RationalMap.iterate_pair": ("k",),
+    "RationalMap.orbit": ("length",),
+    "admits_period": ("n", "prime"),
+    "dim_end": ("d", "N"),
+    "dim_moduli_space": ("d", "N"),
+    "enumerate_primitive_critical_portraits": ("d",),
+    "expected_dimension": ("d", "N"),
+    "fiber_image_dims": ("d", "N"),
+    "frame": ("d",),
+    "good_reduction": ("prime",),
+    "is_complete_critical": ("d",),
+    "multiplicity_mod_p": ("prime",),
+    "multiplier_polynomial": ("n",),
+    "nu": ("d", "N", "n"),
+    "nu_pre": ("d", "N", "m", "n"),
+    "periods_mod_p": ("prime",),
+    "rational_cycles": ("period",),
+    "realized_relations": ("max_shift",),
+    "search_periodic_model": ("degree", "coeff_bound"),
+    "ueda_sum": ("k",),
+    "unweighted_nonempty": ("d", "N"),
+    "weighted_necessary_conditions": ("d",),
+}
+
+
+def _good_calls() -> dict:
+    """Qualified name -> (callable, keyword arguments it answers for), on
+    fresh objects, so a case's first call fills the caches it reads."""
+    f = RationalMap.polynomial([1, 0, -1])      # z^2 - 1: 0 -> -1 -> 0
+    two = Portrait(["a", "b"], {"a": "b", "b": "a"})
+    critical = Portrait(["c", "t", "u"], {"c": "t", "t": "u", "u": "u"}, {"c": 2, "u": 2})
+    zero = ProjectivePoint(0, 1)
+    p = portraitdyn
+    return {
+        "Portrait.step": (two.step, {"v": "a", "m": 3}),
+        "RationalMap.cycle_multiplier": (f.cycle_multiplier, {"p": zero, "n": 2, "prime": 3}),
+        "RationalMap.dynatomic": (f.dynatomic, {"n": 2}),
+        "RationalMap.fixed_point_form": (f.fixed_point_form, {"k": 2}),
+        "RationalMap.iterate": (f.iterate, {"k": 2}),
+        "RationalMap.iterate_pair": (f.iterate_pair, {"k": 2}),
+        "RationalMap.orbit": (f.orbit, {"p": zero, "length": 2}),
+        "admits_period": (p.admits_period, {"f": f, "n": 2, "prime": 3}),
+        "dim_end": (p.dim_end, {"d": 2, "N": 1}),
+        "dim_moduli_space": (p.dim_moduli_space, {"d": 2, "N": 1}),
+        "enumerate_primitive_critical_portraits": (p.enumerate_primitive_critical_portraits,
+                                                   {"d": 2}),
+        "expected_dimension": (p.expected_dimension, {"p": two, "d": 2, "N": 1}),
+        "fiber_image_dims": (p.fiber_image_dims, {"p_prime": two, "p": two, "d": 2, "N": 1}),
+        "frame": (p.frame, {"p": critical, "d": 2}),
+        "good_reduction": (p.good_reduction, {"f": f, "assignment": {},
+                                              "portrait": Portrait([], {}), "prime": 3}),
+        "is_complete_critical": (p.is_complete_critical, {"p": critical, "d": 2}),
+        "multiplicity_mod_p": (p.multiplicity_mod_p, {"f": f, "p": zero, "prime": 3}),
+        "multiplier_polynomial": (p.multiplier_polynomial, {"f": f, "n": 2}),
+        "nu": (p.nu, {"d": 2, "N": 1, "n": 2}),
+        "nu_pre": (p.nu_pre, {"d": 2, "N": 1, "m": 1, "n": 2}),
+        "periods_mod_p": (p.periods_mod_p, {"f": f, "prime": 3}),
+        "rational_cycles": (p.rational_cycles, {"f": f, "period": 2}),
+        "realized_relations": (p.realized_relations, {"p": critical, "max_shift": 2}),
+        "search_periodic_model": (p.search_periodic_model,
+                                  {"portrait": two, "degree": 2, "coeff_bound": 1}),
+        "ueda_sum": (p.ueda_sum, {"f": f, "k": 1}),
+        "unweighted_nonempty": (p.unweighted_nonempty, {"p": two, "d": 2, "N": 1}),
+        "weighted_necessary_conditions": (p.weighted_necessary_conditions, {"p": two, "d": 2}),
+    }
+
+
+def _integer_cases():
+    for name, params in INTEGER_PARAMETERS.items():
+        for param in params:
+            for bad in (2.0, True, "2", None):
+                yield pytest.param(name, param, bad, id=f"{name}-{param}-{bad!r}")
+
+
+@pytest.mark.parametrize("name, param, bad", _integer_cases())
+def test_every_integer_parameter_refuses_a_non_int(name, param, bad):
+    # the good call runs first, so a bad value equal to a good one (True
+    # and 1, 2.0 and 2) must not reach an answer cached for it
+    fn, kwargs = _good_calls()[name]
+    fn(**kwargs)
+    with pytest.raises(DomainError):
+        fn(**{**kwargs, param: bad})
+
+
+def _public_integer_parameters() -> dict:
+    """What INTEGER_PARAMETERS should be, read from the signatures of the
+    functions, classes and public methods of `portraitdyn.__all__`."""
+    found = {}
+    for name in portraitdyn.__all__:
+        obj = getattr(portraitdyn, name)
+        if inspect.ismodule(obj):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                        if not attr.startswith("_") and callable(getattr(obj, attr))]
+        for qualname, member in members:
+            try:
+                signature = inspect.signature(getattr(member, "__func__", member))
+            except (TypeError, ValueError):
+                continue
+            params = tuple(k for k, v in signature.parameters.items()
+                           if v.annotation in ("int", int))
+            if params:
+                found[qualname] = params
+    return found
+
+
+def test_the_integer_walk_covers_every_public_integer_parameter():
+    assert _public_integer_parameters() == INTEGER_PARAMETERS
+    assert len(INTEGER_PARAMETERS) == 27
+    assert sum(map(len, INTEGER_PARAMETERS.values())) == 40
+    assert sorted(_good_calls()) == sorted(INTEGER_PARAMETERS)
+
+
+def test_a_bad_period_never_reads_a_cached_answer():
+    f = RationalMap.polynomial([1, 0, -1])
+    for good, bad in ((1, True), (2, 2.0)):
+        f.dynatomic(good)
+        portraitdyn.multiplier_polynomial(f, good)
+        with pytest.raises(MapError, match=f"^period must be an integer, got {bad!r}$"):
+            f.dynatomic(bad)
+        with pytest.raises(ModuliError, match="^the arguments must be integers$"):
+            portraitdyn.multiplier_polynomial(f, bad)
+
+
+def _rational_calls() -> dict:
+    """Name -> (a call taking one exact value, the error it must raise)."""
+    from portraitdyn import (cd_values, cubic_three_double_fixed_family,
+                             doubly_critical_three_cycle_surface, symmetric_surface_form)
+    instance = StabilityInstance(N=2, d=2, weights=(1, 1, 1))
+    return {
+        "coefficient": (lambda v: RationalMap([v, 0, 1], [0, 0, 1]), MapError),
+        "last-coefficient": (lambda v: RationalMap([1, 0, 0], [0, 1, v]), MapError),
+        "of-x": (lambda v: ProjectivePoint.of(v, 1), PointError),
+        "of-y": (lambda v: ProjectivePoint.of(1, v), PointError),
+        "affine": (ProjectivePoint.affine, PointError),
+        "cubic-family-a": (lambda v: cubic_three_double_fixed_family(v, 1), ModuliError),
+        "cubic-family-b": (lambda v: cubic_three_double_fixed_family(1, v), ModuliError),
+        "surface-gamma": (lambda v: doubly_critical_three_cycle_surface(2, 3, v), ModuliError),
+        "symmetric-form-x": (lambda v: symmetric_surface_form(v, 1, 1), ModuliError),
+        "symmetric-form-z": (lambda v: symmetric_surface_form(1, 1, v), ModuliError),
+        "cd-eps": (lambda v: cd_values(instance, Subspace(0, frozenset({1})), v),
+                   StabilityError),
+    }
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "abc", None, 1j, "1/0"], ids=repr)
+@pytest.mark.parametrize("name", sorted(_rational_calls()))
+def test_every_exact_value_refuses_what_is_not_a_rational(name, bad):
+    call, error = _rational_calls()[name]
+    call(5)
+    call("7/3")
+    with pytest.raises(error) as exc:
+        call(bad)
+    assert type(exc.value) is error
+    assert str(exc.value).endswith(f", got {bad!r}")
+
+
+def _float_or_bool_tests() -> list:
+    """(file, enclosing function) of every isinstance call in src/ whose
+    classes name bool or float."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "portraitdyn")
+                       .glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node, []) for node in tree.body]
+        while scopes:
+            node, outer = scopes.pop()
+            names = outer + [node.name] if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else outer
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                    & {"bool", "float"}):
+                found.append((path.name, ".".join(names)))
+            scopes += [(child, names) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_only_the_gate_tests_for_a_float_or_a_bool():
+    # the integer test and the rational reader, and the two fixed-point-flag
+    # checks, which want a bool
+    assert _float_or_bool_tests() == [
+        ("__init__.py", "_integer"), ("__init__.py", "_rational"),
+        ("cli.py", "load_stability"), ("stability.py", "StabilityInstance.__new__")]
 
 
 # -- records ----------------------------------------------------------------
