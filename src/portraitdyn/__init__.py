@@ -24,13 +24,17 @@ def _integer(value, error, message, *context):
 
 
 def _rational(value, error, message):
-    """`Fraction(value)` for anything Fraction reads but a float or a bool,
-    since a float's value is its binary expansion and not the number
-    written; otherwise raise `error(message.format(value))`.  The package's
-    one reader of an exact rational."""
+    """`Fraction(value)` but for a float or a bool, since a float's value is
+    its binary expansion and not the number written, and for a string with
+    a character other than whitespace, ASCII digits, signs, "/" and ".",
+    such as an exponent, whose digits are unbounded; these and what Fraction
+    cannot read raise `error(message.format(value))`.  The package's one
+    reader of an exact rational."""
     import fractions        # here, so a program that reads no rational never loads it
+    import re
 
-    if not isinstance(value, (float, bool)):
+    if not isinstance(value, (float, bool)) and not (
+            isinstance(value, str) and re.search(r"[^\s0-9+\-/.]", value)):
         try:
             return fractions.Fraction(value)
         except (TypeError, ValueError, ArithmeticError):

@@ -222,10 +222,10 @@ NU_CAP_BITS = 12000
 
 # Largest number nu of formal-period-n points for which multiplier_polynomial
 # computes; its work in the nu-dimensional algebra Q[x]/(psi) grows steeply
-# with nu.  On a 2-vCPU container seven seeded maps took 0.4-0.7 s at
-# nu = 42 (degree 7, n = 2) and two took 14-15 s at nu = 54 (degree 2,
-# n = 6, the cap lifted).  The tests reach nu = 42, under a 5 s guard;
-# the README and the benchmark stay at nu <= 6.
+# with nu.  On a 2-vCPU Xeon VM five degree-7 maps (the tests' `nu_42_map`
+# and seeded maps 1-4) took 0.21-0.43 s at nu = 42 (n = 2), and two seeded
+# degree-2 maps 7.9-10.8 s at nu = 54 (n = 6, the cap lifted).  The tests
+# reach nu = 42, under a 5 s guard; the README and benchmark stay at nu <= 6.
 MULTIPLIER_CAP = 48
 
 

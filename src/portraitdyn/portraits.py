@@ -62,8 +62,9 @@ class Portrait:
         object.__setattr__(self, "domain", frozenset(phi))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weights", {k: w for k, w in weights.items() if w > 1})
-        for slot in ("_peeled", "_codes", "_ends", "_canon", "_closures"):
+        for slot in ("_peeled", "_codes", "_ends", "_canon"):
             object.__setattr__(self, slot, None)
+        object.__setattr__(self, "_closures", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Portrait is immutable")
@@ -319,13 +320,6 @@ class PortraitMorphism(_Morphism):
 
     def __call__(self, v: str) -> str:
         return self.mapping[v]
-
-    def compose(self, other: "PortraitMorphism") -> "PortraitMorphism":
-        """self o other (apply other first)."""
-        if other.target is not self.source and other.target != self.source:
-            raise PortraitError("composition mismatch")
-        return PortraitMorphism(other.source, self.target,
-                                {v: self.mapping[w] for v, w in other.mapping.items()})
 
 
 # hom and everything built on it (isomorphisms, automorphism_group) refuse
@@ -605,7 +599,8 @@ def is_complete_critical(p: Portrait, d: int) -> bool:
 
 
 def is_critically_primitive(p: Portrait) -> bool:
-    return all(p.weight(v) >= 2 for v in p.domain)
+    # weights holds only the weights above 1, all on the domain
+    return len(p.weights) == len(p.domain)
 
 
 def frame(p: Portrait, d: int) -> Portrait:
@@ -738,8 +733,6 @@ def _closure(relations: tuple, p: Portrait) -> tuple:
     (shift bound, base, root of every index), keyed by the system;
     `relation_determined` looks the cache up before it calls this.
     """
-    if p._closures is None:
-        object.__setattr__(p, "_closures", {})
     crit = p.weights
     for rel in relations:
         if rel.i not in crit or rel.j not in crit:
@@ -780,8 +773,7 @@ def relation_determined(relations: Iterable[CriticalRelation],
     `_closure`); a query looks it up once, checks r and compares two roots.
     """
     key = tuple(relations)
-    closures = p._closures
-    closure = None if closures is None else closures.get(key)
+    closure = p._closures.get(key)
     bound, base, roots = _closure(key, p) if closure is None else closure
     i, j, m, n = r
     bi, bj = base.get(i), base.get(j)

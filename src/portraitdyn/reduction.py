@@ -128,7 +128,7 @@ def _admits_period(f: RationalMap, n: int, prime: int) -> bool:
             k //= prime
         if (prime - 1) % k:           # r divides p - 1
             continue
-        point = ProjectivePoint(i, 1) if i < prime else ProjectivePoint.infinity()
+        point = (i, 1) if i < prime else (1, 0)     # a pair: cycle_multiplier only unpacks it
         if _order(f.cycle_multiplier(point, m, prime), prime) == k:
             return True
     return False

@@ -42,8 +42,10 @@ class Subspace(NamedTuple):
 
 
 def _check_subspace(sub: Subspace, N: int, n: int) -> None:
-    """Refuse a subspace whose dimension or point indices are not ints, or
-    that is not proper in P^N or names a point outside 1..n."""
+    """Refuse all but a `Subspace` of an int dimension and a set of int point
+    indices, proper in P^N and naming points in 1..n."""
+    if not isinstance(sub, Subspace) or not isinstance(sub.members, (set, frozenset)):
+        raise StabilityError(f"an incidence must be a Subspace with a set of members, got {sub!r}")
     for v in (sub.dim, *sub.members):
         _integer(v, StabilityError, "subspace dimensions and point indices must be integers")
     if not 0 <= sub.dim <= N - 1:

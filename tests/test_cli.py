@@ -774,14 +774,26 @@ _DEGREE_DIM = ["--degree", "2", "--dim", "1"]
                            "incidences": [{"dim": 0, "points": [1]}],
                            "fixed_point_flags": [True, None]}],
      1, "fixed-point flags need points, one flag per point"),
+    # an exponent, an underscore and a non-ASCII digit are not rational text
+    (["dyn", "crit", {"degree": 2, "numerator": ["1", "0", "1e-100000000"],
+                      "denominator": ["0", "0", "1"]}],
+     2, "numerator coefficient must be a rational string, got '1e-100000000'"),
+    (["dyn", "eval", _SQUARE, "--point=1e-100000000"],
+     2, "cannot parse point '1e-100000000'"),
+    (["git", "stability", {"N": 1, "d": 2, "weights": [1, 1], "points": ["1_0"]}],
+     2, "cannot parse point '1_0'"),
+    (["git", "stability", {"N": 1, "d": 2, "weights": [1, 1], "points": ["\u0661"]}],
+     2, "cannot parse point '\u0661'"),
 ], ids=["map-list", "degree-1", "short-coefficients", "point-triple", "period-0",
         "prime-past-cap", "zero-map", "points-in-P2", "fibers-weighted", "fibers-empty-ambient", "frame-degree-1",
         "points-and-incidences", "four-flags-two-points", "no-flag-one-point",
-        "flags-without-points"])
+        "flags-without-points", "exponent-coefficient", "exponent-point",
+        "underscore-config-point", "arabic-digit-config-point"])
 def test_refusals_print_one_line(capsys, tmp_path, argv, code, message):
     argv = [a if isinstance(a, str) else write(tmp_path, f"arg{i}.json", a)
             for i, a in enumerate(argv)]
-    assert run_cli(capsys, *argv) == (code, "")
+    with within(1):
+        assert run_cli(capsys, *argv) == (code, "")
     assert run_cli.err == f"error: {message}\n"
 
 

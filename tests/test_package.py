@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from portraitdyn.forms import FormError
 from portraitdyn.maps import MapError
 from portraitdyn.moduli import ModuliError
 from portraitdyn.projective import PointError
+
+from conftest import within
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
@@ -242,16 +245,44 @@ def _rational_calls() -> dict:
     }
 
 
-@pytest.mark.parametrize("bad", [0.5, True, "abc", None, 1j, "1/0"], ids=repr)
+# Text that Fraction reads but the package does not: an exponent, whose
+# digits are unbounded (Fraction builds 10^100000000 for this one), an
+# underscore and a non-ASCII digit (Arabic-Indic one).
+_UNDOCUMENTED = ["1e-100000000", "1_0", "\u0661"]
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "abc", None, 1j, "1/0", *_UNDOCUMENTED],
+                         ids=repr)
 @pytest.mark.parametrize("name", sorted(_rational_calls()))
 def test_every_exact_value_refuses_what_is_not_a_rational(name, bad):
     call, error = _rational_calls()[name]
     call(5)
     call("7/3")
-    with pytest.raises(error) as exc:
+    with within(1), pytest.raises(error) as exc:
         call(bad)
     assert type(exc.value) is error
     assert str(exc.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", _UNDOCUMENTED, ids=repr)
+def test_point_text_refuses_the_undocumented_forms(bad):
+    with within(1), pytest.raises(PointError, match="^cannot parse point " + re.escape(repr(bad))):
+        ProjectivePoint.parse(bad)
+
+
+def test_the_documented_rational_forms_read_as_before():
+    from portraitdyn import cd_values
+
+    instance, sub = StabilityInstance(N=2, d=2, weights=(1, 1, 1)), Subspace(0, frozenset())
+    forms = {"-3/4": (-3, 4), "0.1": (1, 10), " 0.1 ": (1, 10), "+3": (3, 1), ".5": (1, 2),
+             "5.": (5, 1), "7": (7, 1)}
+    for text, (x, y) in forms.items():
+        q = Fraction(x, y)
+        assert ProjectivePoint.affine(text) == ProjectivePoint.parse(text) == (x, y)
+        assert ProjectivePoint.of(text, 1) == (x, y) and ProjectivePoint.of(1, text) == (
+            ProjectivePoint.of(y, x))
+        assert RationalMap([text, 0, 1], [0, 0, 1]) == RationalMap([q, 0, 1], [0, 0, 1])
+        assert cd_values(instance, sub, text)[1] == cd_values(instance, sub, q)[1]
 
 
 def _float_or_bool_tests() -> list:

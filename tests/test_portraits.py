@@ -199,7 +199,7 @@ def test_automorphism_group_is_a_group():
     assert any(m.mapping == {v: v for v in p.vertices} for m in auts)
     for m1 in auts:
         for m2 in auts:
-            assert tuple(sorted(m1.compose(m2).mapping.items())) in maps
+            assert tuple(sorted((v, m1(m2(v))) for v in p.vertices)) in maps
         inverse = {v: k for k, v in m1.mapping.items()}
         assert tuple(sorted(inverse.items())) in maps
 
@@ -225,8 +225,7 @@ def test_hom_composition_lands_in_hom(p1, p2, p3):
     expected = {tuple(sorted(m.mapping.items())) for m in hom(p1, p3)}
     for m12 in h12[:4]:
         for m23 in h23[:4]:
-            comp = m23.compose(m12)
-            assert tuple(sorted(comp.mapping.items())) in expected
+            assert tuple(sorted((v, m23(m12(v))) for v in p1.vertices)) in expected
 
 
 def test_subportrait():
@@ -252,14 +251,11 @@ _TAIL = Portrait(["c", "q", "r"], {"c": "q", "q": "r"}, {"c": 2})
 @pytest.mark.parametrize("call,message", [
     (lambda: _AB.weight("b"), "vertex 'b' has no weight (not in domain)"),
     (lambda: _AB.restrict(["a"]), "restriction is not phi-closed"),
-    (lambda: PortraitMorphism(_AB, _AB, {"a": "a", "b": "b"}).compose(
-        PortraitMorphism(Portrait(["x"], {}), Portrait(["a"], {}), {"x": "a"})),
-     "composition mismatch"),
     (lambda: _TAIL.step("c", -1), "negative iterate count -1"),
     (lambda: relation_holds(_TAIL, CriticalRelation("c", "c", -1, 2)),
      "negative iterate count -1"),
     (lambda: _AB.restrict(["b", "zz"]), "kept vertex 'zz' is not a vertex"),
-], ids=["weight-off-the-domain", "restrict-not-closed", "compose-mismatch", "step-negative",
+], ids=["weight-off-the-domain", "restrict-not-closed", "step-negative",
         "relation-negative-shift", "restrict-unknown-vertex"])
 def test_portrait_refusals(call, message):
     with pytest.raises(PortraitError) as exc:

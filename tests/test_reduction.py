@@ -323,7 +323,7 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     verdicts = [admits_period(f, n, p) for f, p in grid for n in range(2, 9)]
 
     def by_jacobian(f, q, n, prime=0):
-        cycle = reduced_cycle(f, reduce_point(q, prime), prime)
+        cycle = reduced_cycle(f, reduce_point(ProjectivePoint.of(*q), prime), prime)
         assert len(cycle) == n
         called.append(n)
         return _multiplier_by_jacobian(jacobians[f], cycle, prime)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -338,6 +339,22 @@ def test_non_integer_subspace_data_rejected(sub):
     # is computed from a float or bool dimension
     with pytest.raises(StabilityError, match="^subspace dimensions and point indices must be"):
         verdict(StabilityInstance(N=2, d=2, weights=(1, 1, 1), incidences=(sub,)))
+
+
+@pytest.mark.parametrize("sub", [
+    Subspace(0, 7), Subspace(0, None), Subspace(0, [1, 1]), Subspace(0, (1,)),
+    (0, frozenset({1})), 7,
+], ids=repr)
+def test_malformed_subspaces_rejected(sub):
+    # a list of members would count point 1's weight twice in C
+    instance = StabilityInstance(N=2, d=2, weights=(1, 1, 1))
+    message = "^an incidence must be a Subspace with a set of members, got " + re.escape(repr(sub))
+    with pytest.raises(StabilityError, match=message):
+        StabilityInstance(N=2, d=2, weights=(1, 1, 1), incidences=(sub,))
+    with pytest.raises(StabilityError, match=message):
+        cd_values(instance, sub, 0)
+    one = cd_values(instance, Subspace(0, frozenset({1})), 0)
+    assert cd_values(instance, Subspace(0, {1}), 0) == one
 
 
 @pytest.mark.parametrize("kwargs", [
