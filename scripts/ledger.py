@@ -22,8 +22,7 @@ Each family is a list of text lines, one per answer:
   screen  a map, a prime p and a period n, and the verdict of
           reduction.admits_period: every map of degree 2 or 3 with
           coefficients in {-1, 0, 1}, taken up to sign, every prime
-          p <= --max-prime of good reduction, and n = 2..8.  --max-prime
-          is at most SCREEN_PRIME_CAP.
+          p <= MAX_PRIME of good reduction, and n = 2..8.
   classes the 133 classes of critically primitive complete critical
           portraits of degree 2 and 3, sorted by degree and canonical form
           (the form itself is not printed): the degree, the
@@ -68,12 +67,12 @@ lines and the sha256 of the lines (each ending in a newline) of each
 family; --list N adds the first N lines.  Two trees that print the same
 digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
-in the output depends on the hash seed.  The defaults take about 6 s.
+in the output depends on the hash seed.  A full run takes about 4 s.
 
 --check compares each family's count and sha256 with scripts/ledger.expected
-(one "family count sha256" line each, for the default --max-prime) and
-exits 1, naming the families that differ, when any does.  A change that
-means to change answers updates that file in the same diff.
+(one "family count sha256" line each) and exits 1, naming the families
+that differ, when any does.  A change that means to change answers
+updates that file in the same diff.
 """
 
 import hashlib
@@ -112,10 +111,6 @@ SEARCH_QUERIES = (
 )
 PERIODS = range(2, 9)
 MAX_PRIME = 13
-# Largest --max-prime: the screen family takes 1.3 s at 13, 30 s at 127
-# and 37 s at 150 (single runs on a 2-vCPU Xeon VM), about quadratic in
-# the bound, so at the cap it still ends within a minute.
-SCREEN_PRIME_CAP = 150
 EXPECTED = Path(__file__).with_name("ledger.expected")
 MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
@@ -160,8 +155,8 @@ def maps_of_height_one(degree):
                 yield RationalMap(f0, f1)
 
 
-def screen_lines(max_prime):
-    primes = list(filter(is_prime, range(2, max_prime + 1)))
+def screen_lines():
+    primes = list(filter(is_prime, range(2, MAX_PRIME + 1)))
     for degree in (2, 3):
         for f in maps_of_height_one(degree):
             for p in primes:
@@ -327,14 +322,10 @@ def nu_pre_lines():
         yield f"d={label} N={N} m={m} n={n}: {answer(lambda: nu_pre(d, N, m, n))}"
 
 
-def ledger(family, listed, max_prime, check):
+def ledger(family, listed, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
-    if max_prime > SCREEN_PRIME_CAP:
-        raise DomainError(f"--max-prime {max_prime} exceeds cap {SCREEN_PRIME_CAP}")
-    if check and max_prime != MAX_PRIME and family in (None, "screen"):
-        raise DomainError(f"--check needs the default --max-prime {MAX_PRIME}")
-    families = {"search": search_lines, "screen": lambda: screen_lines(max_prime),
+    families = {"search": search_lines, "screen": screen_lines,
                 "classes": classes_lines, "morphisms": morphisms_lines,
                 "maps": maps_lines, "multipliers": multipliers_lines,
                 "stability": stability_lines, "nu_pre": nu_pre_lines}
@@ -364,8 +355,6 @@ if __name__ == "__main__":
                          help="one family only (default: all eight)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
-                     arg("--max-prime", type=int, default=MAX_PRIME,
-                         help=f"largest prime of the screen family (default {MAX_PRIME})"),
                      arg("--check", action="store_true",
                          help=f"exit 1 when a count or digest differs from {EXPECTED.name}")],
            ledger)

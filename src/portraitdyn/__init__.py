@@ -24,17 +24,19 @@ def _integer(value, error, message, *context):
 
 
 def _rational(value, error, message):
-    """`Fraction(value)` but for a float or a bool, since a float's value is
-    its binary expansion and not the number written, and for a string with
-    a character other than whitespace, ASCII digits, signs, "/" and ".",
-    such as an exponent, whose digits are unbounded; these and what Fraction
-    cannot read raise `error(message.format(value))`.  The package's one
-    reader of an exact rational."""
+    """`Fraction(value)` for a `numbers.Rational` other than a bool, or for
+    a string of whitespace, ASCII digits, signs, "/" and "."; anything
+    else, such as a float (whose value is its binary expansion and not the
+    number written), a Decimal or a string with an exponent (whose digits
+    are unbounded), and what Fraction cannot read raise
+    `error(message.format(value))`.  The package's one reader of an exact
+    rational."""
     import fractions        # here, so a program that reads no rational never loads it
+    import numbers
     import re
 
-    if not isinstance(value, (float, bool)) and not (
-            isinstance(value, str) and re.search(r"[^\s0-9+\-/.]", value)):
+    if (isinstance(value, str) and not re.search(r"[^\s0-9+\-/.]", value)
+            or isinstance(value, numbers.Rational) and not isinstance(value, bool)):
         try:
             return fractions.Fraction(value)
         except (TypeError, ValueError, ArithmeticError):

@@ -346,6 +346,11 @@ def _deflate(f, x: int, y: int, prime: int = 0):
     return quot
 
 
+def reduce_point(x: int, y: int, prime: int) -> tuple:
+    """The point (x : y) of P^1(F_p) as (x/y mod p : 1), or (1 : 0) when p divides y."""
+    return (x * pow(y, -1, prime) % prime, 1) if y % prime else (1, 0)
+
+
 def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
     """Order of the point (x : y) as a root of the form: the largest k
     with (yX - xY)^k dividing f, over Q (prime = 0) or over F_p.
@@ -356,9 +361,7 @@ def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
     """
     if prime:
         f = [c % prime for c in f]
-        x, y = x % prime, y % prime
-        if y:
-            x, y = x * pow(y, -1, prime) % prime, 1
+        x, y = reduce_point(x, y, prime)
     cur = list(f)
     if not any(cur):
         raise FormError("zero form has infinite order")

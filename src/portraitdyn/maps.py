@@ -258,7 +258,7 @@ class RationalMap:
         x, y = p
         if prime != 0 or type(prime) is not int:     # only the int 0 means over Q
             check_prime(self, prime)
-            x, y = (x * pow(y, -1, prime) % prime, 1) if y % prime else (1, 0)
+            x, y = forms.reduce_point(x, y, prime)
         f0, f1 = self.f0, self.f1
         start, num, den = (x, y), 1, 1
         for _ in range(n):

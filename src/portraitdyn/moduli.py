@@ -194,8 +194,8 @@ def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:
     if not unweighted_nonempty(p, d, N):
         raise ModuliError("the ambient portrait moduli space is empty")
     meet = set(p_prime.vertices)
-    n = sum(1 for comp in p.components()
-            if meet & set(comp) and not p.component_has_cycle(comp))
+    n = sum(1 for comp in p.components()      # a component ends in one root or one cycle
+            if meet & set(comp) and p.preperiodic_type(comp[0]) is None)
     return {"fiber_dim": N * (p.zeta - n),
             "image_codim": N * (p_prime.zeta - n)}
 

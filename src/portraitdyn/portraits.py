@@ -77,10 +77,6 @@ class Portrait:
         return self.weights.get(v, 1)
 
     @property
-    def crit(self) -> frozenset:
-        return frozenset(self.weights)
-
-    @property
     def is_unweighted(self) -> bool:
         return not self.weights
 
@@ -250,9 +246,6 @@ class Portrait:
         for v in sorted(self.vertices):
             comps.setdefault(ends[v][1][0], []).append(v)
         return list(comps.values())
-
-    def component_has_cycle(self, comp: Iterable[str]) -> bool:
-        return any(self.preperiodic_type(v) is not None for v in comp)
 
     def restrict(self, keep: Iterable[str]) -> "Portrait":
         """Subportrait induced on a phi-closed vertex subset."""

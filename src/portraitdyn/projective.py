@@ -84,7 +84,7 @@ class ProjectivePoint(_Coordinates):
         """The point of `text`, "inf" or a rational such as "-3/4", with
         surrounding whitespace ignored: the one reader of point text, for
         the `--point` option, points files and stability configs alike."""
-        s = text.strip()
+        s = text.strip() if isinstance(text, str) else None     # affine refuses None
         if s == "inf":
             return ProjectivePoint.infinity()
         try:

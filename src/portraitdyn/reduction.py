@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import _integer, forms
+from .forms import reduce_point     # by this name, so perfbench traces reduction.reduce_point
 from .maps import _PERIOD, MapError, RationalMap, check_prime
 from .portraits import Portrait
 from .projective import ProjectivePoint
@@ -29,14 +30,6 @@ class ReductionReport(NamedTuple):
     bullet: bool
     circ: bool
     star: bool
-
-
-def reduce_point(p: ProjectivePoint, prime: int):
-    """Canonical representative of the point in P^1(F_p)."""
-    x, y = p.x % prime, p.y % prime
-    if y != 0:
-        return ((x * pow(y, -1, prime)) % prime, 1)
-    return (1, 0)
 
 
 def _reduced_table(f: RationalMap, prime: int) -> list:
@@ -174,7 +167,7 @@ def good_reduction(f: RationalMap, assignment, portrait: Portrait,
     circ = False
     star = False
     if map_good:
-        reduced = [reduce_point(assignment[v], prime) for v in sorted(portrait.vertices)]
+        reduced = [reduce_point(*assignment[v], prime) for v in sorted(portrait.vertices)]
         distinct = len(set(reduced)) == len(reduced)
         mults = {v: f.multiplicity(assignment[v]) for v in portrait.domain}
         bullet = distinct and all(mults[v] >= portrait.weight(v)

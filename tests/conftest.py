@@ -231,7 +231,7 @@ def random_critically_generated(rng: random.Random, max_vertices: int = 8) -> Po
         crit = rng.sample(sorted(phi), rng.randint(1, len(phi)))
         base = Portrait(verts, phi, {c: rng.randint(2, 3) for c in crit})
         generated = critically_generated_subportrait(base)
-        if generated.vertices and generated.crit:
+        if generated.vertices and generated.weights:
             return generated
 
 

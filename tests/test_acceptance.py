@@ -135,7 +135,7 @@ def test_criterion_08_minimal_relation_systems():
     for _ in range(10):
         p = random_critically_generated(rng, 8)
         relations = sp_relations(p)
-        ok = ok and len(relations) == len(p.crit) - p.zeta
+        ok = ok and len(relations) == len(p.weights) - p.zeta
         for r in realized_relations(p, 2 * len(p.vertices)):
             ok = ok and relation_determined(relations, r, p)
     report(8, ok, "#S_P == #Crit - zeta and S_P determines every realized "

@@ -740,6 +740,25 @@ def test_ord_at():
         forms.ord_at((5, 10, 15), 0, 1, 5)
 
 
+def test_reduce_point_is_the_point_of_p1_fp_on_the_same_line():
+    # (x : y) reduces to the one point (a : b) of P^1(F_p), listed as
+    # (r : 1) for r < p and then (1 : 0), with xb - ya = 0 mod p
+    rng = random.Random(0)
+    pairs = [(1, 0), (-1, 0), (0, 1), (0, -1), (6, 5), (-6, 5), (5, -3), (-25, 7), (7, 10)]
+    while len(pairs) < 300:
+        x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+        if gcd(x, y) == 1:
+            pairs.append((x, y))
+    for prime in (2, 3, 5, 7, 13):
+        line = [(r, 1) for r in range(prime)] + [(1, 0)]
+        for x, y in pairs:
+            want = [(a, b) for a, b in line if (x * b - y * a) % prime == 0]
+            assert [forms.reduce_point(x, y, prime)] == want, (x, y, prime)
+    assert forms.reduce_point(6, 5, 5) == (1, 0)        # p | y: infinity
+    assert forms.reduce_point(5, -3, 5) == (0, 1)       # p | x
+    assert forms.reduce_point(-1, 2, 3) == (1, 1)       # -1/2 = 1 mod 3
+
+
 @given(st.integers(-6, 6), st.integers(1, 4), st.integers(0, 3), coeff_lists,
        st.sampled_from((0, 2, 3, 5)))
 def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,8 +252,10 @@ def _rational_calls() -> dict:
 _UNDOCUMENTED = ["1e-100000000", "1_0", "\u0661"]
 
 
-@pytest.mark.parametrize("bad", [0.5, True, "abc", None, 1j, "1/0", *_UNDOCUMENTED],
-                         ids=repr)
+# A Decimal's exponent is as unbounded as the text form's (Fraction builds
+# 10^100000000 for the second one).
+@pytest.mark.parametrize("bad", [0.5, True, "abc", None, 1j, "1/0", *_UNDOCUMENTED,
+                                 Decimal("0.5"), Decimal("1e-100000000")], ids=repr)
 @pytest.mark.parametrize("name", sorted(_rational_calls()))
 def test_every_exact_value_refuses_what_is_not_a_rational(name, bad):
     call, error = _rational_calls()[name]
@@ -264,7 +267,7 @@ def test_every_exact_value_refuses_what_is_not_a_rational(name, bad):
     assert str(exc.value).endswith(f", got {bad!r}")
 
 
-@pytest.mark.parametrize("bad", _UNDOCUMENTED, ids=repr)
+@pytest.mark.parametrize("bad", [*_UNDOCUMENTED, 5], ids=repr)
 def test_point_text_refuses_the_undocumented_forms(bad):
     with within(1), pytest.raises(PointError, match="^cannot parse point " + re.escape(repr(bad))):
         ProjectivePoint.parse(bad)

@@ -387,7 +387,10 @@ def test_statistics_free_vertex():
 
 @given(portrait_strategy())
 def test_cycle_free_components_equal_zeta(p):
-    free = sum(1 for comp in p.components() if not p.component_has_cycle(comp))
+    # every vertex of a component ends in its one root or cycle, so one vertex tells
+    escapes = [{p.preperiodic_type(v) is None for v in comp} for comp in p.components()]
+    assert all(len(e) == 1 for e in escapes)
+    free = sum(1 for comp in p.components() if p.preperiodic_type(comp[0]) is None)
     assert free == p.zeta
 
 
@@ -868,7 +871,7 @@ def test_sp_relations_two_critical_tails():
 def test_sp_relations_cycle_free_component():
     p = Portrait(["c", "s"], {"c": "s"}, {"c": 2})
     assert sp_relations(p) == []
-    assert len(p.crit) - p.zeta == 0
+    assert len(p.weights) - p.zeta == 0
 
 
 def test_sp_relations_requires_critically_generated():
@@ -881,7 +884,7 @@ def test_sp_relation_count_on_random_portraits():
     for _ in range(25):
         p = random_critically_generated(rng)
         rels = sp_relations(p)
-        assert len(rels) == len(p.crit) - p.zeta
+        assert len(rels) == len(p.weights) - p.zeta
         for r in rels:
             assert relation_holds(p, r)
 
@@ -918,7 +921,7 @@ def _reference_sp_relations(p):
     walked directly along phi."""
     relations = []
     for comp in _reference_components(p):
-        crits = sorted(v for v in comp if v in p.crit)
+        crits = sorted(v for v in comp if v in p.weights)
         assert crits, "component without a critical point"
         has_cycle = any(_direct_orbit(p, v)[1] is not None for v in comp)
         first_index = {c: {v: i for i, v in enumerate(_direct_orbit(p, c)[0])}
@@ -976,10 +979,10 @@ def test_components_and_sp_relations_match_the_references():
         assert portrait_statistics(p) == _reference_statistics(p), p
         assert shift_bound(p) == _reference_shift_bound(p), p
         keep = set()
-        for c in p.crit:
+        for c in p.weights:
             keep.update(_direct_orbit(p, c)[0])
         sub = Portrait(sorted(keep), {v: p.phi[v] for v in keep if v in p.domain},
-                       {v: p.weights[v] for v in keep & p.crit})
+                       {v: p.weights[v] for v in p.weights.keys() & keep})
         got = critically_generated_subportrait(p)
         assert got == sub and got.vertices == sub.vertices, p
         assert is_critically_generated(p) == (keep == set(p.vertices)), p
@@ -1047,7 +1050,7 @@ def _reference_closure(relations, p):
     for rel in relations:
         union((rel.i, rel.m), (rel.j, rel.n))
     top = 2 * max([shift_bound(p)] + [max(rel.m, rel.n) for rel in relations])
-    below_top = [(c, s) for c in sorted(p.crit) for s in range(top)]
+    below_top = [(c, s) for c in sorted(p.weights) for s in range(top)]
     changed = True
     while changed:
         changed, first = False, {}
@@ -1232,7 +1235,7 @@ def test_is_critically_generated_is_the_subportrait_definition():
 
 def _nested_loop_realized_relations(p, max_shift):
     out = []
-    crits = sorted(p.crit)
+    crits = sorted(p.weights)
     for i, j in itertools.product(crits, repeat=2):
         for m in range(max_shift + 1):
             a = p.step(i, m)
@@ -1391,7 +1394,7 @@ def test_relation_determined_matches_a_fresh_closure_at_every_shift():
         s = sp_relations(p)
         bound = shift_bound(p)
         queries = [CriticalRelation(i, j, m, n)
-                   for i, j in itertools.product(sorted(p.crit), repeat=2)
+                   for i, j in itertools.product(sorted(p.weights), repeat=2)
                    for m in range(bound + 1) for n in range(bound + 1)]
         for system in [s] + [s[:k] + s[k + 1:] for k in range(len(s))]:
             _, base, roots = portraits._closure(tuple(system),

@@ -183,10 +183,10 @@ def test_good_reduction_rejects_partial_assignment():
 def _periods_by_orbits(f, prime):
     """Cycle lengths on P^1(F_p), iterating f over Q and reducing each image."""
     points = [ProjectivePoint.of(x, 1) for x in range(prime)] + [ProjectivePoint.infinity()]
-    by_residue = {reduce_point(q, prime): q for q in points}
+    by_residue = {reduce_point(*q, prime): q for q in points}
 
     def step(q):
-        return by_residue[reduce_point(f.evaluate(q), prime)]
+        return by_residue[reduce_point(*f.evaluate(q), prime)]
 
     periods = set()
     for q in points:
@@ -273,7 +273,7 @@ def test_multiplier_mod_p_matches_cycle_multiplier():
                 for prime in sympy.primerange(2, 24):
                     if f.resultant % prime == 0 or lam.denominator % prime == 0:
                         continue
-                    reduced = reduced_cycle(f, reduce_point(cycle[0], prime), prime)
+                    reduced = reduced_cycle(f, reduce_point(*cycle[0], prime), prime)
                     if len(reduced) != n:
                         continue
                     want = lam.numerator * pow(lam.denominator, -1, prime) % prime
@@ -323,7 +323,7 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     verdicts = [admits_period(f, n, p) for f, p in grid for n in range(2, 9)]
 
     def by_jacobian(f, q, n, prime=0):
-        cycle = reduced_cycle(f, reduce_point(ProjectivePoint.of(*q), prime), prime)
+        cycle = reduced_cycle(f, reduce_point(*ProjectivePoint.of(*q), prime), prime)
         assert len(cycle) == n
         called.append(n)
         return _multiplier_by_jacobian(jacobians[f], cycle, prime)
