@@ -23,6 +23,16 @@ def _integer(value, error, message, *context):
     raise error(message.format(value, *context))
 
 
+def _instance(value, cls, error, message):
+    """`value` when it is an instance of `cls`; otherwise raise
+    `error(message.format(value))`.  The package's one test of an object
+    argument, such as a portrait or a map, so that a wrong type is refused
+    in the package's own error rather than a bare AttributeError."""
+    if isinstance(value, cls):
+        return value
+    raise error(message.format(value))
+
+
 def _rational(value, error, message):
     """`Fraction(value)` for a `numbers.Rational` other than a bool, or for
     a string of whitespace, ASCII digits, signs, "/" and "."; anything

@@ -2,8 +2,11 @@
 
 Enumerates integer coefficient pairs in increasing sup-norm height and
 tests whether the portrait maps into the one the map induces on its
-rational cycles.  Desk-scale by design: the search space grows like
-(2h+1)^(2d+2), so it is meant for small degrees and small bounds.
+rational cycles.  Conjugating by z -> -z, 1/z or -1/z keeps a pair's
+height and carries a model to a model, so the search decides each such
+conjugacy orbit once, at its first member in candidate order.
+Desk-scale by design: the search space grows like (2h+1)^(2d+2), so it
+is meant for small degrees and small bounds.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import gcd
+from operator import mul, neg
 from typing import Optional
 
-from . import _integer, forms
+from . import _instance, _integer, forms, maps
 from .maps import (_PERIOD, DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
                    extract_portrait, verify_model)
 from .portraits import Portrait, PortraitError, morphism_maps
@@ -25,14 +29,15 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13)     # the primes of the reduction screen
 # Most candidate pairs one search walks; past it the search raises
 # MapError.  It counts the pairs walked, not the bound, so a query whose
 # model comes early may give a large bound.  A pair's cost depends on the
-# portrait (single runs on a 2-vCPU Xeon VM): 9-10 us when every cycle
+# portrait (single runs on a 2-vCPU Xeon VM): 6-10 us when every cycle
 # is a fixed point, so a search exhausts degree 2 at bound 3 (57,951
-# pairs) in 0.5 s and degree 3 at bound 2 (191,760) in 1.8 s, and about
-# 2.5 s at the cap; 15 us for a 4-cycle in degree 2 at bound 1 (351
-# pairs in 5.4 ms).  Where many candidates pass the reduction screen and
-# need long dynatomic forms it costs far more: two 4-cycles in degree 3
-# walk 140,688 pairs, about 170 us each, in 24 s before the model at
-# bound 2, so such a search may run about 45 s up to the cap.
+# pairs) in 0.35-0.6 s and degree 3 at bound 2 (191,760) in 1.5-2.1 s,
+# and about 2 s at the cap; 9-12 us for a 4-cycle in degree 2 at bound 1
+# (351 pairs in 3.1-4.2 ms).  Where many candidates pass the reduction
+# screen and need long dynatomic forms it costs far more: two 4-cycles
+# in degree 3 walk 140,688 pairs, about 75 us each, in 10.3-11.0 s
+# before the model at bound 2, so such a search may run about 20 s up to
+# the cap.
 # The tests, the benchmark and the script examples walk at most 2,265
 # pairs (the three-fixed-points-and-a-2-cycle portrait at degree 2,
 # bound 5).
@@ -42,6 +47,7 @@ SEARCH_CAP = 250_000
 def portrait_cycles(p: Portrait) -> list:
     """The cycles of a purely periodic portrait, as vertex tuples, each
     from its least vertex and listed by it: one per component."""
+    _instance(p, Portrait, PortraitError, "portrait must be a Portrait, got {!r}")
     if any(t is None or t.preperiod for t in map(p.preperiodic_type, p.vertices)):
         raise PortraitError("portrait is not a disjoint union of cycles")
     return [tuple(p.orbit(comp[0])) for comp in p.components()]
@@ -54,6 +60,7 @@ def rational_cycles(f: RationalMap, period: int) -> list:
     (`_fixed_points`).  For a longer period each root of the dynatomic
     form is followed along its orbit, since a root may have a smaller
     exact period."""
+    _instance(f, maps.RationalMap, MapError, "map must be a RationalMap, got {!r}")
     if _integer(period, MapError, _PERIOD) == 1:
         return _fixed_points(f.dynatomic(1))
     cycles = []
@@ -101,6 +108,32 @@ def _coefficient_pairs(degree: int, bound: int):
                     yield tup[:degree + 1], tup[degree + 1:]
 
 
+def _orbit_mates(f0, f1) -> tuple:
+    """The pairs f0 + f1 of the conjugates of the map f0/f1 by z -> -z,
+    1/z and -1/z, in that order, each up to sign.  Conjugating by -z
+    flips the sign of every other coefficient, by 1/z swaps f0 and f1
+    and reverses both, and by -1/z does both."""
+    n = len(f0)
+    signs = (1, -1) * n
+    flip = tuple(map(mul, signs[:n] + signs[1:n + 1], f0 + f1))
+    return flip, f1[::-1] + f0[::-1], flip[:n - 1:-1] + flip[n - 1::-1]
+
+
+def _first_in_orbit(f0, f1) -> bool:
+    """Whether the pair comes first in candidate order among its three
+    conjugates, each sign-normalized as `_coefficient_pairs` normalizes.
+    The matrices have determinant +-1, so a conjugate is a candidate of
+    the same height, and candidate order within a height is the
+    lexicographic order of the tuples f0 + f1."""
+    pair = f0 + f1
+    for mate in _orbit_mates(f0, f1):
+        if next(filter(None, mate)) < 0:
+            mate = tuple(map(neg, mate))
+        if mate < pair:
+            return False
+    return True
+
+
 def search_periodic_model(portrait: Portrait, degree: int,
                           coeff_bound: int) -> Optional[Model]:
     """First map (in height order) with a verified model of the portrait.
@@ -113,23 +146,30 @@ def search_periodic_model(portrait: Portrait, degree: int,
     per map up to sign.  Each pair with a nonzero resultant is built as
     a map once.
 
-    Each candidate map first passes a reduction screen for every cycle
-    length n >= 3, at the primes 3, 5, 7, 11 and 13 that do not divide
-    its resultant: by Morton and Silverman (IMRN 1994, Thm 1.1), a
-    rational point of exact period n needs, at each such prime p, a
-    cycle of the reduced map on P^1(F_p) whose length m divides n with
-    n = m, or with n/m = r p^e, e >= 0, for the order r in F_p^* of a
-    nonzero multiplier of that cycle (`reduction.admits_period`).  The
-    screen only drops maps without a rational n-cycle, so it never
-    changes the answer.  The screen reads the cycle lengths of the
-    reduced map first and computes a multiplier only for a cycle whose
-    length leaves an order r dividing p - 1 to check.  Then the rational
-    cycles are found one length at a time, shortest first, and the map
-    is dropped at the first length with too few of them.  The fixed
-    points of a map are the roots of its fixed-point form, taken as they
-    are, with no orbit walk; many candidates share that form, so each
-    call keeps the fixed points per form and finds the roots of a form
-    once; nothing is kept from one call to the next.  A map that
+    The checks on a candidate map run cheapest first.  When the portrait
+    has fixed points, the map must have as many: the fixed points of a
+    map are the roots of its fixed-point form, taken as they are, with
+    no orbit walk; many candidates share that form, so each call keeps
+    the fixed points per form and finds the roots of a form once;
+    nothing is kept from one call to the next.  Then the map must come
+    first among its conjugates by z -> -z, 1/z and -1/z
+    (`_first_in_orbit`): conjugation keeps rational cycles and
+    multiplicities and carries a model to a model, so the first member
+    of an orbit in candidate order decides for all of it, and the others
+    are dropped unexamined.  Then the map
+    passes a reduction screen for every cycle length n >= 3, at the
+    primes 3, 5, 7, 11 and 13 that do not divide its resultant: by
+    Morton and Silverman (IMRN 1994, Thm 1.1), a rational point of exact
+    period n needs, at each such prime p, a cycle of the reduced map on
+    P^1(F_p) whose length m divides n with n = m, or with n/m = r p^e,
+    e >= 0, for the order r in F_p^* of a nonzero multiplier of that
+    cycle (`reduction.admits_period`).  The screen only drops maps
+    without a rational n-cycle, so it never changes the answer.  The
+    screen reads the cycle lengths of the reduced map first and computes
+    a multiplier only for a cycle whose length leaves an order r
+    dividing p - 1 to check.  Then the rational cycles of the longer
+    lengths are found one length at a time, shortest first, and the map
+    is dropped at the first length with too few of them.  A map that
     keeps enough cycles has a model exactly when `morphism_maps` finds a
     morphism from the portrait into the portrait the map induces on the
     points of those cycles (`extract_portrait`).  Raises MapError when
@@ -178,18 +218,28 @@ def _screened_out(f: RationalMap, n: int) -> bool:
 
 
 def _match_cycles(f, portrait, screened, wanted, fixed):
+    """The model of the portrait on f's rational cycles, or None.  The
+    cheapest test runs first: the fixed-point count, read from `fixed`;
+    then the orbit test; then the reduction screen; then the longer
+    cycles, shortest first, and the morphism."""
+    points, longer = [], wanted
+    if wanted and wanted[0][0] == 1:
+        # the fixed points of f are the roots of its fixed-point form
+        form = f.fixed_point_form()
+        found = fixed.get(form)
+        if found is None:
+            found = fixed[form] = _fixed_points(form)
+        if len(found) < wanted[0][1]:
+            return None
+        points += [q for (q,) in found]
+        longer = wanted[1:]
+    # a conjugate that came first in the search decided for this map
+    if not _first_in_orbit(f.f0, f.f1):
+        return None
     if screened and any(_screened_out(f, n) for n in screened):
         return None
-    points = []
-    for length, count in wanted:
-        if length == 1:
-            # the fixed points of f are the roots of its fixed-point form
-            form = f.fixed_point_form()
-            found = fixed.get(form)
-            if found is None:
-                found = fixed[form] = _fixed_points(form)
-        else:
-            found = rational_cycles(f, length)
+    for length, count in longer:
+        found = rational_cycles(f, length)
         if len(found) < count:
             return None
         points += [q for cyc in found for q in cyc]

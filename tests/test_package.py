@@ -225,6 +225,32 @@ def test_a_bad_period_never_reads_a_cached_answer():
             portraitdyn.multiplier_polynomial(f, bad)
 
 
+# Every public entry point that takes a portrait or a map, with a call
+# taking that one argument, a good value for it and the error a value of
+# another type must raise.
+def _object_calls() -> dict:
+    from portraitdyn import portrait_cycles, rational_cycles, search_periodic_model
+    two = Portrait(["a", "b"], {"a": "b", "b": "a"})
+    return {
+        "portrait_cycles": (portrait_cycles, two, PortraitError),
+        "rational_cycles": (lambda v: rational_cycles(v, 2),
+                            RationalMap.polynomial([1, 0, -1]), MapError),
+        "search_periodic_model": (lambda v: search_periodic_model(v, 2, 1), two,
+                                  PortraitError),
+    }
+
+
+@pytest.mark.parametrize("bad", [2.0, "x", None, ProjectivePoint(0, 1)], ids=repr)
+@pytest.mark.parametrize("name", sorted(_object_calls()))
+def test_every_object_argument_refuses_another_type(name, bad):
+    call, good, error = _object_calls()[name]
+    call(good)
+    with within(1), pytest.raises(error) as exc:
+        call(bad)
+    assert type(exc.value) is error
+    assert str(exc.value).endswith(f", got {bad!r}")
+
+
 def _rational_calls() -> dict:
     """Name -> (a call taking one exact value, the error it must raise)."""
     from portraitdyn import (cd_values, cubic_three_double_fixed_family,

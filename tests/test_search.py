@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -472,3 +473,84 @@ def test_pinned_answers_in_both_label_orders(query):
     for model, want in zip(models, points):
         assert (model.map.f0, model.map.f1) == pair
         assert tuple(str(q) for q in model.points()) == want
+
+
+# -- the orbit skip -----------------------------------------------------------
+
+# The conjugating matrices (a, b, c, d) of z -> -z, 1/z and -1/z, the
+# order in which search._orbit_mates lists the mates.
+INVOLUTIONS = [(-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, 1, 0)]
+
+
+@pytest.mark.parametrize("degree,kept,built", [(2, 64, 240), (3, 590, 2248)])
+def test_orbit_mates_are_the_conjugates_and_one_pair_per_orbit_is_first(degree, kept,
+                                                                        built):
+    # RationalMap.conjugate composes the forms with the matrix and applies
+    # its adjugate; its constructor normalizes as the candidates are
+    orbits = {}
+    for f in _maps_of_height_one(degree):
+        conjugates = [f.conjugate(m) for m in INVOLUTIONS]
+        mates = [forms.primitive(mate) for mate in search._orbit_mates(f.f0, f.f1)]
+        assert mates == [g.f0 + g.f1 for g in conjugates], f
+        pair = f.f0 + f.f1
+        first = search._first_in_orbit(f.f0, f.f1)
+        assert first == (pair <= min(mates)), f
+        orbit = frozenset([pair, *mates])
+        orbits.setdefault(orbit, []).append(first)
+    assert sum(map(len, orbits.values())) == built
+    assert all(len(firsts) == len(orbit) and firsts.count(True) == 1
+               for orbit, firsts in orbits.items())
+    assert len(orbits) == kept
+
+
+def test_an_orbit_shares_its_cycle_counts_and_screen_verdicts():
+    # degree 2, height <= 1: what the search reads of a map is the same on
+    # every member of its orbit, so its first member answers for all
+    seen = {}
+    for f in _maps_of_height_one(2):
+        orbit = min([f, *(f.conjugate(m) for m in INVOLUTIONS)], key=lambda g: g.f0 + g.f1)
+        reading = ([len(rational_cycles(f, n)) for n in (1, 2, 3, 4)]
+                   + [search._screened_out(f, n) for n in (3, 4)])
+        assert seen.setdefault(orbit, reading) == reading, f
+    assert len(seen) == 64
+    assert len({tuple(r) for r in seen.values()}) > 5
+
+
+# The query shapes of the benchmark's search workload.
+BENCHMARK_QUERIES = [((1, 1, 1, 2), 2, 5), ((1, 1, 1), 3, 2), ((2, 2), 3, 1),
+                     ((1, 1, 1, 1), 2, 1), ((3, 2), 2, 1), ((4,), 2, 1)]
+
+
+def test_orbit_skip_changes_no_answer(monkeypatch):
+    queries = list(PINNED_ANSWERS) + [(lens, (), degree, bound)
+                                      for lens, degree, bound in BENCHMARK_QUERIES]
+    portraits = []
+    for lens, weights, degree, bound in queries:
+        p = _portrait(lens, weights)
+        portraits += [(p, degree, bound), (_reversed_labels(p), degree, bound)]
+    skipping = [search_periodic_model(*query) for query in portraits]
+    assert sum(m is not None for m in skipping) >= 30
+    monkeypatch.setattr(search, "_first_in_orbit", lambda f0, f1: True)
+    assert [search_periodic_model(*query) for query in portraits] == skipping
+
+
+@pytest.mark.parametrize("lens,orbit_tests,screens", [((1, 1, 1, 1), 0, 0),
+                                                       ((4,), 240, 64)])
+def test_the_fixed_point_count_comes_before_the_orbit_test_and_the_screen(
+        monkeypatch, lens, orbit_tests, screens):
+    # degree 2, bound 1: no map has four fixed points, so the memoized count
+    # drops every map; with no fixed point asked for, every map takes the
+    # orbit test and the 64 first members of their orbits the screen
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_first_in_orbit", "_screened_out"):
+        monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+    assert search_periodic_model(_portrait(lens), 2, 1) is None
+    assert (calls["_first_in_orbit"], calls["_screened_out"]) == (orbit_tests, screens)
+
