@@ -61,6 +61,15 @@ Each family is a list of text lines, one per answer:
   nu_pre  d, N, m and n, and moduli.nu_pre(d, N, m, n), for d in
           NU_DEGREES, N = 1..5, m = 0..9 and n = 1..12; the two largest
           degrees pass NU_CAP_BITS, so many of their lines are refusals.
+  reduction
+          a map, marked points and a weighted portrait on them, drawn from
+          random.Random("reduction/<seed>") for seeds
+          0..REDUCTION_SEEDS-1 (see marked_map), and at each prime p < 50
+          (REDUCTION_PRIMES) the flags of reduction.good_reduction
+          (map_good, bullet, circ, star as 0 or 1), the sorted periods of
+          reduction.periods_mod_p and the multiplicity over F_p at each
+          marked point (None when wild).  At a prime of bad reduction the
+          last two are refusals.
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
@@ -91,7 +100,7 @@ from portraitdyn.portraits import (CriticalRelation, Portrait, automorphism_grou
                                    canonical_form, enumerate_primitive_critical_portraits,
                                    frame, ge, hom, isomorphisms, realized_relations,
                                    relation_determined, sp_relations)
-from portraitdyn.reduction import admits_period
+from portraitdyn.reduction import admits_period, good_reduction, periods_mod_p
 from portraitdyn.search import rational_cycles, search_periodic_model
 from portraitdyn.stability import StabilityInstance, Subspace, verdict
 
@@ -116,6 +125,8 @@ MORPHISM_PAIRS = 1000
 MAP_SEEDS = 400
 MULTIPLIER_SEEDS = 2000
 STABILITY_SEEDS = 8000
+REDUCTION_SEEDS = 400
+REDUCTION_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # nu_pre's degrees, each with the label its lines print
 NU_DEGREES = (("2", 2), ("3", 3), ("5", 5), ("2^61-1", 2 ** 61 - 1), ("10^300", 10 ** 300),
               ("2^4000", 2 ** 4000))
@@ -322,13 +333,41 @@ def nu_pre_lines():
         yield f"d={label} N={N} m={m} n={n}: {answer(lambda: nu_pre(d, N, m, n))}"
 
 
+def marked_map(rng):
+    """A map (see seeded_map), two to four distinct marked points with
+    infinity among them, and a portrait on them (see random_portrait).
+    The points have small numerators and denominators, so that they often
+    meet mod a small prime, and the weights are 1, 2 or 3."""
+    f = seeded_map(rng)
+    points = [ProjectivePoint.infinity()]
+    for _ in range(rng.randint(1, 3)):
+        q = ProjectivePoint.of(rng.randint(-9, 9), rng.randint(1, 3))
+        if q not in points:
+            points.append(q)
+    names = [f"v{i}" for i in range(len(points))]
+    return f, dict(zip(names, points)), Portrait(*random_portrait(rng, names))
+
+
+def reduction_lines():
+    for seed in range(REDUCTION_SEEDS):
+        f, assignment, p = marked_map(random.Random(f"reduction/{seed}"))
+        marked = " ".join(f"{v}={q}" for v, q in assignment.items())
+        for prime in REDUCTION_PRIMES:
+            flags = "".join("01"[b] for b in good_reduction(f, assignment, p, prime)[1:])
+            periods = answer(lambda: sorted(periods_mod_p(f, prime)))
+            mults = [answer(lambda: f.multiplicity(q, prime)) for q in assignment.values()]
+            yield (f"{seed} {f.f0} {f.f1} {marked} {shape(p)} p={prime}: flags={flags} "
+                   f"periods={periods} multiplicities={mults}")
+
+
 def ledger(family, listed, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
     families = {"search": search_lines, "screen": screen_lines,
                 "classes": classes_lines, "morphisms": morphisms_lines,
                 "maps": maps_lines, "multipliers": multipliers_lines,
-                "stability": stability_lines, "nu_pre": nu_pre_lines}
+                "stability": stability_lines, "nu_pre": nu_pre_lines,
+                "reduction": reduction_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -351,8 +390,9 @@ def ledger(family, listed, check):
 
 if __name__ == "__main__":
     script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
-                                               "multipliers", "stability", "nu_pre"),
-                         help="one family only (default: all eight)"),
+                                               "multipliers", "stability", "nu_pre",
+                                               "reduction"),
+                         help="one family only (default: all nine)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--check", action="store_true",

@@ -68,8 +68,7 @@ _EXPORTS = {
     "projective": ("PointError", "ProjectivePoint"),
     "maps": ("MapError", "Model", "ModelFailure", "RationalMap", "extract_portrait",
              "pullback_model", "verify_model"),
-    "reduction": ("ReductionReport", "admits_period", "good_reduction", "multiplicity_mod_p",
-                  "periods_mod_p"),
+    "reduction": ("ReductionReport", "admits_period", "good_reduction", "periods_mod_p"),
     "moduli": ("DimensionReport", "ModuliError", "MultiplierData", "NecessaryConditions",
                "cubic_three_double_fixed_family", "dim_end", "dim_moduli_space",
                "doubly_critical_three_cycle_surface", "expected_dimension",

@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, _integer, forms
-from .projective import ProjectivePoint
+from . import DomainError, _instance, _integer, forms
+from .projective import _POINT, ProjectivePoint
 
 # Maps need no portraits until a model is built: those functions import
 # `portraits` when they run.
@@ -39,6 +39,7 @@ class MapError(DomainError):
 
 _PERIOD = "period must be an integer, got {!r}"
 _EXPONENT = "iterate exponent must be an integer, got {!r}"
+_MAP = "map must be a RationalMap, got {!r}"
 
 
 def check_power(d: int, k: int, cap: int, what: str = "degree") -> None:
@@ -57,6 +58,14 @@ def check_prime(f: RationalMap, prime: int) -> None:
         raise MapError(f"{prime} is not prime")
     if f.resultant % prime == 0:
         raise MapError(f"map does not reduce to a morphism mod {prime}")
+
+
+def _over_f_p(f: RationalMap, prime: int) -> bool:
+    """False for the int 0, which means Q; otherwise check_prime, then True."""
+    if prime == 0 and type(prime) is int:
+        return False
+    check_prime(f, prime)
+    return True
 
 
 class RationalMap:
@@ -164,23 +173,24 @@ class RationalMap:
 
     # -- local multiplicity ------------------------------------------------
 
-    def fiber_form(self, p: ProjectivePoint):
-        """The form f1(P) f0 - f0(P) f1 of degree d.  It vanishes exactly
-        on the points with the same image as P, each to the order of its
-        local multiplicity."""
-        a = forms.evaluate(self.f0, p.x, p.y)
-        b = forms.evaluate(self.f1, p.x, p.y)
-        return forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
-
-    def multiplicity(self, p: ProjectivePoint) -> int:
-        """Local multiplicity (ramification index) e_f(P), computed as the
-        order of P as a root of the fiber form; P and f(P) may be infinity.
-        Computed once per point: good reduction asks for it at every prime."""
-        known = self._cache.setdefault("multiplicity", {})
+    def multiplicity(self, p: ProjectivePoint, prime: int = 0):
+        """Local multiplicity (ramification index) e_f(P): the order of P as
+        a root of the fiber form f1(P) f0 - f0(P) f1, which vanishes exactly
+        on the points with the image of P; P and f(P) may be infinity.
+        With `prime`, a prime of good reduction, it is the reduced map's
+        multiplicity at the reduced point when that is below p, and None
+        when it is not (wild ramification: no finite multiplicity is
+        certified).  Over Q it is cached per point, since good reduction
+        asks for it at every prime; over F_p nothing is cached."""
+        _instance(p, ProjectivePoint, MapError, _POINT)
+        known = {} if _over_f_p(self, prime) else self._cache.setdefault("multiplicity", {})
         e = known.get(p)
         if e is None:
-            e = known[p] = forms.ord_at(self.fiber_form(p), p.x, p.y)
-        return e
+            a = forms.evaluate(self.f0, p.x, p.y)
+            b = forms.evaluate(self.f1, p.x, p.y)
+            fiber = forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
+            e = known[p] = forms.ord_at(fiber, p.x, p.y, prime)
+        return None if prime and e >= prime else e
 
     def wronskian(self):
         """The critical form: the Jacobian form J = dX f0 dY f1 - dY f0 dX f1
@@ -256,8 +266,7 @@ class RationalMap:
         if _integer(n, MapError, _PERIOD) < 1:
             raise MapError("period must be positive")
         x, y = p
-        if prime != 0 or type(prime) is not int:     # only the int 0 means over Q
-            check_prime(self, prime)
+        if _over_f_p(self, prime):
             x, y = forms.reduce_point(x, y, prime)
         f0, f1 = self.f0, self.f1
         start, num, den = (x, y), 1, 1
@@ -307,6 +316,7 @@ class ModelFailure(NamedTuple):
 def verify_model(f: RationalMap, portrait: Portrait, assignment):
     """Check the model conditions; returns a Model or a ModelFailure
     listing every violated clause."""
+    _instance(f, RationalMap, MapError, _MAP)
     problems = []
     missing = set(portrait.vertices) - set(assignment)
     if missing:

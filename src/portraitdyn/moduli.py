@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, log10
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, _integer, _rational, forms
+from . import DomainError, _instance, _integer, _rational, forms
 
 # The counting functions need no maps and the multiplier functions no
 # portraits: the portrait functions import `portraits`, and the multiplier,
@@ -102,12 +102,13 @@ def unweighted_nonempty(p: Portrait, d: int, N: int) -> bool:
     portrait (an equivalence in characteristic zero): every vertex needs
     at most d^N preimages and at most nu(n) vertices of each exact period
     n (only periods the portrait has are compared: 0 never exceeds nu)."""
+    from .portraits import _PORTRAIT, Portrait, portrait_statistics
+    _instance(p, Portrait, ModuliError, _PORTRAIT)
     _ints(d, N)
     if d < 2 or N < 1:
         raise ModuliError("need d >= 2, N >= 1")
     if not p.is_unweighted:
         raise ModuliError("portrait must be unweighted")
-    from .portraits import portrait_statistics
     stats = portrait_statistics(p)
     # D <= d^N when D has at most N (bit_length(d) - 1) bits, as d^N is at
     # least 2 to that power; so d^N is built only when it is below 4 D^2
@@ -128,7 +129,8 @@ class NecessaryConditions(NamedTuple):
 def weighted_necessary_conditions(p: Portrait, d: int) -> NecessaryConditions:
     """Necessary (never sufficient) conditions for a weighted portrait to
     be realized by a degree-d map on P^1."""
-    from .portraits import portrait_statistics
+    from .portraits import _PORTRAIT, Portrait, portrait_statistics
+    _instance(p, Portrait, ModuliError, _PORTRAIT)
     _ints(d)
     if d < 2:
         raise ModuliError("degree must be at least 2")
@@ -161,6 +163,8 @@ def expected_dimension(p: Portrait, d: int, N: int = 1) -> DimensionReport:
     (2d - 2) - sum(weight - 1) + #(V \\ V0) concerns the non-Lattes locus
     and nonemptiness is only a necessary-conditions check.
     """
+    from .portraits import _PORTRAIT, Portrait
+    _instance(p, Portrait, ModuliError, _PORTRAIT)
     _ints(d, N)
     if p.is_unweighted:
         if unweighted_nonempty(p, d, N):
@@ -185,7 +189,9 @@ def fiber_image_dims(p_prime: Portrait, p: Portrait, d: int, N: int) -> dict:
     """Fiber dimension and image codimension of the restriction map
     between the moduli spaces of an unweighted portrait and an
     unweighted subportrait."""
-    from .portraits import is_subportrait
+    from .portraits import _PORTRAIT, Portrait, is_subportrait
+    for q in (p_prime, p):
+        _instance(q, Portrait, ModuliError, _PORTRAIT)
     _ints(d, N)
     if not (p.is_unweighted and p_prime.is_unweighted):
         raise ModuliError("both portraits must be unweighted")
@@ -248,8 +254,9 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     (t - b[1] / a[0])^k.  Cached per map and period; raises MapError when
     nu exceeds MULTIPLIER_CAP.
     """
-    from .maps import MapError
+    from .maps import _MAP, MapError, RationalMap
 
+    _instance(f, RationalMap, ModuliError, _MAP)
     _ints(n)        # before the cache: True == 1 and 2.0 == 2
     cache = f._cache.setdefault("multipliers", {})
     if n in cache:
@@ -366,8 +373,9 @@ def _charpoly(h, t, mod) -> tuple:
 def milnor_coordinates(f: RationalMap):
     """(s1, s2): the first two elementary symmetric functions of the three
     fixed-point multipliers of a degree-2 map."""
-    from .maps import MapError
+    from .maps import _MAP, MapError, RationalMap
 
+    _instance(f, RationalMap, ModuliError, _MAP)
     if f.degree != 2:
         raise MapError("Milnor coordinates are defined for degree 2 only")
     data = multiplier_polynomial(f, 1)
@@ -384,8 +392,9 @@ def ueda_sum(f: RationalMap, k: int) -> Fraction:
     sum lambda / (1 - lambda) = P'(1) / P(1) - deg P,
     so no splitting field is ever constructed.
     """
-    from .maps import MapError
+    from .maps import _MAP, MapError, RationalMap
 
+    _instance(f, RationalMap, ModuliError, _MAP)
     _ints(k)
     if k not in (0, 1):
         raise ModuliError("only k in {0, 1} is meaningful on P^1")

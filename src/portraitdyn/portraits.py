@@ -14,6 +14,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import DomainError, _integer
 
+_PORTRAIT = "portrait must be a Portrait, got {!r}"
+
 
 class PortraitError(DomainError):
     pass

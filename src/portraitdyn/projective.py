@@ -13,6 +13,7 @@ class PointError(DomainError):
 
 
 _EXACT = "coordinates must be ints, Fractions or rational strings, got {!r}"
+_POINT = "point must be a ProjectivePoint, got {!r}"
 
 
 class _Coordinates(NamedTuple):

@@ -4,18 +4,20 @@ The predicates are cumulative: the map reduces to a morphism mod p
 (map_good); additionally the marked points stay distinct mod p and the
 rational multiplicities dominate the weights (bullet); the
 multiplicities equal the weights exactly (circ); and equality persists
-for the reduced map over F_p (star).
+for the reduced map over F_p (star).  Both multiplicities come from
+`RationalMap.multiplicity`, over Q and with the prime.  The cycles of
+the reduced map on P^1(F_p) give `periods_mod_p` and the Morton-Silverman
+screen `admits_period`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _integer, forms
+from . import _instance, _integer, forms
 from .forms import reduce_point     # by this name, so perfbench traces reduction.reduce_point
-from .maps import _PERIOD, MapError, RationalMap, check_prime
+from .maps import _MAP, _PERIOD, MapError, RationalMap, check_prime
 from .portraits import Portrait
-from .projective import ProjectivePoint
 
 # Largest prime whose reduced map periods_mod_p and admits_period tabulate,
 # in p + 1 entries.  Just below it, single runs on a 2-vCPU Xeon VM took
@@ -72,7 +74,9 @@ def _reduced_table(f: RationalMap, prime: int) -> list:
 
 
 def _check_table_prime(f: RationalMap, prime: int) -> None:
-    """Refuse what `check_prime` refuses, then a prime above TABLE_PRIME_CAP."""
+    """Refuse all but a RationalMap, then what `check_prime` refuses, then a
+    prime above TABLE_PRIME_CAP."""
+    _instance(f, RationalMap, MapError, _MAP)
     check_prime(f, prime)
     if prime > TABLE_PRIME_CAP:
         raise MapError(f"prime {prime} exceeds cap {TABLE_PRIME_CAP}")
@@ -138,24 +142,10 @@ def _order(lam: int, prime: int):
     return None
 
 
-def multiplicity_mod_p(f: RationalMap, p: ProjectivePoint, prime: int):
-    """Derivative-certified multiplicity of the reduced map at the reduced point.
-
-    Returns the order of P~ as a root of the reduced fiber form, which is
-    the order of vanishing of f~ - f~(P~) at P~, when that order is < p,
-    and None when every formal derivative vanishes mod p (wild
-    ramification), in which case no finite multiplicity is certified.
-    Raises MapError when `prime` is not prime or the map does not reduce
-    to a morphism mod p.
-    """
-    check_prime(f, prime)
-    order = forms.ord_at(f.fiber_form(p), p.x, p.y, prime)
-    return order if order < prime else None
-
-
 def good_reduction(f: RationalMap, assignment, portrait: Portrait,
                    prime: int) -> ReductionReport:
     """Evaluate the good-reduction predicates for a marked map at a prime."""
+    _instance(f, RationalMap, MapError, _MAP)
     if not forms.is_prime(prime):
         raise MapError(f"{prime} is not prime")
     missing = set(portrait.vertices) - set(assignment)
@@ -175,7 +165,7 @@ def good_reduction(f: RationalMap, assignment, portrait: Portrait,
         circ = bullet and all(mults[v] == portrait.weight(v)
                               for v in portrait.domain)
         if circ:
-            star = all(multiplicity_mod_p(f, assignment[v], prime) == portrait.weight(v)
+            star = all(f.multiplicity(assignment[v], prime) == portrait.weight(v)
                        for v in portrait.domain)
     return ReductionReport(prime=prime, map_good=map_good, bullet=bullet,
                            circ=circ, star=star)

@@ -20,7 +20,7 @@ from typing import Optional
 from . import _instance, _integer, forms, maps
 from .maps import (_PERIOD, DEGREE_CAP, MAP_DEGREE_CAP, MapError, Model, RationalMap, check_power,
                    extract_portrait, verify_model)
-from .portraits import Portrait, PortraitError, morphism_maps
+from .portraits import _PORTRAIT, Portrait, PortraitError, morphism_maps
 from .projective import ProjectivePoint
 from .reduction import _admits_period
 
@@ -47,7 +47,7 @@ SEARCH_CAP = 250_000
 def portrait_cycles(p: Portrait) -> list:
     """The cycles of a purely periodic portrait, as vertex tuples, each
     from its least vertex and listed by it: one per component."""
-    _instance(p, Portrait, PortraitError, "portrait must be a Portrait, got {!r}")
+    _instance(p, Portrait, PortraitError, _PORTRAIT)
     if any(t is None or t.preperiod for t in map(p.preperiodic_type, p.vertices)):
         raise PortraitError("portrait is not a disjoint union of cycles")
     return [tuple(p.orbit(comp[0])) for comp in p.components()]
@@ -60,7 +60,7 @@ def rational_cycles(f: RationalMap, period: int) -> list:
     (`_fixed_points`).  For a longer period each root of the dynatomic
     form is followed along its orbit, since a root may have a smaller
     exact period."""
-    _instance(f, maps.RationalMap, MapError, "map must be a RationalMap, got {!r}")
+    _instance(f, maps.RationalMap, MapError, maps._MAP)
     if _integer(period, MapError, _PERIOD) == 1:
         return _fixed_points(f.dynatomic(1))
     cycles = []

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from . import DomainError, _integer, _rational
+from . import DomainError, _instance, _integer, _rational
 
 YES = "certified-yes"
 NO = "certified-no"
@@ -75,8 +75,12 @@ class StabilityInstance(_Instance):
         if len(self.weights) < 1 or any(m < 0 for m in self.weights):
             raise StabilityError("weights must be nonnegative, starting with m0")
         n = len(self.weights) - 1
-        if self.points is not None and len(self.points) != n:
-            raise StabilityError("number of points must match the weights")
+        if self.points is not None:
+            from .projective import _POINT, ProjectivePoint
+            if len(self.points) != n:
+                raise StabilityError("number of points must match the weights")
+            for q in self.points:
+                _instance(q, ProjectivePoint, StabilityError, _POINT)
         for sub in self.incidences:
             _check_subspace(sub, self.N, n)
         if self.points is not None and self.N != 1:

@@ -34,8 +34,7 @@ EXPORTS = {
     "projective": ["PointError", "ProjectivePoint"],
     "maps": ["MapError", "Model", "ModelFailure", "RationalMap", "extract_portrait",
              "pullback_model", "verify_model"],
-    "reduction": ["ReductionReport", "admits_period", "good_reduction", "multiplicity_mod_p",
-                  "periods_mod_p"],
+    "reduction": ["ReductionReport", "admits_period", "good_reduction", "periods_mod_p"],
     "moduli": ["DimensionReport", "ModuliError", "MultiplierData", "NecessaryConditions",
                "cubic_three_double_fixed_family", "dim_end", "dim_moduli_space",
                "doubly_critical_three_cycle_surface", "expected_dimension",
@@ -54,7 +53,7 @@ SUBMODULES = ["forms", "maps", "moduli", "portraits", "projective", "reduction",
 
 def test_all_lists_the_exported_names_and_submodules():
     names = [n for names in EXPORTS.values() for n in names]
-    assert len(names) == 64
+    assert len(names) == 63
     assert portraitdyn.__all__ == sorted(PACKAGE + names + SUBMODULES)
     assert set(portraitdyn.__all__) <= set(dir(portraitdyn))
 
@@ -100,6 +99,7 @@ INTEGER_PARAMETERS = {
     "RationalMap.fixed_point_form": ("k",),
     "RationalMap.iterate": ("k",),
     "RationalMap.iterate_pair": ("k",),
+    "RationalMap.multiplicity": ("prime",),
     "RationalMap.orbit": ("length",),
     "admits_period": ("n", "prime"),
     "dim_end": ("d", "N"),
@@ -110,7 +110,6 @@ INTEGER_PARAMETERS = {
     "frame": ("d",),
     "good_reduction": ("prime",),
     "is_complete_critical": ("d",),
-    "multiplicity_mod_p": ("prime",),
     "multiplier_polynomial": ("n",),
     "nu": ("d", "N", "n"),
     "nu_pre": ("d", "N", "m", "n"),
@@ -139,6 +138,7 @@ def _good_calls() -> dict:
         "RationalMap.fixed_point_form": (f.fixed_point_form, {"k": 2}),
         "RationalMap.iterate": (f.iterate, {"k": 2}),
         "RationalMap.iterate_pair": (f.iterate_pair, {"k": 2}),
+        "RationalMap.multiplicity": (f.multiplicity, {"p": zero, "prime": 3}),
         "RationalMap.orbit": (f.orbit, {"p": zero, "length": 2}),
         "admits_period": (p.admits_period, {"f": f, "n": 2, "prime": 3}),
         "dim_end": (p.dim_end, {"d": 2, "N": 1}),
@@ -151,7 +151,6 @@ def _good_calls() -> dict:
         "good_reduction": (p.good_reduction, {"f": f, "assignment": {},
                                               "portrait": Portrait([], {}), "prime": 3}),
         "is_complete_critical": (p.is_complete_critical, {"p": critical, "d": 2}),
-        "multiplicity_mod_p": (p.multiplicity_mod_p, {"f": f, "p": zero, "prime": 3}),
         "multiplier_polynomial": (p.multiplier_polynomial, {"f": f, "n": 2}),
         "nu": (p.nu, {"d": 2, "N": 1, "n": 2}),
         "nu_pre": (p.nu_pre, {"d": 2, "N": 1, "m": 1, "n": 2}),
@@ -225,23 +224,50 @@ def test_a_bad_period_never_reads_a_cached_answer():
             portraitdyn.multiplier_polynomial(f, bad)
 
 
-# Every public entry point that takes a portrait or a map, with a call
-# taking that one argument, a good value for it and the error a value of
-# another type must raise.
+# Every public entry point that takes a portrait, a map or a point, with a
+# call taking that one argument, a good value for it and the error a value
+# of another type must raise.
 def _object_calls() -> dict:
-    from portraitdyn import portrait_cycles, rational_cycles, search_periodic_model
+    from portraitdyn import (admits_period, expected_dimension, fiber_image_dims,
+                             good_reduction, milnor_coordinates, multiplier_polynomial,
+                             periods_mod_p, portrait_cycles, rational_cycles,
+                             search_periodic_model, ueda_sum, unweighted_nonempty,
+                             verify_model, weighted_necessary_conditions)
     two = Portrait(["a", "b"], {"a": "b", "b": "a"})
+    f = RationalMap.polynomial([1, 0, -1])
     return {
+        "RationalMap.multiplicity": (f.multiplicity, ProjectivePoint(0, 1), MapError),
+        "admits_period": (lambda v: admits_period(v, 2, 3), f, MapError),
+        "expected_dimension": (lambda v: expected_dimension(v, 2), two, ModuliError),
+        "fiber_image_dims-p": (lambda v: fiber_image_dims(two, v, 2, 1), two, ModuliError),
+        "fiber_image_dims-p_prime": (lambda v: fiber_image_dims(v, two, 2, 1), two,
+                                     ModuliError),
+        "good_reduction": (lambda v: good_reduction(v, {}, Portrait([], {}), 3), f, MapError),
+        "milnor_coordinates": (milnor_coordinates, f, ModuliError),
+        "multiplier_polynomial": (lambda v: multiplier_polynomial(v, 1), f, ModuliError),
+        "periods_mod_p": (lambda v: periods_mod_p(v, 3), f, MapError),
         "portrait_cycles": (portrait_cycles, two, PortraitError),
-        "rational_cycles": (lambda v: rational_cycles(v, 2),
-                            RationalMap.polynomial([1, 0, -1]), MapError),
+        "rational_cycles": (lambda v: rational_cycles(v, 2), f, MapError),
         "search_periodic_model": (lambda v: search_periodic_model(v, 2, 1), two,
                                   PortraitError),
+        "ueda_sum": (lambda v: ueda_sum(v, 0), f, ModuliError),
+        "unweighted_nonempty": (lambda v: unweighted_nonempty(v, 2, 1), two, ModuliError),
+        "verify_model": (lambda v: verify_model(v, Portrait([], {}), {}), f, MapError),
+        "weighted_necessary_conditions": (lambda v: weighted_necessary_conditions(v, 2), two,
+                                          ModuliError),
     }
 
 
-@pytest.mark.parametrize("bad", [2.0, "x", None, ProjectivePoint(0, 1)], ids=repr)
-@pytest.mark.parametrize("name", sorted(_object_calls()))
+def _object_cases():
+    """Each call with every value of another type than its good one."""
+    others = [2.0, "x", None, ProjectivePoint(0, 1), Portrait([], {})]
+    for name, (_, good, _) in sorted(_object_calls().items()):
+        for bad in others:
+            if not isinstance(bad, type(good)):
+                yield pytest.param(name, bad, id=f"{name}-{bad!r}")
+
+
+@pytest.mark.parametrize("name, bad", _object_cases())
 def test_every_object_argument_refuses_another_type(name, bad):
     call, good, error = _object_calls()[name]
     call(good)
@@ -472,6 +498,11 @@ def test_projective_point_validation(x, y, message):
      "fixed-point flags need points, one flag per point"),
     ({"N": 1, "d": 2, "weights": (1, 1), "fixed_point_flags": (True,)},
      "fixed-point flags need points, one flag per point"),
+    # "0" and "0/1" are the same point, yet were taken as two, certified-yes
+    ({"N": 1, "d": 2, "weights": (1, 1, 1), "points": ("0", "0/1")},
+     "point must be a ProjectivePoint, got '0'"),
+    ({"N": 1, "d": 2, "weights": (1, 1, 1), "points": (ProjectivePoint(0, 1), 0.5)},
+     "point must be a ProjectivePoint, got 0.5"),
 ])
 def test_stability_instance_validation(kwargs, message):
     with pytest.raises(StabilityError) as exc:

@@ -8,7 +8,7 @@ from conftest import (chart_cycle_multiplier, jacobian_form, multiplicity_probes
                       reference_multiplicity, within)
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          admits_period, extract_portrait, forms, good_reduction,
-                         multiplicity_mod_p, periods_mod_p, reduction, search)
+                         periods_mod_p, reduction, search)
 from portraitdyn.reduction import TABLE_PRIME_CAP, reduce_point
 from portraitdyn.search import rational_cycles
 
@@ -77,20 +77,20 @@ def test_squaring_map_star_depends_on_wildness():
 
 def test_multiplicity_mod_p_wild_is_none():
     f = RationalMap([1, 0, 0], [0, 0, 1])
-    assert multiplicity_mod_p(f, ProjectivePoint.affine(0), 2) is None
-    assert multiplicity_mod_p(f, ProjectivePoint.affine(0), 5) == 2
+    assert f.multiplicity(ProjectivePoint.affine(0), 2) is None
+    assert f.multiplicity(ProjectivePoint.affine(0), 5) == 2
     cube = RationalMap.polynomial([1, 0, 0, 0])
-    assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 3) is None
-    assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 5) == 3
-    assert multiplicity_mod_p(cube, ProjectivePoint.affine(0), 2) is None   # 3 > p
+    assert cube.multiplicity(ProjectivePoint.affine(0), 3) is None
+    assert cube.multiplicity(ProjectivePoint.affine(0), 5) == 3
+    assert cube.multiplicity(ProjectivePoint.affine(0), 2) is None   # 3 > p
     # z^3 + 3z is unramified at 0 over Q but reduces to z^3 over F_3
     g = RationalMap.polynomial([1, 0, 3, 0])
     assert g.multiplicity(ProjectivePoint.affine(0)) == 1
-    assert multiplicity_mod_p(g, ProjectivePoint.affine(0), 3) is None
-    assert multiplicity_mod_p(g, ProjectivePoint.affine(0), 5) == 1
+    assert g.multiplicity(ProjectivePoint.affine(0), 3) is None
+    assert g.multiplicity(ProjectivePoint.affine(0), 5) == 1
     # z^2 - 1 at 1: unramified over Q and over F_3, wild over F_2
-    assert multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(1), 2) is None
-    assert multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(1), 3) == 1
+    assert Z2_MINUS_1.multiplicity(ProjectivePoint.affine(1), 2) is None
+    assert Z2_MINUS_1.multiplicity(ProjectivePoint.affine(1), 3) == 1
 
 
 def test_multiplicity_mod_p_matches_sympy_reference():
@@ -102,7 +102,7 @@ def test_multiplicity_mod_p_matches_sympy_reference():
             for p in points:
                 order = reference_multiplicity(f, p, prime)
                 want = order if order < prime else None
-                assert multiplicity_mod_p(f, p, prime) == want, (f, p, prime)
+                assert f.multiplicity(p, prime) == want, (f, p, prime)
                 seen["wild"] += want is None
                 seen["tame"] += want is not None and want > 1
                 seen["inf"] += p.y % prime == 0
@@ -112,13 +112,56 @@ def test_multiplicity_mod_p_matches_sympy_reference():
 def test_multiplicity_mod_p_at_infinity():
     f = RationalMap.from_affine([1], [1, 0, 0])      # 1/z^2: infinity -> 0
     inf = ProjectivePoint.infinity()
-    assert multiplicity_mod_p(f, inf, 2) is None
-    assert multiplicity_mod_p(f, inf, 3) == 2
-    assert multiplicity_mod_p(f, ProjectivePoint.affine(0), 3) == 2   # 0 -> inf
+    assert f.multiplicity(inf, 2) is None
+    assert f.multiplicity(inf, 3) == 2
+    assert f.multiplicity(ProjectivePoint.affine(0), 3) == 2   # 0 -> inf
     # 1/5 reduces to infinity mod 5
     g = RationalMap.polynomial([1, 0, 0, 1])
-    assert multiplicity_mod_p(g, ProjectivePoint.of(1, 5), 5) == 3
+    assert g.multiplicity(ProjectivePoint.of(1, 5), 5) == 3
     assert g.multiplicity(ProjectivePoint.of(1, 5)) == 1
+
+
+def test_multiplicity_over_f_p_is_none_or_at_least_the_one_over_q():
+    # (yX - xY)^e dividing the fiber form over Z divides it mod p, and at a
+    # prime of good reduction the fiber form mod p is the reduced map's at
+    # the reduced point: so the answer over F_p is None (wild) or at least
+    # the one over Q.  Seeded maps whose f0 has a planted factor (X - aY)^2,
+    # so that a is critical, at a, infinity, 0, the fixed points and the
+    # critical points, at every good prime below 50
+    z2 = RationalMap([1, 0, 0], [0, 0, 1])
+    assert z2.multiplicity(ProjectivePoint.affine(0)) == 2
+    assert z2.multiplicity(ProjectivePoint.affine(0), 2) is None
+    rng = random.Random(26)
+    primes = list(sympy.primerange(2, 50))
+    seen = {"checks": 0, "wild": 0, "larger": 0, "inf": 0, "d=3": 0}
+    for _ in range(300):
+        while True:
+            d = rng.choice((2, 3))
+            a = rng.randint(-3, 3)
+            cofactor = [rng.randint(-5, 5) for _ in range(d - 1)]
+            f0 = forms.mul(forms.mul((1, -a), (1, -a)), cofactor)
+            try:
+                f = RationalMap(f0, [rng.randint(-5, 5) for _ in range(d + 1)])
+                break
+            except MapError:
+                continue
+        points = {ProjectivePoint.affine(a), ProjectivePoint.infinity(),
+                  ProjectivePoint.affine(0)}
+        points.update(cycle[0] for cycle in rational_cycles(f, 1))
+        points.update(q for q, _ in f.critical_divisor()[1])
+        for q in points:
+            e = f.multiplicity(q)
+            for prime in primes:
+                if f.resultant % prime == 0:
+                    continue
+                e_p = f.multiplicity(q, prime)
+                assert e_p is None or e_p >= e, (f, q, prime)
+                seen["checks"] += 1
+                seen["wild"] += e_p is None
+                seen["larger"] += e_p is not None and e_p > e
+                seen["inf"] += q.y == 0
+                seen["d=3"] += f.degree == 3
+    assert all(seen.values()), seen
 
 
 def test_points_collide_mod_small_prime():
@@ -139,7 +182,7 @@ def test_composite_prime_rejected():
     lambda p: good_reduction(Z2_MINUS_1, {}, Portrait([], {}), p),
     lambda p: periods_mod_p(Z2_MINUS_1, p),
     lambda p: admits_period(Z2_MINUS_1, 3, p),
-    lambda p: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), p),
+    lambda p: Z2_MINUS_1.multiplicity(ProjectivePoint.affine(0), p),
     lambda p: Z2_MINUS_1.cycle_multiplier(ProjectivePoint.affine(0), 2, p),
 ], ids=["good_reduction", "periods_mod_p", "admits_period", "multiplicity_mod_p",
         "cycle_multiplier"])
@@ -149,6 +192,19 @@ def test_prime_arguments_must_be_ints(call, prime):
     with pytest.raises(forms.FormError, match=f"^cannot test {prime!r} for primality: "
                                               "not an integer$"):
         call(prime)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: Z2_MINUS_1.multiplicity(ProjectivePoint.affine(0), p),
+    lambda p: Z2_MINUS_1.cycle_multiplier(ProjectivePoint.affine(0), 2, p),
+], ids=["multiplicity", "cycle_multiplier"])
+def test_only_the_int_0_means_q(call):
+    # False and 0.0 equal 0 and hash like it, so they must not reach the
+    # answer over Q, cached or not
+    call(0)
+    for prime in (False, 0.0):
+        with pytest.raises(forms.FormError, match=f"^cannot test {prime!r} for primality"):
+            call(prime)
 
 
 def test_implication_chain_on_seeded_samples():
@@ -171,7 +227,7 @@ def test_implication_chain_on_seeded_samples():
 def test_multiplicity_mod_p_rejects_bad_prime():
     f = RationalMap([1, 0, 0], [0, 0, 3])
     with pytest.raises(MapError):
-        multiplicity_mod_p(f, ProjectivePoint.affine(0), 3)
+        f.multiplicity(ProjectivePoint.affine(0), 3)
 
 
 def test_good_reduction_rejects_partial_assignment():
@@ -357,9 +413,9 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
     (lambda: periods_mod_p(RationalMap([1, 0, 0], [0, 0, 1_000_003]), 1_000_003),
      "map does not reduce to a morphism mod 1000003"),
     # the multiplicity over Z/9 was 2 at 0, and a ValueError at 1/3
-    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), 9), "9 is not prime"),
-    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.of(1, 3), 9), "9 is not prime"),
-    (lambda: multiplicity_mod_p(Z2_MINUS_1, ProjectivePoint.affine(0), -3), "-3 is not prime"),
+    (lambda: Z2_MINUS_1.multiplicity(ProjectivePoint.affine(0), 9), "9 is not prime"),
+    (lambda: Z2_MINUS_1.multiplicity(ProjectivePoint.of(1, 3), 9), "9 is not prime"),
+    (lambda: Z2_MINUS_1.multiplicity(ProjectivePoint.affine(0), -3), "-3 is not prime"),
 ], ids=["n=0", "n<0", "n=0,p=9", "p=9", "p=-3", "p=1", "periods-p=9", "periods-p=-3",
         "periods-p=0", "bad-reduction", "p>cap", "periods-p>cap", "periods-bad-p>cap",
         "multiplicity-p=9", "multiplicity-p=9-at-1/3",

@@ -123,7 +123,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
     assert ledger_runs["1"] == ledger_runs["0"]
     doc = json.loads(ledger_runs["0"])
     assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "multipliers",
-                         "stability", "nu_pre"]
+                         "stability", "nu_pre", "reduction"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -161,6 +161,10 @@ def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
         "1 N=1 d=4 weights=(0, 1, 0, 2, 1, 1, 2) points=['-1/2', '0', '1', '-1/2', 'inf', "
         "'inf']: certified-yes certified-yes [('semistable', 'C <= D_0 on every candidate "
         "subspace'), ('stable', 'C < D_0 on every candidate subspace')]")
+    assert doc["reduction"]["count"] == 6000    # 400 seeded marked maps, 15 primes each
+    # seed 0 maps infinity to 0 with multiplicity 3, wild over F_3
+    assert doc["reduction"]["lines"][1].endswith(
+        " p=3: flags=1000 periods=[1, 2] multiplicities=[None, 1, 1]")
     # --list cuts the printed lines only
     screen = doc["screen"]
     one = json.loads(_run_script("ledger.py", "--family", "screen", "--list", "1"))
@@ -170,7 +174,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
                                           ("morphisms", 2000), ("maps", 400),
                                           ("multipliers", 2000), ("stability", 8000),
-                                          ("nu_pre", 3600)])
+                                          ("nu_pre", 3600), ("reduction", 6000)])
 def test_ledger_check_passes_against_the_committed_digests(ledger_runs, family, count):
     doc = json.loads(ledger_runs["0"])
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
