@@ -8,9 +8,12 @@ The files use the same JSON schemas as the CLI, and the points pair in
 order with the portrait's vertices.  Each row is the answer of
 `portraitdyn dyn reduce` at one prime.  The scan tests every integer up
 to --max-prime for primality, so --max-prime is at most
-reduction.TABLE_PRIME_CAP = 10^5 (about 1 s of tests).  Like the CLI, a
-malformed input exits 2 and a domain error exits 1, each with one
-`error: ...` line on stderr.
+reduction.TABLE_PRIME_CAP = 10^5.  At the cap, a degree-2 map with five
+marked points (3 fixed points and a 2-cycle) takes 0.6-0.8 s end to end
+on a 2-vCPU Xeon VM; it took 2.0-2.6 s while each prime rebuilt every
+marked point's fiber form mod p.  Like the CLI, a malformed input
+exits 2 and a domain error exits 1, each with one `error: ...` line on
+stderr.
 """
 
 from portraitdyn import DomainError

@@ -60,12 +60,10 @@ def check_prime(f: RationalMap, prime: int) -> None:
         raise MapError(f"map does not reduce to a morphism mod {prime}")
 
 
-def _over_f_p(f: RationalMap, prime: int) -> bool:
-    """False for the int 0, which means Q; otherwise check_prime, then True."""
-    if prime == 0 and type(prime) is int:
-        return False
-    check_prime(f, prime)
-    return True
+def _check_field(f: RationalMap, prime: int) -> None:
+    """Accept the int 0, which means Q; refuse what check_prime refuses."""
+    if prime != 0 or type(prime) is not int:
+        check_prime(f, prime)
 
 
 class RationalMap:
@@ -180,17 +178,41 @@ class RationalMap:
         With `prime`, a prime of good reduction, it is the reduced map's
         multiplicity at the reduced point when that is below p, and None
         when it is not (wild ramification: no finite multiplicity is
-        certified).  Over Q it is cached per point, since good reduction
-        asks for it at every prime; over F_p nothing is cached."""
+        certified).  Both are read off the point's cached record over Q
+        (see `_multiplicity`)."""
         _instance(p, ProjectivePoint, MapError, _POINT)
-        known = {} if _over_f_p(self, prime) else self._cache.setdefault("multiplicity", {})
-        e = known.get(p)
-        if e is None:
-            a = forms.evaluate(self.f0, p.x, p.y)
-            b = forms.evaluate(self.f1, p.x, p.y)
-            fiber = forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
-            e = known[p] = forms.ord_at(fiber, p.x, p.y, prime)
-        return None if prime and e >= prime else e
+        _check_field(self, prime)
+        return self._multiplicity(p, prime)
+
+    def _multiplicity(self, p: ProjectivePoint, prime: int = 0):
+        """`multiplicity` without the argument checks: p a ProjectivePoint,
+        and prime 0 or a prime of good reduction.
+
+        Each point has one record over Q, computed once: the order e of
+        P = (x : y) in its fiber form F, the cofactor q = F / l^e for
+        l = yX - xY (up to sign; integral by Gauss's lemma, since l is
+        primitive), and q(x, y).  At a prime of good reduction F mod p is
+        not the zero form, since the reduced map is a morphism, so neither
+        is q mod p, and l mod p vanishes only at the reduced point: the
+        reduced multiplicity is e when p does not divide q(x, y), and e
+        plus the order of the reduced point in q mod p when it does."""
+        records = self._cache.setdefault("multiplicity", {})
+        record = records.get(p)
+        if record is None:
+            x, y = p
+            a = forms.evaluate(self.f0, x, y)
+            b = forms.evaluate(self.f1, x, y)
+            q = fiber = forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
+            e = forms.ord_at(fiber, x, y)
+            for _ in range(e):      # at infinity l = -Y
+                q = forms._deflate(q, x, y) if y else q[1:]
+            record = records[p] = (e, q, forms.evaluate(q, x, y))
+        e, q, value = record
+        if not prime:
+            return e
+        if value % prime == 0:
+            e += forms.ord_at(q, *p, prime)
+        return None if e >= prime else e
 
     def wronskian(self):
         """The critical form: the Jacobian form J = dX f0 dY f1 - dY f0 dX f1
@@ -265,8 +287,14 @@ class RationalMap:
         form, so its residues are exact also where p divides d."""
         if _integer(n, MapError, _PERIOD) < 1:
             raise MapError("period must be positive")
+        _check_field(self, prime)
+        return self._cycle_multiplier(p, n, prime)
+
+    def _cycle_multiplier(self, p, n: int, prime: int = 0):
+        """`cycle_multiplier` without the argument checks: n >= 1, and prime
+        0 or a prime of good reduction; p needs only to unpack to (x, y)."""
         x, y = p
-        if _over_f_p(self, prime):
+        if prime:
             x, y = forms.reduce_point(x, y, prime)
         f0, f1 = self.f0, self.f1
         start, num, den = (x, y), 1, 1
@@ -316,14 +344,16 @@ class ModelFailure(NamedTuple):
 def verify_model(f: RationalMap, portrait: Portrait, assignment):
     """Check the model conditions; returns a Model or a ModelFailure
     listing every violated clause."""
+    from .portraits import _PORTRAIT, Portrait
     _instance(f, RationalMap, MapError, _MAP)
+    _instance(portrait, Portrait, MapError, _PORTRAIT)
     problems = []
     missing = set(portrait.vertices) - set(assignment)
     if missing:
         raise MapError(f"assignment missing vertices {sorted(missing)}")
     values = {}
     for v in sorted(set(portrait.vertices)):
-        q = assignment[v]
+        q = _instance(assignment[v], ProjectivePoint, MapError, _POINT)
         if q in values:
             problems.append(f"not injective: {values[q]!r} and {v!r} share {q}")
         values[q] = v
@@ -344,7 +374,8 @@ def extract_portrait(f: RationalMap, points):
     """Portrait induced by f on a list of distinct points, with weights
     equal to the local multiplicities."""
     from .portraits import Portrait
-    points = list(points)
+    _instance(f, RationalMap, MapError, _MAP)
+    points = [_instance(p, ProjectivePoint, MapError, _POINT) for p in points]
     if len(set(points)) != len(points):
         raise MapError("points must be pairwise distinct")
     names = {p: str(p) for p in points}
@@ -361,7 +392,9 @@ def extract_portrait(f: RationalMap, points):
 
 def pullback_model(alpha: PortraitMorphism, model: Model) -> Model:
     """Transport a model of the target portrait to the source portrait."""
-    from .portraits import PortraitError
+    from .portraits import PortraitError, PortraitMorphism
+    _instance(alpha, PortraitMorphism, MapError, "morphism must be a PortraitMorphism, got {!r}")
+    _instance(model, Model, MapError, "model must be a Model, got {!r}")
     if alpha.target != model.portrait:
         raise PortraitError("morphism target does not match the model portrait")
     assignment = {v: model.assignment[alpha(v)] for v in alpha.source.vertices}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import DomainError, _integer
@@ -781,29 +782,51 @@ def relation_determined(relations: Iterable[CriticalRelation],
     raise PortraitError(f"relation shift exceeds the closure bound {bound}")
 
 
+# Most relations realized_relations returns.  One critical fixed point
+# realizes (max_shift + 1)^2 of them, so the cap is met at shift 315; on a
+# 2-vCPU VM a shift of 1,000 took 0.76 s for its 1,002,001 relations.  The
+# largest count any test, ledger line or benchmark input reaches is 6,124.
+RELATION_CAP = 100_000
+
+
 def realized_relations(p: Portrait, max_shift: int) -> list:
     """Every realized critical relation phi^m(i) = phi^n(j) with shifts
-    <= max_shift, in lexicographic order of (i, j, m, n).
+    <= max_shift, in lexicographic order of (i, j, m, n).  More than
+    RELATION_CAP of them are refused before the list is built.
 
     Each critical point's path phi^0(c), ..., phi^max_shift(c), cut where
     it leaves the domain, is walked once along phi and indexed by vertex,
     so the work beyond the paths is one lookup per (i, j, m) and one
-    tuple per relation found.
+    tuple per relation found.  A relation pairs a point of path i with
+    an equal point of path j, and each point of path c gives (c, c, m, m):
+    so the paths are walked to at most RELATION_CAP + 1 points in all,
+    and the relations are counted, in one pass over the paths, only when
+    the paths have more than RELATION_CAP pairs of points.
     """
     _integer(max_shift, PortraitError, "shift bound must be an integer, got {!r}")
+    too_many = f"more than {RELATION_CAP} realized relations"
     phi = p.phi
     crits = sorted(p.weights)
     paths, positions = [], []
+    budget = RELATION_CAP       # path points left
     for c in crits:
         path, at, v = [], {}, c
-        for m in range(max_shift + 1):
+        for m in range(min(max_shift, budget) + 1):
             path.append(v)
             at.setdefault(v, []).append(m)
             v = phi.get(v)
             if v is None:
                 break
+        budget -= len(path)     # a path cut at budget + 1 points leaves -1
+        if budget < 0:
+            raise PortraitError(too_many)
         paths.append(path)
         positions.append(at)
+    points = RELATION_CAP - budget
+    if points * points > RELATION_CAP:      # a vertex on k path points gives k^2 relations
+        on = Counter(a for path in paths for a in path)
+        if sum(k * k for k in on.values()) > RELATION_CAP:
+            raise PortraitError(too_many)
     new = tuple.__new__
     out = []
     for i, path in zip(crits, paths):

@@ -4,10 +4,13 @@ The predicates are cumulative: the map reduces to a morphism mod p
 (map_good); additionally the marked points stay distinct mod p and the
 rational multiplicities dominate the weights (bullet); the
 multiplicities equal the weights exactly (circ); and equality persists
-for the reduced map over F_p (star).  Both multiplicities come from
-`RationalMap.multiplicity`, over Q and with the prime.  The cycles of
-the reduced map on P^1(F_p) give `periods_mod_p` and the Morton-Silverman
-screen `admits_period`.
+for the reduced map over F_p (star).  Both multiplicities come from the
+one cached record over Q that `RationalMap.multiplicity` keeps per point:
+the star flag reads each point's reduced multiplicity off that record's
+cofactor, with no fiber form built mod p and no second check of the
+prime.  The cycles of the reduced map on P^1(F_p) give `periods_mod_p`
+and the Morton-Silverman screen `admits_period`, whose multipliers skip
+the prime check too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import NamedTuple
 from . import _instance, _integer, forms
 from .forms import reduce_point     # by this name, so perfbench traces reduction.reduce_point
 from .maps import _MAP, _PERIOD, MapError, RationalMap, check_prime
-from .portraits import Portrait
+from .portraits import _PORTRAIT, Portrait
+from .projective import _POINT, ProjectivePoint
 
 # Largest prime whose reduced map periods_mod_p and admits_period tabulate,
 # in p + 1 entries.  Just below it, single runs on a 2-vCPU Xeon VM took
@@ -100,7 +104,7 @@ def admits_period(f: RationalMap, n: int, prime: int) -> bool:
     n = m r p^e.  So some cycle of the reduced map must have a length m
     dividing n with n = m, or with a nonzero multiplier of order r and
     n/m = r p^e for some e >= 0.  The cycle lengths come from the reduced
-    map's image table; a cycle's multiplier is computed, by
+    map's image table; a cycle's multiplier is computed, as by
     `RationalMap.cycle_multiplier` from a point on it, only when n/m, with
     its factors p removed, divides p - 1.  Raises MapError, before any
     work, when n < 1, when `prime` is not prime or exceeds
@@ -125,8 +129,8 @@ def _admits_period(f: RationalMap, n: int, prime: int) -> bool:
             k //= prime
         if (prime - 1) % k:           # r divides p - 1
             continue
-        point = (i, 1) if i < prime else (1, 0)     # a pair: cycle_multiplier only unpacks it
-        if _order(f.cycle_multiplier(point, m, prime), prime) == k:
+        point = (i, 1) if i < prime else (1, 0)     # a pair: _cycle_multiplier only unpacks it
+        if _order(f._cycle_multiplier(point, m, prime), prime) == k:
             return True
     return False
 
@@ -144,28 +148,34 @@ def _order(lam: int, prime: int):
 
 def good_reduction(f: RationalMap, assignment, portrait: Portrait,
                    prime: int) -> ReductionReport:
-    """Evaluate the good-reduction predicates for a marked map at a prime."""
+    """Evaluate the good-reduction predicates for a marked map at a prime.
+
+    The map, the portrait, the prime and the marked points are checked
+    once, before any arithmetic, and the flags are decided in order: the
+    first that fails leaves the later ones False."""
     _instance(f, RationalMap, MapError, _MAP)
+    _instance(portrait, Portrait, MapError, _PORTRAIT)
     if not forms.is_prime(prime):
         raise MapError(f"{prime} is not prime")
-    missing = set(portrait.vertices) - set(assignment)
+    missing = [v for v in portrait.vertices if v not in assignment]
     if missing:
         raise MapError(f"assignment missing vertices {sorted(missing)}")
-    map_good = f.resultant % prime != 0
-
-    bullet = False
-    circ = False
-    star = False
-    if map_good:
-        reduced = [reduce_point(*assignment[v], prime) for v in sorted(portrait.vertices)]
-        distinct = len(set(reduced)) == len(reduced)
-        mults = {v: f.multiplicity(assignment[v]) for v in portrait.domain}
-        bullet = distinct and all(mults[v] >= portrait.weight(v)
-                                  for v in portrait.domain)
-        circ = bullet and all(mults[v] == portrait.weight(v)
-                              for v in portrait.domain)
-        if circ:
-            star = all(f.multiplicity(assignment[v], prime) == portrait.weight(v)
-                       for v in portrait.domain)
-    return ReductionReport(prime=prime, map_good=map_good, bullet=bullet,
-                           circ=circ, star=star)
+    points = [_instance(assignment[v], ProjectivePoint, MapError, _POINT)
+              for v in portrait.vertices]
+    if f.resultant % prime == 0:
+        return ReductionReport(prime, False, False, False, False)
+    # now p is a prime of good reduction
+    if len({reduce_point(*q, prime) for q in points}) < len(points):
+        return ReductionReport(prime, True, False, False, False)
+    circ = True
+    for v in portrait.domain:
+        excess = f._multiplicity(assignment[v]) - portrait.weight(v)
+        if excess < 0:
+            return ReductionReport(prime, True, False, False, False)
+        circ = circ and excess == 0
+    if not circ:
+        return ReductionReport(prime, True, True, False, False)
+    for v in portrait.domain:
+        if f._multiplicity(assignment[v], prime) != portrait.weight(v):
+            return ReductionReport(prime, True, True, True, False)
+    return ReductionReport(prime, True, True, True, True)

@@ -157,6 +157,17 @@ def reference_multiplicity(f: RationalMap, p, prime: int = 0) -> int:
     return min(m[0] for m in local.monoms())
 
 
+def fiber_form_multiplicity(f: RationalMap, p, prime: int = 0):
+    """The multiplicity as `RationalMap.multiplicity` computed it from
+    scratch at each call: the order of P in the fiber form
+    f1(P) f0 - f0(P) f1, over F_p that of the reduced point in the fiber
+    form reduced mod p, by `forms.ord_at`; None when it reaches p."""
+    a, b = forms.evaluate(f.f0, p.x, p.y), forms.evaluate(f.f1, p.x, p.y)
+    fiber = forms.sub(forms.scale(f.f0, b), forms.scale(f.f1, a))
+    e = forms.ord_at(fiber, p.x, p.y, prime)
+    return None if prime and e >= prime else e
+
+
 def reference_multiplier_polynomial(f: RationalMap, n: int) -> tuple:
     """Monic multiplier polynomial of the formal-period-n points by sympy
     elimination in an affine chart: conjugate f by (c, 1, 1, 0), which

@@ -228,31 +228,48 @@ def test_a_bad_period_never_reads_a_cached_answer():
 # call taking that one argument, a good value for it and the error a value
 # of another type must raise.
 def _object_calls() -> dict:
-    from portraitdyn import (admits_period, expected_dimension, fiber_image_dims,
-                             good_reduction, milnor_coordinates, multiplier_polynomial,
-                             periods_mod_p, portrait_cycles, rational_cycles,
-                             search_periodic_model, ueda_sum, unweighted_nonempty,
-                             verify_model, weighted_necessary_conditions)
+    from portraitdyn import (admits_period, expected_dimension, extract_portrait,
+                             fiber_image_dims, good_reduction, milnor_coordinates,
+                             multiplier_polynomial, periods_mod_p, portrait_cycles,
+                             pullback_model, rational_cycles, search_periodic_model,
+                             ueda_sum, unweighted_nonempty, verify_model,
+                             weighted_necessary_conditions)
     two = Portrait(["a", "b"], {"a": "b", "b": "a"})
     f = RationalMap.polynomial([1, 0, -1])
+    minus_one = ProjectivePoint(-1, 1)
+    model = verify_model(f, two, {"a": ProjectivePoint(0, 1), "b": minus_one})
+    identity = PortraitMorphism(two, two, {"a": "a", "b": "b"})
     return {
         "RationalMap.multiplicity": (f.multiplicity, ProjectivePoint(0, 1), MapError),
         "admits_period": (lambda v: admits_period(v, 2, 3), f, MapError),
         "expected_dimension": (lambda v: expected_dimension(v, 2), two, ModuliError),
+        "extract_portrait": (lambda v: extract_portrait(v, []), f, MapError),
+        "extract_portrait-point": (lambda v: extract_portrait(f, [v]), ProjectivePoint(0, 1),
+                                   MapError),
         "fiber_image_dims-p": (lambda v: fiber_image_dims(two, v, 2, 1), two, ModuliError),
         "fiber_image_dims-p_prime": (lambda v: fiber_image_dims(v, two, 2, 1), two,
                                      ModuliError),
         "good_reduction": (lambda v: good_reduction(v, {}, Portrait([], {}), 3), f, MapError),
+        "good_reduction-point": (lambda v: good_reduction(f, {"a": v, "b": minus_one}, two, 3),
+                                 ProjectivePoint(0, 1), MapError),
+        "good_reduction-portrait": (lambda v: good_reduction(f, {}, v, 3), Portrait([], {}),
+                                    MapError),
         "milnor_coordinates": (milnor_coordinates, f, ModuliError),
         "multiplier_polynomial": (lambda v: multiplier_polynomial(v, 1), f, ModuliError),
         "periods_mod_p": (lambda v: periods_mod_p(v, 3), f, MapError),
         "portrait_cycles": (portrait_cycles, two, PortraitError),
+        "pullback_model-alpha": (lambda v: pullback_model(v, model), identity, MapError),
+        "pullback_model-model": (lambda v: pullback_model(identity, v), model, MapError),
         "rational_cycles": (lambda v: rational_cycles(v, 2), f, MapError),
         "search_periodic_model": (lambda v: search_periodic_model(v, 2, 1), two,
                                   PortraitError),
         "ueda_sum": (lambda v: ueda_sum(v, 0), f, ModuliError),
         "unweighted_nonempty": (lambda v: unweighted_nonempty(v, 2, 1), two, ModuliError),
         "verify_model": (lambda v: verify_model(v, Portrait([], {}), {}), f, MapError),
+        "verify_model-point": (lambda v: verify_model(f, two, {"a": v, "b": minus_one}),
+                               ProjectivePoint(0, 1), MapError),
+        "verify_model-portrait": (lambda v: verify_model(f, v, {}), Portrait([], {}),
+                                  MapError),
         "weighted_necessary_conditions": (lambda v: weighted_necessary_conditions(v, 2), two,
                                           ModuliError),
     }
@@ -537,7 +554,8 @@ def test_portrait_morphism_validation(target, mapping, message):
 # Every cap the README quotes, by the module that defines it.
 README_CAPS = {"MORPHISM_CAP": "portraits", "MAP_DEGREE_CAP": "maps", "DEGREE_CAP": "maps",
                "FACTOR_CAP": "forms", "NU_CAP_BITS": "moduli", "MULTIPLIER_CAP": "moduli",
-               "TABLE_PRIME_CAP": "reduction", "SEARCH_CAP": "search"}
+               "TABLE_PRIME_CAP": "reduction", "SEARCH_CAP": "search",
+               "RELATION_CAP": "portraits"}
 
 
 def test_readme_quotes_each_cap_at_its_value():

@@ -1264,6 +1264,25 @@ def test_realized_relations_match_the_nested_loop():
             assert all(type(r) is CriticalRelation for r in got)
 
 
+def test_realized_relations_refuses_more_than_the_cap():
+    # one critical fixed point realizes (max_shift + 1)^2 relations: a
+    # shift of 1,000 returned 1,002,001 of them and 10^9 ran unbounded
+    cap = portraits.RELATION_CAP
+    fixed = Portrait(["c"], {"c": "c"}, {"c": 2})
+    assert len(realized_relations(fixed, 315)) == 316 ** 2 <= cap
+    two = Portrait(["c", "u"], {"c": "c", "u": "c"}, {"c": 2, "u": 2})
+    # 400 critical points onto one fixed point: each path point counts,
+    # so the walk stops within the cap's points in all
+    wide = Portrait(map(str, range(400)), {str(i): "0" for i in range(400)},
+                    {str(i): 2 for i in range(400)})
+    assert len(realized_relations(wide, 0)) == 400
+    with within(1):
+        for p, shift in ((fixed, 316), (fixed, 1_000), (fixed, 10 ** 9), (two, 10 ** 9),
+                         (wide, 1), (wide, 10 ** 5), (wide, 10 ** 9)):
+            with pytest.raises(PortraitError, match=f"^more than {cap} realized relations$"):
+                realized_relations(p, shift)
+
+
 # -- per-class queries against their previous implementations ---------------
 
 def _recursive_morphism_maps(p1, p2):

@@ -3,9 +3,9 @@ import random
 import pytest
 import sympy
 
-from conftest import (chart_cycle_multiplier, jacobian_form, multiplicity_probes,
-                      random_rational_map, reduced_cycle, reduced_cycles,
-                      reference_multiplicity, within)
+from conftest import (chart_cycle_multiplier, fiber_form_multiplicity, jacobian_form,
+                      multiplicity_probes, random_rational_map, reduced_cycle,
+                      reduced_cycles, reference_multiplicity, within)
 from portraitdyn import (MapError, Portrait, ProjectivePoint, RationalMap,
                          admits_period, extract_portrait, forms, good_reduction,
                          periods_mod_p, reduction, search)
@@ -162,6 +162,67 @@ def test_multiplicity_over_f_p_is_none_or_at_least_the_one_over_q():
                 seen["inf"] += q.y == 0
                 seen["d=3"] += f.degree == 3
     assert all(seen.values()), seen
+
+
+def test_cofactor_rule_matches_the_fiber_form_mod_p():
+    # the reduced multiplicity read off each point's cached cofactor
+    # against the fiber form reduced mod p at each call: seeded maps at
+    # every good prime below 200, at infinity, small integers, points 1/y
+    # (p | y for p = y) and the critical points; planted cases where p
+    # divides the cofactor's value at 0: z^2 + 5z (tame at 5) and
+    # z^3 + 3z (wild at 3)
+    assert RationalMap.polynomial([1, 5, 0]).multiplicity(ProjectivePoint.affine(0), 5) == 2
+    rng = random.Random(51)
+    maps = [RationalMap.polynomial([1, 5, 0]), RationalMap.polynomial([1, 0, 3, 0]),
+            RationalMap([1, 0, 0], [0, 0, 1])]
+    maps += [random_rational_map(rng, 2 + k % 2) for k in range(40)]
+    primes = list(sympy.primerange(2, 200))
+    seen = {"checks": 0, "p|q": 0, "p|y": 0, "inf": 0, "wild": 0}
+    with within(5):
+        for f in maps:
+            points = {ProjectivePoint.infinity(),
+                      *(ProjectivePoint.affine(z) for z in range(-3, 4)),
+                      *(ProjectivePoint.of(1, y) for y in (2, 3, 5, 7))}
+            points.update(q for q, _ in f.critical_divisor()[1])
+            for q in sorted(points):
+                e = f.multiplicity(q)
+                assert e == fiber_form_multiplicity(f, q)
+                for prime in primes:
+                    if f.resultant % prime == 0:
+                        continue
+                    got = f.multiplicity(q, prime)
+                    assert got == fiber_form_multiplicity(f, q, prime), (f, q, prime)
+                    seen["checks"] += 1
+                    seen["p|q"] += got != e
+                    seen["p|y"] += q.y % prime == 0 and q.y != 0
+                    seen["inf"] += q.y == 0
+                    seen["wild"] += got is None
+    assert all(seen.values()), seen
+
+
+def test_good_reduction_tests_its_prime_once(monkeypatch):
+    # one call tests its prime once, whatever the number of marked points:
+    # the star flag reads each point's record with no second check
+    f = RationalMap([1, -1, -2], [-2, -2, 2])
+    points = dict(zip("abcde", (ProjectivePoint.of(-1, 2), ProjectivePoint.affine(-2),
+                                ProjectivePoint.affine(1), ProjectivePoint.affine(-1),
+                                ProjectivePoint.affine(0))))
+    portrait = Portrait("abcde", {"a": "a", "b": "b", "c": "c", "d": "e", "e": "d"})
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    is_prime = forms.is_prime
+    monkeypatch.setattr(forms, "is_prime", counting)
+    for marked, prime in ((Portrait([], {}), 11), (TWO_CYCLE, 11), (portrait, 11),
+                          (portrait, 13), (portrait, 7), (portrait, 5)):
+        calls.clear()
+        rep = good_reduction(f, points if marked is portrait else ASSIGN, marked, prime)
+        assert calls == [prime]
+        assert rep.map_good == (prime != 5)
+    assert good_reduction(f, points, portrait, 13).star
 
 
 def test_points_collide_mod_small_prime():
@@ -385,7 +446,7 @@ def test_screen_multipliers_and_verdicts_match_the_jacobian_form(monkeypatch):
         return _multiplier_by_jacobian(jacobians[f], cycle, prime)
 
     called = []
-    monkeypatch.setattr(RationalMap, "cycle_multiplier", by_jacobian)
+    monkeypatch.setattr(RationalMap, "_cycle_multiplier", by_jacobian)
     assert [admits_period(f, n, p) for f, p in grid for n in range(2, 9)] == verdicts
     assert called
     assert len(maps) == 240 + 2248 and 0 < sum(verdicts) < len(verdicts)
@@ -522,7 +583,7 @@ def test_screen_computes_a_multiplier_only_where_r_can_divide_p_minus_1(monkeypa
         computed.append((q, m))
         return multiplier(f, q, m, prime)
 
-    multiplier = RationalMap.cycle_multiplier
-    monkeypatch.setattr(RationalMap, "cycle_multiplier", counting)
+    multiplier = RationalMap._cycle_multiplier
+    monkeypatch.setattr(RationalMap, "_cycle_multiplier", counting)
     assert admits_period(Z2_MINUS_1, n, 5) == (n in (1, 2, 5))
     assert len(computed) == multipliers
