@@ -2,8 +2,8 @@
 """Answer ledger of the model search, the reduction screen, the critical
 portrait classes, the portrait morphism search, the periodic and
 critical points of seeded maps, the multiplier invariants of seeded maps,
-the stability verdicts of seeded configurations and a grid of the
-preperiodic point counts nu_pre.
+the stability verdicts of seeded configurations, a grid of the
+preperiodic point counts nu_pre and the root orders of seeded forms.
 
 Example:
     python scripts/ledger.py
@@ -70,13 +70,22 @@ Each family is a list of text lines, one per answer:
           reduction.periods_mod_p and the multiplicity over F_p at each
           marked point (None when wild).  At a prime of bad reduction the
           last two are refusals.
+  forms   a form drawn from random.Random("forms/<seed>") for seeds
+          0..FORM_SEEDS-1 (see planted_form), with roots of order 1 to 4
+          planted at some of infinity, 0 and up to three points of small
+          height, and its rational roots (forms.rational_roots), the order
+          of every candidate point (infinity, 0, the planted points and
+          the rational roots) over Q and at each prime below 20
+          (FORM_PRIMES) where the form is not zero (forms.ord_at), and the
+          quotients of the form by the first planted power and by one
+          more factor (forms.exact_div).
 
 A refusal (a domain error) counts as its message.  Prints the number of
 lines and the sha256 of the lines (each ending in a newline) of each
 family; --list N adds the first N lines.  Two trees that print the same
 digests give the same answers on every entry: run it with
 PYTHONPATH=<other tree>/src and with PYTHONPATH=src to compare.  Nothing
-in the output depends on the hash seed.  A full run takes about 4 s.
+in the output depends on the hash seed.  A full run takes about 4.5 s.
 
 --check compares each family's count and sha256 with scripts/ledger.expected
 (one "family count sha256" line each) and exits 1, naming the families
@@ -87,11 +96,12 @@ updates that file in the same diff.
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from portraitdyn import DomainError
 from portraitdyn.cli import arg, script
-from portraitdyn.forms import is_prime, resultant
+from portraitdyn.forms import exact_div, is_prime, mul, ord_at, rational_roots, resultant
 from portraitdyn.maps import RationalMap
 from portraitdyn.moduli import (expected_dimension, milnor_coordinates, multiplier_polynomial,
                                 nu_pre, ueda_sum)
@@ -127,6 +137,8 @@ MULTIPLIER_SEEDS = 2000
 STABILITY_SEEDS = 8000
 REDUCTION_SEEDS = 400
 REDUCTION_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+FORM_SEEDS = 1000
+FORM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # nu_pre's degrees, each with the label its lines print
 NU_DEGREES = (("2", 2), ("3", 3), ("5", 5), ("2^61-1", 2 ** 61 - 1), ("10^300", 10 ** 300),
               ("2^4000", 2 ** 4000))
@@ -360,6 +372,49 @@ def reduction_lines():
                    f"periods={periods} multiplicities={mults}")
 
 
+def power(f, k):
+    return mul(power(f, k - 1), f) if k else (1,)
+
+
+def planted_form(rng):
+    """A form prod (yX - xY)^k * cofactor, and its planted (point, k)
+    pairs: each of infinity and 0 with probability 1/2, then up to three
+    distinct points x/y with |x| <= 9 and 1 <= y <= 4, each with an order
+    k from 1 to 4, times a nonzero cofactor of degree 0 to 3 with
+    coefficients in [-9, 9]."""
+    candidates = [ProjectivePoint.infinity(), ProjectivePoint(0, 1)]
+    planted = [q for q in candidates if rng.random() < 0.5]
+    for _ in range(rng.randint(0, 3)):
+        q = ProjectivePoint.of(rng.randint(-9, 9), rng.randint(1, 4))
+        if q not in planted:
+            planted.append(q)
+    planted = [(q, rng.randint(1, 4)) for q in planted]
+    cofactor = (0,)
+    while not any(cofactor):
+        cofactor = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+    form = cofactor
+    for (x, y), k in planted:
+        form = mul(form, power((y, -x), k))
+    return form, planted
+
+
+def forms_lines():
+    for seed in range(FORM_SEEDS):
+        f, planted = planted_form(random.Random(f"forms/{seed}"))
+        roots = rational_roots(f)
+        points = {ProjectivePoint.infinity(), ProjectivePoint(0, 1), *(q for q, _ in planted),
+                  *(ProjectivePoint(*r) for r, _ in roots)}
+        primes = [p for p in FORM_PRIMES if any(c % p for c in f)]
+        orders = [f"{q}:{ord_at(f, *q)}/{','.join(str(ord_at(f, *q, p)) for p in primes)}"
+                  for q in sorted(points, key=lambda q: (q.y == 0, Fraction(q.x, q.y or 1)))]
+        quotients = []
+        if planted:
+            (x, y), k = planted[0]
+            quotients = [answer(lambda: exact_div(f, power((y, -x), j))) for j in (k, k + 1)]
+        yield (f"{seed} {f} planted={[(str(q), k) for q, k in planted]}: roots={roots} "
+               f"primes={primes} orders={' '.join(orders)} quotients={quotients}")
+
+
 def ledger(family, listed, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
@@ -367,7 +422,7 @@ def ledger(family, listed, check):
                 "classes": classes_lines, "morphisms": morphisms_lines,
                 "maps": maps_lines, "multipliers": multipliers_lines,
                 "stability": stability_lines, "nu_pre": nu_pre_lines,
-                "reduction": reduction_lines}
+                "reduction": reduction_lines, "forms": forms_lines}
     out = {}
     for name in [family] if family else families:
         lines = list(families[name]())
@@ -391,8 +446,8 @@ def ledger(family, listed, check):
 if __name__ == "__main__":
     script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
                                                "multipliers", "stability", "nu_pre",
-                                               "reduction"),
-                         help="one family only (default: all nine)"),
+                                               "reduction", "forms"),
+                         help="one family only (default: all ten)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--check", action="store_true",

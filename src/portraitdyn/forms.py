@@ -7,11 +7,16 @@ closed form for d = 2 and 3 and a subresultant remainder sequence
 otherwise, exact division stays in Z[X, Y], and evaluation, which every
 root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
-forms only; integerize is the one place that clears denominators, and
+forms only: resultant, exact_div and ord_at refuse any other
+coefficient, and rational_roots, the model search's hottest call, does
+not check.  integerize is the one place that clears denominators, and
 callers with rational coefficients go through it first.  add, sub, mul,
-scale and evaluate stay generic and also run on Fractions.  The integer
-helpers is_prime, divisors and mobius_pairs live here too, up to
-FACTOR_CAP."""
+scale and evaluate stay generic and also run on Fractions.  One routine,
+_split, gives the order of a point as a root of a form and the cofactor
+left when that power of its linear form is divided out, over Q or F_p:
+ord_at, exact_div, the root grid, the multiplicities of maps and the
+multiplier polynomial all read it.  The integer helpers is_prime,
+divisors and mobius_pairs live here too, up to FACTOR_CAP."""
 
 from __future__ import annotations
 
@@ -133,7 +138,7 @@ def compose_pair(fs, g0: Form, g1: Form) -> tuple:
 
 def exact_div(num: Form, den: Form) -> Form:
     """The quotient num / den of integer forms in Z[X, Y]; raises
-    FormError when there is none.
+    FormError when there is none, and for a coefficient that is not an int.
 
     Leading zero coefficients are powers of Y, which divide like any
     other factor; they are stripped before the univariate division.  A
@@ -143,14 +148,14 @@ def exact_div(num: Form, den: Form) -> Form:
     """
     if is_zero(den):
         raise FormError("division by zero form")
-    lz_n = next((i for i, c in enumerate(num) if c != 0), None)
-    if lz_n is None:
+    if is_zero(num):
         raise FormError("zero numerator")
-    lz_d = next(i for i, c in enumerate(den) if c != 0)
+    if {*map(type, num), *map(type, den)} != {int}:
+        raise FormError("exact division needs integer coefficients")
+    lz_n, r = _split(num, 1, 0)
+    lz_d, b = _split(den, 1, 0)
     if lz_n < lz_d:
         raise FormError("not divisible (Y-multiplicity)")
-    b = den[lz_d:]
-    r = list(num[lz_n:])
     if len(r) < len(b):
         raise FormError("not divisible (degree)")
     q = []
@@ -220,7 +225,7 @@ def _bezout_resultant(f: Form, g: Form) -> int:
         if g[0] == 0:
             return 0
         f, g, res = g, f, (-1) ** d
-    k = next((i for i, c in enumerate(g) if c), d + 1)
+    k = next((i for i, c in enumerate(g) if c), d + 1)     # inline: g may be the zero form
     a, b = f, g[k:]
     res *= f[0] ** k            # k leading zeros of g: Res(f, g) = lc(f)^k Res(a, b)
     lc = h = 1
@@ -260,6 +265,7 @@ def rational_roots(f: Form) -> list:
     constant coefficient past FACTOR_CAP in absolute value, which the
     candidate grid would have to factor.
     """
+    # the end scans stay inline: this is the search's hottest call
     lz = 0 if f and f[0] else next((i for i, c in enumerate(f) if c != 0), None)
     if lz is None:
         raise FormError("zero form has no root divisor")
@@ -295,10 +301,7 @@ def _grid_roots(cur: list, roots: list) -> list:
             for x in (p, -p):
                 if evaluate(cur, x, q) != 0:
                     continue
-                mult = 0
-                while len(cur) > 1 and (quot := _deflate(cur, x, q)) is not None:
-                    mult += 1
-                    cur = quot
+                mult, cur = _split(cur, x, q)
                 roots.append(((x, q), mult))
                 if len(cur) <= 3:
                     return cur
@@ -328,22 +331,31 @@ def _closed_form_roots(cur: list) -> list:
     return out
 
 
-def _deflate(f, x: int, y: int, prime: int = 0):
-    """The quotient of f by yX - xY (y nonzero), or None when it does not
-    divide.  Over F_p (prime > 0) f is reduced and y is 1.  Over Q, x and
-    y are coprime, so yX - xY is primitive and a quotient is integral."""
-    quot, carry = [], 0
-    for c in f[:-1]:
-        carry, rem = divmod(c + x * carry, y)
-        if rem:
-            return None
-        if prime:
-            carry %= prime
-        quot.append(carry)
-    last = f[-1] + x * carry
-    if (last % prime if prime else last) != 0:
-        return None
-    return quot
+def _split(f, x: int, y: int, prime: int = 0) -> tuple:
+    """(k, q): the order k of (x : y) as a root of the nonzero integer form
+    f, and the cofactor q = f / (yX - xY)^k, up to sign, as a fresh list.
+    At (1 : 0) k is the number of leading zeros; elsewhere f is divided
+    synthetically while yX - xY divides it.  Over F_p (prime > 0) f is
+    reduced and (x : y) is a reduced point.  Over Q, x and y are coprime,
+    so yX - xY is primitive and each quotient is integral."""
+    if y == 0:      # yX - xY is a unit times Y
+        k = next(i for i, c in enumerate(f) if c)
+        return k, list(f[k:])
+    k, cur = 0, list(f)
+    while len(cur) > 1:
+        quot, carry = [], 0
+        for c in cur[:-1]:
+            carry, rem = divmod(c + x * carry, y)
+            if rem:
+                return k, cur
+            if prime:
+                carry %= prime
+            quot.append(carry)
+        last = cur[-1] + x * carry
+        if (last % prime if prime else last) != 0:
+            return k, cur
+        k, cur = k + 1, quot
+    return k, cur
 
 
 def reduce_point(x: int, y: int, prime: int) -> tuple:
@@ -355,23 +367,27 @@ def ord_at(f: Form, x: int, y: int, prime: int = 0) -> int:
     """Order of the point (x : y) as a root of the form: the largest k
     with (yX - xY)^k dividing f, over Q (prime = 0) or over F_p.
 
-    Over Q the coordinates must be coprime integers, so yX - xY is
-    primitive and, by Gauss's lemma, every quotient of an integer form
-    by it is integral: the division stays in the integers.
+    The coordinates must be coprime integers, so yX - xY is primitive and,
+    by Gauss's lemma, every quotient of an integer form by it is integral:
+    the division stays in the integers.  Raises FormError, before any work,
+    for a coordinate that is not an int, for (0 : 0) or coordinates with a
+    common factor, for a coefficient that is not an int, for a nonzero
+    prime that is_prime rejects, and for a form that is zero (mod p).
     """
+    for c in (x, y):
+        _integer(c, FormError, "point coordinates must be ints, got {!r}")
+    if gcd(x, y) != 1:
+        raise FormError(f"({x} : {y}) is not a point with coprime coordinates")
+    if {*map(type, f)} != {int}:
+        raise FormError("order needs integer coefficients")
+    if (prime != 0 or type(prime) is not int) and not is_prime(prime):
+        raise FormError(f"{prime} is not prime")
     if prime:
         f = [c % prime for c in f]
         x, y = reduce_point(x, y, prime)
-    cur = list(f)
-    if not any(cur):
+    if not any(f):
         raise FormError("zero form has infinite order")
-    if y == 0:      # yX - xY is a unit times Y
-        return next(k for k, c in enumerate(cur) if c)
-    mult = 0
-    while len(cur) > 1 and (quot := _deflate(cur, x, y, prime)) is not None:
-        mult += 1
-        cur = quot
-    return mult
+    return _split(f, x, y, prime)[0]
 
 
 # -- integers ----------------------------------------------------------------

@@ -202,16 +202,13 @@ class RationalMap:
             x, y = p
             a = forms.evaluate(self.f0, x, y)
             b = forms.evaluate(self.f1, x, y)
-            q = fiber = forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a))
-            e = forms.ord_at(fiber, x, y)
-            for _ in range(e):      # at infinity l = -Y
-                q = forms._deflate(q, x, y) if y else q[1:]
+            e, q = forms._split(forms.sub(forms.scale(self.f0, b), forms.scale(self.f1, a)), x, y)
             record = records[p] = (e, q, forms.evaluate(q, x, y))
         e, q, value = record
         if not prime:
             return e
         if value % prime == 0:
-            e += forms.ord_at(q, *p, prime)
+            e += forms._split([c % prime for c in q], *forms.reduce_point(*p, prime), prime)[0]
         return None if e >= prime else e
 
     def wronskian(self):

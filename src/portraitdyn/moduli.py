@@ -264,16 +264,15 @@ def multiplier_polynomial(f: RationalMap, n: int) -> MultiplierData:
     target = nu(f.degree, 1, n)
     if target > MULTIPLIER_CAP:
         raise MapError(f"multiplier polynomial degree {target} exceeds cap {MULTIPLIER_CAP}")
-    psi = f.dynatomic(n)
-    k = next(i for i, x in enumerate(psi) if x)
+    k, affine = forms._split(f.dynatomic(n), 1, 0)
     a, b = f.iterate_pair(n)
     coeffs = (Fraction(1),)
-    if len(psi) - k > 1:
+    if len(affine) > 1:
         # In y = c x, with c the leading coefficient of psi(x, 1), the
         # algebra is Z[y]/(mod) with mod monic, and h is the quotient of
         # the integer polynomials c^D g(y / c) and c^D b(y / c).
-        c = psi[k]
-        mod = [x // c for x in _scale_roots(psi[k:], c)]
+        c = affine[0]
+        mod = [x // c for x in _scale_roots(affine, c)]
         g = forms.sub((0,) + forms.derivative_x(a), forms.derivative_x(b) + (0,))
         h, t = _quotient(_rem(_scale_roots(g, c), mod), _rem(_scale_roots(b, c), mod), mod)
         coeffs = _charpoly(h, t, mod)

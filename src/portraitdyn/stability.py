@@ -30,6 +30,9 @@ class StabilityError(DomainError):
     pass
 
 
+_INSTANCE = "instance must be a StabilityInstance, got {!r}"
+
+
 class Subspace(NamedTuple):
     """A proper linear subspace described by its dimension and the
     indices (1-based) of the marked points it contains."""
@@ -121,6 +124,7 @@ class StabilityVerdict(NamedTuple):
 def cd_values(inst: StabilityInstance, subspace: Subspace, eps) -> tuple:
     """Exact rational (C, D_eps) for a proper linear subspace; eps is an int,
     a Fraction or a rational string."""
+    _instance(inst, StabilityInstance, StabilityError, _INSTANCE)
     _check_subspace(subspace, inst.N, len(inst.weights) - 1)
     eps = _rational(eps, StabilityError, "eps must be an int, a Fraction or a rational "
                     "string, got {!r}")
@@ -138,9 +142,13 @@ def _scaled_cd(inst, m_sigma, subspace) -> tuple:
 
 def subspace_candidates(points) -> list:
     """For the projective line, the candidate subspaces are the single
-    points; one candidate per distinct marked value."""
+    points; one candidate per distinct marked value.  Each point must be a
+    ProjectivePoint."""
+    from .projective import _POINT, ProjectivePoint
+
     groups = {}
     for idx, p in enumerate(points, start=1):
+        _instance(p, ProjectivePoint, StabilityError, _POINT)
         groups.setdefault(p, []).append(idx)
     return [Subspace(0, frozenset(ids)) for _, ids in sorted(
         groups.items(), key=lambda kv: str(kv[0]))]
@@ -159,6 +167,7 @@ def verdict(inst: StabilityInstance) -> StabilityVerdict:
     with one marked point of unit weight has C = D_0, so the bands leave
     stability open; the fixed-point flag decides it.
     """
+    _instance(inst, StabilityInstance, StabilityError, _INSTANCE)
     if inst.points is not None:
         candidates = subspace_candidates(inst.points)
     else:

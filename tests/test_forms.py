@@ -596,8 +596,9 @@ def test_integer_helpers_up_to_the_cap():
 def _grid_rational_roots(f):
     """rational_roots by the divisor grid at every degree: each x/y with x
     dividing the tail and y the lead of the primitive part is tested by
-    Horner, and the form deflated at a root.  The parent implementation,
-    kept as the oracle of the closed-form residuals."""
+    Horner, and at a root the form is divided by qX - xY through exact_div
+    until that refuses, so no division code is shared with forms._split.
+    The oracle of the closed-form residuals."""
     lz = next((i for i, c in enumerate(f) if c != 0), None)
     if lz is None:
         raise forms.FormError("zero form has no root divisor")
@@ -622,9 +623,12 @@ def _grid_rational_roots(f):
                     if forms.evaluate(cur, x, q) != 0:
                         continue
                     mult = 0
-                    while len(cur) > 1 and (quot := forms._deflate(cur, x, q)) is not None:
+                    while True:
+                        try:
+                            cur = forms.exact_div(cur, (q, -x))
+                        except forms.FormError:
+                            break
                         mult += 1
-                        cur = quot
                     roots.append(((x, q), mult))
             if len(cur) == 1:
                 break
@@ -771,6 +775,48 @@ def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):
     assert forms.ord_at(form, x, y, prime) == k + forms.ord_at(rest, x, y, prime)
 
 
+def _planted_splits(count):
+    """(f, x, y, prime, k): f = (yX - xY)^k * c with c(x, y) != 0, so that
+    (x : y) has order exactly k in f.  The point is infinity, 0 or a point
+    of small height, its coordinates coprime; over F_p (prime > 0) it is a
+    point of P^1(F_p) as forms.reduce_point gives it, and f is reduced."""
+    rng = random.Random("split")
+    for _ in range(count):
+        prime = rng.choice((0, 0, 2, 3, 5, 7))
+        if prime:
+            x, y = rng.choice([(1, 0), (0, 1)] + [(r, 1) for r in range(prime)])
+        else:
+            x, y = rng.choice([(1, 0), (0, 1), (rng.randint(-9, 9), rng.randint(-4, 4))])
+            if gcd(x, y) != 1:
+                continue
+        k = rng.randint(0, 4)
+        c = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+        value = forms.evaluate(c, x, y)
+        if (value % prime if prime else value) == 0:
+            continue        # c vanishes at the point
+        f = forms.mul(_power((y, -x), k), c)
+        yield (tuple(v % prime for v in f) if prime else f), x, y, prime, k
+
+
+def test_split_returns_the_planted_order_and_its_cofactor():
+    cases = list(_planted_splits(1000))
+    assert {(y == 0, x == 0, prime > 0) for _, x, y, prime, _ in cases} == {
+        (True, False, False), (False, True, False), (False, False, False),
+        (True, False, True), (False, True, True), (False, False, True)}
+    for f, x, y, prime, k in cases:
+        got, q = forms._split(f, x, y, prime)
+        assert got == k, (f, x, y, prime)
+        assert type(q) is list and q is not f
+        product = forms.mul(q, _power((y, -x), k))
+        if prime:
+            product = tuple(v % prime for v in product)
+            assert product in (f, tuple(-v % prime for v in f))
+            assert forms.evaluate(q, x, y) % prime != 0
+        else:
+            assert product in (f, forms.scale(f, -1))
+            assert forms.evaluate(q, x, y) != 0
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: forms.add((1, 2), (1, 2, 3)), "cannot add forms of different degrees"),
     (lambda: forms.sub((1, 2), (1, 2, 3)), "cannot subtract forms of different degrees"),
@@ -782,10 +828,37 @@ def test_ord_at_of_a_constructed_power(x, y, k, rest, prime):
     (lambda: forms.exact_div((0, 0), (1, 1)), "zero numerator"),
     (lambda: forms.exact_div((1, 0, 0), (0, 1, 1)), "not divisible (Y-multiplicity)"),
     (lambda: forms.exact_div((0, 0, 1), (0, 1, 1)), "not divisible (degree)"),
+    (lambda: forms.exact_div((1.0, -1.0), (1, -1)), "exact division needs integer coefficients"),
+    (lambda: forms.exact_div((Fraction(1, 2), Fraction(-1, 2)), (1, -1)),
+     "exact division needs integer coefficients"),
+    (lambda: forms.exact_div((1, -1), (True, -1)), "exact division needs integer coefficients"),
     (lambda: forms.rational_roots((0, 0, 0)), "zero form has no root divisor"),
     (lambda: forms.divisors(0), "0 has infinitely many divisors"),
+    # (1 : 1) is a double root of (X - Y)^2, but (2 : 2) is no point
+    (lambda: forms.ord_at((1, -2, 1), 2, 2), "(2 : 2) is not a point with coprime coordinates"),
+    (lambda: forms.ord_at((1, -2, 1), 3, 3, 3), "(3 : 3) is not a point with coprime coordinates"),
+    (lambda: forms.ord_at((1, -2, 1), 0, 0), "(0 : 0) is not a point with coprime coordinates"),
+    (lambda: forms.ord_at((1, -2, 1), 0.5, 1), "point coordinates must be ints, got 0.5"),
+    (lambda: forms.ord_at((1, -2, 1), True, 1), "point coordinates must be ints, got True"),
+    (lambda: forms.ord_at((1, -2, 1), "1", 1), "point coordinates must be ints, got '1'"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 1.0), "point coordinates must be ints, got 1.0"),
+    (lambda: forms.ord_at((Fraction(1, 2), Fraction(-1, 2)), 1, 1),
+     "order needs integer coefficients"),
+    (lambda: forms.ord_at((1.0, -1), 1, 1), "order needs integer coefficients"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 2, 4), "4 is not prime"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 1, -3), "-3 is not prime"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 1, 1), "1 is not prime"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 1, True),
+     "cannot test True for primality: not an integer"),
+    (lambda: forms.ord_at((1, -2, 1), 1, 1, 0.0),
+     "cannot test 0.0 for primality: not an integer"),
+    (lambda: forms.ord_at((5, 10, 15), 0, 1, 5), "zero form has infinite order"),
 ], ids=["add", "sub", "compose-pair", "compose-pair-forms", "div-by-zero", "zero-numerator",
-        "y-multiplicity", "degree", "roots-of-zero", "divisors-of-zero"])
+        "y-multiplicity", "degree", "div-float", "div-fraction", "div-bool", "roots-of-zero",
+        "divisors-of-zero", "ord-common-factor", "ord-common-factor-mod-p", "ord-origin",
+        "ord-float-x", "ord-bool-x", "ord-text-x", "ord-float-y", "ord-fraction-form",
+        "ord-float-form", "ord-prime-4", "ord-prime-negative", "ord-prime-1", "ord-prime-bool",
+        "ord-prime-float", "ord-zero-mod-p"])
 def test_form_refusals(call, message):
     with pytest.raises(forms.FormError) as exc:
         call()

@@ -228,13 +228,14 @@ def test_a_bad_period_never_reads_a_cached_answer():
 # call taking that one argument, a good value for it and the error a value
 # of another type must raise.
 def _object_calls() -> dict:
-    from portraitdyn import (admits_period, expected_dimension, extract_portrait,
+    from portraitdyn import (admits_period, cd_values, expected_dimension, extract_portrait,
                              fiber_image_dims, good_reduction, milnor_coordinates,
                              multiplier_polynomial, periods_mod_p, portrait_cycles,
                              pullback_model, rational_cycles, search_periodic_model,
-                             ueda_sum, unweighted_nonempty, verify_model,
-                             weighted_necessary_conditions)
+                             subspace_candidates, ueda_sum, unweighted_nonempty, verdict,
+                             verify_model, weighted_necessary_conditions)
     two = Portrait(["a", "b"], {"a": "b", "b": "a"})
+    instance = StabilityInstance(N=1, d=2, weights=(1, 1))
     f = RationalMap.polynomial([1, 0, -1])
     minus_one = ProjectivePoint(-1, 1)
     model = verify_model(f, two, {"a": ProjectivePoint(0, 1), "b": minus_one})
@@ -263,8 +264,13 @@ def _object_calls() -> dict:
         "rational_cycles": (lambda v: rational_cycles(v, 2), f, MapError),
         "search_periodic_model": (lambda v: search_periodic_model(v, 2, 1), two,
                                   PortraitError),
+        "subspace_candidates": (lambda v: subspace_candidates([v]), ProjectivePoint(0, 1),
+                                StabilityError),
+        "cd_values": (lambda v: cd_values(v, Subspace(0, frozenset({1})), 0), instance,
+                      StabilityError),
         "ueda_sum": (lambda v: ueda_sum(v, 0), f, ModuliError),
         "unweighted_nonempty": (lambda v: unweighted_nonempty(v, 2, 1), two, ModuliError),
+        "verdict": (verdict, instance, StabilityError),
         "verify_model": (lambda v: verify_model(v, Portrait([], {}), {}), f, MapError),
         "verify_model-point": (lambda v: verify_model(f, two, {"a": v, "b": minus_one}),
                                ProjectivePoint(0, 1), MapError),

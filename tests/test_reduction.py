@@ -46,10 +46,10 @@ def test_good_reduction_computes_each_multiplicity_over_q_once(monkeypatch):
     def counting(form, x, y, prime=0):
         if not prime:
             over_q.append(ProjectivePoint.of(x, y))
-        return ord_at(form, x, y, prime)
+        return split(form, x, y, prime)
 
-    ord_at = reduction.forms.ord_at
-    monkeypatch.setattr(reduction.forms, "ord_at", counting)
+    split = reduction.forms._split
+    monkeypatch.setattr(reduction.forms, "_split", counting)
     primes = list(sympy.primerange(2, 60))
     assert len(primes) == 17
     reports = [good_reduction(f, assign, portrait, p) for p in primes]

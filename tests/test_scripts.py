@@ -123,7 +123,7 @@ def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
     assert ledger_runs["1"] == ledger_runs["0"]
     doc = json.loads(ledger_runs["0"])
     assert list(doc) == ["search", "screen", "classes", "morphisms", "maps", "multipliers",
-                         "stability", "nu_pre", "reduction"]
+                         "stability", "nu_pre", "reduction", "forms"]
     for entry in doc.values():
         assert set(entry) == {"count", "sha256", "lines"}
         assert entry["count"] == len(entry["lines"]) > 0
@@ -174,7 +174,8 @@ def test_ledger_digests_its_lines_under_either_hash_seed(ledger_runs):
 @pytest.mark.parametrize("family,count", [("search", 54), ("screen", 13632), ("classes", 133),
                                           ("morphisms", 2000), ("maps", 400),
                                           ("multipliers", 2000), ("stability", 8000),
-                                          ("nu_pre", 3600), ("reduction", 6000)])
+                                          ("nu_pre", 3600), ("reduction", 6000),
+                                          ("forms", 1000)])
 def test_ledger_check_passes_against_the_committed_digests(ledger_runs, family, count):
     doc = json.loads(ledger_runs["0"])
     expected = (ROOT / "scripts" / "ledger.expected").read_text(encoding="utf-8")
