@@ -415,17 +415,18 @@ def forms_lines():
                f"primes={primes} orders={' '.join(orders)} quotients={quotients}")
 
 
+FAMILIES = {"search": search_lines, "screen": screen_lines, "classes": classes_lines,
+            "morphisms": morphisms_lines, "maps": maps_lines,
+            "multipliers": multipliers_lines, "stability": stability_lines,
+            "nu_pre": nu_pre_lines, "reduction": reduction_lines, "forms": forms_lines}
+
+
 def ledger(family, listed, check):
     if listed < 0:
         raise DomainError("--list must be nonnegative")
-    families = {"search": search_lines, "screen": screen_lines,
-                "classes": classes_lines, "morphisms": morphisms_lines,
-                "maps": maps_lines, "multipliers": multipliers_lines,
-                "stability": stability_lines, "nu_pre": nu_pre_lines,
-                "reduction": reduction_lines, "forms": forms_lines}
     out = {}
-    for name in [family] if family else families:
-        lines = list(families[name]())
+    for name in [family] if family else FAMILIES:
+        lines = list(FAMILIES[name]())
         entry = {"count": len(lines),
                  "sha256": hashlib.sha256("".join(f"{s}\n" for s in lines).encode()).hexdigest()}
         if listed:
@@ -444,10 +445,8 @@ def ledger(family, listed, check):
 
 
 if __name__ == "__main__":
-    script(__doc__, [arg("--family", choices=("search", "screen", "classes", "morphisms", "maps",
-                                               "multipliers", "stability", "nu_pre",
-                                               "reduction", "forms"),
-                         help="one family only (default: all ten)"),
+    script(__doc__, [arg("--family", choices=tuple(FAMILIES),
+                         help="one family only (default: all)"),
                      arg("--list", type=int, default=0, metavar="N",
                          help="also print the first N lines of each family"),
                      arg("--check", action="store_true",

@@ -54,6 +54,17 @@ def _rational(value, error, message):
     raise error(message.format(value))
 
 
+def _integral(values, error, message) -> list:
+    """The integers proportional to `values`: each value read by `_rational`
+    with `error` and `message`, all of them times their least common
+    denominator.  The package's one clearer of exact input rationals."""
+    from math import lcm    # here, so that importing the package does no new work
+
+    values = [_rational(v, error, message) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 # submodule -> the names it exports from the package
 _EXPORTS = {
     "forms": (),

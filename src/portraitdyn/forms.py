@@ -9,8 +9,8 @@ root test runs, is homogeneous Horner.  The algorithmic
 routines (resultant, exact_div, rational_roots, ord_at) take integer
 forms only: resultant, exact_div and ord_at refuse any other
 coefficient, and rational_roots, the model search's hottest call, does
-not check.  integerize is the one place that clears denominators, and
-callers with rational coefficients go through it first.  add, sub, mul,
+not check.  Callers with rational coefficients clear them first through
+the package's one clearer, portraitdyn._integral.  add, sub, mul,
 scale and evaluate stay generic and also run on Fractions.  One routine,
 _split, gives the order of a point as a root of a form and the cofactor
 left when that power of its linear form is divided out, over Q or F_p:
@@ -21,10 +21,10 @@ divisors and mobius_pairs live here too, up to FACTOR_CAP."""
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul as _times
 
-from . import DomainError, _integer, _rational
+from . import DomainError, _integer
 
 Form = tuple  # tuple of int coefficients, X^D first
 
@@ -102,22 +102,6 @@ def primitive(f: Form) -> Form:
     return tuple(a // c for a in f)
 
 
-def integerize(f) -> Form:
-    """The primitive integer form proportional to f, whose coefficients
-    may be anything the package's rational reader takes (an int, a
-    Fraction or a rational string): the one place in forms that clears
-    denominators."""
-    if {*map(type, f)} != {int}:
-        f = [_rational(c, FormError, "coefficients must be ints, Fractions or rational "
-                       "strings, got {!r}") for c in f]
-        den = lcm(*(c.denominator for c in f))
-        f = [c.numerator * (den // c.denominator) for c in f]
-    try:
-        return primitive(f)
-    except FormError:
-        raise FormError("zero form") from None
-
-
 def compose_pair(fs, g0: Form, g1: Form) -> tuple:
     """Substitute X -> g0, Y -> g1 into each of the forms fs, all of one
     degree D, where g0, g1 are forms of equal degree.  The products
@@ -180,7 +164,8 @@ def resultant(f: Form, g: Form) -> int:
     first, so Res(X^d, Y^d) = +1.  Raises FormError for forms of unequal
     or zero degree and for a coefficient that is not an int: the
     remainder sequence's exact divisions would floor a Fraction.  Rational
-    forms go through integerize first, and Res(a f, b g) = (ab)^d Res(f, g).
+    forms are cleared first by portraitdyn._integral, and
+    Res(a f, b g) = (ab)^d Res(f, g).
     """
     if len(f) != len(g) or len(f) < 2:
         raise FormError("resultant needs two forms of one degree d >= 1")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, _instance, _integer, forms
+from . import DomainError, _instance, _integer, _integral, forms
 from .projective import _POINT, ProjectivePoint
 
 # Maps need no portraits until a model is built: those functions import
@@ -78,13 +78,16 @@ class RationalMap:
             raise MapError("degree must be at least 2")
         if len(f0) - 1 > MAP_DEGREE_CAP:
             raise MapError(f"degree {len(f0) - 1} exceeds cap {MAP_DEGREE_CAP}")
-        try:
-            ints = forms.integerize(tuple(f0) + tuple(f1))
-        except forms.FormError as exc:      # all zeros, or a float or bool
-            raise MapError("zero map" if exc.args == ("zero form",) else str(exc)) from None
+        ints = tuple(f0) + tuple(f1)
+        if {*map(type, ints)} != {int}:
+            ints = _integral(ints, MapError, "coefficients must be ints, Fractions or "
+                             "rational strings, got {!r}")
+        if not any(ints):
+            raise MapError("zero map")
+        ints = forms.primitive(ints)
         n = len(f0)
         nf0, nf1 = ints[:n], ints[n:]
-        # integerize returns ints, so the checks of forms.resultant are moot
+        # the coefficients are ints now, so the checks of forms.resultant are moot
         res = forms._bezout_resultant(nf0, nf1)
         if res == 0:
             raise MapError("resultant vanishes: not a morphism of the stated degree")

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, log10
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import DomainError, _instance, _integer, _rational, forms
+from . import DomainError, _instance, _integer, _integral, _rational, forms
 
 # The counting functions need no maps and the multiplier functions no
 # portraits: the portrait functions import `portraits`, and the multiplier,
@@ -38,10 +38,12 @@ def _ints(*args):
         _integer(a, ModuliError, "the arguments must be integers")
 
 
+_FAMILY = "family values must be ints, Fractions or rational strings, got {!r}"
+
+
 def _rationals(*args) -> list:
     """The family values as Fractions: each an int, a Fraction or a rational string."""
-    return [_rational(a, ModuliError, "family values must be ints, Fractions or rational "
-                      "strings, got {!r}") for a in args]
+    return [_rational(a, ModuliError, _FAMILY) for a in args]
 
 
 def nu(d: int, N: int, n: int) -> int:
@@ -426,11 +428,9 @@ def cubic_three_double_fixed_family(a, b) -> CubicFixedFamily:
     from .maps import RationalMap
     from .projective import ProjectivePoint
 
-    a, b = _rationals(a, b)
+    a, b, den = _integral((a, b, 1), ModuliError, _FAMILY)
     if a == 0:
         raise ModuliError("the family needs a != 0")
-    den = lcm(a.denominator, b.denominator)
-    a, b = int(a * den), int(b * den)
     f0 = (a, b, 0, 0)
     f1 = (0, 0, 3 * a + 2 * b, -(2 * a + b))
     res = forms.resultant(f0, f1)

@@ -299,7 +299,7 @@ class PortraitMorphism(_Morphism):
             raise PortraitError("morphism must be injective")
         if not set(mapping.values()) <= set(target.vertices):
             raise PortraitError("morphism image outside target")
-        for v in source.domain:
+        for v in sorted(source.domain):     # the order of morphism_maps and verify_model
             broken = _broken_rule(source, target, mapping, v)
             if broken:
                 raise PortraitError(broken)

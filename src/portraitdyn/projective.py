@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from . import DomainError, _integer, _rational
+from . import DomainError, _integer, _integral, _rational
 
 
 class PointError(DomainError):
@@ -45,11 +45,10 @@ class ProjectivePoint(_Coordinates):
     @staticmethod
     def of(x, y) -> "ProjectivePoint":
         """Normalize arbitrary exact homogeneous coordinates.  Anything but
-        a pair of ints is first cleared to one through the package's
-        rational reader, which takes ints, Fractions and rational strings."""
+        a pair of ints is first cleared to one by the package's clearer of
+        exact rationals, which takes ints, Fractions and rational strings."""
         if type(x) is not int or type(y) is not int:
-            fx, fy = _rational(x, PointError, _EXACT), _rational(y, PointError, _EXACT)
-            x, y = fx.numerator * fy.denominator, fy.numerator * fx.denominator
+            x, y = _integral((x, y), PointError, _EXACT)
         g = gcd(x, y)
         if g == 0:
             raise PointError("(0, 0) is not a projective point")

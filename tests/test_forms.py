@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from conftest import within
-from portraitdyn import forms, search
+from portraitdyn import _integral, forms, search
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
 
@@ -516,7 +516,7 @@ rational_forms = st.integers(1, 4).flatmap(
 
 @given(rational_forms)
 def test_resultant_of_rational_forms_matches_sympy(pair):
-    # rational forms f, g of one degree d are cleared by integerize to
+    # rational forms f, g of one degree d are cleared by _integral to
     # F = s f and G = t g, so Res(F, G) = (st)^d Res(f, g); the Sylvester
     # determinant has the convention of forms.resultant
     a, b = pair
@@ -525,7 +525,7 @@ def test_resultant_of_rational_forms_matches_sympy(pair):
     pa = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in a], x)
     pb = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in b], x)
     expected = sylvester(pa.as_expr(), pb.as_expr(), x).det()
-    fa, fb = forms.integerize(a), forms.integerize(b)
+    fa, fb = (_integral(f, forms.FormError, "not rational: {!r}") for f in (a, b))
     s, t = Fraction(fa[0]) / a[0], Fraction(fb[0]) / b[0]
     got = forms.resultant(fa, fb)
     assert type(got) is int

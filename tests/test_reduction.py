@@ -489,7 +489,7 @@ def test_screen_refuses_bad_arguments_before_any_work(monkeypatch, call, message
         raise AssertionError("the reduced map was used")
 
     monkeypatch.setattr(reduction, "_reduced_table", no_work)
-    monkeypatch.setattr(reduction.forms, "ord_at", no_work)
+    monkeypatch.setattr(reduction.forms, "_split", no_work)
     with within(1), pytest.raises(MapError) as refused:
         call()
     assert str(refused.value) == message
